@@ -182,11 +182,6 @@ def busemann_boundary(g, xi):
     return 2 * boundary_gromov(g, xi) - g.length()
 
 
-def boundary_haagerup(g, xi, eta):
-    """<g, xi> - <g, eta> for boundary points xi, eta."""
-    return boundary_gromov(g, xi) - boundary_gromov(g, eta)
-
-
 def fixed_points(g):
     """Attracting and repelling endpoints of g plus its translation length.
 

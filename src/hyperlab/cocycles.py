@@ -36,17 +36,26 @@ def haagerup_value(metric, g, x, y):
 
 
 class PairBand:
-    """Ordered pairs from a ball with distance in [K-C, K+C] (inclusive)."""
+    """Ordered pairs from a ball with distance in [K-C, K+C] (inclusive).
 
-    def __init__(self, metric, K, C, radius, ball, index_pairs):
+    `index` is the (pairs, 2) int64 array of indices into ball.elements,
+    and `dist` the ball's word distance matrix; `pairs` lists the same
+    indices as tuples, and `lengths` holds each element's word length.
+    """
+
+    def __init__(self, metric, K, C, radius, ball, index, dist):
         self.metric = metric
         self.K = K
         self.C = C
         self.radius = radius
         self.ball = ball
-        self.pairs = index_pairs            # list of (i, j) into ball.elements
+        self.index = index
+        self.dist = dist
+        self.pairs = [(int(i), int(j)) for i, j in index]
         self._elements = ball.elements
-        self._pair_set = set(index_pairs)
+        self.lengths = np.array([g.length() for g in self._elements],
+                                dtype=np.int64)
+        self._pair_set = set(self.pairs)
         self._word_index = {g.word: i for i, g in enumerate(self._elements)}
 
     def __len__(self):
@@ -96,20 +105,18 @@ def build_pair_band(metric, K, radius, C=None, max_elements=DEFAULT_ELEMENT_CAP)
         d = metric_distance_matrix(metric, ball)
         mask = (d >= K - C) & (d <= K + C)
     np.fill_diagonal(mask, False)
-    pairs = [(int(i), int(j)) for i, j in np.argwhere(mask)]
-    return PairBand(metric, K, C, radius, ball, pairs)
+    return PairBand(metric, K, C, radius, ball, np.argwhere(mask), dint)
 
 
 def _band_cocycle_doubled(band, g):
     """2*c_g over the band's pairs as an exact integer array."""
-    ball = band.ball
-    lens = np.array([e.length() for e in ball.elements], dtype=np.int64)
-    prod = bulk_product_lengths(ball.pres, [g], ball.elements)[0]
-    b_vec = lens - prod                       # b(g)(x) per ball element
-    idx = np.array(band.pairs, dtype=np.int64).reshape(-1, 2)
-    if idx.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return b_vec[idx[:, 0]] - b_vec[idx[:, 1]]
+    i = band._word_index.get(g.word)
+    if i is None:
+        prod = bulk_product_lengths(band.ball.pres, [g], band._elements)[0]
+    else:
+        prod = band.dist[i]                   # |g^-1 x| for g in the ball
+    b_vec = band.lengths - prod               # b(g)(x) per ball element
+    return b_vec[band.index[:, 0]] - b_vec[band.index[:, 1]]
 
 
 @dataclass
@@ -397,16 +404,13 @@ def critical_exponent_scan(band, p_grid):
     for p in p_grid:
         if p < 1:
             raise InputError("grid values must be >= 1")
-    ball = band.ball
-    lens = np.array([e.length() for e in ball.elements], dtype=np.int64)
-    dint = word_distance_matrix(ball)
-    idx = np.array(band.pairs, dtype=np.int64).reshape(-1, 2)
     rows = []
-    if idx.size == 0:
+    if band.empty:
         return [ExponentScanRow(float(p), [], [], [], [], "empty")
                 for p in p_grid]
-    xi, yi = idx[:, 0], idx[:, 1]
-    doubled = lens[xi] + lens[yi] - dint[xi, yi]      # 2 (x|y), exact
+    lens = band.lengths
+    xi, yi = band.index[:, 0], band.index[:, 1]
+    doubled = lens[xi] + lens[yi] - band.dist[xi, yi]      # 2 (x|y), exact
     shell = np.maximum(lens[xi], lens[yi])
     shells = sorted(set(shell.tolist()))
     for p in p_grid:

@@ -423,18 +423,6 @@ class GroupElement:
         return f"<{self.spelled()}>"
 
 
-def multiply(x, y):
-    return x * y
-
-
-def invert(x):
-    return x.inverse()
-
-
-def normalize(pres, word):
-    return GroupElement(pres, pres.normalize(pres.parse_word(word)))
-
-
 def cyclically_reduce(g):
     """Split g = u c u^-1 with c cyclically reduced; returns (u, c).
 
@@ -569,34 +557,50 @@ def enumerate_ball_pairwise(pres, radius, max_elements=20_000):
 def bulk_product_lengths(pres, lefts, rights):
     """Matrix of canonical lengths |l^-1 r| over two element lists.
 
+    This is the single route from canonical words to word-metric
+    distances: `metrics.word_distance_matrix` and the Busemann rows of
+    `cocycles` both go through it.
+
     Free kinds reduce l^-1 r by cancelling the common prefix of l and r,
     so only padded-array comparisons are needed.  Small-cancellation kinds
     additionally need Dehn reduction; when every piece has length 1 and
     every raw product is shorter than the relator, a Dehn-irreducible word
     is geodesic, so relator-segment matches are detected vectorized and
-    the few matching rows are finished by the scalar dehn_reduce.  Other
-    cases fall back to one normalize call per pair.
+    the few matching rows are finished by the scalar dehn_reduce.  Free
+    products and the remaining small-cancellation cases fall back to one
+    normalize call per pair.
     """
     nl, nr = len(lefts), len(rights)
-    out = np.zeros((nl, nr), dtype=np.int64)
     if nl == 0 or nr == 0:
-        return out
-    if pres.kind == "free-product":
-        for i, l in enumerate(lefts):
-            li = l.inverse()
-            for j, r in enumerate(rights):
-                out[i, j] = (li * r).length()
-        return out
+        return np.zeros((nl, nr), dtype=np.int64)
+    if pres.kind != "free-product":
+        lens = _vectorized_lengths(pres, lefts, rights)
+        if lens is not None:
+            return lens
+    out = np.empty((nl, nr), dtype=np.int64)
+    for i, l in enumerate(lefts):
+        li = l.inverse()
+        for j, r in enumerate(rights):
+            out[i, j] = (li * r).length()
+    return out
 
+
+def _vectorized_lengths(pres, lefts, rights):
+    """Vectorized |l^-1 r| for free and fast small-cancellation cases;
+    None when the scalar route is needed."""
+    nl, nr = len(lefts), len(rights)
+    # symbols and the -1 padding share the smallest signed type that holds
+    # every index, so alphabets past 128 symbols widen instead of overflow
+    sym = np.min_scalar_type(-len(pres.alphabet.symbols))
     lv = np.array([len(l.word) for l in lefts], dtype=np.int64)
     lx = np.array([len(r.word) for r in rights], dtype=np.int64)
     wl = max(1, int(lv.max()))
     wr = max(1, int(lx.max()))
-    a = np.full((nl, wl), -1, dtype=np.int8)   # left words as spelled
+    a = np.full((nl, wl), -1, dtype=sym)   # left words as spelled
     for i, l in enumerate(lefts):
         if l.word:
             a[i, : len(l.word)] = l.word
-    b = np.full((nr, wr), -1, dtype=np.int8)
+    b = np.full((nr, wr), -1, dtype=sym)
     for j, r in enumerate(rights):
         if r.word:
             b[j, : len(r.word)] = r.word
@@ -607,26 +611,15 @@ def bulk_product_lengths(pres, lefts, rights):
     lens = lv[:, None] + lx[None, :] - 2 * lcp
     if pres.kind == "free":
         return lens
-
-    fast = (
-        pres._max_piece == 1
-        and int(lens.max()) < pres._min_relator
-    )
-    if not fast:
-        for i, l in enumerate(lefts):
-            li = l.inverse()
-            for j, r in enumerate(rights):
-                out[i, j] = (li * r).length()
-        return out
+    if pres._max_piece != 1 or int(lens.max()) >= pres._min_relator:
+        return None
 
     # assemble the reduced words of l^-1 r in one padded array
-    inv = np.array(pres.alphabet.inverse, dtype=np.int8)
-    ia = np.full((nl, wl), -1, dtype=np.int8)   # inverse words of lefts
+    inv = pres.alphabet.inverse
+    ia = np.full((nl, wl), -1, dtype=sym)   # inverse words of lefts
     for i, l in enumerate(lefts):
         if l.word:
-            ia[i, : len(l.word)] = [
-                inv[s] for s in reversed(l.word)
-            ]
+            ia[i, : len(l.word)] = [inv[s] for s in reversed(l.word)]
     w = wl + wr
     t = np.arange(w)[None, None, :]
     keep = (lv[:, None] - lcp)[:, :, None]      # letters kept from l^-1
@@ -636,9 +629,9 @@ def bulk_product_lengths(pres, lefts, rights):
         np.broadcast_to(b[None], (nl, nr, wr)), bidx.astype(np.int64), axis=2
     )
     avals = np.concatenate(
-        [ia, np.full((nl, wr), -1, dtype=np.int8)], axis=1
+        [ia, np.full((nl, wr), -1, dtype=sym)], axis=1
     )[:, None, :]
-    words = np.where(t < keep, avals, np.where(t < total, bvals, np.int8(-1)))
+    words = np.where(t < keep, avals, np.where(t < total, bvals, sym.type(-1)))
     flat = words.reshape(nl * nr, w)
 
     # vectorized detection of more-than-half relator segments
@@ -646,7 +639,7 @@ def bulk_product_lengths(pres, lefts, rights):
     for rot in pres._rotations:
         half = len(rot) // 2 + 1
         for m in range(half, min(len(rot), w) + 1):
-            seg = np.array(rot[:m], dtype=np.int8)
+            seg = np.array(rot[:m], dtype=sym)
             for i in range(w - m + 1):
                 rows = np.nonzero((flat[:, i : i + m] == seg).all(axis=1))[0]
                 hits.update(rows.tolist())

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError, NumericError, ResourceLimitError
-from .groups import DEFAULT_ELEMENT_CAP, enumerate_ball
+from .groups import DEFAULT_ELEMENT_CAP, bulk_product_lengths, enumerate_ball
 
 FOURPOINT_TOLERANCE = 1e-9
 DEFAULT_QUADRUPLE_CAP = 1_200_000_000
@@ -295,27 +295,14 @@ def green_metric(pres, walk=None, radius_hint=4, truncation=None, scale=1.0,
 
 @lru_cache(maxsize=8)
 def word_distance_matrix(ball):
-    """Pairwise canonical word lengths over a ball, exact int64."""
-    pres = ball.pres
+    """Pairwise canonical word lengths over a ball, exact int64.
+
+    The matrix is `groups.bulk_product_lengths` of the ball's elements
+    against themselves, the single route from canonical words to word
+    distances.
+    """
     els = ball.elements
-    n = len(els)
-    if pres.kind == "free":
-        # vectorized: d = |x| + |y| - 2 lcp(x, y)
-        lens = np.array([len(g.word) for g in els], dtype=np.int64)
-        width = max(1, int(lens.max()) if n else 1)
-        pad = np.full((n, width), -1, dtype=np.int16)
-        for i, g in enumerate(els):
-            if g.word:
-                pad[i, : len(g.word)] = g.word
-        eq = (pad[:, None, :] == pad[None, :, :]) & (pad[:, None, :] >= 0)
-        lcp = eq.astype(np.int8).cumprod(axis=2).sum(axis=2, dtype=np.int64)
-        return lens[:, None] + lens[None, :] - 2 * lcp
-    d = np.zeros((n, n), dtype=np.int64)
-    for i, g in enumerate(els):
-        gi = g.inverse()
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = (gi * els[j]).length()
-    return d
+    return bulk_product_lengths(ball.pres, els, els)
 
 
 def metric_distance_matrix(metric, ball):

@@ -51,6 +51,14 @@ def test_math_failure_exit_one_with_witness(tmp_path):
     assert set(witness) >= {"x", "y", "z", "basepoint"}
 
 
+@pytest.mark.parametrize("suite", ["strong-hyp", "cocycle", "properness"])
+def test_alphabet_past_int8_range(tmp_path, suite):
+    # free:65 spells its elements with 130 symbols
+    code, _ = run_main(tmp_path, "check", "--suite", suite,
+                       "--group", "free:65", "--radius", "1")
+    assert code == 0
+
+
 def test_unknown_suite_exit_two(capsys):
     assert cli.main(["check", "--suite", "bogus", "--group", "free:2"]) == 2
     assert "unknown suite" in capsys.readouterr().err

@@ -115,6 +115,18 @@ def test_edge_norm_law(band6, free2):
             assert rep.tail_bound == 0.0
 
 
+def test_lp_norm_matches_literal_sum(word2, free2):
+    # g = ab' reads its row off the band's distance matrix; ababab lies
+    # outside the radius-2 ball and goes through bulk_product_lengths
+    band = cocycles.build_pair_band(word2, 2, 2, C=0)
+    for text in ("ab'", "ababab"):
+        g = free2.element(text)
+        for p in (1, 2, 3):
+            literal = sum(abs(cocycles.haagerup_value(word2, g, x, y)) ** p
+                          for x, y in band.element_pairs())
+            assert cocycles.lp_norm(band, g, p).norm_p == literal
+
+
 def test_norm_report_fields(band6, free2):
     rep = cocycles.lp_norm(band6, free2.element("ab"), 2)
     assert (rep.p, rep.K, rep.C, rep.radius) == (2, 1, 0, 6)

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -165,28 +168,51 @@ def test_ball_word_length():
     assert ball.word_length(f2.element("abab")) is None
 
 
-def test_bulk_product_lengths_matches_scalar():
-    import numpy as np
-
+def _free2_corner():
     f2 = groups.free_group(2)
-    ball = groups.enumerate_ball(f2, 3)
-    lefts = ball.elements[:25]
-    rights = ball.elements[-25:]
-    bulk = groups.bulk_product_lengths(f2, lefts, rights)
-    scalar = [[(x.inverse() * y).length() for y in rights] for x in lefts]
-    assert np.array_equal(bulk, np.asarray(scalar))
+    els = groups.enumerate_ball(f2, 3).elements
+    return f2, els[:25], els[-25:]
 
 
-def test_bulk_product_lengths_surface():
-    import numpy as np
-    import random
-
+def _surface2_sample():
     s = groups.surface_group(2)
-    ball = groups.enumerate_ball(s, 2)
+    els = groups.enumerate_ball(s, 2).elements
     rng = random.Random(3)
-    lefts = rng.sample(ball.elements, 12)
-    rights = rng.sample(ball.elements, 12)
-    bulk = groups.bulk_product_lengths(s, lefts, rights)
+    return s, rng.sample(els, 12), rng.sample(els, 12)
+
+
+def _modular_ball():
+    m = groups.modular_group()
+    els = groups.enumerate_ball(m, 4).elements
+    return m, els, els
+
+
+def _surface2_ball():
+    # the square input that word_distance_matrix passes
+    s = groups.surface_group(2)
+    els = groups.enumerate_ball(s, 2).elements
+    return s, els, els
+
+
+def _surface2_relator_length():
+    # raw products such as (abab)^-1 cdcd reach the relator length 8, so
+    # the vectorized Dehn route steps aside for the scalar one
+    s = groups.surface_group(2)
+    lefts = [s.element(w) for w in ("1", "abab", "ab'a'", "cd'c'd")]
+    rights = [s.element(w) for w in ("cdcd", "b'cdc'", "a'b'cd", "ba")]
+    return s, lefts, rights
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_free2_corner, id="free2-corner"),
+    pytest.param(_surface2_sample, id="surface2-sample"),
+    pytest.param(_modular_ball, id="modular-ball"),
+    pytest.param(_surface2_ball, id="surface2-ball"),
+    pytest.param(_surface2_relator_length, id="surface2-relator-length"),
+])
+def test_bulk_product_lengths_matches_scalar(case):
+    pres, lefts, rights = case()
+    bulk = groups.bulk_product_lengths(pres, lefts, rights)
     scalar = [[(x.inverse() * y).length() for y in rights] for x in lefts]
     assert np.array_equal(bulk, np.asarray(scalar))
 

@@ -1,23 +1,13 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from hyperlab import _fourpoint_py, kernels
-
-try:
-    from hyperlab import _fourpoint
-except ImportError:
-    _fourpoint = None
+from hyperlab import kernels
 
 
 def test_pure_scan_matches_brute_force():
     rng = np.random.default_rng(0)
     for n in (1, 2, 5, 9):
         e = rng.uniform(0.0, 1.0, size=(n, n))
-        best, x, y, z = _fourpoint_py.scan(e)
+        best, x, y, z = kernels.fourpoint_scan(e)
         vals = {}
         for i in range(n):
             for j in range(n):
@@ -30,39 +20,10 @@ def test_pure_scan_matches_brute_force():
 
 def test_pure_scan_tie_break_is_lex_first():
     e = np.full((3, 3), 0.25)
-    best, x, y, z = _fourpoint_py.scan(e)
+    best, x, y, z = kernels.fourpoint_scan(e)
     assert (x, y, z) == (0, 0, 0)
     assert best == -0.25
 
 
-@pytest.mark.skipif(_fourpoint is None, reason="compiled kernel not built")
-def test_backends_bit_identical():
-    rng = np.random.default_rng(7)
-    for n in (1, 3, 8, 17, 40):
-        e = rng.uniform(0.0, 2.0, size=(n, n))
-        assert _fourpoint.scan(e) == _fourpoint_py.scan(e)
-
-
-@pytest.mark.skipif(_fourpoint is None, reason="compiled kernel not built")
-def test_backends_bit_identical_on_metric_shaped_input():
-    # inputs shaped like exp(-gromov) tables, including exact ties
-    from hyperlab import groups, metrics
-
-    f2 = groups.free_group(2)
-    ball = groups.enumerate_ball(f2, 2)
-    d = metrics.metric_distance_matrix(metrics.word_metric(f2), ball)
-    two_g = d[0][:, None] + d[0][None, :] - d
-    e = np.ascontiguousarray(np.exp(-0.5 * two_g))
-    assert _fourpoint.scan(e) == _fourpoint_py.scan(e)
-
-
-def test_env_var_forces_python_backend():
-    code = ("import hyperlab.kernels as k; print(k.backend_name())")
-    env = dict(os.environ, HYPERLAB_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    assert out.stdout.strip() == "python"
-
-
 def test_backend_name_is_declared():
-    assert kernels.backend_name() in ("compiled", "python")
+    assert kernels.backend_name() == "python"

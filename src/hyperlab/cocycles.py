@@ -20,7 +20,11 @@ from .groups import (
     enumerate_ball,
     free_sphere_size,
 )
-from .metrics import rough_geodesic, word_distance_matrix
+from .metrics import (
+    metric_distance_matrix,
+    rough_geodesic,
+    word_distance_matrix,
+)
 
 
 def busemann_group(g, x):
@@ -38,41 +42,34 @@ def haagerup_value(metric, g, x, y):
 class PairBand:
     """Ordered pairs from a ball with distance in [K-C, K+C] (inclusive).
 
-    `index` is the (pairs, 2) int64 array of indices into ball.elements,
-    and `dist` the ball's word distance matrix; `pairs` lists the same
-    indices as tuples, and `lengths` holds each element's word length.
+    `mask` is the boolean n x n membership matrix over ball.elements and
+    `index` the (pairs, 2) int64 array of its true entries.  Elements,
+    lengths and distances are read from the ball.
     """
 
-    def __init__(self, metric, K, C, radius, ball, index, dist):
+    def __init__(self, metric, K, C, ball, mask):
         self.metric = metric
         self.K = K
         self.C = C
-        self.radius = radius
         self.ball = ball
-        self.index = index
-        self.dist = dist
-        self.pairs = [(int(i), int(j)) for i, j in index]
-        self._elements = ball.elements
-        self.lengths = np.array([g.length() for g in self._elements],
-                                dtype=np.int64)
-        self._pair_set = set(self.pairs)
-        self._word_index = {g.word: i for i, g in enumerate(self._elements)}
+        self.mask = mask
+        self.index = np.argwhere(mask)
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.index)
 
     @property
     def empty(self):
-        return not self.pairs
+        return not len(self.index)
 
     def element_pairs(self):
-        els = self._elements
-        return [(els[i], els[j]) for i, j in self.pairs]
+        els = self.ball.elements
+        return [(els[i], els[j]) for i, j in self.index]
 
     def contains_pair(self, x, y):
-        i = self._word_index.get(x.word)
-        j = self._word_index.get(y.word)
-        return i is not None and j is not None and (i, j) in self._pair_set
+        i = self.ball.index.get(x.word)
+        j = self.ball.index.get(y.word)
+        return i is not None and j is not None and bool(self.mask[i, j])
 
 
 def build_pair_band(metric, K, radius, C=None, max_elements=DEFAULT_ELEMENT_CAP):
@@ -100,22 +97,20 @@ def build_pair_band(metric, K, radius, C=None, max_elements=DEFAULT_ELEMENT_CAP)
         hi_n = math.floor(hi / scale)
         mask = (dint >= lo_n) & (dint <= hi_n)
     else:
-        from .metrics import metric_distance_matrix
-
         d = metric_distance_matrix(metric, ball)
         mask = (d >= K - C) & (d <= K + C)
     np.fill_diagonal(mask, False)
-    return PairBand(metric, K, C, radius, ball, np.argwhere(mask), dint)
+    return PairBand(metric, K, C, ball, mask)
 
 
 def _band_cocycle_doubled(band, g):
     """2*c_g over the band's pairs as an exact integer array."""
-    i = band._word_index.get(g.word)
+    i = band.ball.index.get(g.word)
     if i is None:
-        prod = bulk_product_lengths(band.ball.pres, [g], band._elements)[0]
+        prod = bulk_product_lengths(band.ball.pres, [g], band.ball.elements)[0]
     else:
-        prod = band.dist[i]                   # |g^-1 x| for g in the ball
-    b_vec = band.lengths - prod               # b(g)(x) per ball element
+        prod = word_distance_matrix(band.ball)[i]  # |g^-1 x|, g in the ball
+    b_vec = band.ball.lengths - prod               # b(g)(x) per ball element
     return b_vec[band.index[:, 0]] - b_vec[band.index[:, 1]]
 
 
@@ -151,17 +146,21 @@ def _tail_bound(band, g, p):
     pres = band.metric.pres
     kc = float(band.K) + float(band.C)
     if pres.kind == "free" and band.metric.exact:
-        if band.radius >= g.length() + math.ceil(kc):
+        if band.ball.radius >= g.length() + math.ceil(kc):
             return 0.0
     growth = _sphere_upper(pres, 2) / max(1, _sphere_upper(pres, 1))
     q = growth * math.exp(-float(p))
     if q >= 1.0:
         return math.inf
-    r = band.radius
+    r = band.ball.radius
     per_point = sum(_sphere_upper(pres, n) for n in range(math.floor(kc) + 1))
     lead = _sphere_upper(pres, r + 1) * math.exp(-float(p) * (r + 1))
     series = lead / (1.0 - q)
-    return 2.0 * per_point * math.exp(float(p) * (kc + g.length())) * series
+    try:
+        spread = math.exp(float(p) * (kc + g.length()))
+    except OverflowError:
+        return math.inf
+    return 2.0 * per_point * spread * series
 
 
 def lp_norm(band, g, p):
@@ -179,7 +178,7 @@ def lp_norm(band, g, p):
             ip = int(p)
             mags = np.abs(doubled)
             top = int(mags.max()) if mags.size else 0
-            if top ** ip < 2 ** 62:
+            if top ** ip * len(mags) < 2 ** 63:    # the int64 sum fits
                 total = int((mags ** ip).sum())
             else:
                 total = sum(int(v) ** ip for v in mags)
@@ -200,7 +199,7 @@ def lp_norm(band, g, p):
         p=p,
         K=band.K,
         C=band.C,
-        radius=band.radius,
+        radius=band.ball.radius,
         norm_p=norm,
         tail_bound=_tail_bound(band, g, p),
         n=n,
@@ -408,9 +407,10 @@ def critical_exponent_scan(band, p_grid):
     if band.empty:
         return [ExponentScanRow(float(p), [], [], [], [], "empty")
                 for p in p_grid]
-    lens = band.lengths
+    lens = band.ball.lengths
+    dist = word_distance_matrix(band.ball)
     xi, yi = band.index[:, 0], band.index[:, 1]
-    doubled = lens[xi] + lens[yi] - band.dist[xi, yi]      # 2 (x|y), exact
+    doubled = lens[xi] + lens[yi] - dist[xi, yi]           # 2 (x|y), exact
     shell = np.maximum(lens[xi], lens[yi])
     shells = sorted(set(shell.tolist()))
     for p in p_grid:
@@ -482,27 +482,26 @@ def cocycle_identity_scan(band, outer_radius, seed=0, samples=200):
 
     lens_prod = bulk_product_lengths(pres, prod_els, ball_els)
     lens_trans = bulk_product_lengths(pres, outer, trans_els)
-    outer_pos = {g.word: i for i, g in enumerate(outer)}
 
     mismatches = 0
     checks = 0
     for g in outer:
         table = trans_tables[g.word]
-        for h in outer:
-            row_h = lens_trans[outer_pos[h.word]][table]
+        for k, h in enumerate(outer):
+            row_h = lens_trans[k][table]
             row_gh = lens_prod[prod_idx[(g * h).word]]
             checks += len(ball_els)
             mismatches += int((row_h != row_gh).sum())
 
     rng = np.random.default_rng(seed)
     max_defect = Fraction(0) if metric.exact else 0.0
-    n_pairs = len(band.pairs)
+    n_pairs = len(band)
     sampled = 0
     if n_pairs:
         for _ in range(samples):
             g = outer[int(rng.integers(len(outer)))]
             h = outer[int(rng.integers(len(outer)))]
-            i, j = band.pairs[int(rng.integers(n_pairs))]
+            i, j = band.index[int(rng.integers(n_pairs))]
             x, y = ball_els[i], ball_els[j]
             gi = g.inverse()
             lhs = haagerup_value(metric, g * h, x, y)

@@ -114,6 +114,7 @@ class GroupPresentation:
         self._factor = None
         self._factor_orders = None
         self._sym_exponent = None
+        self._sym_of = None
         if kind == "free-product":
             self._init_free_product(factor_orders)
         # small-cancellation data: all cyclic rotations of relators and their
@@ -145,6 +146,10 @@ class GroupPresentation:
             raise InputError("alphabet does not match factor orders")
         self._factor = tuple(factor)
         self._sym_exponent = tuple(expo)
+        # first symbol spelling each (factor, exponent), for normal forms
+        self._sym_of = {}
+        for i, key in enumerate(zip(factor, expo)):
+            self._sym_of.setdefault(key, i)
 
     def _init_small_cancellation(self):
         inv = self.alphabet.inverse
@@ -214,9 +219,7 @@ class GroupPresentation:
             else:
                 stack.append([f, e])
         out = []
-        sym_of = {}
-        for i, (f, e) in enumerate(zip(self._factor, self._sym_exponent)):
-            sym_of[(f, e)] = min(sym_of.get((f, e), i), i)
+        sym_of = self._sym_of
         for f, e in stack:
             n = self._factor_orders[f]
             # spell exponent e with the fewer of e plain or n-e primed letters;
@@ -460,35 +463,38 @@ def cyclically_reduce(g):
 
 
 class Ball:
-    """Elements within a given word-metric radius, grouped by sphere."""
+    """Elements within a given word-metric radius, grouped by sphere.
 
-    __slots__ = ("pres", "radius", "spheres", "_index")
+    The one holder of what derives from the ball: its `elements` in sphere
+    order, their `index` (word -> position) and word `lengths`, and the
+    word `distances`, filled in by `metrics.word_distance_matrix`.
+    """
+
+    __slots__ = ("pres", "radius", "spheres", "elements", "index", "lengths",
+                 "distances")
 
     def __init__(self, pres, radius, spheres):
         self.pres = pres
         self.radius = radius
         self.spheres = spheres
-        self._index = {}
-        for n, sol in enumerate(spheres):
-            for g in sol:
-                self._index[g.word] = n
-
-    @property
-    def elements(self):
-        return [g for sol in self.spheres for g in sol]
+        self.elements = [g for sol in spheres for g in sol]
+        self.index = {g.word: i for i, g in enumerate(self.elements)}
+        self.lengths = np.array([len(g.word) for g in self.elements],
+                                dtype=np.int64)
+        self.distances = None
 
     def sphere_sizes(self):
         return [len(s) for s in self.spheres]
 
     def __len__(self):
-        return sum(len(s) for s in self.spheres)
+        return len(self.elements)
 
     def __contains__(self, g):
-        return g.word in self._index
+        return g.word in self.index
 
     def word_length(self, g):
         """BFS distance from the identity; None when outside the ball."""
-        return self._index.get(g.word)
+        return len(g.word) if g.word in self.index else None
 
 
 def free_sphere_size(rank, n):
@@ -568,7 +574,8 @@ def bulk_product_lengths(pres, lefts, rights):
     is geodesic, so relator-segment matches are detected vectorized and
     the few matching rows are finished by the scalar dehn_reduce.  Free
     products and the remaining small-cancellation cases fall back to one
-    normalize call per pair.
+    normalize call per pair, or per unordered pair when `lefts` and
+    `rights` are one list.
     """
     nl, nr = len(lefts), len(rights)
     if nl == 0 or nr == 0:
@@ -577,11 +584,15 @@ def bulk_product_lengths(pres, lefts, rights):
         lens = _vectorized_lengths(pres, lefts, rights)
         if lens is not None:
             return lens
+    # |l^-1 r| = |r^-1 l|, so a square call fills j >= i and mirrors
+    square = lefts is rights
     out = np.empty((nl, nr), dtype=np.int64)
     for i, l in enumerate(lefts):
         li = l.inverse()
-        for j, r in enumerate(rights):
-            out[i, j] = (li * r).length()
+        for j in range(i if square else 0, nr):
+            out[i, j] = (li * rights[j]).length()
+    if square:
+        out = np.triu(out) + np.triu(out, 1).T
     return out
 
 
@@ -607,7 +618,8 @@ def _vectorized_lengths(pres, lefts, rights):
     # cancellation at the l^-1 | r junction = common prefix of l and r
     width = min(wl, wr)
     eq = (a[:, None, :width] == b[None, :, :width]) & (a[:, None, :width] >= 0)
-    lcp = eq.astype(np.int8).cumprod(axis=2).sum(axis=2, dtype=np.int64)
+    # stays boolean: an integer cumprod would be widened to n^2 w int64
+    lcp = np.logical_and.accumulate(eq, axis=2).sum(axis=2, dtype=np.int64)
     lens = lv[:, None] + lx[None, :] - 2 * lcp
     if pres.kind == "free":
         return lens

@@ -18,7 +18,6 @@ the maximum over all quadruples is nonpositive up to tolerance.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -106,15 +105,13 @@ def _radial_passage(rank, truncation):
 
 def _table_passage(pres, walk, truncation, tolerance, max_elements):
     ball = enumerate_ball(pres, truncation, max_elements=max_elements)
-    els = ball.elements
-    n = len(els)
-    index = {g.word: i for i, g in enumerate(els)}
+    n = len(ball)
     steps = sorted(walk.steps.items(), key=lambda it: it[0].word)
     probs = np.array([float(p) for _, p in steps])
     nbr = np.empty((n, len(steps)), dtype=np.int64)
-    for i, g in enumerate(els):
+    for i, g in enumerate(ball.elements):
         for j, (s, _) in enumerate(steps):
-            nbr[i, j] = index.get((g * s).word, n)
+            nbr[i, j] = ball.index.get((g * s).word, n)
     u = np.zeros(n + 1)
     u[0] = 1.0
     stop = max(tolerance * 1e-2, 1e-15)
@@ -131,10 +128,11 @@ def _table_passage(pres, walk, truncation, tolerance, max_elements):
 
 
 class GreenData:
-    """Solved first-passage probabilities with an explicit usable range."""
+    """Solved first-passage probabilities with an explicit usable range:
+    one per distance (radial), or `u` in the order of a ball (table)."""
 
     def __init__(self, pres, walk, mode, truncation, usable, gap,
-                 radial=None, table=None):
+                 radial=None, ball=None, u=None):
         self.pres = pres
         self.walk = walk
         self.mode = mode
@@ -142,7 +140,8 @@ class GreenData:
         self.usable = usable
         self.gap = gap
         self._radial = radial
-        self._table = table
+        self._ball = ball
+        self._u = u
 
     def passage(self, word):
         """First-passage probability from the identity to the word."""
@@ -153,9 +152,10 @@ class GreenData:
                     f"distance {n} exceeds the usable range {self.usable}")
             f = self._radial[n]
         else:
-            f = self._table.get(word)
-            if f is None:
+            i = self._ball.index.get(word)
+            if i is None:
                 raise InputError("element is outside the solved truncation")
+            f = self._u[i]
         if f <= 0:
             raise NumericError("nonpositive first-passage probability")
         return f
@@ -193,18 +193,18 @@ def solve_green(pres, walk=None, radius_hint=4, truncation=None,
         return GreenData(pres, walk, "radial", t, usable, gap, radial=u1)
     t = truncation if truncation is not None else 2 * radius_hint + 4
     ball, u = _table_passage(pres, walk, t, tolerance, max_elements)
-    table = {g.word: u[i] for i, g in enumerate(ball.elements)}
     gap = None
     try:
-        ball2, u2 = _table_passage(pres, walk, 2 * t, tolerance, max_elements)
+        _, u2 = _table_passage(pres, walk, 2 * t, tolerance, max_elements)
     except ResourceLimitError:
         pass
     else:
-        index2 = {g.word: i for i, g in enumerate(ball2.elements)}
-        diffs = [abs(math.log(u2[index2[w]]) - math.log(f))
-                 for w, f in table.items() if f > 0 and u2[index2[w]] > 0]
+        # the radius-t ball is a prefix of the radius-2t ball: spheres are
+        # built the same way and each is sorted by word
+        diffs = [abs(math.log(f2) - math.log(f))
+                 for f, f2 in zip(u, u2[: len(u)]) if f > 0 and f2 > 0]
         gap = max(diffs) if diffs else 0.0
-    return GreenData(pres, walk, "table", t, t, gap, table=table)
+    return GreenData(pres, walk, "table", t, t, gap, ball=ball, u=u)
 
 
 class MetricStructure:
@@ -293,16 +293,18 @@ def green_metric(pres, walk=None, radius_hint=4, truncation=None, scale=1.0,
     return MetricStructure(pres, "green", scale, green=data)
 
 
-@lru_cache(maxsize=8)
 def word_distance_matrix(ball):
     """Pairwise canonical word lengths over a ball, exact int64.
 
     The matrix is `groups.bulk_product_lengths` of the ball's elements
     against themselves, the single route from canonical words to word
-    distances.
+    distances.  It is computed on first use and kept on the ball, so it
+    is freed along with the ball.
     """
-    els = ball.elements
-    return bulk_product_lengths(ball.pres, els, els)
+    if ball.distances is None:
+        ball.distances = bulk_product_lengths(ball.pres, ball.elements,
+                                              ball.elements)
+    return ball.distances
 
 
 def metric_distance_matrix(metric, ball):

@@ -190,7 +190,19 @@ def _suite_green(pres, cfg):
 def _band_for(pres, cfg, radius):
     metric = _build_metric(pres, cfg, radius)
     K = cfg.K if cfg.K is not None else (Fraction(1) if metric.exact else 1.0)
-    return cocycles.build_pair_band(metric, K, radius, C=cfg.C)
+    band = cocycles.build_pair_band(metric, K, radius, C=cfg.C)
+    # An empty band under a ball whose distances reach past K+C means the
+    # window falls between two distances the ball realizes, and every
+    # check on it would fail or be vacuous.  A ball too small to reach K
+    # is allowed: its properness certificates need no pair.
+    if band.empty:
+        top = metrics.metric_distance_matrix(metric, band.ball).max()
+        if top > band.K + band.C:
+            raise InputError(
+                f"no pair of the radius-{radius} ball has its distance in "
+                f"[K-C, K+C] = [{band.K - band.C}, {band.K + band.C}]; "
+                "choose another K")
+    return band
 
 
 def _norm_table(band, g, grid):
@@ -246,10 +258,9 @@ def _suite_cocycle(pres, cfg):
                  "max_sample_defect": scan.max_sample_defect},
     ))
     if pres.kind == "free" and band.K == 1 and band.C == 0 and band.metric.exact:
-        norm_radius = min(radius, 4)
-        norm_ball = groups.enumerate_ball(pres, norm_radius)
+        norm_els = [g for g in band.ball.elements if g.length() <= 4]
         bad = None
-        for g in norm_ball.elements:
+        for g in norm_els:
             for p in (1, 2, 3):
                 rep = cocycles.lp_norm(band, g, p)
                 if rep.norm_p != 2 * g.length():
@@ -261,7 +272,7 @@ def _suite_cocycle(pres, cfg):
         checks.append(CheckResult(
             name="edge-norm-law",
             passed=bad is None,
-            details={"elements": len(norm_ball), "p_values": [1, 2, 3]},
+            details={"elements": len(norm_els), "p_values": [1, 2, 3]},
             witness=bad,
         ))
     scan_rows = cocycles.critical_exponent_scan(band, [float(p) for p in grid])
@@ -271,7 +282,8 @@ def _suite_cocycle(pres, cfg):
     for row in scan_rows:
         details = {"p": row.p, "verdict": row.verdict,
                    "last_ratio": row.ratios[-1] if row.ratios else None,
-                   "partial_sum": row.partial_sums[-1]}
+                   "partial_sum": row.partial_sums[-1]
+                   if row.partial_sums else None}
         passed = True
         if oracle and row.ratios:
             predicted = growth * math.exp(-row.p)
@@ -307,11 +319,10 @@ def _suite_properness(pres, cfg):
                      "lower_bound": cert.lower_bound, "actual": cert.actual},
         ))
         return _finish("properness", cfg, settings, checks, started=started)
-    ball = groups.enumerate_ball(pres, radius)
     failures = []
     count = 0
     min_n_margin = None
-    for g in ball.elements:
+    for g in band.ball.elements:
         if g.is_identity():
             continue
         count += 1

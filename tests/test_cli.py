@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -74,6 +75,26 @@ def test_kms_depth_radius_guard_exit_two(capsys):
     assert cli.main(["check", "--suite", "kms", "--group", "free:2",
                      "--radius", "3"]) == 2
     assert "depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["cocycle", "properness"])
+def test_empty_band_exit_two(capsys, suite):
+    # green distances on free:2 are multiples of log 3, so the band
+    # [K-C, K+C] around the default K = 1 holds no pair of the ball
+    assert cli.main(["check", "--suite", suite, "--group", "free:2",
+                     "--metric", "green"]) == 2
+    assert "[K-C, K+C]" in capsys.readouterr().err
+
+
+def test_band_past_a_small_ball_is_reported_empty(tmp_path):
+    # no two elements of the radius-2 ball are 20 apart
+    code, payload = run_main(tmp_path, "check", "--suite", "cocycle",
+                             "--group", "free:2", "--radius", "2",
+                             "--K", "20")
+    assert code == 0
+    checks = json.loads(payload)["reports"][0]["checks"]
+    assert checks[0]["details"]["pair_count"] == 0
+    assert [c["details"]["verdict"] for c in checks[1:]] == ["empty"] * 3
 
 
 def test_unwritable_out_exit_three(capsys):
@@ -167,3 +188,29 @@ def test_stdout_and_file_payloads_match(tmp_path):
     _, from_file = run_main(tmp_path, *argv)
     assert proc.stdout == from_file
     assert b"s" in proc.stderr  # timing goes to stderr only
+
+
+# Report bytes for a fixed configuration are an invariant.  A deliberate
+# format change updates the hash here and says so in CHANGES.md.
+PINNED_REPORTS = [
+    (("--suite", "all", "--group", "free:2", "--seed", "7"),
+     "896555dd8728c6b2e66ceb38bd831c31bbe08cfcb599b0d18e8db1748f03bb95"),
+    (("--suite", "green", "--group", "modular", "--radius", "2"),
+     "8c9b1882bd095227d6daf930f7b5744a9e456785856bd6bfcae93636a8100b88"),
+    (("--suite", "cocycle", "--group", "surface:2", "--radius", "2"),
+     "96e53fd7cbb733acf3b8d13e14dc2dc8c48951e1ffa6ffa3c8a4de7404d895db"),
+    (("--suite", "cocycle", "--group", "free:2", "--g", "abab",
+      "--format", "csv"),
+     "f999ce400a89308b51c7da52b79271bae70347f6c57410a4a6b3ad076365315a"),
+    (("--suite", "properness", "--group", "modular", "--metric", "green",
+      "--radius", "3", "--K", "12"),
+     "98d06eb2b1b45dffa9a7825456516aa92edf608557a3826b4a665816b8ceb19f"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_REPORTS,
+                         ids=[" ".join(a) for a, _ in PINNED_REPORTS])
+def test_report_bytes_are_pinned(tmp_path, args, digest):
+    code, payload = run_main(tmp_path, "check", *args)
+    assert code == 0
+    assert hashlib.sha256(payload).hexdigest() == digest

@@ -127,6 +127,20 @@ def test_lp_norm_matches_literal_sum(word2, free2):
             assert cocycles.lp_norm(band, g, p).norm_p == literal
 
 
+def test_lp_norm_sum_stays_exact_at_large_p(band6, free2):
+    # |2 c_ab| is 2 on four band pairs and 0 elsewhere: at p = 61 each
+    # term 2^61 fits in int64, but their sum 2^63 does not
+    g = free2.element("ab")
+    for p in (60, 61, 62):
+        assert cocycles.lp_norm(band6, g, p).norm_p == 4
+
+
+def test_tail_bound_too_large_for_a_float_is_infinite(word2, free2):
+    band = cocycles.build_pair_band(word2, 1, 4, C=0)
+    rep = cocycles.lp_norm(band, free2.element("abababab"), 1000)
+    assert rep.tail_bound == math.inf
+
+
 def test_norm_report_fields(band6, free2):
     rep = cocycles.lp_norm(band6, free2.element("ab"), 2)
     assert (rep.p, rep.K, rep.C, rep.radius) == (2, 1, 0, 6)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ def test_ball_word_length():
     assert ball.word_length(f2.element("abab")) is None
 
 
+def test_ball_is_a_prefix_of_larger_balls():
+    # the Green table gap compares the radius-t and radius-2t solutions
+    # position by position
+    for pres, small, big in ((groups.modular_group(), 2, 4),
+                             (groups.surface_group(2), 1, 2)):
+        inner = groups.enumerate_ball(pres, small)
+        outer = groups.enumerate_ball(pres, big)
+        assert outer.elements[: len(inner)] == inner.elements
+        assert [outer.index[g.word] for g in inner.elements] == list(
+            range(len(inner)))
+        assert outer.lengths.tolist() == [g.length() for g in outer.elements]
+
+
 def _free2_corner():
     f2 = groups.free_group(2)
     els = groups.enumerate_ball(f2, 3).elements
@@ -185,6 +199,13 @@ def _modular_ball():
     m = groups.modular_group()
     els = groups.enumerate_ball(m, 4).elements
     return m, els, els
+
+
+def _modular_rectangle():
+    # distinct lists, so the scalar loop fills every entry
+    m = groups.modular_group()
+    els = groups.enumerate_ball(m, 4).elements
+    return m, els[:10], els[5:]
 
 
 def _surface2_ball():
@@ -207,6 +228,7 @@ def _surface2_relator_length():
     pytest.param(_free2_corner, id="free2-corner"),
     pytest.param(_surface2_sample, id="surface2-sample"),
     pytest.param(_modular_ball, id="modular-ball"),
+    pytest.param(_modular_rectangle, id="modular-rectangle"),
     pytest.param(_surface2_ball, id="surface2-ball"),
     pytest.param(_surface2_relator_length, id="surface2-relator-length"),
 ])
@@ -215,6 +237,21 @@ def test_bulk_product_lengths_matches_scalar(case):
     bulk = groups.bulk_product_lengths(pres, lefts, rights)
     scalar = [[(x.inverse() * y).length() for y in rights] for x in lefts]
     assert np.array_equal(bulk, np.asarray(scalar))
+
+
+def test_free_distance_matrix_peak_memory():
+    # the common-prefix mask stays boolean until it is summed; an integer
+    # cumulative product would be widened to n^2 w int64 entries
+    f2 = groups.free_group(2)
+    els = groups.enumerate_ball(f2, 5).elements
+    n = len(els)
+    tracemalloc.start()
+    try:
+        groups.bulk_product_lengths(f2, els, els)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n * n * 8
 
 
 @given(letters2)

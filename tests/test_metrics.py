@@ -49,6 +49,15 @@ def test_four_point_exact_zero_free_tree():
     assert rep.defect == 0.0
 
 
+def test_word_distance_matrix_is_kept_on_the_ball():
+    f2 = groups.free_group(2)
+    ball = groups.enumerate_ball(f2, 2)
+    dist = metrics.word_distance_matrix(ball)
+    assert ball.distances is dist
+    assert metrics.word_distance_matrix(ball) is dist
+    assert groups.enumerate_ball(f2, 2).distances is None
+
+
 def test_four_point_min_rule_oracle():
     # exact integer route: 2(x|y) >= 2 min((x|z),(z|y)) on the tree
     f2 = groups.free_group(2)

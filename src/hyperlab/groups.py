@@ -25,6 +25,8 @@ from .errors import InputError, ResourceLimitError, UnsupportedElementError
 Word = tuple  # tuple[int, ...], indices into an Alphabet
 
 DEFAULT_ELEMENT_CAP = 2_000_000
+# largest estimated allocation of one bulk_product_lengths call
+DISTANCE_BYTES_CAP = 2 << 30
 
 
 class Alphabet:
@@ -219,16 +221,43 @@ class GroupPresentation:
             else:
                 stack.append([f, e])
         out = []
-        sym_of = self._sym_of
         for f, e in stack:
-            n = self._factor_orders[f]
-            # spell exponent e with the fewer of e plain or n-e primed letters;
-            # ties go to the plain letter, which sorts first.
-            if e <= n - e:
-                out.extend([sym_of[(f, 1)]] * e)
-            else:
-                out.extend([sym_of[(f, n - 1)]] * (n - e))
+            out.extend(self._syllable(f, e))
         return tuple(out)
+
+    def _syllable(self, f, e):
+        """Canonical spelling of exponent e in factor f: the fewer of e plain
+        or n-e primed letters; ties go to the plain letter, which sorts
+        first."""
+        n = self._factor_orders[f]
+        if e <= n - e:
+            return (self._sym_of[(f, 1)],) * e
+        return (self._sym_of[(f, n - 1)],) * (n - e)
+
+    def times_letter(self, word, s):
+        """Canonical word of the product of a canonical word and symbol s.
+
+        Free and free-product kinds change only the end of the word; Dehn
+        forms need the whole word, so small-cancellation kinds normalize
+        it (the canonical-form cache serves repeats).
+        """
+        if self.kind == "free":
+            if word and word[-1] == self.alphabet.inverse[s]:
+                return word[:-1]
+            return word + (s,)
+        if self.kind == "free-product":
+            factor = self._factor
+            f = factor[s]
+            if not word or factor[word[-1]] != f:
+                return word + (s,)
+            # the last syllable is a run of one letter in s's factor
+            i = len(word) - 1
+            while i and word[i - 1] == word[-1]:
+                i -= 1
+            e = ((len(word) - i) * self._sym_exponent[word[-1]]
+                 + self._sym_exponent[s]) % self._factor_orders[f]
+            return word[:i] + self._syllable(f, e)
+        return self.normalize(word + (s,))
 
     def _sc_moves(self, word):
         """Words reachable in one move: free reduction, or replacement of a
@@ -351,16 +380,18 @@ class GroupPresentation:
             j = self.alphabet.inverse[i]
             if j not in seen:
                 seen.add(i)
-                out.append(GroupElement(self, self.normalize((i,))))
+                out.append(self.element_from_symbol(i))
         return out
 
     def symmetric_generators(self):
         """Every generator and inverse as elements, in symbol order."""
-        return [GroupElement(self, self.normalize((i,)))
+        return [self.element_from_symbol(i)
                 for i in range(len(self.alphabet.symbols))]
 
     def element_from_symbol(self, sym):
-        return GroupElement(self, self.normalize((sym,)))
+        if not 0 <= sym < len(self.alphabet.symbols):
+            raise InputError(f"symbol index {sym} out of range")
+        return GroupElement(self, self.times_letter((), sym))
 
     @property
     def rank(self):
@@ -519,7 +550,7 @@ def enumerate_ball(pres, radius, max_elements=DEFAULT_ELEMENT_CAP):
         layer = []
         for g in spheres[-1]:
             for s in range(len(pres.alphabet.symbols)):
-                w = pres.normalize(g.word + (s,))
+                w = pres.times_letter(g.word, s)
                 if len(w) == len(g.word) + 1 and w not in seen:
                     seen.add(w)
                     layer.append(GroupElement(pres, w))
@@ -575,11 +606,20 @@ def bulk_product_lengths(pres, lefts, rights):
     the few matching rows are finished by the scalar dehn_reduce.  Free
     products and the remaining small-cancellation cases fall back to one
     normalize call per pair, or per unordered pair when `lefts` and
-    `rights` are one list.
+    `rights` are one list.  A call whose estimated allocation passes
+    `DISTANCE_BYTES_CAP` raises ResourceLimitError before allocating.
     """
     nl, nr = len(lefts), len(rights)
     if nl == 0 or nr == 0:
         return np.zeros((nl, nr), dtype=np.int64)
+    # refuse before allocating: the padded route compares words in an
+    # nl x nr x w boolean array beside the int64 result
+    w = max(len(g.word) for g in itertools.chain(lefts, rights))
+    need = nl * nr * (8 if pres.kind == "free-product" else w + 8)
+    if need > DISTANCE_BYTES_CAP:
+        raise ResourceLimitError(
+            f"word distances over {nl} x {nr} elements would allocate about "
+            f"{need / 2**30:.1f} GiB (cap {DISTANCE_BYTES_CAP / 2**30:g} GiB)")
     if pres.kind != "free-product":
         lens = _vectorized_lengths(pres, lefts, rights)
         if lens is not None:

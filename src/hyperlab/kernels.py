@@ -18,14 +18,17 @@ def fourpoint_scan(e):
     et = e.T
     best = -np.inf
     best_x = -1
+    s = np.empty((n, n))
     for x in range(n):
         row = e[x]
-        s = (row[:, None] - row[None, :]) - et
+        np.subtract(row[:, None], row[None, :], out=s)
+        s -= et
         m = s.max()
         if m > best:
             best = m
             best_x = x
     row = e[best_x]
-    s = (row[:, None] - row[None, :]) - et
+    np.subtract(row[:, None], row[None, :], out=s)
+    s -= et
     flat = int(np.argmax(s))
     return float(best), best_x, flat // n, flat % n

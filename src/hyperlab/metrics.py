@@ -18,12 +18,14 @@ the maximum over all quadruples is nonpositive up to tolerance.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from . import kernels
 from .errors import InputError, NumericError, ResourceLimitError
-from .groups import DEFAULT_ELEMENT_CAP, bulk_product_lengths, enumerate_ball
+from .groups import (DEFAULT_ELEMENT_CAP, GroupElement, bulk_product_lengths,
+                     enumerate_ball)
 
 FOURPOINT_TOLERANCE = 1e-9
 DEFAULT_QUADRUPLE_CAP = 1_200_000_000
@@ -107,16 +109,22 @@ def _table_passage(pres, walk, truncation, tolerance, max_elements):
     ball = enumerate_ball(pres, truncation, max_elements=max_elements)
     n = len(ball)
     steps = sorted(walk.steps.items(), key=lambda it: it[0].word)
-    probs = np.array([float(p) for _, p in steps])
-    nbr = np.empty((n, len(steps)), dtype=np.int64)
-    for i, g in enumerate(ball.elements):
-        for j, (s, _) in enumerate(steps):
-            nbr[i, j] = ball.index.get((g * s).word, n)
+    probs = np.array([float(p) for _, p in steps])[:, None]
+    # one row per step: numpy sums the columns fast and adds each element's
+    # products in step order
+    nbr = np.empty((len(steps), n), dtype=np.int64)
+    for j, (s, _) in enumerate(steps):
+        for i, g in enumerate(ball.elements):
+            nbr[j, i] = ball.index.get(
+                reduce(pres.times_letter, s.word, g.word), n)
     u = np.zeros(n + 1)
     u[0] = 1.0
+    vals = np.empty(nbr.shape)
     stop = max(tolerance * 1e-2, 1e-15)
     for _ in range(20_000):
-        nxt = (u[nbr] * probs).sum(axis=1)
+        np.take(u, nbr, out=vals)
+        vals *= probs
+        nxt = vals.sum(axis=0)
         nxt[0] = 1.0
         change = np.abs(nxt - u[:n]).max()
         u[:n] = nxt
@@ -428,7 +436,7 @@ def rough_geodesic(metric, x, y):
     points = [(zero, x)]
     g = x
     for sym in letters:
-        g = g * pres.element_from_symbol(sym)
+        g = GroupElement(pres, pres.times_letter(g.word, sym))
         points.append((metric.distance(x, g), g))
     return points
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -95,6 +96,17 @@ def test_band_past_a_small_ball_is_reported_empty(tmp_path):
     checks = json.loads(payload)["reports"][0]["checks"]
     assert checks[0]["details"]["pair_count"] == 0
     assert [c["details"]["verdict"] for c in checks[1:]] == ["empty"] * 3
+
+
+def test_oversized_distance_matrix_exit_two(capsys):
+    # the free:2 radius-9 ball holds 39365 elements; comparing all their
+    # words at once would take about 24.5 GiB, so it is refused up front
+    started = time.perf_counter()
+    assert cli.main(["check", "--suite", "cocycle", "--group", "free:2",
+                     "--radius", "9", "--g", "abababab"]) == 2
+    assert time.perf_counter() - started < 10
+    err = capsys.readouterr().err
+    assert "39365 x 39365" in err and "24.5 GiB" in err
 
 
 def test_unwritable_out_exit_three(capsys):
@@ -205,6 +217,10 @@ PINNED_REPORTS = [
     (("--suite", "properness", "--group", "modular", "--metric", "green",
       "--radius", "3", "--K", "12"),
      "98d06eb2b1b45dffa9a7825456516aa92edf608557a3826b4a665816b8ceb19f"),
+    (("--suite", "green", "--group", "modular"),
+     "e9e4d8564bd120e390563bbd2e9de29274e3c40f787b510a4d2df72a074b33c7"),
+    (("--suite", "strong-hyp", "--group", "modular", "--metric", "green"),
+     "c5adf4f6e4b999f551a7d230186a01881b6ca0ff4442954d7d97197c9d2f0e6c"),
 ]
 
 

@@ -182,6 +182,31 @@ def test_ball_is_a_prefix_of_larger_balls():
         assert outer.lengths.tolist() == [g.length() for g in outer.elements]
 
 
+@pytest.mark.parametrize("make,radius", [
+    pytest.param(lambda: groups.free_group(2), 4, id="free2-r4"),
+    pytest.param(groups.modular_group, 8, id="modular-r8"),
+    pytest.param(lambda: groups.cyclic_free_product([3, 4]), 5,
+                 id="z3-z4-r5"),
+    pytest.param(lambda: groups.surface_group(2), 2, id="surface2-r2"),
+])
+def test_times_letter_matches_normalize(make, radius):
+    pres = make()
+    for g in groups.enumerate_ball(pres, radius).elements:
+        for s in range(len(pres.alphabet)):
+            assert pres.times_letter(g.word, s) == pres.normalize(
+                g.word + (s,))
+
+
+def test_times_letter_spells_the_z4_tie_plain():
+    # t^2 = t'^2 in Z/4; the canonical spelling is the plain "tt"
+    pres = groups.cyclic_free_product([3, 4])
+    t, t_inv = pres.alphabet.index("t"), pres.alphabet.index("t'")
+    assert pres.times_letter((t,), t) == (t, t)
+    assert pres.times_letter((t_inv,), t_inv) == (t, t)
+    assert pres.times_letter((t, t), t) == (t_inv,)
+    assert pres.times_letter((t, t), t_inv) == (t,)
+
+
 def _free2_corner():
     f2 = groups.free_group(2)
     els = groups.enumerate_ball(f2, 3).elements

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -124,6 +125,62 @@ def test_green_matches_scaled_tree():
             dev = abs(gm.distance(x, y) - math.log(3) * tm.distance(x, y))
             worst = max(worst, dev)
     assert worst <= 1e-6
+
+
+def test_green_table_solve_normalizes_only_the_walk(monkeypatch):
+    # neighbours in the table come from times_letter; what normalizes is
+    # the simple walk's symmetry check, one inverse per step
+    m = groups.modular_group()
+    calls = []
+    normalize = groups.GroupPresentation.normalize
+
+    def counting(self, word):
+        calls.append(word)
+        return normalize(self, word)
+
+    monkeypatch.setattr(groups.GroupPresentation, "normalize", counting)
+    metrics.solve_green(m, radius_hint=2)
+    assert len(calls) <= len(m.alphabet)
+
+
+def _modular_simple():
+    return metrics.solve_green(groups.modular_group(), radius_hint=4)
+
+
+def _z3_z4_simple():
+    return metrics.solve_green(groups.cyclic_free_product([3, 4]),
+                               truncation=5)
+
+
+def _modular_multi_letter():
+    m = groups.modular_group()
+    s, st = m.element("s"), m.element("st")
+    walk = metrics.GreenWalk(m, {s: Fraction(1, 2), st: Fraction(1, 4),
+                                 st.inverse(): Fraction(1, 4)})
+    return metrics.solve_green(m, walk, radius_hint=2)
+
+
+# Green tables bit for bit: the table iteration must add the same
+# products in the same order whatever layout it keeps them in.
+@pytest.mark.parametrize("solve,digest,gap", [
+    pytest.param(
+        _modular_simple,
+        "a1f66aebcb32eada72b4a182667e23abd87fdc21e4bea628c39e0e59971da622",
+        "1.3629015705088694", id="modular-r4"),
+    pytest.param(
+        _z3_z4_simple,
+        "811b1a6c2894686a8ccd22a11d7cc3301ad2c929c0fc52a6ebed552bf63ab89a",
+        "0.7286923333344557", id="z3-z4-t5"),
+    pytest.param(
+        _modular_multi_letter,
+        "a43ca9914b734f6d6af6dce35aeb663539d3bb79e648daa2014cc5ff33b6b56f",
+        "1.4817019208984856", id="modular-multi-letter-r2"),
+])
+def test_green_tables_are_pinned(solve, digest, gap):
+    data = solve()
+    assert data.mode == "table"
+    assert hashlib.sha256(data._u.tobytes()).hexdigest() == digest
+    assert repr(data.gap) == gap
 
 
 def test_green_default_truncation_floor():

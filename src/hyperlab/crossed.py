@@ -111,11 +111,15 @@ class StepFunction:
         if g.is_identity() or self.depth == 0:
             return self
         d = self.depth + g.length()
-        gi = g.inverse()
+        h = g.inverse().word
+        inv = self.pres.alphabet.inverse
         vals = {}
         for w in reduced_words(self.pres, d):
-            pulled = gi * GroupElement(self.pres, w)
-            vals[w] = self.values[pulled.word[:self.depth]]
+            # h and w are reduced, so letters cancel only where they meet
+            k = 0
+            while k < len(h) and h[-1 - k] == inv[w[k]]:
+                k += 1
+            vals[w] = self.values[(h[:len(h) - k] + w[k:])[:self.depth]]
         return StepFunction(self.pres, d, vals)
 
     def evaluate(self, xi):

@@ -388,6 +388,37 @@ class GroupPresentation:
         return [self.element_from_symbol(i)
                 for i in range(len(self.alphabet.symbols))]
 
+    def symmetry_generators(self):
+        """Alphabet permutations, as tuples of symbol indices, that extend
+        to length-preserving automorphisms.
+
+        One swaps each generator with its inverse.  One swaps each pair of
+        consecutive generators of the same type, and their inverses: every
+        free generator has one type, a free-product generator's type is
+        its factor order.  Small-cancellation kinds get none, since their
+        symmetries must also keep the relator set.
+        """
+        if self.kind == "small-cancellation":
+            return []
+        inv = self.alphabet.inverse
+        gens = [s for s in range(len(inv)) if s <= inv[s]]
+
+        def swap(*pairs):
+            perm = list(range(len(inv)))
+            for a, b in pairs:
+                perm[a], perm[b] = b, a
+            return tuple(perm)
+
+        out = [swap((s, inv[s])) for s in gens if inv[s] != s]
+        by_type = {}
+        for s in gens:
+            key = self._factor_orders[self._factor[s]] if self._factor else 0
+            by_type.setdefault(key, []).append(s)
+        for same in by_type.values():
+            out.extend(swap((x, y), (inv[x], inv[y]))
+                       for x, y in zip(same, same[1:]))
+        return out
+
     def element_from_symbol(self, sym):
         if not 0 <= sym < len(self.alphabet.symbols):
             raise InputError(f"symbol index {sym} out of range")
@@ -421,8 +452,13 @@ class GroupElement:
         return GroupElement(self.pres, self.pres.normalize(self.word + other.word))
 
     def inverse(self):
-        word = _invert_word(self.pres.alphabet.inverse, self.word)
-        return GroupElement(self.pres, self.pres.normalize(word))
+        pres = self.pres
+        word = _invert_word(pres.alphabet.inverse, self.word)
+        # the inverse of a reduced word is reduced; other kinds respell
+        # ties such as Z/4's tt, whose inverse t't' is not canonical
+        if pres.kind != "free":
+            word = pres.normalize(word)
+        return GroupElement(pres, word)
 
     def __pow__(self, n):
         if n < 0:

@@ -340,6 +340,36 @@ def metric_distance_matrix(metric, ball):
     return d * metric.scale
 
 
+def _basepoint_representatives(ball, d):
+    """Least index of each orbit of the ball's basepoints, ascending.
+
+    The orbits are those of the presentation's symmetry generators that
+    map the ball onto itself and leave the matrix `d` unchanged bit for
+    bit; any other generator is dropped.  A four-point scan at an image
+    basepoint sees the same table with rows and columns permuted, so it
+    finds the same maximum, and the least index of an orbit is the first
+    basepoint of that orbit in a full scan.
+    """
+    pres = ball.pres
+    root = list(range(len(ball)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for perm in pres.symmetry_generators():
+        img = [ball.index.get(pres.normalize([perm[s] for s in g.word]))
+               for g in ball.elements]
+        if None in img or not np.array_equal(d[np.ix_(img, img)], d):
+            continue
+        for i, j in enumerate(img):
+            a, b = find(i), find(j)
+            root[max(a, b)] = min(a, b)
+    return [i for i in range(len(root)) if find(i) == i]
+
+
 @dataclass
 class FourPointReport:
     defect: float
@@ -356,9 +386,10 @@ def check_strong_hyperbolicity(metric, ball, mode="exhaustive", seed=0,
                                quadruple_cap=DEFAULT_QUADRUPLE_CAP):
     """Scan four-point defects over a ball.
 
-    Exhaustive mode covers every (basepoint, x, y, z) quadruple, sampled
-    mode draws them with a seeded generator.  The reported defect clamps
-    at zero; the signed maximum is kept in `raw`.
+    Exhaustive mode covers every (basepoint, x, y, z) quadruple, scanning
+    one basepoint per symmetry orbit (`_basepoint_representatives`);
+    sampled mode draws quadruples with a seeded generator.  The reported
+    defect clamps at zero; the signed maximum is kept in `raw`.
     """
     d = metric_distance_matrix(metric, ball)
     n = d.shape[0]
@@ -371,7 +402,7 @@ def check_strong_hyperbolicity(metric, ball, mode="exhaustive", seed=0,
                 "use sampled mode or raise the cap")
         best = -math.inf
         at = None
-        for o in range(n):
+        for o in _basepoint_representatives(ball, d):
             two_g = d[o][:, None] + d[o][None, :] - d
             e = np.ascontiguousarray(np.exp(-0.5 * two_g))
             r, x, y, z = kernels.fourpoint_scan(e)
@@ -413,12 +444,12 @@ def four_point_min_rule_margin(ball):
     Works on doubled Gromov products so everything stays integral.  A
     nonnegative margin proves the float four-point defect clamps to zero
     exactly: the exponential of the smaller product dominates one of the
-    two right-hand terms bit for bit.
+    two right-hand terms bit for bit.  One basepoint per symmetry orbit
+    is scanned, as in `check_strong_hyperbolicity`.
     """
     dist = word_distance_matrix(ball).astype(np.int32)
-    n = dist.shape[0]
     worst = None
-    for o in range(n):
+    for o in _basepoint_representatives(ball, dist):
         g = dist[o][:, None] + dist[o][None, :] - dist
         cube = np.minimum(g[:, None, :], g.T[None, :, :])
         margin = int((g - cube.max(axis=2)).min())

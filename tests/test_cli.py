@@ -221,6 +221,10 @@ PINNED_REPORTS = [
      "e9e4d8564bd120e390563bbd2e9de29274e3c40f787b510a4d2df72a074b33c7"),
     (("--suite", "strong-hyp", "--group", "modular", "--metric", "green"),
      "c5adf4f6e4b999f551a7d230186a01881b6ca0ff4442954d7d97197c9d2f0e6c"),
+    (("--suite", "strong-hyp", "--group", "free:2", "--radius", "4"),
+     "715d9f10fa47da34fd7d6241a3e395cbd6c2b24f68d8b24990b1927bf2af189a"),
+    (("--suite", "strong-hyp", "--group", "modular", "--radius", "6"),
+     "88b896b4e018c14e82d9beb17b862d146eeb4f4ca0761f2b3c48d0bfed0d23ba"),
 ]
 
 

@@ -72,6 +72,20 @@ def test_translate_by_inverse_letter_spreads(free2):
     assert moved.integral(boundary.BoundaryMeasure(free2)) == Fraction(3, 4)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_translate_matches_the_product_formula(free2, depth):
+    # reference: renormalize g^-1 w as a whole word and read its prefix
+    words = boundary.reduced_words(free2, depth)
+    phi = crossed.StepFunction(free2, depth,
+                               {w: Fraction(i) for i, w in enumerate(words)})
+    for g in groups.enumerate_ball(free2, 2).elements[1:]:
+        gi = g.inverse()
+        expected = {
+            w: phi.values[(gi * groups.GroupElement(free2, w)).word[:depth]]
+            for w in boundary.reduced_words(free2, depth + g.length())}
+        assert phi.translate(g).values == expected
+
+
 def test_worked_product_is_deeper_indicator(free2, worked_pair):
     A, B = worked_pair
     AB = A * B

@@ -82,6 +82,57 @@ def test_four_point_surface_small_ball():
     assert rep.defect == 0.0
 
 
+ORBIT_CASES = [
+    (lambda: groups.free_group(2), 3, "word", False),
+    (lambda: groups.free_group(3), 2, "word", False),
+    (groups.modular_group, 3, "word", False),
+    (groups.modular_group, 5, "word", False),
+    (groups.modular_group, 6, "word", False),
+    (lambda: groups.cyclic_free_product([3, 3]), 4, "word", False),
+    (lambda: groups.cyclic_free_product([2, 3, 3]), 3, "word", False),
+    (lambda: groups.cyclic_free_product([4, 4]), 3, "word", True),
+    (groups.modular_group, 3, "green", False),
+]
+
+
+def _metric(pres, kind, radius):
+    if kind == "word":
+        return metrics.word_metric(pres)
+    return metrics.green_metric(pres, radius_hint=radius)
+
+
+@pytest.mark.parametrize("make,radius,kind,fails", ORBIT_CASES)
+def test_orbit_reduced_scans_equal_the_full_scan(monkeypatch, make, radius,
+                                                 kind, fails):
+    pres = make()
+    ball = groups.enumerate_ball(pres, radius)
+    metric = _metric(pres, kind, radius)
+    reduced = (metrics.check_strong_hyperbolicity(metric, ball),
+               metrics.four_point_min_rule_margin(ball))
+    # with no symmetry generators every basepoint is scanned
+    monkeypatch.setattr(groups.GroupPresentation, "symmetry_generators",
+                        lambda self: [])
+    full = (metrics.check_strong_hyperbolicity(metric, ball),
+            metrics.four_point_min_rule_margin(ball))
+    assert reduced == full
+    assert (reduced[0].witness is not None) == fails
+
+
+@pytest.mark.parametrize("make,radius,kind,count", [
+    (lambda: groups.free_group(2), 4, "word", 23),
+    (lambda: groups.surface_group(2), 2, "word", 65),
+    # the table Green metric is not bitwise symmetric under t <-> t'
+    (groups.modular_group, 3, "green", 14),
+])
+def test_basepoint_representatives(make, radius, kind, count):
+    pres = make()
+    ball = groups.enumerate_ball(pres, radius)
+    d = metrics.metric_distance_matrix(_metric(pres, kind, radius), ball)
+    reps = metrics._basepoint_representatives(ball, d)
+    assert len(reps) == count
+    assert reps == sorted(reps)
+
+
 def test_four_point_sampled_is_seeded():
     f2 = groups.free_group(2)
     ball = groups.enumerate_ball(f2, 3)

@@ -8,6 +8,7 @@ a ball and carry analytic tail bounds; properness certificates follow
 the partition-of-a-geodesic argument.
 """
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ def busemann_group(g, x):
     """b(g)(x) = |x| - |g^-1 x|, an exact integer."""
     if g.pres is not x.pres:
         raise InputError("elements live in different presentations")
-    return x.length() - (g.inverse() * x).length()
+    return x.length() - len(g.pres.left_quotient(g.word, x.word))
 
 
 def haagerup_value(metric, g, x, y):
@@ -217,6 +218,32 @@ class PropernessCertificate:
     actual: object
 
 
+def _nearest_points(path, targets):
+    """For each target, the path point that min(path, key=lambda pt:
+    (abs(pt[0] - target), pt[0])) picks: the nearest parameter, ties to
+    the smaller one, then to the earlier point.
+
+    The parameters are sorted once, stably, and each target is bisected.
+    Parameters need not be monotone along the path.
+    """
+    order = sorted(range(len(path)), key=lambda i: path[i][0])
+    ts = [path[i][0] for i in order]
+    out = []
+    for target in targets:
+        i = bisect_left(ts, target)        # ts[:i] < target <= ts[i:]
+        best = i
+        if i:
+            d = abs(ts[i - 1] - target)
+            if i == len(ts) or d <= abs(ts[i] - target):
+                # rounded distances can tie below the target; the smaller
+                # parameter wins, then the earlier point
+                best = i - 1
+                while best and abs(ts[best - 1] - target) == d:
+                    best -= 1
+        out.append(path[order[best]])
+    return out
+
+
 def properness_check(band, g, p):
     """Certificate that truncated |c_g|_p^p >= (K-2C)^p * n.
 
@@ -236,12 +263,9 @@ def properness_check(band, g, p):
     span = path[-1][0]
     n = max(0, math.floor(Fraction(span) / Fraction(band.K))
             if metric.exact else math.floor(float(span) / float(band.K)))
-    chosen = []
-    for i in range(n + 1):
-        target = i * band.K
-        best = min(path, key=lambda pt: (abs(pt[0] - target), pt[0]))
-        chosen.append(best)
+    chosen = _nearest_points(path, [i * band.K for i in range(n + 1)])
     values = []
+    floor_val = band.K - 2 * band.C
     for (t0, x0), (t1, x1) in zip(chosen, chosen[1:]):
         if not band.contains_pair(x1, x0):
             raise InvariantViolation(
@@ -249,7 +273,6 @@ def properness_check(band, g, p):
                 f"coarse edge set; the rough constant C={band.C} is too small "
                 "or the band radius is too small")
         v = haagerup_value(metric, g, x1, x0)
-        floor_val = band.K - 2 * band.C
         if not v >= floor_val:
             raise InvariantViolation(
                 f"segment value {v} below K-2C={floor_val} at t={t0}")

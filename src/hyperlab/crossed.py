@@ -126,8 +126,10 @@ class StepFunction:
         return self.values[xi.prefix(self.depth)]
 
     def integral(self, measure):
-        return sum((measure.word_mass(w) * v for w, v in self.values.items()),
-                   start=Fraction(0))
+        # zero cylinders add nothing to the exact sum; the start keeps the
+        # Fraction type when every value is zero
+        return sum((measure.word_mass(w) * v for w, v in self.values.items()
+                    if v != 0), start=Fraction(0))
 
     def is_zero(self):
         return all(v == 0 for v in self.values.values())

@@ -98,6 +98,16 @@ def _shortlex_key(word):
     return (len(word), word)
 
 
+def common_prefix_len(u, w):
+    """Number of leading letters two words share."""
+    n = 0
+    for a, b in zip(u, w):
+        if a != b:
+            break
+        n += 1
+    return n
+
+
 class GroupPresentation:
     """A group model: alphabet, kind, and normal-form machinery.
 
@@ -180,11 +190,7 @@ class GroupPresentation:
             if u == v:
                 continue
             # longest common prefix of distinct rotations = piece candidate
-            m = 0
-            for a, b in zip(u, v):
-                if a != b:
-                    break
-                m += 1
+            m = common_prefix_len(u, v)
             worst = max(worst, Fraction(m, len(u)))
             max_piece = max(max_piece, m)
             if 6 * m >= len(u):
@@ -258,6 +264,23 @@ class GroupPresentation:
                  + self._sym_exponent[s]) % self._factor_orders[f]
             return word[:i] + self._syllable(f, e)
         return self.normalize(word + (s,))
+
+    def left_quotient(self, u, w):
+        """Canonical word of u^-1 w for canonical words u and w.
+
+        The one scalar route for x^-1 y.  In a free group both words are
+        reduced, so only their common prefix cancels: the quotient is the
+        inverted rest of u followed by the rest of w, of length
+        |u| + |w| - 2 lcp, as `bulk_product_lengths` computes in bulk.
+        Other kinds normalize the inverse and then the product.
+        """
+        if not u:
+            return w
+        inv = self.alphabet.inverse
+        if self.kind == "free":
+            k = common_prefix_len(u, w)
+            return _invert_word(inv, u[k:]) + w[k:]
+        return self.normalize(self.normalize(_invert_word(inv, u)) + w)
 
     def _sc_moves(self, word):
         """Words reachable in one move: free reduction, or replacement of a
@@ -635,7 +658,7 @@ def bulk_product_lengths(pres, lefts, rights):
     `cocycles` both go through it.
 
     Free kinds reduce l^-1 r by cancelling the common prefix of l and r,
-    so only padded-array comparisons are needed.  Small-cancellation kinds
+    so only prefix comparisons are needed.  Small-cancellation kinds
     additionally need Dehn reduction; when every piece has length 1 and
     every raw product is shorter than the relator, a Dehn-irreducible word
     is geodesic, so relator-segment matches are detected vectorized and
@@ -648,8 +671,8 @@ def bulk_product_lengths(pres, lefts, rights):
     nl, nr = len(lefts), len(rights)
     if nl == 0 or nr == 0:
         return np.zeros((nl, nr), dtype=np.int64)
-    # refuse before allocating: the padded route compares words in an
-    # nl x nr x w boolean array beside the int64 result
+    # refuse before allocating: about w + 8 bytes a pair, for the int64
+    # result beside the nl x nr x w word array of small-cancellation kinds
     w = max(len(g.word) for g in itertools.chain(lefts, rights))
     need = nl * nr * (8 if pres.kind == "free-product" else w + 8)
     if need > DISTANCE_BYTES_CAP:
@@ -672,36 +695,56 @@ def bulk_product_lengths(pres, lefts, rights):
     return out
 
 
+def _common_prefix_lengths(lefts, rights, width):
+    """Common prefix lengths, capped at width, of every left and right
+    word as an nl x nr int64 array.
+
+    Equal prefixes share one id, so two words agree on their first k
+    letters exactly when their k-letter prefix ids match, and then on
+    every shorter prefix too: the common prefix length counts the depths
+    whose ids match.
+    """
+    ids = {}
+
+    def prefix_ids(elements, pad):
+        out = np.full((width, len(elements)), pad, dtype=np.int64)
+        for j, g in enumerate(elements):
+            w = g.word
+            for k in range(min(len(w), width)):
+                out[k, j] = ids.setdefault(w[: k + 1], len(ids))
+        return out
+
+    pl = prefix_ids(lefts, -1)
+    pr = prefix_ids(rights, -2)    # pads never match each other
+    lcp = np.zeros((len(lefts), len(rights)), dtype=np.min_scalar_type(width))
+    for k in range(width):
+        lcp += pl[k][:, None] == pr[k][None, :]
+    return lcp.astype(np.int64)
+
+
 def _vectorized_lengths(pres, lefts, rights):
     """Vectorized |l^-1 r| for free and fast small-cancellation cases;
     None when the scalar route is needed."""
     nl, nr = len(lefts), len(rights)
-    # symbols and the -1 padding share the smallest signed type that holds
-    # every index, so alphabets past 128 symbols widen instead of overflow
-    sym = np.min_scalar_type(-len(pres.alphabet.symbols))
     lv = np.array([len(l.word) for l in lefts], dtype=np.int64)
     lx = np.array([len(r.word) for r in rights], dtype=np.int64)
     wl = max(1, int(lv.max()))
     wr = max(1, int(lx.max()))
-    a = np.full((nl, wl), -1, dtype=sym)   # left words as spelled
-    for i, l in enumerate(lefts):
-        if l.word:
-            a[i, : len(l.word)] = l.word
-    b = np.full((nr, wr), -1, dtype=sym)
-    for j, r in enumerate(rights):
-        if r.word:
-            b[j, : len(r.word)] = r.word
     # cancellation at the l^-1 | r junction = common prefix of l and r
-    width = min(wl, wr)
-    eq = (a[:, None, :width] == b[None, :, :width]) & (a[:, None, :width] >= 0)
-    # stays boolean: an integer cumprod would be widened to n^2 w int64
-    lcp = np.logical_and.accumulate(eq, axis=2).sum(axis=2, dtype=np.int64)
+    lcp = _common_prefix_lengths(lefts, rights, min(wl, wr))
     lens = lv[:, None] + lx[None, :] - 2 * lcp
     if pres.kind == "free":
         return lens
     if pres._max_piece != 1 or int(lens.max()) >= pres._min_relator:
         return None
 
+    # symbols and the -1 padding share the smallest signed type that holds
+    # every index, so alphabets past 128 symbols widen instead of overflow
+    sym = np.min_scalar_type(-len(pres.alphabet.symbols))
+    b = np.full((nr, wr), -1, dtype=sym)   # right words as spelled
+    for j, r in enumerate(rights):
+        if r.word:
+            b[j, : len(r.word)] = r.word
     # assemble the reduced words of l^-1 r in one padded array
     inv = pres.alphabet.inverse
     ia = np.full((nl, wl), -1, dtype=sym)   # inverse words of lefts

@@ -2,9 +2,12 @@
 
 Three metric kinds:
 
-* "word": canonical word length, exact integers times a rational scale.
-* "tree": same values on free groups, but computed through common
-  prefixes so the two routes can be checked against each other.
+* "word": canonical word length, exact integers times a rational scale,
+  read from `GroupPresentation.left_quotient` (the common prefix on free
+  groups).
+* "tree": same values on free groups; its Gromov product is the common
+  prefix of the products o^-1 x and o^-1 y, not a sum of three distances,
+  so the two routes can be checked against each other.
 * "green": minus the log of first-passage probabilities of a symmetric
   random walk, solved with an absorbing truncation.
 
@@ -25,19 +28,10 @@ import numpy as np
 from . import kernels
 from .errors import InputError, NumericError, ResourceLimitError
 from .groups import (DEFAULT_ELEMENT_CAP, GroupElement, bulk_product_lengths,
-                     enumerate_ball)
+                     common_prefix_len, enumerate_ball)
 
 FOURPOINT_TOLERANCE = 1e-9
 DEFAULT_QUADRUPLE_CAP = 1_200_000_000
-
-
-def _common_prefix_len(u, w):
-    n = 0
-    for a, b in zip(u, w):
-        if a != b:
-            break
-        n += 1
-    return n
 
 
 class GreenWalk:
@@ -251,10 +245,9 @@ class MetricStructure:
     def distance(self, x, y):
         self._check(x, y)
         if self.kind == "tree":
-            # dual route: through the common prefix instead of the product
-            lcp = _common_prefix_len(x.word, y.word)
+            lcp = common_prefix_len(x.word, y.word)
             return (len(x.word) + len(y.word) - 2 * lcp) * self.scale
-        w = (x.inverse() * y).word
+        w = self.pres.left_quotient(x.word, y.word)
         if self.kind == "word":
             return len(w) * self.scale
         return self.green.value(w) * self.scale
@@ -267,12 +260,16 @@ class MetricStructure:
         if self.kind == "tree":
             u = (o.inverse() * x).word
             w = (o.inverse() * y).word
-            return _common_prefix_len(u, w) * self.scale
+            return common_prefix_len(u, w) * self.scale
+        if self.kind == "word":
+            # integer lengths, halved and scaled in one Fraction
+            q = self.pres.left_quotient
+            n = (len(q(o.word, x.word)) + len(q(o.word, y.word))
+                 - len(q(x.word, y.word)))
+            return Fraction(n * self.scale.numerator, 2 * self.scale.denominator)
         dx = self.distance(o, x)
         dy = self.distance(o, y)
         dxy = self.distance(x, y)
-        if self.exact:
-            return (dx + dy - dxy) / 2
         return 0.5 * (dx + dy - dxy)
 
     @property
@@ -462,7 +459,7 @@ def rough_geodesic(metric, x, y):
     """Canonical-word path from x to y parametrized by distance from x."""
     metric._check(x, y)
     pres = metric.pres
-    letters = (x.inverse() * y).word
+    letters = pres.left_quotient(x.word, y.word)
     zero = Fraction(0) if metric.exact else 0.0
     points = [(zero, x)]
     g = x

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from hyperlab import cli
+from hyperlab import cli, groups
 
 
 def run_main(tmp_path, *args):
@@ -225,6 +225,12 @@ PINNED_REPORTS = [
      "715d9f10fa47da34fd7d6241a3e395cbd6c2b24f68d8b24990b1927bf2af189a"),
     (("--suite", "strong-hyp", "--group", "modular", "--radius", "6"),
      "88b896b4e018c14e82d9beb17b862d146eeb4f4ca0761f2b3c48d0bfed0d23ba"),
+    # nonzero C: partition targets fall halfway between path points
+    (("--suite", "properness", "--group", "free:2", "--radius", "5",
+      "--K", "5/2", "--C", "1/2"),
+     "ea17a9496866044a79038c3c9e0c75fbeb338afd734fadda0935e98b6dfe35c2"),
+    (("--suite", "properness", "--group", "modular"),
+     "48ff636816d8d8da0a078641bf26e8e3510834d610f25d08d79b032e23c07c6d"),
 ]
 
 
@@ -234,3 +240,24 @@ def test_report_bytes_are_pinned(tmp_path, args, digest):
     code, payload = run_main(tmp_path, "check", *args)
     assert code == 0
     assert hashlib.sha256(payload).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,limit", [
+    # below one call per ball element (1,457 at the default radius 6)
+    (("--suite", "properness", "--group", "free:2"), 1457),
+    (("--suite", "all", "--group", "free:2", "--seed", "7"), 20_000),
+], ids=["properness", "all"])
+def test_free_runs_rarely_normalize(tmp_path, monkeypatch, args, limit):
+    # free-kind distances come from the common prefix of the two words,
+    # so the properness certificates renormalize no product
+    calls = []
+    normalize = groups.GroupPresentation.normalize
+
+    def counting(self, word):
+        calls.append(word)
+        return normalize(self, word)
+
+    monkeypatch.setattr(groups.GroupPresentation, "normalize", counting)
+    code, _ = run_main(tmp_path, "check", *args)
+    assert code == 0
+    assert len(calls) < limit

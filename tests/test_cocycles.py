@@ -235,3 +235,53 @@ def test_pointwise_bound(word2, free2):
     for g in ball:
         for x, y in band.element_pairs()[::5]:
             assert abs(cocycles.haagerup_value(word2, g, x, y)) <= 1
+
+
+@pytest.mark.parametrize("spec,radius", [("free:2", 3), ("free:3", 2),
+                                         ("modular", 3)])
+def test_busemann_group_equals_the_product_route(spec, radius):
+    pres = groups.preset(spec)
+    els = groups.enumerate_ball(pres, radius).elements
+    for g in els:
+        for x in els:
+            assert (cocycles.busemann_group(g, x)
+                    == x.length() - (g.inverse() * x).length())
+
+
+def _literal_nearest(path, targets):
+    return [min(path, key=lambda pt: (abs(pt[0] - target), pt[0]))
+            for target in targets]
+
+
+@pytest.mark.parametrize("times,targets", [
+    # exact ties: K = 5/2 on an integer path, ties go to the smaller t
+    ([Fraction(t) for t in range(8)], [i * Fraction(5, 2) for i in range(4)]),
+    # repeated parameters: the earlier point wins
+    ([0, 1, 1, 2, 2, 2, 3, 3], [Fraction(i, 2) for i in range(8)]),
+    # floats, not monotone, with repeats and targets past both ends
+    ([0.0, 0.7, 0.3, 1.1, 0.7, 0.9, 2.0, 1.6, 0.3],
+     [-1.0, 0.0, 0.5, 0.8, 1.0, 1.35, 1.8, 2.5]),
+    # rounding ties: every distance below the target rounds to 1e16
+    ([0.2, 0.1, 0.3, 2e16], [1e16]),
+    ([0.2, 0.1, 0.3], [1e16]),
+])
+def test_partition_points_follow_the_min_rule(times, targets):
+    path = [(t, k) for k, t in enumerate(times)]
+    assert (cocycles._nearest_points(path, targets)
+            == _literal_nearest(path, targets))
+
+
+def test_partition_points_follow_the_min_rule_on_random_paths():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        if rng.random() < 0.5:
+            times = [Fraction(rng.randint(0, 8), 2) for _ in range(n)]
+            targets = [Fraction(rng.randint(-2, 20), 4) for _ in range(5)]
+        else:
+            times = [rng.choice((0.1, 0.2, 0.3)) * rng.randint(0, 9)
+                     for _ in range(n)]
+            targets = [rng.uniform(-0.5, 3.0) for _ in range(5)]
+        path = [(t, k) for k, t in enumerate(times)]
+        assert (cocycles._nearest_points(path, targets)
+                == _literal_nearest(path, targets))

@@ -265,8 +265,8 @@ def test_bulk_product_lengths_matches_scalar(case):
 
 
 def test_free_distance_matrix_peak_memory():
-    # the common-prefix mask stays boolean until it is summed; an integer
-    # cumulative product would be widened to n^2 w int64 entries
+    # common prefixes are counted one depth at a time in a narrow array;
+    # no array of n^2 w entries is built
     f2 = groups.free_group(2)
     els = groups.enumerate_ball(f2, 5).elements
     n = len(els)

@@ -297,3 +297,76 @@ def test_green_metric_carries_scale():
     a = f2.element("ab")
     assert gm.distance(a, f2.identity) == pytest.approx(
         2.0 * gm1.distance(a, f2.identity))
+
+
+def _product_distance(metric, x, y):
+    # the route distance took before the common prefix: renormalize x^-1 y
+    w = (x.inverse() * y).word
+    if metric.kind == "word":
+        return len(w) * metric.scale
+    return metric.green.value(w) * metric.scale
+
+
+def _product_gromov(metric, x, y, o):
+    dx = _product_distance(metric, o, x)
+    dy = _product_distance(metric, o, y)
+    dxy = _product_distance(metric, x, y)
+    if metric.exact:
+        return (dx + dy - dxy) / 2
+    return 0.5 * (dx + dy - dxy)
+
+
+_QUOTIENT_CASES = [
+    pytest.param("free:2", 3, "word", 1, id="free2-r3-word"),
+    pytest.param("free:2", 3, "word", Fraction(3, 2), id="free2-r3-word-3/2"),
+    pytest.param("free:2", 3, "green", 1.0, id="free2-r3-green"),
+    pytest.param("free:3", 2, "word", 1, id="free3-r2-word"),
+    pytest.param("free:3", 2, "word", Fraction(3, 2), id="free3-r2-word-3/2"),
+    pytest.param("free:3", 2, "green", 1.0, id="free3-r2-green"),
+    pytest.param("modular", 3, "word", Fraction(3, 2), id="modular-r3-word"),
+]
+
+
+def _quotient_case(spec, radius, kind, scale):
+    pres = groups.preset(spec)
+    if kind == "word":
+        metric = metrics.word_metric(pres, scale)
+    else:
+        metric = metrics.green_metric(pres, radius_hint=radius, scale=scale)
+        assert metric.green.mode == "radial"
+    return metric, groups.enumerate_ball(pres, radius).elements
+
+
+@pytest.mark.parametrize("spec,radius,kind,scale", _QUOTIENT_CASES)
+def test_distances_equal_the_product_route(spec, radius, kind, scale):
+    metric, els = _quotient_case(spec, radius, kind, scale)
+    pres = metric.pres
+    for x in els:
+        for y in els:
+            assert pres.left_quotient(x.word, y.word) == (x.inverse() * y).word
+            d = metric.distance(x, y)
+            assert d == _product_distance(metric, x, y)
+            assert type(d) is type(_product_distance(metric, x, y))
+            g = metric.gromov_product(x, y)
+            assert g == _product_gromov(metric, x, y, pres.identity)
+            assert type(g) is type(_product_gromov(metric, x, y,
+                                                   pres.identity))
+    base = els[len(els) // 2]
+    for x in els:
+        for y in els[::3]:
+            assert (metric.gromov_product(x, y, base)
+                    == _product_gromov(metric, x, y, base))
+
+
+@pytest.mark.parametrize("spec,radius,kind,scale", _QUOTIENT_CASES)
+def test_rough_geodesic_equals_the_product_route(spec, radius, kind, scale):
+    metric, els = _quotient_case(spec, radius, kind, scale)
+    pres = metric.pres
+    for x in els:
+        for y in els[::2]:
+            letters = (x.inverse() * y).word
+            expected = []
+            for k in range(len(letters) + 1):
+                g = x * groups.GroupElement(pres, letters[:k])
+                expected.append((_product_distance(metric, x, g), g))
+            assert metrics.rough_geodesic(metric, x, y) == expected

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InvariantViolation, UnsupportedElementError
-from .groups import GroupElement, _spell, cyclically_reduce
+from .groups import GroupElement, _spell, common_prefix_len, cyclically_reduce
 
 INFINITE_PRODUCT = math.inf
 
@@ -119,27 +119,12 @@ def act(g, xi):
     """Left action of the group on its boundary."""
     if g.pres is not xi.pres:
         raise InputError("element and boundary point live in different presentations")
-    inv = g.pres.alphabet.inverse
-    w = list(g.word)
-    u = list(xi.preperiod)
-    c = list(xi.period)
-    while w and u and w[-1] == inv[u[0]]:
-        w.pop()
-        u.pop(0)
-    # cancellation can keep eating into the periodic tail, one rotation per letter
-    while w and not u and w[-1] == inv[c[0]]:
-        w.pop()
-        c.append(c.pop(0))
-    return BoundaryPoint(g.pres, w + u, c)
-
-
-def _prefix_match(a, b):
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
+    # the product cancels at most |g| <= q|c| letters of the head, so the
+    # periods after the head stay as they are
+    c = xi.period
+    q = -(-g.length() // len(c))
+    head = xi.prefix(len(xi.preperiod) + q * len(c))
+    return BoundaryPoint(g.pres, g.pres.multiply(g.word, head), c)
 
 
 def boundary_gromov(x, y):
@@ -152,13 +137,13 @@ def boundary_gromov(x, y):
         if x.pres is not y.pres:
             raise InputError("arguments live in different presentations")
         _require_free(x.pres)
-        return _prefix_match(x.word, y.word)
+        return common_prefix_len(x.word, y.word)
     if isinstance(x, GroupElement):
         x, y = y, x
     if isinstance(y, GroupElement):
         if x.pres is not y.pres:
             raise InputError("arguments live in different presentations")
-        return _prefix_match(y.word, x.prefix(len(y.word)))
+        return common_prefix_len(y.word, x.prefix(len(y.word)))
     if x.pres is not y.pres:
         raise InputError("arguments live in different presentations")
     if x == y:
@@ -166,7 +151,7 @@ def boundary_gromov(x, y):
     # distinct eventually periodic words must disagree inside this window
     window = (max(len(x.preperiod), len(y.preperiod))
               + 2 * (len(x.period) + len(y.period)) + 2)
-    m = _prefix_match(x.prefix(window), y.prefix(window))
+    m = common_prefix_len(x.prefix(window), y.prefix(window))
     if m == window:
         raise InvariantViolation("distinct canonical forms agree beyond the window")
     return m
@@ -327,7 +312,7 @@ def conformality_ratio(g, cyl, measure=None):
     if measure is None:
         measure = BoundaryMeasure(pres)
     w = cyl.prefix
-    t = _prefix_match(g.word, w)
+    t = common_prefix_len(g.word, w)
     if t == len(w) and len(w) < g.length():
         raise InputError(
             f"busemann value of {g.spelled()!r} is not constant on "
@@ -337,8 +322,7 @@ def conformality_ratio(g, cyl, measure=None):
         k = measure.rank
         pulled_mass = Fraction(2 * k - 1, 2 * k)
     else:
-        pulled = g.inverse() * GroupElement(pres, w)
-        pulled_mass = measure.word_mass(pulled.word)
+        pulled_mass = measure.word_mass(pres.left_quotient(g.word, w))
     ratio = pulled_mass / measure.word_mass(w)
     b = busemann_boundary(g, _cylinder_point(pres, w))
     return ConformalityRecord(

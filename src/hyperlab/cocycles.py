@@ -19,7 +19,6 @@ from .groups import (
     DEFAULT_ELEMENT_CAP,
     bulk_product_lengths,
     enumerate_ball,
-    free_sphere_size,
 )
 from .metrics import (
     metric_distance_matrix,
@@ -129,8 +128,6 @@ class LpNormReport:
 
 def _sphere_upper(pres, n):
     """Upper bound on sphere sizes: exact for free, free-cover otherwise."""
-    if pres.kind == "free":
-        return free_sphere_size(pres.rank, n)
     k2 = len(pres.alphabet.symbols)
     if n == 0:
         return 1
@@ -264,15 +261,18 @@ def properness_check(band, g, p):
     n = max(0, math.floor(Fraction(span) / Fraction(band.K))
             if metric.exact else math.floor(float(span) / float(band.K)))
     chosen = _nearest_points(path, [i * band.K for i in range(n + 1)])
+    # c_g(x1, x0) = (g|x1) - (g|x0): one Gromov product per partition point
+    prods = [metric.gromov_product(g, x) for _, x in chosen]
     values = []
     floor_val = band.K - 2 * band.C
-    for (t0, x0), (t1, x1) in zip(chosen, chosen[1:]):
+    for (t0, x0), (_, x1), p0, p1 in zip(chosen, chosen[1:], prods,
+                                         prods[1:]):
         if not band.contains_pair(x1, x0):
             raise InvariantViolation(
                 f"partition pair ({x1.spelled()}, {x0.spelled()}) left the "
                 f"coarse edge set; the rough constant C={band.C} is too small "
                 "or the band radius is too small")
-        v = haagerup_value(metric, g, x1, x0)
+        v = p1 - p0
         if not v >= floor_val:
             raise InvariantViolation(
                 f"segment value {v} below K-2C={floor_val} at t={t0}")

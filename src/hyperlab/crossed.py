@@ -13,26 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InvariantViolation
-from .groups import GroupElement, _spell, enumerate_ball
+from .groups import GroupElement, _spell, common_prefix_len, enumerate_ball
 from .boundary import (
     BoundaryMeasure,
-    _prefix_match,
     _require_free,
     busemann_boundary,
     fixed_points,
     reduced_words,
 )
-
-
-def _extensions(pres, word, extra):
-    """All reduced words extending `word` by `extra` letters."""
-    inv = pres.alphabet.inverse
-    letters = range(len(pres.alphabet))
-    words = [tuple(word)]
-    for _ in range(extra):
-        words = [w + (s,) for w in words for s in letters
-                 if not w or s != inv[w[-1]]]
-    return words
 
 
 class StepFunction:
@@ -72,12 +60,9 @@ class StepFunction:
             raise InputError("refinement can only go deeper")
         if depth == self.depth:
             return self
-        extra = depth - self.depth
-        vals = {}
-        for w, v in self.values.items():
-            for e in _extensions(self.pres, w, extra):
-                vals[e] = v
-        return StepFunction(self.pres, depth, vals)
+        return StepFunction(self.pres, depth,
+                            {w: self.values[w[:self.depth]]
+                             for w in reduced_words(self.pres, depth)})
 
     def _binary(self, other, fn):
         if not isinstance(other, StepFunction) or other.pres is not self.pres:
@@ -110,17 +95,11 @@ class StepFunction:
             raise InputError("element lives in a different presentation")
         if g.is_identity() or self.depth == 0:
             return self
-        d = self.depth + g.length()
-        h = g.inverse().word
-        inv = self.pres.alphabet.inverse
-        vals = {}
-        for w in reduced_words(self.pres, d):
-            # h and w are reduced, so letters cancel only where they meet
-            k = 0
-            while k < len(h) and h[-1 - k] == inv[w[k]]:
-                k += 1
-            vals[w] = self.values[(h[:len(h) - k] + w[k:])[:self.depth]]
-        return StepFunction(self.pres, d, vals)
+        pres, d = self.pres, self.depth + g.length()
+        h = pres.invert(g.word)
+        return StepFunction(pres, d,
+                            {w: self.values[pres.multiply(h, w)[:self.depth]]
+                             for w in reduced_words(pres, d)})
 
     def evaluate(self, xi):
         return self.values[xi.prefix(self.depth)]
@@ -261,7 +240,7 @@ def busemann_step(pres, g):
     """b(g) as an integer step function at depth |g|+1."""
     n = g.length()
     return StepFunction(pres, n + 1,
-                        {w: 2 * _prefix_match(g.word, w) - n
+                        {w: 2 * common_prefix_len(g.word, w) - n
                          for w in reduced_words(pres, n + 1)})
 
 
@@ -277,22 +256,21 @@ def _temperature_exponent(pres, beta):
     return round(m)
 
 
-def apply_flow(a, flow, cocycle=None):
-    """Flow automorphism: multiply the g term by e^(i t c(g)).
+def apply_flow(a, flow):
+    """Flow automorphism: multiply the g term by e^(i t b(g)), b the
+    Busemann step function.
 
     At imaginary time i*beta with beta an integer multiple m of log(2k-1)
-    the factor is the exact rational (2k-1)^(-m c(g)); any other beta is
+    the factor is the exact rational (2k-1)^(-m b(g)); any other beta is
     rejected.  Real time gives unit-modulus complex factors.
     """
     pres = a.pres
-    if cocycle is None:
-        cocycle = busemann_step
     terms = {}
     if flow.kind == "imaginary":
         m = _temperature_exponent(pres, flow.value)
         base = Fraction(2 * pres.rank - 1)
         for g, phi in a.terms.items():
-            c = cocycle(pres, g)
+            c = busemann_step(pres, g)
             factor = StepFunction(pres, c.depth,
                                   {w: base ** (-m * v)
                                    for w, v in c.values.items()})
@@ -300,7 +278,7 @@ def apply_flow(a, flow, cocycle=None):
     else:
         t = flow.value
         for g, phi in a.terms.items():
-            c = cocycle(pres, g)
+            c = busemann_step(pres, g)
             factor = StepFunction(pres, c.depth,
                                   {w: cmath.exp(1j * t * v)
                                    for w, v in c.values.items()})
@@ -350,6 +328,12 @@ class KmsScanReport:
     equal: bool
 
 
+# monomial pairs the scan re-runs through the generic engine, and failing
+# pairs it keeps as witnesses
+KMS_CROSSCHECKS = 50
+KMS_WITNESSES = 5
+
+
 def _intersect_prefixes(w, v):
     """Common refinement of two cylinders: the deeper word, or None."""
     if len(w) > len(v):
@@ -357,8 +341,7 @@ def _intersect_prefixes(w, v):
     return v if v[:len(w)] == w else None
 
 
-def kms_monomial_scan(pres, radius, depth, beta, measure=None, seed=0,
-                      crosscheck=50, witness_cap=5):
+def kms_monomial_scan(pres, radius, depth, beta, measure=None, seed=0):
     """KMS comparison over every monomial pair 1_{C_w} g, 1_{C_v} h.
 
     Both state values vanish unless h = g^-1, since only products landing
@@ -383,8 +366,7 @@ def kms_monomial_scan(pres, radius, depth, beta, measure=None, seed=0,
     failures = []
     nonzero = []
     for g in ball.elements:
-        gi = g.inverse()
-        gv_words = {v: (g * GroupElement(pres, v)).word for v in words}
+        gv_words = {v: pres.multiply(g.word, v) for v in words}
         n = g.length()
         for w in words:
             for v in words:
@@ -394,40 +376,23 @@ def kms_monomial_scan(pres, radius, depth, beta, measure=None, seed=0,
                     lhs = rhs = Fraction(0)
                 else:
                     rhs = measure.word_mass(z)
-                    b = 2 * _prefix_match(g.word, z) - n
-                    pulled = gi * GroupElement(pres, z)
-                    lhs = base ** (-m * b) * measure.word_mass(pulled.word)
+                    b = 2 * common_prefix_len(g.word, z) - n
+                    lhs = base ** (-m * b) * measure.word_mass(
+                        pres.left_quotient(g.word, z))
                 checked += 1
-                if lhs != rhs:
-                    if len(failures) < witness_cap:
-                        failures.append((
-                            g.spelled(), _spell(pres.alphabet, w),
-                            _spell(pres.alphabet, v), lhs, rhs))
+                if lhs != rhs and len(failures) < KMS_WITNESSES:
+                    failures.append((
+                        g.spelled(), _spell(pres.alphabet, w),
+                        _spell(pres.alphabet, v), lhs, rhs))
                 if lhs != 0 or rhs != 0:
-                    nonzero.append((g, w, v))
+                    nonzero.append((g, w, v, lhs, rhs))
     rng = random.Random(seed)
-    sample = rng.sample(nonzero, min(crosscheck, len(nonzero)))
-    for g, w, v in sample:
+    sample = rng.sample(nonzero, min(KMS_CROSSCHECKS, len(nonzero)))
+    for g, w, v, lhs, rhs in sample:
         a = CrossedElement.monomial(pres, w, g)
         b_el = CrossedElement.monomial(pres, v, g.inverse())
         rep = kms_check(a, b_el, beta, measure)
-        fast_pair = next(((l, r) for (gs, ws, vs, l, r) in failures
-                          if (gs, ws, vs) == (g.spelled(),
-                                              _spell(pres.alphabet, w),
-                                              _spell(pres.alphabet, v))), None)
-        if fast_pair is None:
-            z = _intersect_prefixes(w, (g * GroupElement(pres, v)).word)
-            if z is None:
-                fast = (Fraction(0), Fraction(0))
-            else:
-                b_val = 2 * _prefix_match(g.word, z) - g.length()
-                fast = (base ** (-m * b_val)
-                        * measure.word_mass((g.inverse()
-                                             * GroupElement(pres, z)).word),
-                        measure.word_mass(z))
-        else:
-            fast = fast_pair
-        if (rep.lhs, rep.rhs) != fast:
+        if (rep.lhs, rep.rhs) != (lhs, rhs):
             raise InvariantViolation(
                 f"closed-form KMS values disagree with the generic engine "
                 f"for g={g.spelled()!r} w={_spell(pres.alphabet, w)!r} "

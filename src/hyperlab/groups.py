@@ -240,47 +240,60 @@ class GroupPresentation:
             return (self._sym_of[(f, 1)],) * e
         return (self._sym_of[(f, n - 1)],) * (n - e)
 
-    def times_letter(self, word, s):
-        """Canonical word of the product of a canonical word and symbol s.
+    def multiply(self, u, w):
+        """Canonical word of uw for canonical words u and w.
 
-        Free and free-product kinds change only the end of the word; Dehn
-        forms need the whole word, so small-cancellation kinds normalize
-        it (the canonical-form cache serves repeats).
+        The one rule for products; a single letter is a canonical word of
+        the free and free-product kinds.  Both words are reduced, so free
+        kinds cancel letters only where u meets w.  Free-product kinds
+        cancel whole syllables at the junction and merge the two that
+        meet in one factor.  Dehn forms need the whole word, so
+        small-cancellation kinds normalize the concatenation (the
+        canonical-form cache serves repeats).
         """
         if self.kind == "free":
-            if word and word[-1] == self.alphabet.inverse[s]:
-                return word[:-1]
-            return word + (s,)
+            inv = self.alphabet.inverse
+            i, j = len(u), 0
+            while i and j < len(w) and u[i - 1] == inv[w[j]]:
+                i, j = i - 1, j + 1
+            return u[:i] + w[j:]
         if self.kind == "free-product":
-            factor = self._factor
-            f = factor[s]
-            if not word or factor[word[-1]] != f:
-                return word + (s,)
-            # the last syllable is a run of one letter in s's factor
-            i = len(word) - 1
-            while i and word[i - 1] == word[-1]:
-                i -= 1
-            e = ((len(word) - i) * self._sym_exponent[word[-1]]
-                 + self._sym_exponent[s]) % self._factor_orders[f]
-            return word[:i] + self._syllable(f, e)
-        return self.normalize(word + (s,))
+            factor, expo = self._factor, self._sym_exponent
+            i, j = len(u), 0
+            while i and j < len(w) and factor[u[i - 1]] == factor[w[j]]:
+                # a syllable is a run of one letter; neighbours differ in
+                # factor
+                a, b = i - 1, j + 1
+                while a and u[a - 1] == u[i - 1]:
+                    a -= 1
+                while b < len(w) and w[b] == w[j]:
+                    b += 1
+                f = factor[w[j]]
+                e = ((i - a) * expo[u[i - 1]]
+                     + (b - j) * expo[w[j]]) % self._factor_orders[f]
+                if e:
+                    return u[:a] + self._syllable(f, e) + w[b:]
+                i, j = a, b
+            return u[:i] + w[j:]
+        return self.normalize(u + w)
+
+    def invert(self, u):
+        """Canonical word of u^-1 for a canonical word u."""
+        word = _invert_word(self.alphabet.inverse, u)
+        # the inverse of a reduced word is reduced; other kinds respell
+        # ties such as Z/4's tt, whose inverse t't' is not canonical
+        if self.kind == "free":
+            return word
+        return self.normalize(word)
 
     def left_quotient(self, u, w):
         """Canonical word of u^-1 w for canonical words u and w.
 
-        The one scalar route for x^-1 y.  In a free group both words are
-        reduced, so only their common prefix cancels: the quotient is the
-        inverted rest of u followed by the rest of w, of length
-        |u| + |w| - 2 lcp, as `bulk_product_lengths` computes in bulk.
-        Other kinds normalize the inverse and then the product.
+        The one scalar route for x^-1 y.  In a free group only the common
+        prefix of u and w cancels, leaving |u| + |w| - 2 lcp letters, as
+        `bulk_product_lengths` computes in bulk.
         """
-        if not u:
-            return w
-        inv = self.alphabet.inverse
-        if self.kind == "free":
-            k = common_prefix_len(u, w)
-            return _invert_word(inv, u[k:]) + w[k:]
-        return self.normalize(self.normalize(_invert_word(inv, u)) + w)
+        return self.multiply(self.invert(u), w) if u else w
 
     def _sc_moves(self, word):
         """Words reachable in one move: free reduction, or replacement of a
@@ -445,7 +458,7 @@ class GroupPresentation:
     def element_from_symbol(self, sym):
         if not 0 <= sym < len(self.alphabet.symbols):
             raise InputError(f"symbol index {sym} out of range")
-        return GroupElement(self, self.times_letter((), sym))
+        return GroupElement(self, self.multiply((), (sym,)))
 
     @property
     def rank(self):
@@ -472,16 +485,11 @@ class GroupElement:
             return NotImplemented
         if other.pres is not self.pres:
             raise InputError("elements live in different presentations")
-        return GroupElement(self.pres, self.pres.normalize(self.word + other.word))
+        return GroupElement(self.pres,
+                            self.pres.multiply(self.word, other.word))
 
     def inverse(self):
-        pres = self.pres
-        word = _invert_word(pres.alphabet.inverse, self.word)
-        # the inverse of a reduced word is reduced; other kinds respell
-        # ties such as Z/4's tt, whose inverse t't' is not canonical
-        if pres.kind != "free":
-            word = pres.normalize(word)
-        return GroupElement(pres, word)
+        return GroupElement(self.pres, self.pres.invert(self.word))
 
     def __pow__(self, n):
         if n < 0:
@@ -535,7 +543,7 @@ def cyclically_reduce(g):
             while pres._factor[word[i]] == f0:
                 i += 1
             prefix.extend(word[:i])
-            word = pres.normalize(word[i:] + word[:i])
+            word = pres.multiply(word[i:], word[:i])
     else:
         while True:
             while len(word) > 1 and word[0] == inv[word[-1]]:
@@ -609,7 +617,7 @@ def enumerate_ball(pres, radius, max_elements=DEFAULT_ELEMENT_CAP):
         layer = []
         for g in spheres[-1]:
             for s in range(len(pres.alphabet.symbols)):
-                w = pres.times_letter(g.word, s)
+                w = pres.multiply(g.word, (s,))
                 if len(w) == len(g.word) + 1 and w not in seen:
                     seen.add(w)
                     layer.append(GroupElement(pres, w))
@@ -664,7 +672,7 @@ def bulk_product_lengths(pres, lefts, rights):
     is geodesic, so relator-segment matches are detected vectorized and
     the few matching rows are finished by the scalar dehn_reduce.  Free
     products and the remaining small-cancellation cases fall back to one
-    normalize call per pair, or per unordered pair when `lefts` and
+    `left_quotient` call per pair, or per unordered pair when `lefts` and
     `rights` are one list.  A call whose estimated allocation passes
     `DISTANCE_BYTES_CAP` raises ResourceLimitError before allocating.
     """
@@ -687,9 +695,8 @@ def bulk_product_lengths(pres, lefts, rights):
     square = lefts is rights
     out = np.empty((nl, nr), dtype=np.int64)
     for i, l in enumerate(lefts):
-        li = l.inverse()
         for j in range(i if square else 0, nr):
-            out[i, j] = (li * rights[j]).length()
+            out[i, j] = len(pres.left_quotient(l.word, rights[j].word))
     if square:
         out = np.triu(out) + np.triu(out, 1).T
     return out

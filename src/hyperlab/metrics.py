@@ -21,7 +21,6 @@ the maximum over all quadruples is nonpositive up to tolerance.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -109,8 +108,7 @@ def _table_passage(pres, walk, truncation, tolerance, max_elements):
     nbr = np.empty((len(steps), n), dtype=np.int64)
     for j, (s, _) in enumerate(steps):
         for i, g in enumerate(ball.elements):
-            nbr[j, i] = ball.index.get(
-                reduce(pres.times_letter, s.word, g.word), n)
+            nbr[j, i] = ball.index.get(pres.multiply(g.word, s.word), n)
     u = np.zeros(n + 1)
     u[0] = 1.0
     vals = np.empty(nbr.shape)
@@ -258,9 +256,9 @@ class MetricStructure:
         o = self.pres.identity if base is None else base
         self._check(o)
         if self.kind == "tree":
-            u = (o.inverse() * x).word
-            w = (o.inverse() * y).word
-            return common_prefix_len(u, w) * self.scale
+            q = self.pres.left_quotient
+            return common_prefix_len(q(o.word, x.word),
+                                     q(o.word, y.word)) * self.scale
         if self.kind == "word":
             # integer lengths, halved and scaled in one Fraction
             q = self.pres.left_quotient
@@ -331,9 +329,9 @@ def metric_distance_matrix(metric, ball):
     n = len(els)
     d = np.zeros((n, n))
     for i, g in enumerate(els):
-        gi = g.inverse()
         for j in range(i + 1, n):
-            d[i, j] = d[j, i] = green.value((gi * els[j]).word)
+            d[i, j] = d[j, i] = green.value(
+                metric.pres.left_quotient(g.word, els[j].word))
     return d * metric.scale
 
 
@@ -464,7 +462,7 @@ def rough_geodesic(metric, x, y):
     points = [(zero, x)]
     g = x
     for sym in letters:
-        g = GroupElement(pres, pres.times_letter(g.word, sym))
+        g = GroupElement(pres, pres.multiply(g.word, (sym,)))
         points.append((metric.distance(x, g), g))
     return points
 

@@ -87,6 +87,22 @@ def test_action_is_a_group_action(free2):
                     boundary.act(g, boundary.act(h, xi))
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_action_matches_the_reduced_prefix(rank):
+    # reference: freely reduce g followed by a long prefix of the ray; g
+    # cancels at most |g| letters, so the rest spells the start of g.xi
+    pres = groups.free_group(rank)
+    for xi in boundary.seeded_family(pres, count=30, seed=5):
+        for g in groups.enumerate_ball(pres, 3).elements:
+            moved = boundary.act(g, xi)
+            window = 4 * (g.length() + len(xi.preperiod)
+                          + len(xi.period)) + 8
+            assert moved.prefix(window) == pres.normalize(
+                g.word + xi.prefix(window + g.length()))[:window]
+            assert moved.period in {xi.period[i:] + xi.period[:i]
+                                    for i in range(len(xi.period))}
+
+
 def test_gromov_product_values(free2):
     xi = boundary.boundary_point(free2, "", "ab")
     assert boundary.boundary_gromov(free2.element("abb"), xi) == 2

@@ -81,7 +81,7 @@ def test_translate_matches_the_product_formula(free2, depth):
     for g in groups.enumerate_ball(free2, 2).elements[1:]:
         gi = g.inverse()
         expected = {
-            w: phi.values[(gi * groups.GroupElement(free2, w)).word[:depth]]
+            w: phi.values[free2.normalize(gi.word + w)[:depth]]
             for w in boundary.reduced_words(free2, depth + g.length())}
         assert phi.translate(g).values == expected
 

@@ -182,29 +182,58 @@ def test_ball_is_a_prefix_of_larger_balls():
         assert outer.lengths.tolist() == [g.length() for g in outer.elements]
 
 
-@pytest.mark.parametrize("make,radius", [
-    pytest.param(lambda: groups.free_group(2), 4, id="free2-r4"),
-    pytest.param(groups.modular_group, 8, id="modular-r8"),
-    pytest.param(lambda: groups.cyclic_free_product([3, 4]), 5,
-                 id="z3-z4-r5"),
+_PRODUCT_BALLS = [
+    pytest.param(lambda: groups.free_group(2), 3, id="free2-r3"),
+    pytest.param(lambda: groups.free_group(3), 2, id="free3-r2"),
+    pytest.param(groups.modular_group, 5, id="modular-r5"),
+    pytest.param(lambda: groups.cyclic_free_product([3, 4]), 4,
+                 id="z3-z4-r4"),
+    pytest.param(lambda: groups.cyclic_free_product([4, 4]), 3,
+                 id="z4-z4-r3"),
+    pytest.param(lambda: groups.cyclic_free_product([5, 2]), 4,
+                 id="z5-z2-r4"),
+    pytest.param(lambda: groups.cyclic_free_product([2, 3, 3]), 3,
+                 id="z2-z3-z3-r3"),
     pytest.param(lambda: groups.surface_group(2), 2, id="surface2-r2"),
-])
-def test_times_letter_matches_normalize(make, radius):
+]
+
+
+@pytest.mark.parametrize("make,radius", _PRODUCT_BALLS)
+def test_multiply_matches_normalize(make, radius):
     pres = make()
-    for g in groups.enumerate_ball(pres, radius).elements:
+    els = groups.enumerate_ball(pres, radius).elements
+    for g in els:
+        for h in els:
+            assert pres.multiply(g.word, h.word) == pres.normalize(
+                g.word + h.word)
         for s in range(len(pres.alphabet)):
-            assert pres.times_letter(g.word, s) == pres.normalize(
+            assert pres.multiply(g.word, (s,)) == pres.normalize(
                 g.word + (s,))
 
 
-def test_times_letter_spells_the_z4_tie_plain():
+@pytest.mark.parametrize("make,radius", _PRODUCT_BALLS)
+def test_invert_matches_normalize(make, radius):
+    pres = make()
+    inv = pres.alphabet.inverse
+    for g in groups.enumerate_ball(pres, radius).elements:
+        assert pres.invert(g.word) == pres.normalize(
+            tuple(inv[s] for s in reversed(g.word)))
+
+
+def test_multiply_spells_the_z4_tie_plain():
     # t^2 = t'^2 in Z/4; the canonical spelling is the plain "tt"
     pres = groups.cyclic_free_product([3, 4])
-    t, t_inv = pres.alphabet.index("t"), pres.alphabet.index("t'")
-    assert pres.times_letter((t,), t) == (t, t)
-    assert pres.times_letter((t_inv,), t_inv) == (t, t)
-    assert pres.times_letter((t, t), t) == (t_inv,)
-    assert pres.times_letter((t, t), t_inv) == (t,)
+    s, s_inv, t, t_inv = (pres.alphabet.index(x)
+                          for x in ("s", "s'", "t", "t'"))
+    assert pres.multiply((t,), (t,)) == (t, t)
+    assert pres.multiply((t_inv,), (t_inv,)) == (t, t)
+    assert pres.multiply((t, t), (t,)) == (t_inv,)
+    assert pres.multiply((t, t), (t_inv,)) == (t,)
+    # whole syllables cancel at the junction, then the next two merge
+    assert pres.multiply((s, t), (t, s)) == (s, t, t, s)
+    assert pres.multiply((s, t, t), (t, t, s)) == (s_inv,)
+    assert pres.multiply((s, t), (t_inv, s_inv)) == ()
+    assert pres.invert((t, t)) == (t, t)
 
 
 def _free2_corner():
@@ -260,7 +289,8 @@ def _surface2_relator_length():
 def test_bulk_product_lengths_matches_scalar(case):
     pres, lefts, rights = case()
     bulk = groups.bulk_product_lengths(pres, lefts, rights)
-    scalar = [[(x.inverse() * y).length() for y in rights] for x in lefts]
+    scalar = [[len(pres.normalize(x.inverse().word + y.word)) for y in rights]
+              for x in lefts]
     assert np.array_equal(bulk, np.asarray(scalar))
 
 

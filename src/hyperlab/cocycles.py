@@ -479,12 +479,17 @@ def cocycle_identity_scan(band, outer_radius, seed=0, samples=200):
     ball_els = band.ball.elements
 
     products = {}
+    pair_words = []     # gh for every (g, h) of outer, g-major
     for g in outer:
         for h in outer:
             gh = g * h
             products.setdefault(gh.word, gh)
+            pair_words.append(gh.word)
     prod_els = [products[w] for w in sorted(products, key=lambda w: (len(w), w))]
     prod_idx = {e.word: i for i, e in enumerate(prod_els)}
+    # row of lens_prod for each (g, h): g along axis 0, h along axis 1
+    pair_rows = np.array([prod_idx[w] for w in pair_words],
+                         dtype=np.int64).reshape(len(outer), len(outer))
 
     translated = {}
     trans_rows = {}
@@ -508,13 +513,12 @@ def cocycle_identity_scan(band, outer_radius, seed=0, samples=200):
 
     mismatches = 0
     checks = 0
-    for g in outer:
-        table = trans_tables[g.word]
-        for k, h in enumerate(outer):
-            row_h = lens_trans[k][table]
-            row_gh = lens_prod[prod_idx[(g * h).word]]
-            checks += len(ball_els)
-            mismatches += int((row_h != row_gh).sum())
+    for i, g in enumerate(outer):
+        # row k compares |h_k^-1 (g^-1 x)| with |(g h_k)^-1 x| over x
+        rows_h = lens_trans[:, trans_tables[g.word]]
+        rows_gh = lens_prod[pair_rows[i]]
+        checks += rows_h.size
+        mismatches += int((rows_h != rows_gh).sum())
 
     rng = np.random.default_rng(seed)
     max_defect = Fraction(0) if metric.exact else 0.0

@@ -15,6 +15,8 @@ deterministic tie-breaking).
 """
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 from fractions import Fraction
 
@@ -180,6 +182,11 @@ class GroupPresentation:
             raise InputError("relator set is degenerate (repeated rotation)")
         self._rotations = tuple(rotations)
         self._check_sixth()
+        # a relator match starting at a letter needs a rotation starting
+        # with it; buckets keep the order of _rotations
+        self._rotations_by_first = tuple(
+            tuple(rot for rot in rotations if rot[0] == s)
+            for s in range(len(self.alphabet)))
 
     def _check_sixth(self):
         """Reject presentations whose pieces reach 1/6 of a relator length."""
@@ -200,6 +207,48 @@ class GroupPresentation:
         self._piece_ratio = worst
         self._max_piece = max_piece
         self._min_relator = min(len(r) for r in rots)
+
+    @functools.cached_property
+    def _relator_windows(self):
+        """Prefix-transition table that finds relator subwords longer than
+        half the relator (Aho-Corasick, CACM 1975).
+
+        Its states are the prefixes of the len(rot)//2 + 1 letter prefixes
+        of all rotations; `table[q, s]` is the state after symbol s, the
+        last column sending the -1 padding to the start state 0.  The
+        states that end one of those prefixes accept and absorb.  A subword
+        longer than half a relator begins with such a prefix, so a word
+        holds one exactly when its walk ends accepting.  No prefix lies
+        inside another state's word, for it would make a piece of more
+        than half a relator, so a walk that reads one is in its end state.
+        Returns (table, accept).
+        """
+        children, ends = [{}], [False]
+        for rot in self._rotations:
+            q = 0
+            for s in rot[: len(rot) // 2 + 1]:
+                if s not in children[q]:
+                    children[q][s] = len(children)
+                    children.append({})
+                    ends.append(False)
+                q = children[q][s]
+            ends[q] = True
+        table = np.zeros((len(children), len(self.alphabet) + 1),
+                         dtype=np.min_scalar_type(len(children)))
+        accept = np.array(ends)
+        fail = [0] * len(children)
+        # breadth first: a failure link points to a shallower, finished state
+        queue = collections.deque([0])
+        while queue:
+            q = queue.popleft()
+            table[q] = table[fail[q]]
+            for s, child in children[q].items():
+                fail[child] = table[q, s]
+                table[q, s] = child
+                queue.append(child)
+        hit = np.flatnonzero(accept)
+        table[hit] = hit[:, None]
+        return table, accept
 
     # -- normal forms ---------------------------------------------------
 
@@ -295,6 +344,20 @@ class GroupPresentation:
         """
         return self.multiply(self.invert(u), w) if u else w
 
+    def _relator_matches(self, word):
+        """(i, rot, m) for each position i of word and each rotation rot
+        starting with word[i], where rot's first m letters match word from
+        i on; positions ascend and rotations keep their `_rotations`
+        order (Dehn's algorithm, Lyndon-Schupp ch. V)."""
+        n = len(word)
+        for i, s in enumerate(word):
+            for rot in self._rotations_by_first[s]:
+                m = 1
+                limit = min(len(rot), n - i)
+                while m < limit and word[i + m] == rot[m]:
+                    m += 1
+                yield i, rot, m
+
     def _sc_moves(self, word):
         """Words reachable in one move: free reduction, or replacement of a
         relator subword of at least half the relator by its complement."""
@@ -303,17 +366,10 @@ class GroupPresentation:
         if reduced != word:
             yield reduced
             return
-        n = len(word)
-        for i in range(n):
-            for rot in self._rotations:
-                half = (len(rot) + 1) // 2
-                m = 0
-                limit = min(len(rot), n - i)
-                while m < limit and word[i + m] == rot[m]:
-                    m += 1
-                for take in range(half, m + 1):
-                    repl = _invert_word(inv, rot[take:])
-                    yield _free_reduce(inv, word[:i] + repl + word[i + take :])
+        for i, rot, m in self._relator_matches(word):
+            for take in range((len(rot) + 1) // 2, m + 1):
+                repl = _invert_word(inv, rot[take:])
+                yield _free_reduce(inv, word[:i] + repl + word[i + take :])
 
     def _canonical_sc(self, word):
         word = _free_reduce(self.alphabet.inverse, word)
@@ -344,23 +400,13 @@ class GroupPresentation:
         inv = self.alphabet.inverse
         word = _free_reduce(inv, tuple(word))
         while word:
-            shrunk = None
-            n = len(word)
-            for i in range(n):
-                for rot in self._rotations:
-                    m = 0
-                    limit = min(len(rot), n - i)
-                    while m < limit and word[i + m] == rot[m]:
-                        m += 1
-                    if 2 * m > len(rot):
-                        repl = _invert_word(inv, rot[m:])
-                        shrunk = _free_reduce(inv, word[:i] + repl + word[i + m :])
-                        break
-                if shrunk is not None:
+            for i, rot, m in self._relator_matches(word):
+                if 2 * m > len(rot):
+                    repl = _invert_word(inv, rot[m:])
+                    word = _free_reduce(inv, word[:i] + repl + word[i + m :])
                     break
-            if shrunk is None:
+            else:
                 break
-            word = shrunk
         return word
 
     def is_trivial(self, word):
@@ -669,8 +715,9 @@ def bulk_product_lengths(pres, lefts, rights):
     so only prefix comparisons are needed.  Small-cancellation kinds
     additionally need Dehn reduction; when every piece has length 1 and
     every raw product is shorter than the relator, a Dehn-irreducible word
-    is geodesic, so relator-segment matches are detected vectorized and
-    the few matching rows are finished by the scalar dehn_reduce.  Free
+    is geodesic, so one pass of a prefix-transition table over all
+    products at once finds those holding more than half a relator, and
+    the scalar dehn_reduce finishes just these.  Free
     products and the remaining small-cancellation cases fall back to one
     `left_quotient` call per pair, or per unordered pair when `lefts` and
     `rights` are one list.  A call whose estimated allocation passes
@@ -679,8 +726,8 @@ def bulk_product_lengths(pres, lefts, rights):
     nl, nr = len(lefts), len(rights)
     if nl == 0 or nr == 0:
         return np.zeros((nl, nr), dtype=np.int64)
-    # refuse before allocating: about w + 8 bytes a pair, for the int64
-    # result beside the nl x nr x w word array of small-cancellation kinds
+    # refuse before allocating: estimated at w + 8 bytes a pair, where the
+    # small-cancellation letter walk peaks near 50 (surface:2, w = 7)
     w = max(len(g.word) for g in itertools.chain(lefts, rights))
     need = nl * nr * (8 if pres.kind == "free-product" else w + 8)
     if need > DISTANCE_BYTES_CAP:
@@ -731,7 +778,13 @@ def _common_prefix_lengths(lefts, rights, width):
 
 def _vectorized_lengths(pres, lefts, rights):
     """Vectorized |l^-1 r| for free and fast small-cancellation cases;
-    None when the scalar route is needed."""
+    None when the scalar route is needed.
+
+    The fast small-cancellation case walks `_relator_windows` over the
+    letters of every reduced l^-1 r at once, one letter a step, without
+    building the words; only words whose walk ends accepting hold a
+    subword longer than half a relator, and those go to dehn_reduce.
+    """
     nl, nr = len(lefts), len(rights)
     lv = np.array([len(l.word) for l in lefts], dtype=np.int64)
     lx = np.array([len(r.word) for r in rights], dtype=np.int64)
@@ -752,40 +805,33 @@ def _vectorized_lengths(pres, lefts, rights):
     for j, r in enumerate(rights):
         if r.word:
             b[j, : len(r.word)] = r.word
-    # assemble the reduced words of l^-1 r in one padded array
     inv = pres.alphabet.inverse
-    ia = np.full((nl, wl), -1, dtype=sym)   # inverse words of lefts
+    last = int(lens.max())
+    # inverse words of lefts, padded so that every step reads a column
+    ia = np.full((nl, max(wl, last)), -1, dtype=sym)
     for i, l in enumerate(lefts):
         if l.word:
             ia[i, : len(l.word)] = [inv[s] for s in reversed(l.word)]
-    w = wl + wr
-    t = np.arange(w)[None, None, :]
-    keep = (lv[:, None] - lcp)[:, :, None]      # letters kept from l^-1
-    total = lens[:, :, None]
-    bidx = np.clip(t - keep + lcp[:, :, None], 0, wr - 1)
-    bvals = np.take_along_axis(
-        np.broadcast_to(b[None], (nl, nr, wr)), bidx.astype(np.int64), axis=2
-    )
-    avals = np.concatenate(
-        [ia, np.full((nl, wr), -1, dtype=sym)], axis=1
-    )[:, None, :]
-    words = np.where(t < keep, avals, np.where(t < total, bvals, sym.type(-1)))
-    flat = words.reshape(nl * nr, w)
-
-    # vectorized detection of more-than-half relator segments
-    hits = set()
-    for rot in pres._rotations:
-        half = len(rot) // 2 + 1
-        for m in range(half, min(len(rot), w) + 1):
-            seg = np.array(rot[:m], dtype=sym)
-            for i in range(w - m + 1):
-                rows = np.nonzero((flat[:, i : i + m] == seg).all(axis=1))[0]
-                hits.update(rows.tolist())
-    final = lens.reshape(-1)
-    for row in hits:
-        word = tuple(int(s) for s in flat[row] if s >= 0)
-        final[row] = len(pres.dehn_reduce(word))
-    return final.reshape(nl, nr)
+    # letter t of the reduced word l^-1 r: l^-1 gives the first |l| - lcp,
+    # r its letters past the common prefix, then -1 pads
+    keep = lv[:, None] - lcp
+    shift = lcp - keep          # letter t >= keep is r's letter t + shift
+    cols = np.arange(nr)[None, :]
+    # one walk of the relator-window table over all words at once; the -1
+    # padding indexes the table's last column
+    table, accept = pres._relator_windows
+    state = np.zeros((nl, nr), dtype=table.dtype)
+    for t in range(last):
+        from_r = b[cols, np.clip(t + shift, 0, wr - 1)]
+        letter = np.where(t < keep, ia[:, t, None],
+                          np.where(t < lens, from_r, sym.type(-1)))
+        state = table[state, letter]
+    # the few words holding a relator window finish by Dehn reduction
+    for i, j in np.argwhere(accept[state]).tolist():
+        c = int(lcp[i, j])
+        word = _invert_word(inv, lefts[i].word[c:]) + rights[j].word[c:]
+        lens[i, j] = len(pres.dehn_reduce(word))
+    return lens
 
 
 # -- presets and presentation files ------------------------------------

@@ -231,6 +231,9 @@ PINNED_REPORTS = [
      "ea17a9496866044a79038c3c9e0c75fbeb338afd734fadda0935e98b6dfe35c2"),
     (("--suite", "properness", "--group", "modular"),
      "48ff636816d8d8da0a078641bf26e8e3510834d610f25d08d79b032e23c07c6d"),
+    # products up to 7 letters: relator windows at several starts
+    (("--suite", "cocycle", "--group", "surface:2", "--radius", "3"),
+     "02b2ba6104fa1799557911d75e6be0bfccd4d1ce544574d85825da106379f0cc"),
 ]
 
 
@@ -242,14 +245,8 @@ def test_report_bytes_are_pinned(tmp_path, args, digest):
     assert hashlib.sha256(payload).hexdigest() == digest
 
 
-@pytest.mark.parametrize("args,limit", [
-    # below one call per ball element (1,457 at the default radius 6)
-    (("--suite", "properness", "--group", "free:2"), 1457),
-    (("--suite", "all", "--group", "free:2", "--seed", "7"), 1_000),
-], ids=["properness", "all"])
-def test_free_runs_rarely_normalize(tmp_path, monkeypatch, args, limit):
-    # free-kind distances come from the common prefix of the two words,
-    # so the properness certificates renormalize no product
+def _count_normalize(monkeypatch):
+    """List that collects every word passed to normalize from now on."""
     calls = []
     normalize = groups.GroupPresentation.normalize
 
@@ -258,6 +255,29 @@ def test_free_runs_rarely_normalize(tmp_path, monkeypatch, args, limit):
         return normalize(self, word)
 
     monkeypatch.setattr(groups.GroupPresentation, "normalize", counting)
+    return calls
+
+
+@pytest.mark.parametrize("args,limit", [
+    # below one call per ball element (1,457 at the default radius 6)
+    (("--suite", "properness", "--group", "free:2"), 1457),
+    (("--suite", "all", "--group", "free:2", "--seed", "7"), 1_000),
+], ids=["properness", "all"])
+def test_free_runs_rarely_normalize(tmp_path, monkeypatch, args, limit):
+    # free-kind distances come from the common prefix of the two words,
+    # so the properness certificates renormalize no product
+    calls = _count_normalize(monkeypatch)
     code, _ = run_main(tmp_path, "check", *args)
     assert code == 0
     assert len(calls) < limit
+
+
+def test_cocycle_scan_forms_each_product_once(tmp_path, monkeypatch):
+    # the identity scan reads each g*h of the outer ball from the row kept
+    # when it was first formed (16,048 normalize calls when it formed
+    # every product twice)
+    calls = _count_normalize(monkeypatch)
+    code, _ = run_main(tmp_path, "check", "--suite", "cocycle",
+                       "--group", "surface:2", "--radius", "2")
+    assert code == 0
+    assert len(calls) <= 12_000

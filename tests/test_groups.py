@@ -278,6 +278,46 @@ def _surface2_relator_length():
     return s, lefts, rights
 
 
+def _window_pairs(pres, cut):
+    # l^-1 r spells the first len // 2 + 1 letters of a rotation, l^-1
+    # its first `cut` letters: a relator window the walk has to find
+    inv = pres.alphabet.inverse
+    lefts, rights = [], []
+    for rot in pres._rotations:
+        head, tail = rot[:cut], rot[cut : len(rot) // 2 + 1]
+        lefts.append(pres.element(tuple(inv[s] for s in reversed(head))))
+        rights.append(pres.element(tail))
+    return lefts, rights
+
+
+def _surface3_sample():
+    s = groups.surface_group(3)
+    els = groups.enumerate_ball(s, 2).elements
+    rng = random.Random(5)
+    lefts, rights = _window_pairs(s, 2)
+    return s, rng.sample(els, 20) + lefts, rng.sample(els, 20) + rights
+
+
+def _two_relator_file():
+    # relators of lengths 7 and 9: windows of 4 and 5 letters, and every
+    # piece one letter long, so the walk decides
+    pres = groups.parse_presentation(
+        "generators: a b c d e f g\nabcdefg\nacegbdfa'c'\n")
+    els = groups.enumerate_ball(pres, 2).elements
+    rng = random.Random(7)
+    lefts, rights = _window_pairs(pres, 1)
+    return pres, rng.sample(els, 20) + lefts, rng.sample(els, 20) + rights
+
+
+def _surface2_far_sample():
+    # products up to 7 letters long hold 5-letter windows starting at
+    # letters 0, 1 and 2
+    s = groups.surface_group(2)
+    rng = random.Random(11)
+    return (s, rng.sample(groups.enumerate_ball(s, 4).elements, 25),
+            groups.enumerate_ball(s, 3).elements)
+
+
 @pytest.mark.parametrize("case", [
     pytest.param(_free2_corner, id="free2-corner"),
     pytest.param(_surface2_sample, id="surface2-sample"),
@@ -285,6 +325,9 @@ def _surface2_relator_length():
     pytest.param(_modular_rectangle, id="modular-rectangle"),
     pytest.param(_surface2_ball, id="surface2-ball"),
     pytest.param(_surface2_relator_length, id="surface2-relator-length"),
+    pytest.param(_surface3_sample, id="surface3-sample"),
+    pytest.param(_two_relator_file, id="two-relator-file"),
+    pytest.param(_surface2_far_sample, id="surface2-far-sample"),
 ])
 def test_bulk_product_lengths_matches_scalar(case):
     pres, lefts, rights = case()
@@ -323,6 +366,63 @@ def test_free_triangle_inequality(one, two):
     g, h = f2.element(_spell(one)), f2.element(_spell(two))
     assert (g * h).length() <= g.length() + h.length()
     assert (g * h).length() >= abs(g.length() - h.length())
+
+
+def _scan_all_rotations(pres, word):
+    """(i, rot, m) over every position and every rotation, as Dehn's
+    algorithm reads without a first-letter lookup; m counts the letters
+    of rot matching word from i on."""
+    for i in range(len(word)):
+        for rot in pres._rotations:
+            m = 0
+            while m < min(len(rot), len(word) - i) and word[i + m] == rot[m]:
+                m += 1
+            yield i, rot, m
+
+
+def _literal_sc_moves(pres, word):
+    inv = pres.alphabet.inverse
+    reduced = groups._free_reduce(inv, word)
+    if reduced != word:
+        return [reduced]
+    return [groups._free_reduce(
+                inv, word[:i] + groups._invert_word(inv, rot[take:])
+                + word[i + take:])
+            for i, rot, m in _scan_all_rotations(pres, word)
+            for take in range((len(rot) + 1) // 2, m + 1)]
+
+
+def _literal_dehn_reduce(pres, word):
+    inv = pres.alphabet.inverse
+    word = groups._free_reduce(inv, tuple(word))
+    while True:
+        for i, rot, m in _scan_all_rotations(pres, word):
+            if 2 * m > len(rot):
+                word = groups._free_reduce(
+                    inv, word[:i] + groups._invert_word(inv, rot[m:])
+                    + word[i + m:])
+                break
+        else:
+            return word
+
+
+@pytest.mark.parametrize("genus,radius", [(2, 3), (3, 2)])
+def test_relator_lookup_matches_full_rotation_scan(genus, radius):
+    # the first-letter buckets give the moves and Dehn steps, in order,
+    # of a scan over every rotation at every letter
+    pres = groups.surface_group(genus)
+    for g in groups.enumerate_ball(pres, radius).elements:
+        for s in range(len(pres.alphabet)):
+            word = g.word + (s,)
+            assert list(pres._sc_moves(word)) == _literal_sc_moves(pres, word)
+            assert pres.dehn_reduce(word) == _literal_dehn_reduce(pres, word)
+
+
+@given(letters_surface)
+def test_dehn_reduce_matches_full_rotation_scan(chars):
+    s = groups.surface_group(2)
+    word = s.parse_word(_spell(chars))
+    assert s.dehn_reduce(word) == _literal_dehn_reduce(s, word)
 
 
 @given(letters_surface, st.integers(0, 10))

@@ -63,10 +63,10 @@ from .boundary import (
     boundary_gromov,
     boundary_point,
     busemann_boundary,
+    busemann_on_word,
     conformal_identity_check,
     conformality_check,
     cylinder,
-    cylinder_measure,
     fixed_points,
     parse_boundary_point,
     reduced_words,
@@ -103,8 +103,9 @@ __all__ = [
     "cocycle_identity_scan", "critical_exponent_scan", "haagerup_value",
     "lp_norm", "properness_check",
     "BoundaryMeasure", "BoundaryPoint", "Cylinder", "boundary_gromov",
-    "boundary_point", "busemann_boundary", "conformal_identity_check",
-    "conformality_check", "cylinder", "cylinder_measure", "fixed_points",
+    "boundary_point", "busemann_boundary", "busemann_on_word",
+    "conformal_identity_check", "conformality_check", "cylinder",
+    "fixed_points",
     "parse_boundary_point", "reduced_words", "seeded_family",
     "visual_distance",
     "CrossedElement", "FlowParameter", "StepFunction", "apply_flow",

@@ -162,9 +162,20 @@ def visual_distance(xi, eta):
     return math.exp(-boundary_gromov(xi, eta))
 
 
+def busemann_on_word(g, w):
+    """Busemann value 2 lcp(g, w) - |g| on the cylinder over the reduced word w.
+
+    Every ray through w takes this value unless w is a proper prefix of
+    g's word, where the value still depends on the letters past w.
+    """
+    return 2 * common_prefix_len(g.word, w) - g.length()
+
+
 def busemann_boundary(g, xi):
     """Horofunction value 2<g, xi> - |g|; integer, between -|g| and |g|."""
-    return 2 * boundary_gromov(g, xi) - g.length()
+    if g.pres is not xi.pres:
+        raise InputError("arguments live in different presentations")
+    return busemann_on_word(g, xi.prefix(g.length()))
 
 
 def fixed_points(g):
@@ -251,7 +262,7 @@ class BoundaryMeasure:
     @property
     def dimension(self):
         """Exponential growth rate log(2k-1) of the free group of rank k."""
-        return math.log(2 * self.rank - 1)
+        return math.log(self.base())
 
     def base(self):
         return 2 * self.rank - 1
@@ -265,19 +276,6 @@ class BoundaryMeasure:
 
     def __repr__(self):
         return f"<BoundaryMeasure rank={self.rank}>"
-
-
-def cylinder_measure(measure, cyl):
-    """Exact mass 1/(2k(2k-1)^(depth-1)) of a cylinder."""
-    cyl = cylinder(measure.pres, cyl)
-    return measure.word_mass(cyl.prefix)
-
-
-def _cylinder_point(pres, word):
-    """Deterministic eventually periodic point inside the cylinder over word."""
-    inv = pres.alphabet.inverse
-    ext = next(s for s in range(len(pres.alphabet)) if s != inv[word[-1]])
-    return BoundaryPoint(pres, word, (ext,))
 
 
 @dataclass(frozen=True)
@@ -299,7 +297,7 @@ class ConformalityReport:
         return [r for r in self.records if not r.ok]
 
 
-def conformality_ratio(g, cyl, measure=None):
+def conformality_ratio(g, cyl):
     """Measure ratio of g^-1 C_w to C_w against the predicted power of 2k-1.
 
     The two sides come from independent routes: group multiplication plus
@@ -309,8 +307,7 @@ def conformality_ratio(g, cyl, measure=None):
     """
     pres = g.pres
     cyl = cylinder(pres, cyl)
-    if measure is None:
-        measure = BoundaryMeasure(pres)
+    measure = BoundaryMeasure(pres)
     w = cyl.prefix
     t = common_prefix_len(g.word, w)
     if t == len(w) and len(w) < g.length():
@@ -318,13 +315,13 @@ def conformality_ratio(g, cyl, measure=None):
             f"busemann value of {g.spelled()!r} is not constant on "
             f"cylinder {cyl.spelled()!r}; need a deeper cylinder")
     if t == len(w) == g.length():
-        # w is exactly g's word: the pullback misses only one first letter
-        k = measure.rank
-        pulled_mass = Fraction(2 * k - 1, 2 * k)
+        # w is exactly g's word: the pullback misses only the cylinder
+        # over the inverse of g's last letter
+        pulled_mass = 1 - measure.word_mass((pres.alphabet.inverse[w[-1]],))
     else:
         pulled_mass = measure.word_mass(pres.left_quotient(g.word, w))
     ratio = pulled_mass / measure.word_mass(w)
-    b = busemann_boundary(g, _cylinder_point(pres, w))
+    b = busemann_on_word(g, w)
     return ConformalityRecord(
         cylinder=cyl.spelled(),
         ratio=ratio,
@@ -333,7 +330,7 @@ def conformality_ratio(g, cyl, measure=None):
     )
 
 
-def conformality_check(g, depth, measure=None):
+def conformality_check(g, depth):
     """Run conformality_ratio over every cylinder at the given depth.
 
     The depth must exceed the word length of g so that the busemann value
@@ -341,8 +338,6 @@ def conformality_check(g, depth, measure=None):
     """
     pres = g.pres
     _require_free(pres)
-    if measure is None:
-        measure = BoundaryMeasure(pres)
     n = g.length()
     if depth < 1:
         raise InputError("depth must be at least 1")
@@ -352,7 +347,7 @@ def conformality_check(g, depth, measure=None):
             f"depth {depth} does not determine the busemann value of "
             f"{g.spelled()!r}: not constant on cylinder {offending!r}; "
             f"need depth >= {n + 1}")
-    records = [conformality_ratio(g, Cylinder(pres, w), measure)
+    records = [conformality_ratio(g, Cylinder(pres, w))
                for w in reduced_words(pres, depth)]
     return ConformalityReport(
         g=g.spelled(),

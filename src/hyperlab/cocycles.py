@@ -15,11 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .groups import (
-    DEFAULT_ELEMENT_CAP,
-    bulk_product_lengths,
-    enumerate_ball,
-)
+from .groups import bulk_product_lengths, enumerate_ball
 from .metrics import (
     metric_distance_matrix,
     rough_geodesic,
@@ -72,7 +68,7 @@ class PairBand:
         return i is not None and j is not None and bool(self.mask[i, j])
 
 
-def build_pair_band(metric, K, radius, C=None, max_elements=DEFAULT_ELEMENT_CAP):
+def build_pair_band(metric, K, radius, C=None):
     """Collect the coarse edge set inside a ball.
 
     C defaults to the metric's rough constant (0 for exact kinds).  An
@@ -87,7 +83,7 @@ def build_pair_band(metric, K, radius, C=None, max_elements=DEFAULT_ELEMENT_CAP)
         raise InputError("K must be positive")
     if not K > 2 * C:
         raise InputError(f"need K > 2C, got K={K}, C={C}")
-    ball = enumerate_ball(metric.pres, radius, max_elements=max_elements)
+    ball = enumerate_ball(metric.pres, radius)
     dint = word_distance_matrix(ball)
     if metric.exact:
         scale = Fraction(metric.scale)
@@ -335,7 +331,7 @@ def _power_sum(vec, p):
     return sum(float(abs(v)) ** float(p) for v in vec.values())
 
 
-def affine_action_check(band, gs, p, support=None):
+def affine_action_check(band, gs, p):
     """Exact check of A_g(v) = g.v + c_g being an action by isometries.
 
     Vectors are sparse maps on ordered pairs; the cocycle part lives on
@@ -343,16 +339,12 @@ def affine_action_check(band, gs, p, support=None):
     window: band pairs whose g-preimage pair is also in the band.  The
     finitely supported v itself must stay inside the band under every
     composed translate, otherwise the window cannot certify anything.
+    v is the indicator of the band's first pair.
     """
-    metric = band.metric
-    if support is None:
-        if band.empty:
-            raise InputError("cannot pick a default support from an empty band")
-        x, y = band.element_pairs()[0]
-        support = {(x, y): Fraction(1)}
-    for (x, y) in support:
-        if not band.contains_pair(x, y):
-            raise InputError("support pair is outside the band")
+    if band.empty:
+        raise InputError("cannot pick a support from an empty band")
+    x, y = band.element_pairs()[0]
+    support = {(x, y): Fraction(1)}
 
     cvecs = {}
 

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InvariantViolation
-from .groups import GroupElement, _spell, common_prefix_len, enumerate_ball
+from .groups import GroupElement, _spell, enumerate_ball
 from .boundary import (
     BoundaryMeasure,
     _require_free,
     busemann_boundary,
+    busemann_on_word,
     fixed_points,
     reduced_words,
 )
@@ -104,7 +105,9 @@ class StepFunction:
     def evaluate(self, xi):
         return self.values[xi.prefix(self.depth)]
 
-    def integral(self, measure):
+    def integral(self):
+        """Exact integral against the presentation's boundary measure."""
+        measure = BoundaryMeasure(self.pres)
         # zero cylinders add nothing to the exact sum; the start keeps the
         # Fraction type when every value is zero
         return sum((measure.word_mass(w) * v for w, v in self.values.items()
@@ -240,13 +243,13 @@ def busemann_step(pres, g):
     """b(g) as an integer step function at depth |g|+1."""
     n = g.length()
     return StepFunction(pres, n + 1,
-                        {w: 2 * common_prefix_len(g.word, w) - n
+                        {w: busemann_on_word(g, w)
                          for w in reduced_words(pres, n + 1)})
 
 
-def _temperature_exponent(pres, beta):
+def _temperature_exponent(measure, beta):
     """beta as an integer multiple of log(2k-1), or an input error."""
-    base = 2 * pres.rank - 1
+    base = measure.base()
     m = beta / math.log(base)
     if abs(m - round(m)) > 1e-9:
         raise InputError(
@@ -265,35 +268,33 @@ def apply_flow(a, flow):
     rejected.  Real time gives unit-modulus complex factors.
     """
     pres = a.pres
-    terms = {}
     if flow.kind == "imaginary":
-        m = _temperature_exponent(pres, flow.value)
-        base = Fraction(2 * pres.rank - 1)
-        for g, phi in a.terms.items():
-            c = busemann_step(pres, g)
-            factor = StepFunction(pres, c.depth,
-                                  {w: base ** (-m * v)
-                                   for w, v in c.values.items()})
-            terms[g] = phi * factor
+        measure = BoundaryMeasure(pres)
+        m = _temperature_exponent(measure, flow.value)
+        base = Fraction(measure.base())
+
+        def weight(b):
+            return base ** (-m * b)
     else:
         t = flow.value
-        for g, phi in a.terms.items():
-            c = busemann_step(pres, g)
-            factor = StepFunction(pres, c.depth,
-                                  {w: cmath.exp(1j * t * v)
-                                   for w, v in c.values.items()})
-            terms[g] = phi * factor
+
+        def weight(b):
+            return cmath.exp(1j * t * b)
+    terms = {}
+    for g, phi in a.terms.items():
+        c = busemann_step(pres, g)
+        terms[g] = phi * StepFunction(pres, c.depth,
+                                      {w: weight(v)
+                                       for w, v in c.values.items()})
     return CrossedElement(pres, terms)
 
 
-def state_omega(a, measure=None):
+def state_omega(a):
     """Integrate the identity-term coefficient; the canonical state."""
-    if measure is None:
-        measure = BoundaryMeasure(a.pres)
     phi = a.terms.get(a.pres.identity)
     if phi is None:
         return Fraction(0)
-    return phi.integral(measure)
+    return phi.integral()
 
 
 @dataclass(frozen=True)
@@ -304,13 +305,11 @@ class KmsReport:
     equal: bool
 
 
-def kms_check(a, b, beta, measure=None):
+def kms_check(a, b, beta):
     """Compare omega(b sigma_{i beta}(a)) with omega(a b), exactly."""
-    if measure is None:
-        measure = BoundaryMeasure(a.pres)
     flowed = apply_flow(a, FlowParameter.imaginary(beta))
-    lhs = state_omega(cp_multiply(b, flowed), measure)
-    rhs = state_omega(cp_multiply(a, b), measure)
+    lhs = state_omega(cp_multiply(b, flowed))
+    rhs = state_omega(cp_multiply(a, b))
     return KmsReport(beta=beta, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
@@ -341,7 +340,7 @@ def _intersect_prefixes(w, v):
     return v if v[:len(w)] == w else None
 
 
-def kms_monomial_scan(pres, radius, depth, beta, measure=None, seed=0):
+def kms_monomial_scan(pres, radius, depth, beta, seed=0):
     """KMS comparison over every monomial pair 1_{C_w} g, 1_{C_v} h.
 
     Both state values vanish unless h = g^-1, since only products landing
@@ -350,14 +349,12 @@ def kms_monomial_scan(pres, radius, depth, beta, measure=None, seed=0):
     cylinder formulas, and a seeded sample of them is re-verified through
     the generic product/flow/state machinery.
     """
-    _require_free(pres)
-    if measure is None:
-        measure = BoundaryMeasure(pres)
+    measure = BoundaryMeasure(pres)
     if depth < radius + 1:
         raise InputError("scan needs depth > radius so translated cylinders "
                          "stay cylinders")
-    m = _temperature_exponent(pres, beta)
-    base = Fraction(2 * pres.rank - 1)
+    m = _temperature_exponent(measure, beta)
+    base = Fraction(measure.base())
     ball = enumerate_ball(pres, radius)
     words = reduced_words(pres, depth)
     monomials = len(ball) * len(words)
@@ -367,7 +364,6 @@ def kms_monomial_scan(pres, radius, depth, beta, measure=None, seed=0):
     nonzero = []
     for g in ball.elements:
         gv_words = {v: pres.multiply(g.word, v) for v in words}
-        n = g.length()
         for w in words:
             for v in words:
                 # pair A = 1_{C_w} g, B = 1_{C_v} g^-1
@@ -376,7 +372,7 @@ def kms_monomial_scan(pres, radius, depth, beta, measure=None, seed=0):
                     lhs = rhs = Fraction(0)
                 else:
                     rhs = measure.word_mass(z)
-                    b = 2 * common_prefix_len(g.word, z) - n
+                    b = busemann_on_word(g, z)
                     lhs = base ** (-m * b) * measure.word_mass(
                         pres.left_quotient(g.word, z))
                 checked += 1
@@ -391,7 +387,7 @@ def kms_monomial_scan(pres, radius, depth, beta, measure=None, seed=0):
     for g, w, v, lhs, rhs in sample:
         a = CrossedElement.monomial(pres, w, g)
         b_el = CrossedElement.monomial(pres, v, g.inverse())
-        rep = kms_check(a, b_el, beta, measure)
+        rep = kms_check(a, b_el, beta)
         if (rep.lhs, rep.rhs) != (lhs, rhs):
             raise InvariantViolation(
                 f"closed-form KMS values disagree with the generic engine "

@@ -26,9 +26,16 @@ from .errors import InputError, ResourceLimitError, UnsupportedElementError
 
 Word = tuple  # tuple[int, ...], indices into an Alphabet
 
-DEFAULT_ELEMENT_CAP = 2_000_000
+# largest ball enumerate_ball builds, and the quadratic oracle's smaller one
+ELEMENT_CAP = 2_000_000
+PAIRWISE_ELEMENT_CAP = 20_000
 # largest estimated allocation of one bulk_product_lengths call
 DISTANCE_BYTES_CAP = 2 << 30
+# bytes a pair that bulk_product_lengths allocates at its peak, by kind;
+# each bounds its route's tracemalloc peak: 24.0 on the free prefix route,
+# up to 37 on the free-product scalar route (modular radius 12, first
+# call) and 51 on the small-cancellation letter walk (surface:2, surface:3)
+PAIR_BYTES = {"free": 32, "free-product": 48, "small-cancellation": 64}
 
 
 class Alphabet:
@@ -571,36 +578,18 @@ class GroupElement:
 
 
 def cyclically_reduce(g):
-    """Split g = u c u^-1 with c cyclically reduced; returns (u, c).
-
-    For free-product kinds, boundary syllables lying in the same cyclic factor
-    are merged through conjugation until the word is cyclically canonical.
-    """
+    """Split a free-group element g = u c u^-1 with c cyclically reduced;
+    returns (u, c)."""
     pres = g.pres
+    if pres.kind != "free":
+        raise UnsupportedElementError(
+            f"cyclic reduction needs a free presentation, got {pres.kind!r}")
     inv = pres.alphabet.inverse
     word = g.word
     prefix = []
-    if pres.kind == "free-product":
-        while len(word) > 1 and pres._factor[word[0]] == pres._factor[word[-1]]:
-            f0 = pres._factor[word[0]]
-            if all(pres._factor[s] == f0 for s in word):
-                break
-            i = 1
-            while pres._factor[word[i]] == f0:
-                i += 1
-            prefix.extend(word[:i])
-            word = pres.multiply(word[i:], word[:i])
-    else:
-        while True:
-            while len(word) > 1 and word[0] == inv[word[-1]]:
-                prefix.append(word[0])
-                word = word[1:-1]
-            if pres.kind == "small-cancellation":
-                renorm = pres.normalize(word)
-                if renorm != word:
-                    word = renorm
-                    continue
-            break
+    while len(word) > 1 and word[0] == inv[word[-1]]:
+        prefix.append(word[0])
+        word = word[1:-1]
     u = GroupElement(pres, pres.normalize(tuple(prefix)))
     c = GroupElement(pres, tuple(word))
     return u, c
@@ -636,10 +625,6 @@ class Ball:
     def __contains__(self, g):
         return g.word in self.index
 
-    def word_length(self, g):
-        """BFS distance from the identity; None when outside the ball."""
-        return len(g.word) if g.word in self.index else None
-
 
 def free_sphere_size(rank, n):
     if n == 0:
@@ -647,15 +632,15 @@ def free_sphere_size(rank, n):
     return 2 * rank * (2 * rank - 1) ** (n - 1)
 
 
-def enumerate_ball(pres, radius, max_elements=DEFAULT_ELEMENT_CAP):
+def enumerate_ball(pres, radius):
     """Breadth-first ball enumeration with canonical-form deduplication."""
     if radius < 0:
         raise InputError("radius must be >= 0")
     if pres.kind == "free":
         total = sum(free_sphere_size(pres.rank, n) for n in range(radius + 1))
-        if total > max_elements:
+        if total > ELEMENT_CAP:
             raise ResourceLimitError(
-                f"ball would hold {total} elements (cap {max_elements})"
+                f"ball would hold {total} elements (cap {ELEMENT_CAP})"
             )
     spheres = [[pres.identity]]
     seen = {()}
@@ -667,16 +652,16 @@ def enumerate_ball(pres, radius, max_elements=DEFAULT_ELEMENT_CAP):
                 if len(w) == len(g.word) + 1 and w not in seen:
                     seen.add(w)
                     layer.append(GroupElement(pres, w))
-                    if len(seen) > max_elements:
+                    if len(seen) > ELEMENT_CAP:
                         raise ResourceLimitError(
-                            f"ball exceeded the cap of {max_elements} elements"
+                            f"ball exceeded the cap of {ELEMENT_CAP} elements"
                         )
         layer.sort(key=lambda e: e.word)
         spheres.append(layer)
     return Ball(pres, radius, spheres)
 
 
-def enumerate_ball_pairwise(pres, radius, max_elements=20_000):
+def enumerate_ball_pairwise(pres, radius):
     """Ball enumeration deduplicating with is_trivial(g h^-1) only.
 
     Quadratic; used as an independent oracle for the canonical-form route.
@@ -697,7 +682,7 @@ def enumerate_ball_pairwise(pres, radius, max_elements=20_000):
                         break
                 if not dup:
                     layer.append(cand)
-                    if len(known) + len(layer) > max_elements:
+                    if len(known) + len(layer) > PAIRWISE_ELEMENT_CAP:
                         raise ResourceLimitError("pairwise ball cap exceeded")
         known.extend(layer)
         spheres.append(layer)
@@ -726,10 +711,7 @@ def bulk_product_lengths(pres, lefts, rights):
     nl, nr = len(lefts), len(rights)
     if nl == 0 or nr == 0:
         return np.zeros((nl, nr), dtype=np.int64)
-    # refuse before allocating: estimated at w + 8 bytes a pair, where the
-    # small-cancellation letter walk peaks near 50 (surface:2, w = 7)
-    w = max(len(g.word) for g in itertools.chain(lefts, rights))
-    need = nl * nr * (8 if pres.kind == "free-product" else w + 8)
+    need = nl * nr * PAIR_BYTES[pres.kind]
     if need > DISTANCE_BYTES_CAP:
         raise ResourceLimitError(
             f"word distances over {nl} x {nr} elements would allocate about "

@@ -26,11 +26,14 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError, NumericError, ResourceLimitError
-from .groups import (DEFAULT_ELEMENT_CAP, GroupElement, bulk_product_lengths,
-                     common_prefix_len, enumerate_ball)
+from .groups import (GroupElement, bulk_product_lengths, common_prefix_len,
+                     enumerate_ball)
 
 FOURPOINT_TOLERANCE = 1e-9
-DEFAULT_QUADRUPLE_CAP = 1_200_000_000
+# most quadruples an exhaustive four-point scan covers
+QUADRUPLE_CAP = 1_200_000_000
+# the table iteration stops once no first-passage value moves this much
+GREEN_ITERATION_STOP = 1e-12
 
 
 class GreenWalk:
@@ -98,8 +101,8 @@ def _radial_passage(rank, truncation):
     return np.concatenate([[1.0], u])
 
 
-def _table_passage(pres, walk, truncation, tolerance, max_elements):
-    ball = enumerate_ball(pres, truncation, max_elements=max_elements)
+def _table_passage(pres, walk, truncation):
+    ball = enumerate_ball(pres, truncation)
     n = len(ball)
     steps = sorted(walk.steps.items(), key=lambda it: it[0].word)
     probs = np.array([float(p) for _, p in steps])[:, None]
@@ -112,7 +115,6 @@ def _table_passage(pres, walk, truncation, tolerance, max_elements):
     u = np.zeros(n + 1)
     u[0] = 1.0
     vals = np.empty(nbr.shape)
-    stop = max(tolerance * 1e-2, 1e-15)
     for _ in range(20_000):
         np.take(u, nbr, out=vals)
         vals *= probs
@@ -120,7 +122,7 @@ def _table_passage(pres, walk, truncation, tolerance, max_elements):
         nxt[0] = 1.0
         change = np.abs(nxt - u[:n]).max()
         u[:n] = nxt
-        if change < stop:
+        if change < GREEN_ITERATION_STOP:
             break
     else:
         raise NumericError("first-passage iteration did not converge")
@@ -170,8 +172,7 @@ class GreenData:
         return -np.log(self._radial[: self.usable + 1])
 
 
-def solve_green(pres, walk=None, radius_hint=4, truncation=None,
-                tolerance=1e-10, max_elements=DEFAULT_ELEMENT_CAP):
+def solve_green(pres, walk=None, radius_hint=4, truncation=None):
     """Solve the truncated first-passage problem for a walk.
 
     The radial reduction (simple walk on a free group) costs nothing, so
@@ -192,10 +193,10 @@ def solve_green(pres, walk=None, radius_hint=4, truncation=None,
         gap = float(np.abs(np.log(u2[: top + 1]) - np.log(u1[: top + 1])).max())
         return GreenData(pres, walk, "radial", t, usable, gap, radial=u1)
     t = truncation if truncation is not None else 2 * radius_hint + 4
-    ball, u = _table_passage(pres, walk, t, tolerance, max_elements)
+    ball, u = _table_passage(pres, walk, t)
     gap = None
     try:
-        _, u2 = _table_passage(pres, walk, 2 * t, tolerance, max_elements)
+        _, u2 = _table_passage(pres, walk, 2 * t)
     except ResourceLimitError:
         pass
     else:
@@ -288,11 +289,9 @@ def tree_metric(pres, scale=1):
     return MetricStructure(pres, "tree", scale)
 
 
-def green_metric(pres, walk=None, radius_hint=4, truncation=None, scale=1.0,
-                 tolerance=1e-10, max_elements=DEFAULT_ELEMENT_CAP):
+def green_metric(pres, walk=None, radius_hint=4, truncation=None, scale=1.0):
     data = solve_green(pres, walk, radius_hint=radius_hint,
-                       truncation=truncation, tolerance=tolerance,
-                       max_elements=max_elements)
+                       truncation=truncation)
     return MetricStructure(pres, "green", scale, green=data)
 
 
@@ -377,8 +376,7 @@ class FourPointReport:
 
 
 def check_strong_hyperbolicity(metric, ball, mode="exhaustive", seed=0,
-                               samples=200_000,
-                               quadruple_cap=DEFAULT_QUADRUPLE_CAP):
+                               samples=200_000):
     """Scan four-point defects over a ball.
 
     Exhaustive mode covers every (basepoint, x, y, z) quadruple, scanning
@@ -391,10 +389,10 @@ def check_strong_hyperbolicity(metric, ball, mode="exhaustive", seed=0,
     els = ball.elements
     if mode == "exhaustive":
         total = n ** 4
-        if total > quadruple_cap:
+        if total > QUADRUPLE_CAP:
             raise ResourceLimitError(
-                f"{total} quadruples exceed the cap {quadruple_cap}; "
-                "use sampled mode or raise the cap")
+                f"{total} quadruples exceed the cap {QUADRUPLE_CAP}; "
+                "use sampled mode")
         best = -math.inf
         at = None
         for o in _basepoint_representatives(ball, d):

@@ -1,8 +1,10 @@
 """Verification suites behind the command-line harness.
 
-Each suite builds its objects from a ScenarioConfig, runs a fixed list
-of checks, and returns a SuiteReport whose serialized form is
-byte-deterministic for a given configuration.
+Each suite builds its objects from a ScenarioConfig and the radius that
+`run_scenario` resolves, runs a fixed list of checks, and returns its
+settings, checks and table; `run_scenario` times it and wraps these in a
+SuiteReport whose serialized form is byte-deterministic for a given
+configuration.
 """
 
 import math
@@ -84,7 +86,7 @@ class SuiteReport:
     duration: float = field(default=0.0, compare=False)
 
 
-def _finish(suite, cfg, settings, checks, table=None, started=0.0):
+def _finish(suite, cfg, settings, checks, table, started):
     failures = sum(0 if c.passed else 1 for c in checks)
     return SuiteReport(
         suite=suite,
@@ -113,14 +115,12 @@ def _settings(cfg, radius, **extra):
     return out
 
 
-def _suite_strong_hyp(pres, cfg):
-    started = time.perf_counter()
-    radius = cfg.radius if cfg.radius is not None else DEFAULT_RADIUS["strong-hyp"]
+def _suite_strong_hyp(pres, cfg, radius):
     metric = _build_metric(pres, cfg, radius)
     ball = groups.enumerate_ball(pres, radius)
     # Seeded sampling keeps large balls tractable without losing determinism.
     mode = "exhaustive"
-    if len(ball.elements) ** 4 > metrics.DEFAULT_QUADRUPLE_CAP:
+    if len(ball.elements) ** 4 > metrics.QUADRUPLE_CAP:
         mode = "sampled"
     rep = metrics.check_strong_hyperbolicity(metric, ball, mode=mode,
                                              seed=cfg.seed)
@@ -144,13 +144,10 @@ def _suite_strong_hyp(pres, cfg):
             passed=margin >= 0,
             details={"doubled_margin": margin},
         ))
-    return _finish("strong-hyp", cfg, _settings(cfg, radius), checks,
-                   started=started)
+    return _settings(cfg, radius), checks, None
 
 
-def _suite_green(pres, cfg):
-    started = time.perf_counter()
-    radius = cfg.radius if cfg.radius is not None else DEFAULT_RADIUS["green"]
+def _suite_green(pres, cfg, radius):
     data = metrics.solve_green(pres, radius_hint=radius)
     checks = []
     if pres.kind == "free":
@@ -184,7 +181,7 @@ def _suite_green(pres, cfg):
     ))
     settings = _settings(cfg, radius, truncation=data.truncation,
                          solver=data.mode)
-    return _finish("green", cfg, settings, checks, started=started)
+    return settings, checks, None
 
 
 def _band_for(pres, cfg, radius):
@@ -219,15 +216,12 @@ def _norm_table(band, g, grid):
     return (columns, rows), reports
 
 
-def _suite_cocycle(pres, cfg):
-    started = time.perf_counter()
-    radius = cfg.radius if cfg.radius is not None else DEFAULT_RADIUS["cocycle"]
+def _suite_cocycle(pres, cfg, radius):
     grid = cfg.p if cfg.p is not None else DEFAULT_P["cocycle"]
     band = _band_for(pres, cfg, radius)
     settings = _settings(cfg, radius, K=band.K, C=band.C, p=list(grid),
                          g=cfg.g)
     checks = []
-    table = None
     if cfg.g is not None:
         g = pres.element(cfg.g)
         table, reports = _norm_table(band, g, grid)
@@ -243,8 +237,7 @@ def _suite_cocycle(pres, cfg):
                          "lower_bound": rep.lower_bound,
                          "expected": expected},
             ))
-        return _finish("cocycle", cfg, settings, checks, table=table,
-                       started=started)
+        return settings, checks, table
     outer = min(2, radius)
     scan = cocycles.cocycle_identity_scan(band, outer, seed=cfg.seed)
     checks.append(CheckResult(
@@ -297,12 +290,10 @@ def _suite_cocycle(pres, cfg):
             passed=passed,
             details=details,
         ))
-    return _finish("cocycle", cfg, settings, checks, started=started)
+    return settings, checks, None
 
 
-def _suite_properness(pres, cfg):
-    started = time.perf_counter()
-    radius = cfg.radius if cfg.radius is not None else DEFAULT_RADIUS["properness"]
+def _suite_properness(pres, cfg, radius):
     grid = cfg.p if cfg.p is not None else DEFAULT_P["properness"]
     p = grid[0]
     p = int(p) if float(p).is_integer() else p
@@ -318,7 +309,7 @@ def _suite_properness(pres, cfg):
             details={"g": cert.g, "n": cert.n,
                      "lower_bound": cert.lower_bound, "actual": cert.actual},
         ))
-        return _finish("properness", cfg, settings, checks, started=started)
+        return settings, checks, None
     failures = []
     count = 0
     min_n_margin = None
@@ -344,15 +335,12 @@ def _suite_properness(pres, cfg):
                  if min_n_margin is not None else None},
         witness=failures[0] if failures else None,
     ))
-    return _finish("properness", cfg, settings, checks, started=started)
+    return settings, checks, None
 
 
-def _suite_boundary(pres, cfg):
-    started = time.perf_counter()
-    radius = cfg.radius if cfg.radius is not None else DEFAULT_RADIUS["boundary"]
+def _suite_boundary(pres, cfg, radius):
     settings = _settings(cfg, radius, depth=cfg.depth)
     ball = groups.enumerate_ball(pres, radius)
-    measure = boundary.BoundaryMeasure(pres)
     checks = []
 
     conf_failures = []
@@ -363,7 +351,7 @@ def _suite_boundary(pres, cfg):
         depth = g.length() + 1
         if cfg.depth is not None:
             depth = max(depth, cfg.depth)
-        rep = boundary.conformality_check(g, depth, measure)
+        rep = boundary.conformality_check(g, depth)
         scanned += len(rep.records)
         if not rep.all_equal:
             bad = rep.failures()[0]
@@ -434,13 +422,13 @@ def _suite_boundary(pres, cfg):
         witness=cocycle_bad,
     ))
 
+    points = family[:30]
+    d = [[boundary.visual_distance(x, y) for y in points] for x in points]
     worst = 0.0
-    for x in family[:30]:
-        for y in family[:30]:
-            dxy = boundary.visual_distance(x, y)
-            for z in family[:30]:
-                gap = dxy - (boundary.visual_distance(x, z)
-                             + boundary.visual_distance(z, y))
+    for x in range(len(points)):
+        for y in range(len(points)):
+            for z in range(len(points)):
+                gap = d[x][y] - (d[x][z] + d[z][y])
                 if gap > worst:
                     worst = gap
     checks.append(CheckResult(
@@ -458,12 +446,10 @@ def _suite_boundary(pres, cfg):
         witness={"g": bad.g, "at_plus": bad.at_plus, "at_minus": bad.at_minus,
                  "translation": bad.translation} if bad else None,
     ))
-    return _finish("boundary", cfg, settings, checks, started=started)
+    return settings, checks, None
 
 
-def _suite_kms(pres, cfg):
-    started = time.perf_counter()
-    radius = cfg.radius if cfg.radius is not None else DEFAULT_RADIUS["kms"]
+def _suite_kms(pres, cfg, radius):
     depth = cfg.depth if cfg.depth is not None else 3
     measure = boundary.BoundaryMeasure(pres)
     dim = measure.dimension
@@ -473,7 +459,7 @@ def _suite_kms(pres, cfg):
     a = pres.element("a")
     A = crossed.CrossedElement.monomial(pres, "a", a)
     B = crossed.CrossedElement.monomial(pres, "aa", a.inverse())
-    pair = crossed.kms_check(A, B, dim, measure)
+    pair = crossed.kms_check(A, B, dim)
     expected = measure.word_mass(pres.parse_word("aaa"))
     checks.append(CheckResult(
         name="worked-monomial-pair",
@@ -481,8 +467,7 @@ def _suite_kms(pres, cfg):
         details={"lhs": pair.lhs, "rhs": pair.rhs, "expected": expected},
     ))
 
-    scan = crossed.kms_monomial_scan(pres, radius, depth, dim, measure,
-                                     seed=cfg.seed)
+    scan = crossed.kms_monomial_scan(pres, radius, depth, dim, seed=cfg.seed)
     checks.append(CheckResult(
         name="kms-monomial-scan",
         passed=scan.equal,
@@ -495,9 +480,9 @@ def _suite_kms(pres, cfg):
                  "rhs": scan.failures[0][4]} if scan.failures else None,
     ))
 
-    base = 2 * pres.rank - 1
+    base = measure.base()
     hot = crossed.kms_monomial_scan(pres, radius, depth, dim + math.log(base),
-                                    measure, seed=cfg.seed)
+                                    seed=cfg.seed)
     witness = None
     if hot.failures:
         witness = {"g": hot.failures[0][0], "w": hot.failures[0][1],
@@ -523,7 +508,7 @@ def _suite_kms(pres, cfg):
             pres, words[rng.randrange(len(words))],
             els[rng.randrange(len(els))])
         val = crossed.state_omega(crossed.cp_multiply((one + two).adjoint(),
-                                                      one + two), measure)
+                                                      one + two))
         if val < 0 and bad_pos is None:
             bad_pos = {"value": val}
     checks.append(CheckResult(
@@ -553,7 +538,7 @@ def _suite_kms(pres, cfg):
         details={"samples": 10},
         witness=bad_flow,
     ))
-    return _finish("kms", cfg, settings, checks, started=started)
+    return settings, checks, None
 
 
 _SUITE_RUNNERS = {
@@ -571,4 +556,10 @@ def run_scenario(cfg):
     cfg.validated()
     pres = groups.preset(cfg.group)
     names = SUITE_ORDER if cfg.suite == "all" else (cfg.suite,)
-    return [_SUITE_RUNNERS[name](pres, cfg) for name in names]
+    reports = []
+    for name in names:
+        started = time.perf_counter()
+        radius = cfg.radius if cfg.radius is not None else DEFAULT_RADIUS[name]
+        settings, checks, table = _SUITE_RUNNERS[name](pres, cfg, radius)
+        reports.append(_finish(name, cfg, settings, checks, table, started))
+    return reports

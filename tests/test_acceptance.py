@@ -126,7 +126,6 @@ def test_criterion_06_summability_threshold(free2, word2):
 
 
 def test_criterion_07_conformality(free2):
-    measure = boundary.BoundaryMeasure(free2)
     ball = groups.enumerate_ball(free2, 3)
     started = time.perf_counter()
     cylinders = 0
@@ -134,7 +133,7 @@ def test_criterion_07_conformality(free2):
     for g in ball.elements:
         if g.is_identity():
             continue
-        rep = boundary.conformality_check(g, g.length() + 1, measure)
+        rep = boundary.conformality_check(g, g.length() + 1)
         cylinders += len(rep.records)
         failures += len(rep.failures())
     elapsed = time.perf_counter() - started

@@ -139,6 +139,28 @@ def test_busemann_boundary_values(free2):
     assert boundary.busemann_boundary(free2.element("b"), xi) == -1
 
 
+def _rays_through(pres, w):
+    """Two eventually periodic rays through the reduced word w that
+    differ right after it."""
+    inv = pres.alphabet.inverse
+    ext = [s for s in range(len(pres.alphabet)) if not w or s != inv[w[-1]]]
+    return [boundary.BoundaryPoint(pres, w, (s,)) for s in ext[:2]]
+
+
+def test_busemann_on_word_matches_rays(free2):
+    # every g of the radius-3 ball against every reduced w of length
+    # |g| + 1 and every shorter w that is not a prefix of g
+    for g in groups.enumerate_ball(free2, 3).elements:
+        n = g.length()
+        words = boundary.reduced_words(free2, n + 1) + [
+            w for m in range(n) for w in boundary.reduced_words(free2, m)
+            if g.word[:m] != w]
+        for w in words:
+            for xi in _rays_through(free2, w):
+                assert boundary.busemann_on_word(g, w) == \
+                    boundary.busemann_boundary(g, xi)
+
+
 def test_busemann_cocycle_identity(free2):
     # b(gh)(xi) = b(g)(xi) + b(h)(g^-1 xi)
     ball = groups.enumerate_ball(free2, 2).elements
@@ -217,44 +239,46 @@ def test_measure_splits_over_children(free2, measure):
                 measure.word_mass(word)
 
 
-def test_conformality_single_cylinders(free2, measure):
+def test_conformality_single_cylinders(free2):
     a = free2.element("a")
-    rec = boundary.conformality_ratio(a, boundary.cylinder(free2, "aa"),
-                                      measure)
+    rec = boundary.conformality_ratio(a, boundary.cylinder(free2, "aa"))
     assert rec.ratio == 3
     assert rec.busemann == 1
     assert rec.ok
 
-    rec = boundary.conformality_ratio(a, boundary.cylinder(free2, "ba"),
-                                      measure)
+    rec = boundary.conformality_ratio(a, boundary.cylinder(free2, "ba"))
     assert rec.ratio == Fraction(1, 3)
     assert rec.busemann == -1
     assert rec.ok
 
 
-def test_conformality_on_own_cylinder(free2, measure):
-    # pulling C_g back by g covers everything except one letter's worth
-    a = free2.element("a")
-    rec = boundary.conformality_ratio(a, boundary.cylinder(free2, "a"),
-                                      measure)
-    assert rec.ratio == 3
-    assert rec.ok
+def test_conformality_on_own_cylinder():
+    # pulling C_g back by g covers everything except one letter's worth:
+    # mass (2k-1)/(2k) against the 1/(2k(2k-1)^(|g|-1)) of C_g
+    for k, spelled in ((2, "a"), (3, "ab'c")):
+        pres = groups.free_group(k)
+        g = pres.element(spelled)
+        rec = boundary.conformality_ratio(g, boundary.cylinder(pres, spelled))
+        n = g.length()
+        own_mass = Fraction(1, 2 * k * (2 * k - 1) ** (n - 1))
+        assert rec.ratio == Fraction(2 * k - 1, 2 * k) / own_mass
+        assert rec.busemann == n
+        assert rec.ok
 
 
-def test_conformality_needs_constant_busemann(free2, measure):
+def test_conformality_needs_constant_busemann(free2):
     g = free2.element("ab")
     with pytest.raises(InputError):
-        boundary.conformality_ratio(g, boundary.cylinder(free2, "a"),
-                                    measure)
+        boundary.conformality_ratio(g, boundary.cylinder(free2, "a"))
     with pytest.raises(InputError):
-        boundary.conformality_check(g, 2, measure)
+        boundary.conformality_check(g, 2)
 
 
-def test_conformality_full_scan(free2, measure):
+def test_conformality_full_scan(free2):
     # acceptance shape at radius 3 lives in the acceptance suite
     for text in ("a", "b'", "ab", "ba'"):
         g = free2.element(text)
-        rep = boundary.conformality_check(g, g.length() + 1, measure)
+        rep = boundary.conformality_check(g, g.length() + 1)
         assert rep.all_equal
         assert rep.failures() == []
         assert len(rep.records) == len(

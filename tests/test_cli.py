@@ -100,13 +100,13 @@ def test_band_past_a_small_ball_is_reported_empty(tmp_path):
 
 def test_oversized_distance_matrix_exit_two(capsys):
     # the free:2 radius-9 ball holds 39365 elements; comparing all their
-    # words at once would take about 24.5 GiB, so it is refused up front
+    # words at once would take about 46.2 GiB, so it is refused up front
     started = time.perf_counter()
     assert cli.main(["check", "--suite", "cocycle", "--group", "free:2",
                      "--radius", "9", "--g", "abababab"]) == 2
     assert time.perf_counter() - started < 10
     err = capsys.readouterr().err
-    assert "39365 x 39365" in err and "24.5 GiB" in err
+    assert "39365 x 39365" in err and "46.2 GiB" in err
 
 
 def test_unwritable_out_exit_three(capsys):

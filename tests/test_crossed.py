@@ -24,7 +24,7 @@ def worked_pair(free2):
 def test_step_function_constant_and_indicator(free2):
     one = crossed.StepFunction.constant(free2, Fraction(1))
     assert one.depth == 0
-    assert one.integral(boundary.BoundaryMeasure(free2)) == 1
+    assert one.integral() == 1
 
     ind = crossed.StepFunction.indicator(free2, "ab")
     assert ind.depth == 2
@@ -32,7 +32,7 @@ def test_step_function_constant_and_indicator(free2):
     eta = boundary.boundary_point(free2, "", "ba")
     assert ind.evaluate(xi) == 1
     assert ind.evaluate(eta) == 0
-    assert ind.integral(boundary.BoundaryMeasure(free2)) == Fraction(1, 12)
+    assert ind.integral() == Fraction(1, 12)
 
 
 def test_step_function_refine_preserves_values(free2):
@@ -40,7 +40,7 @@ def test_step_function_refine_preserves_values(free2):
     fine = ind.refine(3)
     assert fine.depth == 3
     assert fine == ind
-    assert fine.integral(boundary.BoundaryMeasure(free2)) == Fraction(1, 4)
+    assert fine.integral() == Fraction(1, 4)
 
 
 def test_step_function_algebra(free2):
@@ -48,8 +48,7 @@ def test_step_function_algebra(free2):
     g = crossed.StepFunction.indicator(free2, "ab")
     assert (f * g) == g          # nested cylinders multiply to the deeper one
     assert (f + g).evaluate(boundary.boundary_point(free2, "", "ab")) == 2
-    assert (f * Fraction(3)).integral(
-        boundary.BoundaryMeasure(free2)) == Fraction(3, 4)
+    assert (f * Fraction(3)).integral() == Fraction(3, 4)
 
 
 def test_step_function_translate(free2):
@@ -69,7 +68,7 @@ def test_translate_by_inverse_letter_spreads(free2):
     # so the translate of 1_{C_a} integrates to 3/4
     ind = crossed.StepFunction.indicator(free2, "a")
     moved = ind.translate(free2.element("a'"))
-    assert moved.integral(boundary.BoundaryMeasure(free2)) == Fraction(3, 4)
+    assert moved.integral() == Fraction(3, 4)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])

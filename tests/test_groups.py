@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hyperlab import groups
-from hyperlab.errors import InputError, ResourceLimitError
+from hyperlab.errors import (InputError, ResourceLimitError,
+                             UnsupportedElementError)
 
 letters2 = st.lists(st.sampled_from("abAB"), max_size=12)
 letters_surface = st.lists(st.sampled_from("abcdABCD"), max_size=10)
@@ -115,6 +116,11 @@ def test_cyclic_reduction():
     assert u2.is_identity()
     assert c2.spelled() == "abab"
 
+    for pres, spelled in ((groups.modular_group(), "st"),
+                          (groups.surface_group(2), "ab")):
+        with pytest.raises(UnsupportedElementError):
+            groups.cyclically_reduce(pres.element(spelled))
+
 
 def test_small_cancellation_rejects_short_relator():
     with pytest.raises(InputError):
@@ -159,14 +165,6 @@ def test_ball_cap():
     f2 = groups.free_group(2)
     with pytest.raises(ResourceLimitError):
         groups.enumerate_ball(f2, 40)
-
-
-def test_ball_word_length():
-    f2 = groups.free_group(2)
-    ball = groups.enumerate_ball(f2, 3)
-    assert ball.word_length(f2.element("ab'")) == 2
-    assert ball.word_length(f2.identity) == 0
-    assert ball.word_length(f2.element("abab")) is None
 
 
 def test_ball_is_a_prefix_of_larger_balls():
@@ -350,6 +348,27 @@ def test_free_distance_matrix_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 6 * n * n * 8
+
+
+@pytest.mark.parametrize("pres, left, right", [
+    pytest.param(groups.free_group(2), 6, 6, id="free2-r6"),
+    pytest.param(groups.modular_group(), 12, 12, id="modular-r12"),
+    pytest.param(groups.surface_group(2), 4, 3, id="surface2-r4xr3"),
+])
+def test_distance_estimate_bounds_the_traced_peak(monkeypatch, pres, left,
+                                                  right):
+    # a cap just under the traced peak must refuse the call up front
+    lefts = groups.enumerate_ball(pres, left).elements
+    rights = groups.enumerate_ball(pres, right).elements
+    tracemalloc.start()
+    try:
+        groups.bulk_product_lengths(pres, lefts, rights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(groups, "DISTANCE_BYTES_CAP", peak - 1)
+    with pytest.raises(ResourceLimitError):
+        groups.bulk_product_lengths(pres, lefts, rights)
 
 
 @given(letters2)

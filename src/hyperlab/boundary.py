@@ -7,6 +7,7 @@ products, the Busemann cocycle, cylinder measures and conformality are
 all exact integer or rational computations.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -236,8 +237,15 @@ def cylinder(pres, spec):
     return Cylinder(pres, pres.parse_word(spec))
 
 
+# (presentation, length) partitions kept by reduced_words; the free:2
+# depth-8 partition holds 8,748 words
+PARTITION_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=PARTITION_CACHE_SIZE)
 def reduced_words(pres, length):
-    """All reduced words of the given length, in symbol order."""
+    """All reduced words of the given length, in symbol order, as a tuple
+    built once per (presentation, length)."""
     _require_free(pres)
     if length < 0:
         raise InputError("length must be nonnegative")
@@ -246,7 +254,7 @@ def reduced_words(pres, length):
     words = [()] if length == 0 else [(s,) for s in letters]
     for _ in range(max(0, length - 1)):
         words = [w + (s,) for w in words for s in letters if s != inv[w[-1]]]
-    return words
+    return tuple(words)
 
 
 class BoundaryMeasure:

@@ -7,6 +7,7 @@ rational computations; real-time flow is the only float path.
 """
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from fractions import Fraction
 from .errors import InputError, InvariantViolation
 from .groups import GroupElement, _spell, enumerate_ball
 from .boundary import (
+    PARTITION_CACHE_SIZE,
     BoundaryMeasure,
     _require_free,
     busemann_boundary,
@@ -22,6 +24,24 @@ from .boundary import (
     fixed_points,
     reduced_words,
 )
+
+
+@functools.lru_cache(maxsize=PARTITION_CACHE_SIZE)
+def _cylinder_set(pres, depth):
+    """The words of the depth-`depth` partition as a frozenset."""
+    return frozenset(reduced_words(pres, depth))
+
+
+def _times(x, y):
+    """x * y; a zero Fraction factor times a Fraction is returned as is,
+    with no Fraction arithmetic.  Other types multiply as Python does, so
+    real-time flow values stay complex."""
+    if x.__class__ is Fraction and y.__class__ is Fraction:
+        if not x:
+            return x
+        if not y:
+            return y
+    return x * y
 
 
 class StepFunction:
@@ -35,8 +55,7 @@ class StepFunction:
         if depth < 0:
             raise InputError("depth must be nonnegative")
         values = dict(values)
-        expected = set(reduced_words(pres, depth))
-        if set(values) != expected:
+        if values.keys() != _cylinder_set(pres, depth):
             raise InputError(
                 f"step function values must cover the depth-{depth} partition")
         self.pres = pres
@@ -78,7 +97,7 @@ class StepFunction:
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
-            return self._binary(other, lambda x, y: x * y)
+            return self._binary(other, _times)
         return self.scale(other)
 
     def scale(self, scalar):
@@ -111,10 +130,10 @@ class StepFunction:
         # zero cylinders add nothing to the exact sum; the start keeps the
         # Fraction type when every value is zero
         return sum((measure.word_mass(w) * v for w, v in self.values.items()
-                    if v != 0), start=Fraction(0))
+                    if v), start=Fraction(0))
 
     def is_zero(self):
-        return all(v == 0 for v in self.values.values())
+        return not any(self.values.values())
 
     def __eq__(self, other):
         if not isinstance(other, StepFunction):
@@ -333,13 +352,6 @@ KMS_CROSSCHECKS = 50
 KMS_WITNESSES = 5
 
 
-def _intersect_prefixes(w, v):
-    """Common refinement of two cylinders: the deeper word, or None."""
-    if len(w) > len(v):
-        w, v = v, w
-    return v if v[:len(w)] == w else None
-
-
 def kms_monomial_scan(pres, radius, depth, beta, seed=0):
     """KMS comparison over every monomial pair 1_{C_w} g, 1_{C_v} h.
 
@@ -355,33 +367,37 @@ def kms_monomial_scan(pres, radius, depth, beta, seed=0):
                          "stay cylinders")
     m = _temperature_exponent(measure, beta)
     base = Fraction(measure.base())
+    # masses keyed by word, powers by exponent, for this scan only
+    mass = functools.cache(measure.word_mass)
+    power = functools.cache(base.__pow__)
     ball = enumerate_ball(pres, radius)
     words = reduced_words(pres, depth)
     monomials = len(ball) * len(words)
     pairs = monomials * monomials
-    checked = 0
+    checked = len(ball) * len(words) ** 2
     failures = []
     nonzero = []
     for g in ball.elements:
-        gv_words = {v: pres.multiply(g.word, v) for v in words}
+        # pair A = 1_{C_w} g, B = 1_{C_v} g^-1: both state values vanish
+        # unless C_w meets g C_v = C_{gv}, that is unless w starts with
+        # gv[:depth], a word of depth - |g| to depth letters
+        meets = {}
+        for i, v in enumerate(words):
+            gv = pres.multiply(g.word, v)
+            meets.setdefault(gv[:depth], []).append((i, v, gv))
         for w in words:
-            for v in words:
-                # pair A = 1_{C_w} g, B = 1_{C_v} g^-1
-                z = _intersect_prefixes(w, gv_words[v])
-                if z is None:
-                    lhs = rhs = Fraction(0)
-                else:
-                    rhs = measure.word_mass(z)
-                    b = busemann_on_word(g, z)
-                    lhs = base ** (-m * b) * measure.word_mass(
-                        pres.left_quotient(g.word, z))
-                checked += 1
+            hits = sorted(hit for n in range(depth - g.length(), depth + 1)
+                          for hit in meets.get(w[:n], ()))
+            for _, v, gv in hits:
+                z = gv if len(gv) >= depth else w    # the deeper cylinder
+                rhs = mass(z)
+                lhs = (power(-m * busemann_on_word(g, z))
+                       * mass(pres.left_quotient(g.word, z)))
                 if lhs != rhs and len(failures) < KMS_WITNESSES:
                     failures.append((
                         g.spelled(), _spell(pres.alphabet, w),
                         _spell(pres.alphabet, v), lhs, rhs))
-                if lhs != 0 or rhs != 0:
-                    nonzero.append((g, w, v, lhs, rhs))
+                nonzero.append((g, w, v, lhs, rhs))
     rng = random.Random(seed)
     sample = rng.sample(nonzero, min(KMS_CROSSCHECKS, len(nonzero)))
     for g, w, v, lhs, rhs in sample:

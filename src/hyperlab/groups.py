@@ -590,7 +590,8 @@ def cyclically_reduce(g):
     while len(word) > 1 and word[0] == inv[word[-1]]:
         prefix.append(word[0])
         word = word[1:-1]
-    u = GroupElement(pres, pres.normalize(tuple(prefix)))
+    # a prefix of a reduced word is reduced
+    u = GroupElement(pres, tuple(prefix))
     c = GroupElement(pres, tuple(word))
     return u, c
 

@@ -151,8 +151,8 @@ def _suite_green(pres, cfg, radius):
     data = metrics.solve_green(pres, radius_hint=radius)
     checks = []
     if pres.kind == "free":
-        k = pres.rank
-        scale = math.log(2 * k - 1)
+        measure = boundary.BoundaryMeasure(pres)
+        scale = measure.dimension
         ball = groups.enumerate_ball(pres, radius)
         dev = max(abs(data.value(g.word) - scale * g.length())
                   for g in ball.elements)
@@ -163,7 +163,7 @@ def _suite_green(pres, cfg, radius):
                      "truncation": data.truncation, "tolerance": 1e-6},
         ))
         step = data.passage((0,))
-        expected = 1.0 / (2 * k - 1)
+        expected = 1.0 / measure.base()
         checks.append(CheckResult(
             name="first-passage-closed-form",
             passed=abs(step - expected) <= 1e-9,
@@ -271,7 +271,8 @@ def _suite_cocycle(pres, cfg, radius):
     scan_rows = cocycles.critical_exponent_scan(band, [float(p) for p in grid])
     oracle = (pres.kind == "free" and band.K == 1 and band.C == 0
               and band.metric.exact and band.metric.scale == 1)
-    growth = 2 * pres.rank - 1 if pres.kind == "free" else None
+    growth = (boundary.BoundaryMeasure(pres).base() if pres.kind == "free"
+              else None)
     for row in scan_rows:
         details = {"p": row.p, "verdict": row.verdict,
                    "last_ratio": row.ratios[-1] if row.ratios else None,

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -152,7 +153,7 @@ def test_busemann_on_word_matches_rays(free2):
     # |g| + 1 and every shorter w that is not a prefix of g
     for g in groups.enumerate_ball(free2, 3).elements:
         n = g.length()
-        words = boundary.reduced_words(free2, n + 1) + [
+        words = list(boundary.reduced_words(free2, n + 1)) + [
             w for m in range(n) for w in boundary.reduced_words(free2, m)
             if g.word[:m] != w]
         for w in words:
@@ -327,3 +328,26 @@ def test_cylinder_contains(free2):
 def test_reduced_words_counts(free2):
     assert [len(boundary.reduced_words(free2, d)) for d in range(4)] == \
         [1, 4, 12, 36]
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_reduced_words_match_a_brute_force_filter(rank):
+    pres = groups.free_group(rank)
+    inv = pres.alphabet.inverse
+    for depth in range(6):
+        expected = tuple(
+            w for w in itertools.product(range(2 * rank), repeat=depth)
+            if all(b != inv[a] for a, b in zip(w, w[1:])))
+        words = boundary.reduced_words(pres, depth)
+        assert words == expected
+        # one immutable partition per (presentation, depth)
+        assert boundary.reduced_words(pres, depth) is words
+
+
+def test_partition_cache_is_bounded():
+    size = boundary.PARTITION_CACHE_SIZE
+    for _ in range(size + 1):
+        boundary.reduced_words(groups.free_group(2), 1)
+    info = boundary.reduced_words.cache_info()
+    assert info.maxsize == size
+    assert info.currsize == size

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperlab import boundary, crossed, groups
+from hyperlab import boundary, cli, crossed, groups
 from hyperlab.errors import InputError
 
 
@@ -49,6 +49,31 @@ def test_step_function_algebra(free2):
     assert (f * g) == g          # nested cylinders multiply to the deeper one
     assert (f + g).evaluate(boundary.boundary_point(free2, "", "ab")) == 2
     assert (f * Fraction(3)).integral() == Fraction(3, 4)
+
+
+def test_products_stay_dense_with_exact_zeros(free2):
+    prod = (crossed.StepFunction.indicator(free2, "a")
+            * crossed.StepFunction.indicator(free2, "bb"))
+    assert prod.values.keys() == set(boundary.reduced_words(free2, 2))
+    assert all(type(v) is Fraction and v == 0 for v in prod.values.values())
+    assert prod.is_zero()
+    assert type(prod.integral()) is Fraction
+    # an integer factor still makes Fraction products, zeros included
+    a = free2.element("a")
+    mixed = crossed.busemann_step(free2, a) * crossed.StepFunction.indicator(
+        free2, "b")
+    assert all(type(v) is Fraction for v in mixed.values.values())
+
+
+def test_real_time_flow_values_stay_complex(free2):
+    a = free2.element("a")
+    flowed = crossed.apply_flow(crossed.CrossedElement.monomial(free2, "a", a),
+                                crossed.FlowParameter.real(0.5))
+    values = flowed.terms[a].values
+    assert values.keys() == set(boundary.reduced_words(free2, 2))
+    assert all(type(v) is complex for v in values.values())
+    assert [w for w, v in values.items() if v] == [
+        w for w in boundary.reduced_words(free2, 2) if w[0] == 0]
 
 
 def test_step_function_translate(free2):
@@ -264,6 +289,40 @@ def test_kms_scan_detects_wrong_temperature(free2):
     assert len(scan.failures) == 5  # capped
     g, w, z, lhs, rhs = scan.failures[0]
     assert lhs != rhs
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("hot", [False, True], ids=["critical", "hot"])
+def test_closed_form_matches_the_engine_on_every_pair(monkeypatch, rank,
+                                                      hot):
+    # every pair whose cylinders meet goes through the generic engine,
+    # which raises on any closed-form value it does not reproduce
+    pres = groups.free_group(rank)
+    beta = boundary.BoundaryMeasure(pres).dimension
+    if hot:
+        beta += math.log(2 * rank - 1)
+    monkeypatch.setattr(crossed, "KMS_CROSSCHECKS", 10 ** 9)
+    scan = crossed.kms_monomial_scan(pres, 1, 2, beta)
+    words = boundary.reduced_words(pres, 2)
+    meeting = 0
+    for g in groups.enumerate_ball(pres, 1).elements:
+        for v in words:
+            gv = pres.multiply(g.word, v)
+            meeting += sum(1 for w in words
+                           if w[:len(gv)] == gv or gv[:len(w)] == w)
+    assert scan.crosschecked == meeting
+    assert scan.equal is not hot
+
+
+def test_kms_suite_enumerates_each_partition_once(tmp_path):
+    boundary.reduced_words.cache_clear()
+    code = cli.main(["check", "--suite", "kms", "--group", "free:2",
+                     "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    info = boundary.reduced_words.cache_info()
+    # nothing was evicted, so every miss built a partition still cached
+    assert info.misses == info.currsize < info.maxsize
+    assert info.hits > info.misses
 
 
 def test_kms_scan_depth_guard(free2):

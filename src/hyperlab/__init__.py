@@ -59,14 +59,12 @@ from .cocycles import (
 from .boundary import (
     BoundaryMeasure,
     BoundaryPoint,
-    Cylinder,
     boundary_gromov,
     boundary_point,
     busemann_boundary,
     busemann_on_word,
     conformal_identity_check,
     conformality_check,
-    cylinder,
     fixed_points,
     parse_boundary_point,
     reduced_words,
@@ -102,12 +100,10 @@ __all__ = [
     "affine_action_check", "build_pair_band", "busemann_group",
     "cocycle_identity_scan", "critical_exponent_scan", "haagerup_value",
     "lp_norm", "properness_check",
-    "BoundaryMeasure", "BoundaryPoint", "Cylinder", "boundary_gromov",
-    "boundary_point", "busemann_boundary", "busemann_on_word",
-    "conformal_identity_check", "conformality_check", "cylinder",
-    "fixed_points",
-    "parse_boundary_point", "reduced_words", "seeded_family",
-    "visual_distance",
+    "BoundaryMeasure", "BoundaryPoint", "boundary_gromov", "boundary_point",
+    "busemann_boundary", "busemann_on_word", "conformal_identity_check",
+    "conformality_check", "fixed_points", "parse_boundary_point",
+    "reduced_words", "seeded_family", "visual_distance",
     "CrossedElement", "FlowParameter", "StepFunction", "apply_flow",
     "busemann_step", "kms_check", "kms_monomial_scan",
     "nonvanishing_certificate", "state_omega",

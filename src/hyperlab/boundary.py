@@ -196,47 +196,6 @@ def fixed_points(g):
     return plus, minus, core.length()
 
 
-class Cylinder:
-    """Boundary points whose infinite word starts with a fixed prefix."""
-
-    __slots__ = ("pres", "prefix")
-
-    def __init__(self, pres, prefix):
-        _require_free(pres)
-        prefix = tuple(prefix)
-        if not prefix:
-            raise InputError("cylinder prefix must be nonempty")
-        _check_reduced(pres, prefix, "cylinder prefix")
-        self.pres = pres
-        self.prefix = prefix
-
-    def depth(self):
-        return len(self.prefix)
-
-    def contains(self, xi):
-        return xi.starts_with(self.prefix)
-
-    def spelled(self):
-        return _spell(self.pres.alphabet, self.prefix)
-
-    def __eq__(self, other):
-        if not isinstance(other, Cylinder):
-            return NotImplemented
-        return self.pres is other.pres and self.prefix == other.prefix
-
-    def __hash__(self):
-        return hash((id(self.pres), self.prefix))
-
-    def __repr__(self):
-        return f"<C_{self.spelled()}>"
-
-
-def cylinder(pres, spec):
-    if isinstance(spec, Cylinder):
-        return spec
-    return Cylinder(pres, pres.parse_word(spec))
-
-
 # (presentation, length) partitions kept by reduced_words; the free:2
 # depth-8 partition holds 8,748 words
 PARTITION_CACHE_SIZE = 64
@@ -305,23 +264,27 @@ class ConformalityReport:
         return [r for r in self.records if not r.ok]
 
 
-def conformality_ratio(g, cyl):
+def conformality_ratio(g, word):
     """Measure ratio of g^-1 C_w to C_w against the predicted power of 2k-1.
 
-    The two sides come from independent routes: group multiplication plus
-    the mass formula for the ratio, prefix matching for the busemann
-    exponent.  The busemann value must be constant on the cylinder, which
-    fails exactly when the prefix is a proper prefix of g's word.
+    The cylinder C_w is given by its nonempty reduced word w, spelled or
+    as a tuple.  The two sides come from independent routes: group
+    multiplication plus the mass formula for the ratio, prefix matching
+    for the busemann exponent.  The busemann value must be constant on
+    the cylinder, which fails exactly when w is a proper prefix of g's
+    word.
     """
     pres = g.pres
-    cyl = cylinder(pres, cyl)
     measure = BoundaryMeasure(pres)
-    w = cyl.prefix
+    w = pres.parse_word(word)
+    if not w:
+        raise InputError("cylinder word must be nonempty")
+    _check_reduced(pres, w, "cylinder word")
     t = common_prefix_len(g.word, w)
     if t == len(w) and len(w) < g.length():
         raise InputError(
             f"busemann value of {g.spelled()!r} is not constant on "
-            f"cylinder {cyl.spelled()!r}; need a deeper cylinder")
+            f"cylinder {_spell(pres.alphabet, w)!r}; need a deeper cylinder")
     if t == len(w) == g.length():
         # w is exactly g's word: the pullback misses only the cylinder
         # over the inverse of g's last letter
@@ -331,7 +294,7 @@ def conformality_ratio(g, cyl):
     ratio = pulled_mass / measure.word_mass(w)
     b = busemann_on_word(g, w)
     return ConformalityRecord(
-        cylinder=cyl.spelled(),
+        cylinder=_spell(pres.alphabet, w),
         ratio=ratio,
         busemann=b,
         ok=ratio == Fraction(measure.base()) ** b,
@@ -355,8 +318,7 @@ def conformality_check(g, depth):
             f"depth {depth} does not determine the busemann value of "
             f"{g.spelled()!r}: not constant on cylinder {offending!r}; "
             f"need depth >= {n + 1}")
-    records = [conformality_ratio(g, Cylinder(pres, w))
-               for w in reduced_words(pres, depth)]
+    records = [conformality_ratio(g, w) for w in reduced_words(pres, depth)]
     return ConformalityReport(
         g=g.spelled(),
         depth=depth,

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .groups import bulk_product_lengths, enumerate_ball
+from .groups import bulk_product_lengths, enumerate_ball, free_sphere_size
 from .metrics import (
     metric_distance_matrix,
     rough_geodesic,
@@ -122,33 +122,27 @@ class LpNormReport:
     lower_bound: object
 
 
-def _sphere_upper(pres, n):
-    """Upper bound on sphere sizes: exact for free, free-cover otherwise."""
-    k2 = len(pres.alphabet.symbols)
-    if n == 0:
-        return 1
-    return k2 * (k2 - 1) ** (n - 1)
-
-
 def _tail_bound(band, g, p):
     """Bound on the lp mass of pairs outside the truncation ball.
 
     Uses |c_g(x,y)| <= e^{|g|} e^{-(x|y)} and (x|y) >= |x| - (K+C) on the
     band, summed against sphere-count upper bounds.  Exact zero on free
-    groups once the ball swallows the geodesic's K+C neighborhood.
+    groups once the ball swallows the geodesic's K+C neighborhood, whose
+    word radius is (K+C)/scale.
     """
     pres = band.metric.pres
     kc = float(band.K) + float(band.C)
     if pres.kind == "free" and band.metric.exact:
-        if band.ball.radius >= g.length() + math.ceil(kc):
+        reach = (Fraction(band.K) + Fraction(band.C)) / Fraction(band.metric.scale)
+        if band.ball.radius >= g.length() + math.ceil(reach):
             return 0.0
-    growth = _sphere_upper(pres, 2) / max(1, _sphere_upper(pres, 1))
+    growth = free_sphere_size(pres, 2) / max(1, free_sphere_size(pres, 1))
     q = growth * math.exp(-float(p))
     if q >= 1.0:
         return math.inf
     r = band.ball.radius
-    per_point = sum(_sphere_upper(pres, n) for n in range(math.floor(kc) + 1))
-    lead = _sphere_upper(pres, r + 1) * math.exp(-float(p) * (r + 1))
+    per_point = sum(free_sphere_size(pres, n) for n in range(math.floor(kc) + 1))
+    lead = free_sphere_size(pres, r + 1) * math.exp(-float(p) * (r + 1))
     series = lead / (1.0 - q)
     try:
         spread = math.exp(float(p) * (kc + g.length()))

@@ -627,10 +627,14 @@ class Ball:
         return g.word in self.index
 
 
-def free_sphere_size(rank, n):
+def free_sphere_size(pres, n):
+    """Reduced words of length n over the alphabet's 2k letters,
+    2k(2k-1)^(n-1): the exact sphere size on free kinds, and on the other
+    kinds a bound from the free group covering them."""
     if n == 0:
         return 1
-    return 2 * rank * (2 * rank - 1) ** (n - 1)
+    k2 = len(pres.alphabet.symbols)
+    return k2 * (k2 - 1) ** (n - 1)
 
 
 def enumerate_ball(pres, radius):
@@ -638,7 +642,7 @@ def enumerate_ball(pres, radius):
     if radius < 0:
         raise InputError("radius must be >= 0")
     if pres.kind == "free":
-        total = sum(free_sphere_size(pres.rank, n) for n in range(radius + 1))
+        total = sum(free_sphere_size(pres, n) for n in range(radius + 1))
         if total > ELEMENT_CAP:
             raise ResourceLimitError(
                 f"ball would hold {total} elements (cap {ELEMENT_CAP})"

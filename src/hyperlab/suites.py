@@ -80,24 +80,29 @@ class SuiteReport:
     group: str
     settings: dict
     checks: list
-    counts: dict
-    passed: bool
     table: tuple = None
     duration: float = field(default=0.0, compare=False)
 
+    @property
+    def counts(self):
+        failures = sum(0 if c.passed else 1 for c in self.checks)
+        return {"checks": len(self.checks), "failures": failures}
 
-def _finish(suite, cfg, settings, checks, table, started):
-    failures = sum(0 if c.passed else 1 for c in checks)
-    return SuiteReport(
-        suite=suite,
-        group=cfg.group,
-        settings=settings,
-        checks=checks,
-        counts={"checks": len(checks), "failures": failures},
-        passed=failures == 0,
-        table=table,
-        duration=time.perf_counter() - started,
-    )
+    @property
+    def passed(self):
+        return all(c.passed for c in self.checks)
+
+
+def _exact_p(p):
+    """An integral p as an int, so lp norms stay exact rationals."""
+    return int(p) if float(p).is_integer() else p
+
+
+def _edge_band(pres, band):
+    """Whether the band is the edge set of a free group's Cayley tree,
+    where the lp norms and the exponent scan have closed forms."""
+    return (pres.kind == "free" and band.K == 1 and band.C == 0
+            and band.metric.exact and band.metric.scale == 1)
 
 
 def _build_metric(pres, cfg, radius):
@@ -208,8 +213,7 @@ def _norm_table(band, g, grid):
     rows = []
     reports = []
     for p in grid:
-        p_exact = int(p) if float(p).is_integer() else p
-        rep = cocycles.lp_norm(band, g, p_exact)
+        rep = cocycles.lp_norm(band, g, _exact_p(p))
         reports.append(rep)
         rows.append((rep.p, rep.K, rep.C, rep.radius, rep.norm_p,
                      rep.tail_bound, rep.n, rep.lower_bound))
@@ -219,16 +223,15 @@ def _norm_table(band, g, grid):
 def _suite_cocycle(pres, cfg, radius):
     grid = cfg.p if cfg.p is not None else DEFAULT_P["cocycle"]
     band = _band_for(pres, cfg, radius)
+    oracle = _edge_band(pres, band)
     settings = _settings(cfg, radius, K=band.K, C=band.C, p=list(grid),
                          g=cfg.g)
     checks = []
     if cfg.g is not None:
         g = pres.element(cfg.g)
         table, reports = _norm_table(band, g, grid)
-        free_edge_case = (pres.kind == "free" and band.K == 1 and band.C == 0
-                          and band.metric.exact)
         for rep in reports:
-            expected = 2 * g.length() if free_edge_case else None
+            expected = 2 * g.length() if oracle else None
             checks.append(CheckResult(
                 name=f"lp-norm-p={rep.p}",
                 passed=(rep.norm_p == expected) if expected is not None else True,
@@ -250,7 +253,7 @@ def _suite_cocycle(pres, cfg, radius):
                  "sampled_triples": scan.sampled_triples,
                  "max_sample_defect": scan.max_sample_defect},
     ))
-    if pres.kind == "free" and band.K == 1 and band.C == 0 and band.metric.exact:
+    if oracle:
         norm_els = [g for g in band.ball.elements if g.length() <= 4]
         bad = None
         for g in norm_els:
@@ -269,8 +272,6 @@ def _suite_cocycle(pres, cfg, radius):
             witness=bad,
         ))
     scan_rows = cocycles.critical_exponent_scan(band, [float(p) for p in grid])
-    oracle = (pres.kind == "free" and band.K == 1 and band.C == 0
-              and band.metric.exact and band.metric.scale == 1)
     growth = (boundary.BoundaryMeasure(pres).base() if pres.kind == "free"
               else None)
     for row in scan_rows:
@@ -296,8 +297,7 @@ def _suite_cocycle(pres, cfg, radius):
 
 def _suite_properness(pres, cfg, radius):
     grid = cfg.p if cfg.p is not None else DEFAULT_P["properness"]
-    p = grid[0]
-    p = int(p) if float(p).is_integer() else p
+    p = _exact_p(grid[0])
     band = _band_for(pres, cfg, radius)
     settings = _settings(cfg, radius, K=band.K, C=band.C, p=[p], g=cfg.g)
     checks = []
@@ -311,7 +311,8 @@ def _suite_properness(pres, cfg, radius):
                      "lower_bound": cert.lower_bound, "actual": cert.actual},
         ))
         return settings, checks, None
-    failures = []
+    failures = 0
+    witness = None
     count = 0
     min_n_margin = None
     for g in band.ball.elements:
@@ -321,8 +322,8 @@ def _suite_properness(pres, cfg, radius):
         try:
             cert = cocycles.properness_check(band, g, p)
         except InvariantViolation as exc:
-            if len(failures) < 5:
-                failures.append({"g": g.spelled(), "error": str(exc)})
+            failures += 1
+            witness = witness or {"g": g.spelled(), "error": str(exc)}
             continue
         floor_bound = (g.length() - (band.K + band.C)) / band.K
         margin = cert.n - floor_bound
@@ -331,10 +332,10 @@ def _suite_properness(pres, cfg, radius):
     checks.append(CheckResult(
         name="properness-certificates",
         passed=not failures,
-        details={"elements": count, "failures": len(failures),
+        details={"elements": count, "failures": failures,
                  "min_count_margin": float(min_n_margin)
                  if min_n_margin is not None else None},
-        witness=failures[0] if failures else None,
+        witness=witness,
     ))
     return settings, checks, None
 
@@ -344,7 +345,7 @@ def _suite_boundary(pres, cfg, radius):
     ball = groups.enumerate_ball(pres, radius)
     checks = []
 
-    conf_failures = []
+    conf_bad = None
     scanned = 0
     for g in ball.elements:
         if g.is_identity():
@@ -354,17 +355,15 @@ def _suite_boundary(pres, cfg, radius):
             depth = max(depth, cfg.depth)
         rep = boundary.conformality_check(g, depth)
         scanned += len(rep.records)
-        if not rep.all_equal:
+        if not rep.all_equal and conf_bad is None:
             bad = rep.failures()[0]
-            if len(conf_failures) < 5:
-                conf_failures.append({"g": rep.g, "cylinder": bad.cylinder,
-                                      "ratio": bad.ratio,
-                                      "busemann": bad.busemann})
+            conf_bad = {"g": rep.g, "cylinder": bad.cylinder,
+                        "ratio": bad.ratio, "busemann": bad.busemann}
     checks.append(CheckResult(
         name="measure-conformality",
-        passed=not conf_failures,
+        passed=conf_bad is None,
         details={"elements": len(ball) - 1, "cylinders": scanned},
-        witness=conf_failures[0] if conf_failures else None,
+        witness=conf_bad,
     ))
 
     family = boundary.seeded_family(pres, 50, cfg.seed)
@@ -450,6 +449,19 @@ def _suite_boundary(pres, cfg, radius):
     return settings, checks, None
 
 
+def _kms_witness(scan):
+    """The first unequal pair of a KMS monomial scan, or None."""
+    if not scan.failures:
+        return None
+    return dict(zip(("g", "w", "v", "lhs", "rhs"), scan.failures[0]))
+
+
+def _random_monomial(pres, rng, words, els):
+    """1_{C_w} g for a seeded word w, drawn first, and element g."""
+    return crossed.CrossedElement.monomial(
+        pres, words[rng.randrange(len(words))], els[rng.randrange(len(els))])
+
+
 def _suite_kms(pres, cfg, radius):
     depth = cfg.depth if cfg.depth is not None else 3
     measure = boundary.BoundaryMeasure(pres)
@@ -457,11 +469,11 @@ def _suite_kms(pres, cfg, radius):
     settings = _settings(cfg, radius, depth=depth)
     checks = []
 
-    a = pres.element("a")
-    A = crossed.CrossedElement.monomial(pres, "a", a)
-    B = crossed.CrossedElement.monomial(pres, "aa", a.inverse())
+    a = pres.element_from_symbol(0)
+    A = crossed.CrossedElement.monomial(pres, a.word, a)
+    B = crossed.CrossedElement.monomial(pres, a.word * 2, a.inverse())
     pair = crossed.kms_check(A, B, dim)
-    expected = measure.word_mass(pres.parse_word("aaa"))
+    expected = measure.word_mass(a.word * 3)
     checks.append(CheckResult(
         name="worked-monomial-pair",
         passed=pair.equal and pair.lhs == expected,
@@ -476,25 +488,18 @@ def _suite_kms(pres, cfg, radius):
                  "zero_pairs": scan.zero_pairs,
                  "checked_pairs": scan.checked_pairs,
                  "crosschecked": scan.crosschecked},
-        witness={"g": scan.failures[0][0], "w": scan.failures[0][1],
-                 "v": scan.failures[0][2], "lhs": scan.failures[0][3],
-                 "rhs": scan.failures[0][4]} if scan.failures else None,
+        witness=_kms_witness(scan),
     ))
 
     base = measure.base()
     hot = crossed.kms_monomial_scan(pres, radius, depth, dim + math.log(base),
                                     seed=cfg.seed)
-    witness = None
-    if hot.failures:
-        witness = {"g": hot.failures[0][0], "w": hot.failures[0][1],
-                   "v": hot.failures[0][2], "lhs": hot.failures[0][3],
-                   "rhs": hot.failures[0][4]}
     checks.append(CheckResult(
         name="temperature-sensitivity",
         passed=not hot.equal,
         details={"beta_offset": math.log(base),
                  "unequal_pairs_found": len(hot.failures)},
-        witness=witness,
+        witness=_kms_witness(hot),
     ))
 
     rng = random.Random(cfg.seed)
@@ -502,12 +507,8 @@ def _suite_kms(pres, cfg, radius):
     els = groups.enumerate_ball(pres, min(2, radius)).elements
     bad_pos = None
     for _ in range(20):
-        one = crossed.CrossedElement.monomial(
-            pres, words[rng.randrange(len(words))],
-            els[rng.randrange(len(els))])
-        two = crossed.CrossedElement.monomial(
-            pres, words[rng.randrange(len(words))],
-            els[rng.randrange(len(els))])
+        one = _random_monomial(pres, rng, words, els)
+        two = _random_monomial(pres, rng, words, els)
         val = crossed.state_omega(crossed.cp_multiply((one + two).adjoint(),
                                                       one + two))
         if val < 0 and bad_pos is None:
@@ -522,12 +523,8 @@ def _suite_kms(pres, cfg, radius):
     flow = crossed.FlowParameter.imaginary(dim)
     bad_flow = None
     for _ in range(10):
-        one = crossed.CrossedElement.monomial(
-            pres, words[rng.randrange(len(words))],
-            els[rng.randrange(len(els))])
-        two = crossed.CrossedElement.monomial(
-            pres, words[rng.randrange(len(words))],
-            els[rng.randrange(len(els))])
+        one = _random_monomial(pres, rng, words, els)
+        two = _random_monomial(pres, rng, words, els)
         lhs = crossed.apply_flow(crossed.cp_multiply(one, two), flow)
         rhs = crossed.cp_multiply(crossed.apply_flow(one, flow),
                                   crossed.apply_flow(two, flow))
@@ -562,5 +559,6 @@ def run_scenario(cfg):
         started = time.perf_counter()
         radius = cfg.radius if cfg.radius is not None else DEFAULT_RADIUS[name]
         settings, checks, table = _SUITE_RUNNERS[name](pres, cfg, radius)
-        reports.append(_finish(name, cfg, settings, checks, table, started))
+        reports.append(SuiteReport(name, cfg.group, settings, checks, table,
+                                   duration=time.perf_counter() - started))
     return reports

@@ -242,12 +242,12 @@ def test_measure_splits_over_children(free2, measure):
 
 def test_conformality_single_cylinders(free2):
     a = free2.element("a")
-    rec = boundary.conformality_ratio(a, boundary.cylinder(free2, "aa"))
+    rec = boundary.conformality_ratio(a, "aa")
     assert rec.ratio == 3
     assert rec.busemann == 1
     assert rec.ok
 
-    rec = boundary.conformality_ratio(a, boundary.cylinder(free2, "ba"))
+    rec = boundary.conformality_ratio(a, "ba")
     assert rec.ratio == Fraction(1, 3)
     assert rec.busemann == -1
     assert rec.ok
@@ -259,7 +259,7 @@ def test_conformality_on_own_cylinder():
     for k, spelled in ((2, "a"), (3, "ab'c")):
         pres = groups.free_group(k)
         g = pres.element(spelled)
-        rec = boundary.conformality_ratio(g, boundary.cylinder(pres, spelled))
+        rec = boundary.conformality_ratio(g, spelled)
         n = g.length()
         own_mass = Fraction(1, 2 * k * (2 * k - 1) ** (n - 1))
         assert rec.ratio == Fraction(2 * k - 1, 2 * k) / own_mass
@@ -270,7 +270,7 @@ def test_conformality_on_own_cylinder():
 def test_conformality_needs_constant_busemann(free2):
     g = free2.element("ab")
     with pytest.raises(InputError):
-        boundary.conformality_ratio(g, boundary.cylinder(free2, "a"))
+        boundary.conformality_ratio(g, "a")
     with pytest.raises(InputError):
         boundary.conformality_check(g, 2)
 
@@ -316,13 +316,13 @@ def test_seeded_family_deterministic(free2):
     assert len({p.spelled() for p in one}) == 10
 
 
-def test_cylinder_contains(free2):
-    cyl = boundary.cylinder(free2, "ab")
-    assert cyl.depth() == 2
-    assert cyl.contains(boundary.boundary_point(free2, "", "ab"))
-    assert not cyl.contains(boundary.boundary_point(free2, "", "ba"))
-    with pytest.raises(InputError):
-        boundary.cylinder(free2, "1")
+def test_conformality_rejects_words_outside_input(free2):
+    # a cylinder is given by a nonempty reduced word
+    a = free2.element("a")
+    for word in ("1", "aa'", (0, 1)):
+        with pytest.raises(InputError):
+            boundary.conformality_ratio(a, word)
+    assert boundary.conformality_ratio(a, (0, 0)).ratio == 3
 
 
 def test_reduced_words_counts(free2):

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from hyperlab import cli, groups
+from hyperlab import cli, cocycles, groups
+from hyperlab.errors import InvariantViolation
 
 
 def run_main(tmp_path, *args):
@@ -285,3 +286,31 @@ def test_cocycle_scan_forms_each_product_once(tmp_path, monkeypatch):
                        "--group", "surface:2", "--radius", "2")
     assert code == 0
     assert len(calls) <= 12_000
+
+
+def test_properness_counts_every_failure(tmp_path, monkeypatch):
+    def failing(band, g, p):
+        raise InvariantViolation(f"no certificate for {g.spelled()}")
+
+    monkeypatch.setattr(cocycles, "properness_check", failing)
+    code, payload = run_main(tmp_path, "check", "--suite", "properness",
+                             "--group", "free:2")
+    assert code == 1
+    check = json.loads(payload)["reports"][0]["checks"][0]
+    assert check["details"]["elements"] == 1456
+    assert check["details"]["failures"] == 1456
+    assert check["witness"] == {"g": "a", "error": "no certificate for a"}
+
+
+def test_kms_worked_pair_on_the_first_generator(tmp_path):
+    # free:27 spells its generators x0, ..., x26; at radius 0 the scan has
+    # no beta-dependence, so temperature-sensitivity fails by design
+    code, payload = run_main(tmp_path, "check", "--suite", "kms",
+                             "--group", "free:27", "--radius", "0",
+                             "--depth", "1")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(payload)["reports"][0]["checks"]}
+    worked = checks["worked-monomial-pair"]
+    assert worked["passed"] is True
+    assert worked["details"]["expected"] == "1/151686"
+    assert checks["temperature-sensitivity"]["passed"] is False

@@ -286,3 +286,14 @@ def test_partition_points_follow_the_min_rule_on_random_paths():
         path = [(t, k) for k, t in enumerate(times)]
         assert (cocycles._nearest_points(path, targets)
                 == _literal_nearest(path, targets))
+
+
+def test_tail_bound_counts_k_in_word_units(free2):
+    # at scale 1/3 the band K = 2 is word distance 6, so the band of c_a
+    # is not inside the ball before radius 7; its full norm is 324
+    metric = metrics.word_metric(free2, scale=Fraction(1, 3))
+    g = free2.element("a")
+    for radius in range(3, 7):
+        band = cocycles.build_pair_band(metric, 2, radius, C=0)
+        rep = cocycles.lp_norm(band, g, 2)
+        assert rep.norm_p + rep.tail_bound >= 324

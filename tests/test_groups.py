@@ -27,8 +27,17 @@ def test_free_sphere_sizes():
 def test_free_sphere_sizes_match_closed_form():
     f3 = groups.free_group(3)
     ball = groups.enumerate_ball(f3, 4)
-    expected = [groups.free_sphere_size(3, n) for n in range(5)]
+    expected = [groups.free_sphere_size(f3, n) for n in range(5)]
     assert ball.sphere_sizes() == expected
+    assert expected == [1, 6, 30, 150, 750]
+
+
+@pytest.mark.parametrize("spec", ["modular", "surface:2"])
+def test_free_sphere_size_bounds_other_kinds(spec):
+    pres = groups.preset(spec)
+    sizes = groups.enumerate_ball(pres, 4).sphere_sizes()
+    assert all(size <= groups.free_sphere_size(pres, n)
+               for n, size in enumerate(sizes))
 
 
 def test_modular_sphere_sizes():

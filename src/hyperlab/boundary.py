@@ -25,6 +25,13 @@ def _require_free(pres):
             f"the exact boundary model needs a free presentation, got {pres.kind!r}")
 
 
+def _require_nonelementary(pres):
+    _require_free(pres)
+    if pres.rank < 2:
+        raise UnsupportedElementError(f"free:{pres.rank} is elementary: at "
+                                      "most two boundary points")
+
+
 def _check_reduced(pres, word, what):
     inv = pres.alphabet.inverse
     for a, b in zip(word, word[1:]):
@@ -222,7 +229,7 @@ class BoundaryMeasure:
     __slots__ = ("pres", "rank")
 
     def __init__(self, pres):
-        _require_free(pres)
+        _require_nonelementary(pres)
         self.pres = pres
         self.rank = pres.rank
 
@@ -352,7 +359,7 @@ def conformal_identity_check(g, xi, eta):
 
 def seeded_family(pres, count=50, seed=0):
     """Deterministic family of distinct eventually periodic points."""
-    _require_free(pres)
+    _require_nonelementary(pres)
     rng = random.Random(seed)
     inv = pres.alphabet.inverse
     letters = list(range(len(pres.alphabet)))

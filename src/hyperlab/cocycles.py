@@ -3,9 +3,10 @@
 The group-level translation cocycle is b(g)(x) = |x| - |g^-1 x|; the
 pair cocycle is c_g(x,y) = (g|x) - (g|y) restricted to the coarse edge
 set of ordered pairs whose distance lies in [K-C, K+C].  Both are exact
-integers (or half-integers) for word metrics.  lp norms are truncated to
-a ball and carry analytic tail bounds; properness certificates follow
-the partition-of-a-geodesic argument.
+integers (or half-integers) for word metrics, and read from two rows of
+the band's distance matrix.  lp norms are truncated to a ball and carry
+analytic tail bounds; properness certificates follow the
+partition-of-a-geodesic argument.
 """
 import math
 from bisect import bisect_left
@@ -16,11 +17,7 @@ import numpy as np
 
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .groups import bulk_product_lengths, enumerate_ball, free_sphere_size
-from .metrics import (
-    metric_distance_matrix,
-    rough_geodesic,
-    word_distance_matrix,
-)
+from .metrics import metric_distance_matrix, rough_geodesic
 
 
 def busemann_group(g, x):
@@ -38,16 +35,17 @@ def haagerup_value(metric, g, x, y):
 class PairBand:
     """Ordered pairs from a ball with distance in [K-C, K+C] (inclusive).
 
-    `mask` is the boolean n x n membership matrix over ball.elements and
-    `index` the (pairs, 2) int64 array of its true entries.  Elements,
-    lengths and distances are read from the ball.
+    `distances` is the metric's n x n matrix over ball.elements (the
+    ball's own word distances on exact kinds), `mask` the boolean
+    membership matrix and `index` the (pairs, 2) array of its entries.
     """
 
-    def __init__(self, metric, K, C, ball, mask):
+    def __init__(self, metric, K, C, ball, distances, mask):
         self.metric = metric
         self.K = K
         self.C = C
         self.ball = ball
+        self.distances = distances
         self.mask = mask
         self.index = np.argwhere(mask)
 
@@ -84,30 +82,48 @@ def build_pair_band(metric, K, radius, C=None):
     if not K > 2 * C:
         raise InputError(f"need K > 2C, got K={K}, C={C}")
     ball = enumerate_ball(metric.pres, radius)
-    dint = word_distance_matrix(ball)
+    d = metric_distance_matrix(metric, ball)
+    lo, hi = K - C, K + C
     if metric.exact:
-        scale = Fraction(metric.scale)
-        lo = Fraction(K) - Fraction(C)
-        hi = Fraction(K) + Fraction(C)
-        lo_n = math.ceil(lo / scale)
-        hi_n = math.floor(hi / scale)
-        mask = (dint >= lo_n) & (dint <= hi_n)
-    else:
-        d = metric_distance_matrix(metric, ball)
-        mask = (d >= K - C) & (d <= K + C)
+        # integer distances: the window's integer ends bound the same pairs
+        lo, hi = math.ceil(lo), math.floor(hi)
+    mask = (d >= lo) & (d <= hi)
     np.fill_diagonal(mask, False)
-    return PairBand(metric, K, C, ball, mask)
+    return PairBand(metric, K, C, ball, d, mask)
 
 
-def _band_cocycle_doubled(band, g):
-    """2*c_g over the band's pairs as an exact integer array."""
-    i = band.ball.index.get(g.word)
-    if i is None:
-        prod = bulk_product_lengths(band.ball.pres, [g], band.ball.elements)[0]
-    else:
-        prod = word_distance_matrix(band.ball)[i]  # |g^-1 x|, g in the ball
-    b_vec = band.ball.lengths - prod               # b(g)(x) per ball element
+def _distance_row(band, g):
+    """d(g, x) over the band's ball: a row of its matrix when g is in the
+    ball, else product lengths (exact kinds) or one distance an element."""
+    ball = band.ball
+    i = ball.index.get(g.word)
+    if i is not None:
+        return band.distances[i]
+    if band.metric.exact:
+        return bulk_product_lengths(ball.pres, [g], ball.elements)[0]
+    return np.array([band.metric.distance(g, x) for x in ball.elements])
+
+
+def _band_cocycle_doubled(band, row):
+    """2*c_g over the band's pairs from row = d(g, .): b(x) - b(y) with
+    b = d(e, .) - d(g, .), exact integers on exact metrics."""
+    b_vec = band.distances[0] - row
     return b_vec[band.index[:, 0]] - b_vec[band.index[:, 1]]
+
+
+def _cocycle_norm(band, row, p):
+    """Sum of |c_g|^p over the band, given row = d(g, .) over the ball;
+    an exact Fraction on exact metrics at integral p."""
+    mags = np.abs(_band_cocycle_doubled(band, row))
+    if band.metric.exact and p == int(p):
+        ip = int(p)
+        top = int(mags.max()) if mags.size else 0
+        if top ** ip * len(mags) < 2 ** 63:    # the int64 sum fits
+            total = int((mags ** ip).sum())
+        else:
+            total = sum(int(v) ** ip for v in mags)
+        return Fraction(total, 2 ** ip)
+    return float(((mags * 0.5) ** float(p)).sum())
 
 
 @dataclass
@@ -127,14 +143,13 @@ def _tail_bound(band, g, p):
 
     Uses |c_g(x,y)| <= e^{|g|} e^{-(x|y)} and (x|y) >= |x| - (K+C) on the
     band, summed against sphere-count upper bounds.  Exact zero on free
-    groups once the ball swallows the geodesic's K+C neighborhood, whose
-    word radius is (K+C)/scale.
+    groups once the ball swallows the geodesic's K+C neighborhood.
     """
     pres = band.metric.pres
     kc = float(band.K) + float(band.C)
     if pres.kind == "free" and band.metric.exact:
-        reach = (Fraction(band.K) + Fraction(band.C)) / Fraction(band.metric.scale)
-        if band.ball.radius >= g.length() + math.ceil(reach):
+        reach = math.ceil(Fraction(band.K) + Fraction(band.C))
+        if band.ball.radius >= g.length() + reach:
             return 0.0
     growth = free_sphere_size(pres, 2) / max(1, free_sphere_size(pres, 1))
     q = growth * math.exp(-float(p))
@@ -155,40 +170,20 @@ def lp_norm(band, g, p):
     """Truncated sum of |c_g|^p over the band, with tail bound."""
     if p < 1:
         raise InputError("p must be >= 1")
-    metric = band.metric
-    if g.pres is not metric.pres:
+    if g.pres is not band.metric.pres:
         raise InputError("element lives in a different presentation")
-    exact_p = p == int(p)
-    if metric.exact:
-        doubled = _band_cocycle_doubled(band, g)
-        scale = Fraction(metric.scale)
-        if exact_p:
-            ip = int(p)
-            mags = np.abs(doubled)
-            top = int(mags.max()) if mags.size else 0
-            if top ** ip * len(mags) < 2 ** 63:    # the int64 sum fits
-                total = int((mags ** ip).sum())
-            else:
-                total = sum(int(v) ** ip for v in mags)
-            norm = Fraction(total, 2 ** ip) * scale ** ip
-        else:
-            vals = np.abs(doubled) * (float(scale) / 2.0)
-            norm = float((vals ** float(p)).sum())
-    else:
-        total = 0.0
-        for x, y in band.element_pairs():
-            total += abs(haagerup_value(metric, g, x, y)) ** float(p)
-        norm = total
+    row = _distance_row(band, g)
     kc = Fraction(band.K) + Fraction(band.C)
-    n = max(0, math.floor((Fraction(g.length()) - kc) / Fraction(band.K)))
+    # d(e, g) in the band's unit
+    n = max(0, math.floor((Fraction(row[0].item()) - kc) / Fraction(band.K)))
     gap = Fraction(band.K) - 2 * Fraction(band.C)
-    lower = gap ** int(p) * n if exact_p else float(gap) ** float(p) * n
+    lower = gap ** int(p) * n if p == int(p) else float(gap) ** float(p) * n
     return LpNormReport(
         p=p,
         K=band.K,
         C=band.C,
         radius=band.ball.radius,
-        norm_p=norm,
+        norm_p=_cocycle_norm(band, row, p),
         tail_bound=_tail_bound(band, g, p),
         n=n,
         lower_bound=lower,
@@ -241,10 +236,11 @@ def properness_check(band, g, p):
     metric = band.metric
     if g.pres is not metric.pres:
         raise InputError("element lives in a different presentation")
+    actual = _cocycle_norm(band, _distance_row(band, g), p)
     if g.is_identity():
         return PropernessCertificate(
             g=g.spelled(), n=0, points=[], segment_values=[],
-            lower_bound=0 * Fraction(band.K), actual=lp_norm(band, g, p).norm_p,
+            lower_bound=0 * Fraction(band.K), actual=actual,
         )
     path = rough_geodesic(metric, metric.pres.identity, g)
     span = path[-1][0]
@@ -271,7 +267,6 @@ def properness_check(band, g, p):
     gap = Fraction(band.K) - 2 * Fraction(band.C)
     lower = gap ** int(p) * n if exact_p and metric.exact else (
         float(gap) ** float(p) * n)
-    actual = lp_norm(band, g, p).norm_p
     if not actual >= lower:
         raise InvariantViolation(
             f"truncated norm {actual} below certificate bound {lower}")
@@ -299,13 +294,15 @@ def _translate_vector(g, vec):
 
 
 def _cocycle_vector(band, g):
-    metric = band.metric
-    out = {}
-    for x, y in band.element_pairs():
-        v = haagerup_value(metric, g, x, y)
-        if v != 0:
-            out[(x, y)] = v
-    return out
+    """c_g as a sparse map from band pairs (x, y) to its nonzero values."""
+    doubled = _band_cocycle_doubled(band, _distance_row(band, g))
+    nonzero = np.flatnonzero(doubled)
+    els = band.ball.elements.__getitem__
+    xi, yi = band.index[nonzero].T.tolist()
+    # an object array keeps exact halves as Fractions
+    half = Fraction(1, 2) if band.metric.exact else 0.5
+    values = (doubled[nonzero].astype(object) * half).tolist()
+    return dict(zip(zip(map(els, xi), map(els, yi)), values))
 
 
 def _add_vectors(a, b):
@@ -405,9 +402,10 @@ class ExponentScanRow:
 def critical_exponent_scan(band, p_grid):
     """Truncated sums of e^{-p (x|y)} over the band, by shell.
 
-    The shell of a pair is max(|x|, |y|); the verdict compares successive
-    shell increments geometrically.  For free groups the predicted
-    convergence threshold is the growth exponent log(2k-1).
+    Gromov products are read from the band's distance matrix; the shell
+    of a pair is max(|x|, |y|).  The verdict compares successive shell
+    increments geometrically.  For free groups the predicted convergence
+    threshold is the growth exponent log(2k-1).
     """
     for p in p_grid:
         if p < 1:
@@ -417,9 +415,9 @@ def critical_exponent_scan(band, p_grid):
         return [ExponentScanRow(float(p), [], [], [], [], "empty")
                 for p in p_grid]
     lens = band.ball.lengths
-    dist = word_distance_matrix(band.ball)
+    dist = band.distances
     xi, yi = band.index[:, 0], band.index[:, 1]
-    doubled = lens[xi] + lens[yi] - dist[xi, yi]           # 2 (x|y), exact
+    doubled = dist[0, xi] + dist[0, yi] - dist[xi, yi]     # 2 (x|y)
     shell = np.maximum(lens[xi], lens[yi])
     shells = sorted(set(shell.tolist()))
     for p in p_grid:

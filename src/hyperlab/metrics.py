@@ -2,9 +2,8 @@
 
 Three metric kinds:
 
-* "word": canonical word length, exact integers times a rational scale,
-  read from `GroupPresentation.left_quotient` (the common prefix on free
-  groups).
+* "word": canonical word length, an exact integer read from
+  `GroupPresentation.left_quotient` (the common prefix on free groups).
 * "tree": same values on free groups; its Gromov product is the common
   prefix of the products o^-1 x and o^-1 y, not a sum of three distances,
   so the two routes can be checked against each other.
@@ -186,7 +185,8 @@ def solve_green(pres, walk=None, radius_hint=4, truncation=None):
         raise InputError("walk belongs to a different presentation")
     if walk.is_radial():
         t = truncation if truncation is not None else max(21, 4 * radius_hint + 16)
-        usable = min(2 * radius_hint, t)
+        # the one-letter passage is always usable, even at radius 0
+        usable = min(max(1, 2 * radius_hint), t)
         u1 = _radial_passage(pres.rank, t)
         u2 = _radial_passage(pres.rank, 2 * t)
         top = min(usable, t)
@@ -211,7 +211,7 @@ def solve_green(pres, walk=None, radius_hint=4, truncation=None):
 class MetricStructure:
     """A left-invariant metric: d(x, y) is a function of x^-1 y."""
 
-    def __init__(self, pres, kind="word", scale=1, green=None):
+    def __init__(self, pres, kind="word", green=None):
         if kind not in ("word", "tree", "green"):
             raise InputError(f"unknown metric kind {kind!r}")
         if kind == "tree" and pres.kind != "free":
@@ -221,13 +221,6 @@ class MetricStructure:
                 raise InputError("green metrics need solved walk data")
             if green.pres is not pres:
                 raise InputError("walk data belongs to a different presentation")
-            self.scale = float(scale)
-        else:
-            if isinstance(scale, float):
-                raise InputError("exact metric kinds take a rational scale")
-            self.scale = Fraction(scale)
-        if self.scale <= 0:
-            raise InputError("metric scale must be positive")
         self.pres = pres
         self.kind = kind
         self.green = green
@@ -245,11 +238,11 @@ class MetricStructure:
         self._check(x, y)
         if self.kind == "tree":
             lcp = common_prefix_len(x.word, y.word)
-            return (len(x.word) + len(y.word) - 2 * lcp) * self.scale
+            return len(x.word) + len(y.word) - 2 * lcp
         w = self.pres.left_quotient(x.word, y.word)
         if self.kind == "word":
-            return len(w) * self.scale
-        return self.green.value(w) * self.scale
+            return len(w)
+        return self.green.value(w)
 
     def gromov_product(self, x, y, base=None):
         """(x|y)_base = (d(base,x) + d(base,y) - d(x,y)) / 2."""
@@ -258,14 +251,12 @@ class MetricStructure:
         self._check(o)
         if self.kind == "tree":
             q = self.pres.left_quotient
-            return common_prefix_len(q(o.word, x.word),
-                                     q(o.word, y.word)) * self.scale
+            return common_prefix_len(q(o.word, x.word), q(o.word, y.word))
         if self.kind == "word":
-            # integer lengths, halved and scaled in one Fraction
             q = self.pres.left_quotient
             n = (len(q(o.word, x.word)) + len(q(o.word, y.word))
                  - len(q(x.word, y.word)))
-            return Fraction(n * self.scale.numerator, 2 * self.scale.denominator)
+            return Fraction(n, 2)
         dx = self.distance(o, x)
         dy = self.distance(o, y)
         dxy = self.distance(x, y)
@@ -281,18 +272,18 @@ class MetricStructure:
         return 4.0 * self.green.gap + 1e-9
 
 
-def word_metric(pres, scale=1):
-    return MetricStructure(pres, "word", scale)
+def word_metric(pres):
+    return MetricStructure(pres, "word")
 
 
-def tree_metric(pres, scale=1):
-    return MetricStructure(pres, "tree", scale)
+def tree_metric(pres):
+    return MetricStructure(pres, "tree")
 
 
-def green_metric(pres, walk=None, radius_hint=4, truncation=None, scale=1.0):
+def green_metric(pres, walk=None, radius_hint=4, truncation=None):
     data = solve_green(pres, walk, radius_hint=radius_hint,
                        truncation=truncation)
-    return MetricStructure(pres, "green", scale, green=data)
+    return MetricStructure(pres, "green", green=data)
 
 
 def word_distance_matrix(ball):
@@ -310,12 +301,13 @@ def word_distance_matrix(ball):
 
 
 def metric_distance_matrix(metric, ball):
-    """Pairwise scaled distances as float64."""
+    """Pairwise distances: on exact kinds the ball's own int64 word
+    distances (not a copy), on Green metrics a float64 table."""
     if ball.pres is not metric.pres:
         raise InputError("ball and metric use different presentations")
     dint = word_distance_matrix(ball)
     if metric.exact:
-        return dint.astype(np.float64) * float(metric.scale)
+        return dint
     green = metric.green
     if green.mode == "radial":
         top = int(dint.max()) if dint.size else 0
@@ -323,7 +315,7 @@ def metric_distance_matrix(metric, ball):
             raise InputError(
                 f"ball needs green distances up to {top}, usable range is "
                 f"{green.usable}; solve with a larger radius hint")
-        return green.log_table()[dint] * metric.scale
+        return green.log_table()[dint]
     els = ball.elements
     n = len(els)
     d = np.zeros((n, n))
@@ -331,7 +323,7 @@ def metric_distance_matrix(metric, ball):
         for j in range(i + 1, n):
             d[i, j] = d[j, i] = green.value(
                 metric.pres.left_quotient(g.word, els[j].word))
-    return d * metric.scale
+    return d
 
 
 def _basepoint_representatives(ball, d):
@@ -456,8 +448,7 @@ def rough_geodesic(metric, x, y):
     metric._check(x, y)
     pres = metric.pres
     letters = pres.left_quotient(x.word, y.word)
-    zero = Fraction(0) if metric.exact else 0.0
-    points = [(zero, x)]
+    points = [(0 if metric.exact else 0.0, x)]
     g = x
     for sym in letters:
         g = GroupElement(pres, pres.multiply(g.word, (sym,)))

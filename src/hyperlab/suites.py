@@ -59,10 +59,13 @@ class ScenarioConfig:
             raise InputError("radius must be nonnegative")
         if self.depth is not None and self.depth < 1:
             raise InputError("depth must be at least 1")
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
         if self.p is not None:
             for x in self.p:
-                if x < 1:
-                    raise InputError("p values must be at least 1")
+                if not (math.isfinite(x) and x >= 1):
+                    raise InputError(f"p values must be finite and at "
+                                     f"least 1, got {x}")
         return self
 
 
@@ -102,7 +105,7 @@ def _edge_band(pres, band):
     """Whether the band is the edge set of a free group's Cayley tree,
     where the lp norms and the exponent scan have closed forms."""
     return (pres.kind == "free" and band.K == 1 and band.C == 0
-            and band.metric.exact and band.metric.scale == 1)
+            and band.metric.exact)
 
 
 def _build_metric(pres, cfg, radius):
@@ -175,7 +178,7 @@ def _suite_green(pres, cfg, radius):
             details={"passage": step, "expected": expected,
                      "gap": data.gap},
         ))
-    green = metrics.MetricStructure(pres, "green", 1.0, green=data)
+    green = metrics.MetricStructure(pres, "green", green=data)
     ball4p = groups.enumerate_ball(pres, min(radius, 3))
     rep = metrics.check_strong_hyperbolicity(green, ball4p, seed=cfg.seed)
     checks.append(CheckResult(
@@ -197,13 +200,11 @@ def _band_for(pres, cfg, radius):
     # window falls between two distances the ball realizes, and every
     # check on it would fail or be vacuous.  A ball too small to reach K
     # is allowed: its properness certificates need no pair.
-    if band.empty:
-        top = metrics.metric_distance_matrix(metric, band.ball).max()
-        if top > band.K + band.C:
-            raise InputError(
-                f"no pair of the radius-{radius} ball has its distance in "
-                f"[K-C, K+C] = [{band.K - band.C}, {band.K + band.C}]; "
-                "choose another K")
+    if band.empty and band.distances.max() > band.K + band.C:
+        raise InputError(
+            f"no pair of the radius-{radius} ball has its distance in "
+            f"[K-C, K+C] = [{band.K - band.C}, {band.K + band.C}]; "
+            "choose another K")
     return band
 
 
@@ -272,8 +273,6 @@ def _suite_cocycle(pres, cfg, radius):
             witness=bad,
         ))
     scan_rows = cocycles.critical_exponent_scan(band, [float(p) for p in grid])
-    growth = (boundary.BoundaryMeasure(pres).base() if pres.kind == "free"
-              else None)
     for row in scan_rows:
         details = {"p": row.p, "verdict": row.verdict,
                    "last_ratio": row.ratios[-1] if row.ratios else None,
@@ -281,6 +280,8 @@ def _suite_cocycle(pres, cfg, radius):
                    if row.partial_sums else None}
         passed = True
         if oracle and row.ratios:
+            growth = (groups.free_sphere_size(pres, 2)
+                      // groups.free_sphere_size(pres, 1))
             predicted = growth * math.exp(-row.p)
             details["predicted_ratio"] = predicted
             correct_verdict = ("converges" if row.p > math.log(growth)
@@ -315,7 +316,7 @@ def _suite_properness(pres, cfg, radius):
     witness = None
     count = 0
     min_n_margin = None
-    for g in band.ball.elements:
+    for i, g in enumerate(band.ball.elements):
         if g.is_identity():
             continue
         count += 1
@@ -325,7 +326,8 @@ def _suite_properness(pres, cfg, radius):
             failures += 1
             witness = witness or {"g": g.spelled(), "error": str(exc)}
             continue
-        floor_bound = (g.length() - (band.K + band.C)) / band.K
+        d_eg = band.distances[0, i].item()    # d(e, g) in the band's unit
+        floor_bound = (d_eg - (band.K + band.C)) / band.K
         margin = cert.n - floor_bound
         if min_n_margin is None or margin < min_n_margin:
             min_n_margin = margin

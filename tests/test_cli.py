@@ -88,6 +88,41 @@ def test_empty_band_exit_two(capsys, suite):
     assert "[K-C, K+C]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--seed", "-1"), "seed must be nonnegative"),
+    (("--p", "inf", "--g", "a"), "finite and at least 1, got inf"),
+    (("--p", "nan"), "finite and at least 1, got nan"),
+    (("--p", "1,-inf"), "got -inf"),
+])
+def test_bad_seed_or_p_exit_two(capsys, flags, message):
+    assert cli.main(["check", "--suite", "cocycle", "--group", "free:2",
+                     *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["strong-hyp", "green", "cocycle",
+                                   "properness", "boundary", "kms"])
+def test_every_suite_ends_promptly_on_the_integers(suite):
+    # free:1 is Z: two boundary points and a recurrent walk, so the suites
+    # that need a boundary measure refuse it, and the others run
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperlab.cli", "check", "--suite", suite,
+         "--group", "free:1"], capture_output=True, timeout=10)
+    assert proc.returncode in (0, 2), proc.stderr
+    if suite in ("green", "boundary", "kms"):
+        assert proc.returncode == 2
+        assert b"free:1 is elementary" in proc.stderr
+
+
+def test_green_suite_at_radius_zero(tmp_path):
+    # the closed-form check reads the one-letter passage at every radius
+    code, payload = run_main(tmp_path, "check", "--suite", "green",
+                             "--group", "free:2", "--radius", "0")
+    assert code == 0
+    report = json.loads(payload)["reports"][0]
+    assert report["counts"] == {"checks": 3, "failures": 0}
+
+
 def test_band_past_a_small_ball_is_reported_empty(tmp_path):
     # no two elements of the radius-2 ball are 20 apart
     code, payload = run_main(tmp_path, "check", "--suite", "cocycle",
@@ -215,9 +250,10 @@ PINNED_REPORTS = [
     (("--suite", "cocycle", "--group", "free:2", "--g", "abab",
       "--format", "csv"),
      "f999ce400a89308b51c7da52b79271bae70347f6c57410a4a6b3ad076365315a"),
+    # min_count_margin reads d(e, g) in Green units
     (("--suite", "properness", "--group", "modular", "--metric", "green",
       "--radius", "3", "--K", "12"),
-     "98d06eb2b1b45dffa9a7825456516aa92edf608557a3826b4a665816b8ceb19f"),
+     "fbed6284aa34bd66cff48e53a95bbb97c42ef8d28e5ca1fa90d0d81c3e666c06"),
     (("--suite", "green", "--group", "modular"),
      "e9e4d8564bd120e390563bbd2e9de29274e3c40f787b510a4d2df72a074b33c7"),
     (("--suite", "strong-hyp", "--group", "modular", "--metric", "green"),

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperlab import cocycles, groups, metrics
@@ -127,6 +128,71 @@ def test_lp_norm_matches_literal_sum(word2, free2):
             assert cocycles.lp_norm(band, g, p).norm_p == literal
 
 
+def test_exact_band_keeps_the_ball_matrix(band6):
+    assert band6.distances is band6.ball.distances
+    surface = groups.surface_group(2)
+    band = cocycles.build_pair_band(metrics.word_metric(surface), 3, 2)
+    assert band.distances is band.ball.distances
+
+
+@pytest.fixture(scope="module")
+def green_band(free2):
+    # Green distances on free:2 are multiples of log 3: the band around
+    # K = log 3 holds the Cayley edges; radius hint 8 makes distances up
+    # to 16 usable, so elements of length 12 outside the radius-3 ball
+    # have their rows too
+    metric = metrics.green_metric(free2, radius_hint=8)
+    band = cocycles.build_pair_band(metric, Fraction(math.log(3)), 3)
+    assert len(band) == 104
+    return band
+
+
+def test_green_band_keeps_the_metric_matrix(green_band):
+    expected = metrics.metric_distance_matrix(green_band.metric,
+                                              green_band.ball)
+    assert np.array_equal(green_band.distances, expected)
+
+
+@pytest.mark.parametrize("text,n", [("a", 0), ("ab'", 0), ("ababa", 3),
+                                    # word units would give n = 9
+                                    ("ab" * 6, 10)])
+def test_green_lp_norm_matches_the_scalar_route(green_band, free2, text, n):
+    metric = green_band.metric
+    g = free2.element(text)
+    for p in (1, 2, 3):
+        literal = sum(abs(cocycles.haagerup_value(metric, g, x, y)) ** p
+                      for x, y in green_band.element_pairs())
+        rep = cocycles.lp_norm(green_band, g, p)
+        assert rep.norm_p == pytest.approx(literal, rel=1e-12)
+        # n = floor((d(e, g) - K - C) / K) with d(e, g) = |g| log 3
+        assert rep.n == n
+
+
+def test_green_cocycle_vector_matches_the_scalar_route(green_band, free2):
+    metric = green_band.metric
+    g = free2.element("ab'")
+    vec = cocycles._cocycle_vector(green_band, g)
+    for x, y in green_band.element_pairs():
+        value = cocycles.haagerup_value(metric, g, x, y)
+        assert vec.get((x, y), 0.0) == pytest.approx(value, rel=1e-12,
+                                                      abs=1e-12)
+
+
+def test_green_exponent_scan_weighs_green_products(green_band):
+    metric = green_band.metric
+    grid = (1.0, 2.0)
+    rows = cocycles.critical_exponent_scan(green_band, grid)
+    for p, row in zip(grid, rows):
+        by_shell = {}
+        for x, y in green_band.element_pairs():
+            shell = max(x.length(), y.length())
+            weight = math.exp(-p * metric.gromov_product(x, y))
+            by_shell[shell] = by_shell.get(shell, 0.0) + weight
+        assert row.shells == sorted(by_shell)
+        assert row.increments == pytest.approx(
+            [by_shell[s] for s in row.shells], rel=1e-12)
+
+
 def test_lp_norm_sum_stays_exact_at_large_p(band6, free2):
     # |2 c_ab| is 2 on four band pairs and 0 elsewhere: at p = 61 each
     # term 2^61 fits in int64, but their sum 2^63 does not
@@ -221,6 +287,17 @@ def test_affine_action_axioms(band6, free2):
         assert value == 2 * g.length()
 
 
+def test_affine_displacements_are_the_lp_norms(word2, free2):
+    band = cocycles.build_pair_band(word2, 2, 4, C=0)
+    gs = groups.enumerate_ball(free2, 1).elements
+    for p in (1, 2, 3):
+        rep = cocycles.affine_action_check(band, gs, p)
+        assert rep.identity_exact
+        for g, (spelled, value) in zip(gs, rep.displacements):
+            assert spelled == g.spelled()
+            assert value == cocycles.lp_norm(band, g, p).norm_p
+
+
 def test_affine_action_support_escape(word2, free2):
     band3 = cocycles.build_pair_band(word2, 1, 3, C=0)
     ball = groups.enumerate_ball(free2, 2)
@@ -286,14 +363,3 @@ def test_partition_points_follow_the_min_rule_on_random_paths():
         path = [(t, k) for k, t in enumerate(times)]
         assert (cocycles._nearest_points(path, targets)
                 == _literal_nearest(path, targets))
-
-
-def test_tail_bound_counts_k_in_word_units(free2):
-    # at scale 1/3 the band K = 2 is word distance 6, so the band of c_a
-    # is not inside the ball before radius 7; its full norm is 324
-    metric = metrics.word_metric(free2, scale=Fraction(1, 3))
-    g = free2.element("a")
-    for radius in range(3, 7):
-        band = cocycles.build_pair_band(metric, 2, radius, C=0)
-        rep = cocycles.lp_norm(band, g, 2)
-        assert rep.norm_p + rep.tail_bound >= 324

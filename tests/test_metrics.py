@@ -18,13 +18,6 @@ def test_word_metric_is_exact_and_equivariant():
     assert wm.distance(a, a) == 0
 
 
-def test_word_metric_scaling():
-    f2 = groups.free_group(2)
-    half = metrics.word_metric(f2, scale=Fraction(1, 2))
-    assert half.distance(f2.element("ab"), f2.identity) == Fraction(1)
-    assert half.exact
-
-
 def test_gromov_product_tree_dual_route():
     # distance formula vs longest-common-prefix count
     f2 = groups.free_group(2)
@@ -290,21 +283,12 @@ def test_metric_rejects_foreign_elements():
         wm.distance(f2.element("a"), f3.element("a"))
 
 
-def test_green_metric_carries_scale():
-    f2 = groups.free_group(2)
-    gm = metrics.green_metric(f2, radius_hint=3, scale=2.0)
-    gm1 = metrics.green_metric(f2, radius_hint=3)
-    a = f2.element("ab")
-    assert gm.distance(a, f2.identity) == pytest.approx(
-        2.0 * gm1.distance(a, f2.identity))
-
-
 def _product_distance(metric, x, y):
     # the route distance took before the common prefix: renormalize x^-1 y
     w = metric.pres.normalize(x.inverse().word + y.word)
     if metric.kind == "word":
-        return len(w) * metric.scale
-    return metric.green.value(w) * metric.scale
+        return len(w)
+    return metric.green.value(w)
 
 
 def _product_gromov(metric, x, y, o):
@@ -312,34 +296,32 @@ def _product_gromov(metric, x, y, o):
     dy = _product_distance(metric, o, y)
     dxy = _product_distance(metric, x, y)
     if metric.exact:
-        return (dx + dy - dxy) / 2
+        return Fraction(dx + dy - dxy, 2)
     return 0.5 * (dx + dy - dxy)
 
 
 _QUOTIENT_CASES = [
-    pytest.param("free:2", 3, "word", 1, id="free2-r3-word"),
-    pytest.param("free:2", 3, "word", Fraction(3, 2), id="free2-r3-word-3/2"),
-    pytest.param("free:2", 3, "green", 1.0, id="free2-r3-green"),
-    pytest.param("free:3", 2, "word", 1, id="free3-r2-word"),
-    pytest.param("free:3", 2, "word", Fraction(3, 2), id="free3-r2-word-3/2"),
-    pytest.param("free:3", 2, "green", 1.0, id="free3-r2-green"),
-    pytest.param("modular", 3, "word", Fraction(3, 2), id="modular-r3-word"),
+    pytest.param("free:2", 3, "word", id="free2-r3-word"),
+    pytest.param("free:2", 3, "green", id="free2-r3-green"),
+    pytest.param("free:3", 2, "word", id="free3-r2-word"),
+    pytest.param("free:3", 2, "green", id="free3-r2-green"),
+    pytest.param("modular", 3, "word", id="modular-r3-word"),
 ]
 
 
-def _quotient_case(spec, radius, kind, scale):
+def _quotient_case(spec, radius, kind):
     pres = groups.preset(spec)
     if kind == "word":
-        metric = metrics.word_metric(pres, scale)
+        metric = metrics.word_metric(pres)
     else:
-        metric = metrics.green_metric(pres, radius_hint=radius, scale=scale)
+        metric = metrics.green_metric(pres, radius_hint=radius)
         assert metric.green.mode == "radial"
     return metric, groups.enumerate_ball(pres, radius).elements
 
 
-@pytest.mark.parametrize("spec,radius,kind,scale", _QUOTIENT_CASES)
-def test_distances_equal_the_product_route(spec, radius, kind, scale):
-    metric, els = _quotient_case(spec, radius, kind, scale)
+@pytest.mark.parametrize("spec,radius,kind", _QUOTIENT_CASES)
+def test_distances_equal_the_product_route(spec, radius, kind):
+    metric, els = _quotient_case(spec, radius, kind)
     pres = metric.pres
     for x in els:
         for y in els:
@@ -359,9 +341,9 @@ def test_distances_equal_the_product_route(spec, radius, kind, scale):
                     == _product_gromov(metric, x, y, base))
 
 
-@pytest.mark.parametrize("spec,radius,kind,scale", _QUOTIENT_CASES)
-def test_rough_geodesic_equals_the_product_route(spec, radius, kind, scale):
-    metric, els = _quotient_case(spec, radius, kind, scale)
+@pytest.mark.parametrize("spec,radius,kind", _QUOTIENT_CASES)
+def test_rough_geodesic_equals_the_product_route(spec, radius, kind):
+    metric, els = _quotient_case(spec, radius, kind)
     pres = metric.pres
     for x in els:
         for y in els[::2]:

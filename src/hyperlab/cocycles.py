@@ -6,18 +6,21 @@ set of ordered pairs whose distance lies in [K-C, K+C].  Both are exact
 integers (or half-integers) for word metrics, and read from two rows of
 the band's distance matrix.  lp norms are truncated to a ball and carry
 analytic tail bounds; properness certificates follow the
-partition-of-a-geodesic argument.
+partition-of-a-geodesic argument and read the same two rows, d(e, .)
+and d(g, .), comparing integers on exact metrics.
 """
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .groups import bulk_product_lengths, enumerate_ball, free_sphere_size
-from .metrics import metric_distance_matrix, rough_geodesic
+from .groups import (GroupElement, bulk_product_lengths, enumerate_ball,
+                     free_sphere_size)
+from .metrics import metric_distance_matrix
 
 
 def busemann_group(g, x):
@@ -64,6 +67,15 @@ class PairBand:
         i = self.ball.index.get(x.word)
         j = self.ball.index.get(y.word)
         return i is not None and j is not None and bool(self.mask[i, j])
+
+    @cached_property
+    def integer_window(self):
+        """(u, K*u, C*u) as ints, u the least common denominator of K and
+        C: on exact metrics, lengths times u are integers, so properness
+        certificates compare no Fraction."""
+        K, C = Fraction(self.K), Fraction(self.C)
+        unit = math.lcm(K.denominator, C.denominator)
+        return unit, int(K * unit), int(C * unit)
 
 
 def build_pair_band(metric, K, radius, C=None):
@@ -166,6 +178,15 @@ def _tail_bound(band, g, p):
     return 2.0 * per_point * spread * series
 
 
+def _norm_lower_bound(band, n, p):
+    """(K-2C)^p * n: exact on exact metrics at integral p, else a float."""
+    unit, k, c = band.integer_window
+    gap = Fraction(k - 2 * c, unit)
+    if band.metric.exact and p == int(p):
+        return gap ** int(p) * n
+    return float(gap) ** float(p) * n
+
+
 def lp_norm(band, g, p):
     """Truncated sum of |c_g|^p over the band, with tail bound."""
     if p < 1:
@@ -176,8 +197,6 @@ def lp_norm(band, g, p):
     kc = Fraction(band.K) + Fraction(band.C)
     # d(e, g) in the band's unit
     n = max(0, math.floor((Fraction(row[0].item()) - kc) / Fraction(band.K)))
-    gap = Fraction(band.K) - 2 * Fraction(band.C)
-    lower = gap ** int(p) * n if p == int(p) else float(gap) ** float(p) * n
     return LpNormReport(
         p=p,
         K=band.K,
@@ -186,7 +205,7 @@ def lp_norm(band, g, p):
         norm_p=_cocycle_norm(band, row, p),
         tail_bound=_tail_bound(band, g, p),
         n=n,
-        lower_bound=lower,
+        lower_bound=_norm_lower_bound(band, n, p),
     )
 
 
@@ -226,54 +245,90 @@ def _nearest_points(path, targets):
     return out
 
 
+def _canonical_path(band, g):
+    """(t, x, i) along the canonical word of g from the identity: the
+    point x after each prefix, its parameter t = d(e, x) and its ball
+    index i.  Prefixes that are canonical words are read from the ball;
+    others are formed by one product, and a point outside the ball (None
+    for i) takes its parameter from the metric."""
+    metric = band.metric
+    pres = metric.pres
+    els, index = band.ball.elements, band.ball.index
+    e_row = band.distances[0]
+    x = pres.identity
+    # d(e, e) = 0; the Green table's -log 1 would read -0.0
+    path = [(0 if metric.exact else 0.0, x, 0)]
+    for k in range(1, len(g.word) + 1):
+        i = index.get(g.word[:k])
+        if i is None:
+            x = GroupElement(pres, pres.multiply(x.word, g.word[k - 1:k]))
+            i = index.get(x.word)
+        else:
+            x = els[i]
+        t = e_row.item(i) if i is not None else metric.distance(
+            pres.identity, x)
+        path.append((t, x, i))
+    return path
+
+
 def properness_check(band, g, p):
     """Certificate that truncated |c_g|_p^p >= (K-2C)^p * n.
 
     Walks the canonical path from the identity to g, picks points spaced
     K apart in the path parameter, and checks every consecutive pair
-    stays in the band with cocycle value at least K - 2C.
+    stays in the band with cocycle value at least K - 2C.  Parameters
+    and Gromov products come from the rows d(e, .) and d(g, .) of the
+    band's matrix; on exact metrics they are compared as integers, in
+    units of 1/u for the u of `PairBand.integer_window`.
     """
     metric = band.metric
     if g.pres is not metric.pres:
         raise InputError("element lives in a different presentation")
-    actual = _cocycle_norm(band, _distance_row(band, g), p)
+    row = _distance_row(band, g)
+    actual = _cocycle_norm(band, row, p)
     if g.is_identity():
         return PropernessCertificate(
             g=g.spelled(), n=0, points=[], segment_values=[],
             lower_bound=0 * Fraction(band.K), actual=actual,
         )
-    path = rough_geodesic(metric, metric.pres.identity, g)
+    path = _canonical_path(band, g)
     span = path[-1][0]
-    n = max(0, math.floor(Fraction(span) / Fraction(band.K))
-            if metric.exact else math.floor(float(span) / float(band.K)))
-    chosen = _nearest_points(path, [i * band.K for i in range(n + 1)])
-    # c_g(x1, x0) = (g|x1) - (g|x0): one Gromov product per partition point
-    prods = [metric.gromov_product(g, x) for _, x in chosen]
+    if metric.exact:
+        unit, step, c = band.integer_window
+        n = span * unit // step
+        floor2 = 2 * (step - 2 * c)
+    else:
+        unit, step = 1, band.K
+        n = max(0, math.floor(float(span) / float(band.K)))
+        floor2 = 2 * (band.K - 2 * band.C)
+    keyed = [(t * unit, t, x, i) for t, x, i in path]
+    chosen = _nearest_points(keyed, [j * step for j in range(n + 1)])
+    # 2 (g|x) = d(e, g) + d(e, x) - d(g, x), read only for points in the
+    # ball: a pair with a point outside it fails before its value
+    d_eg = row.item(0)
     values = []
-    floor_val = band.K - 2 * band.C
-    for (t0, x0), (_, x1), p0, p1 in zip(chosen, chosen[1:], prods,
-                                         prods[1:]):
-        if not band.contains_pair(x1, x0):
+    for (_, t0, x0, i0), (_, t1, x1, i1) in zip(chosen, chosen[1:]):
+        if i0 is None or i1 is None or not band.mask[i1, i0]:
             raise InvariantViolation(
                 f"partition pair ({x1.spelled()}, {x0.spelled()}) left the "
                 f"coarse edge set; the rough constant C={band.C} is too small "
                 "or the band radius is too small")
-        v = p1 - p0
-        if not v >= floor_val:
+        dp0 = d_eg + t0 - row.item(i0)
+        dp1 = d_eg + t1 - row.item(i1)
+        v = Fraction(dp1 - dp0, 2) if metric.exact else 0.5 * dp1 - 0.5 * dp0
+        if not (dp1 - dp0) * unit >= floor2:
             raise InvariantViolation(
-                f"segment value {v} below K-2C={floor_val} at t={t0}")
+                f"segment value {v} below K-2C={band.K - 2 * band.C} "
+                f"at t={t0}")
         values.append(v)
-    exact_p = p == int(p)
-    gap = Fraction(band.K) - 2 * Fraction(band.C)
-    lower = gap ** int(p) * n if exact_p and metric.exact else (
-        float(gap) ** float(p) * n)
+    lower = _norm_lower_bound(band, n, p)
     if not actual >= lower:
         raise InvariantViolation(
             f"truncated norm {actual} below certificate bound {lower}")
     return PropernessCertificate(
         g=g.spelled(),
         n=n,
-        points=[t for t, _ in chosen],
+        points=[t for _, t, _, _ in chosen],
         segment_values=values,
         lower_bound=lower,
         actual=actual,

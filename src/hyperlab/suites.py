@@ -312,10 +312,15 @@ def _suite_properness(pres, cfg, radius):
                      "lower_bound": cert.lower_bound, "actual": cert.actual},
         ))
         return settings, checks, None
+    # margin = n - (d(e, g) - (K+C)) / K; on exact metrics it is kept as
+    # the integer margin * K * u, with u from `PairBand.integer_window`
+    if band.metric.exact:
+        unit, step, c = band.integer_window
+        reach = step + c
     failures = 0
     witness = None
     count = 0
-    min_n_margin = None
+    min_margin = None
     for i, g in enumerate(band.ball.elements):
         if g.is_identity():
             continue
@@ -327,16 +332,20 @@ def _suite_properness(pres, cfg, radius):
             witness = witness or {"g": g.spelled(), "error": str(exc)}
             continue
         d_eg = band.distances[0, i].item()    # d(e, g) in the band's unit
-        floor_bound = (d_eg - (band.K + band.C)) / band.K
-        margin = cert.n - floor_bound
-        if min_n_margin is None or margin < min_n_margin:
-            min_n_margin = margin
+        if band.metric.exact:
+            margin = cert.n * step - (d_eg * unit - reach)
+        else:
+            margin = cert.n - (d_eg - (band.K + band.C)) / band.K
+        if min_margin is None or margin < min_margin:
+            min_margin = margin
+    if min_margin is not None:
+        min_margin = float(Fraction(min_margin, step)
+                           if band.metric.exact else min_margin)
     checks.append(CheckResult(
         name="properness-certificates",
         passed=not failures,
         details={"elements": count, "failures": failures,
-                 "min_count_margin": float(min_n_margin)
-                 if min_n_margin is not None else None},
+                 "min_count_margin": min_margin},
         witness=witness,
     ))
     return settings, checks, None

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from hyperlab import cli, cocycles, groups
+from hyperlab import cli, cocycles, groups, metrics
 from hyperlab.errors import InvariantViolation
 
 
@@ -285,16 +285,17 @@ def test_report_bytes_are_pinned(tmp_path, args, digest):
     assert hashlib.sha256(payload).hexdigest() == digest
 
 
-def _count_normalize(monkeypatch):
-    """List that collects every word passed to normalize from now on."""
+def _count_calls(monkeypatch, owner, name):
+    """List that collects the arguments of every call to owner.name from
+    now on."""
     calls = []
-    normalize = groups.GroupPresentation.normalize
+    method = getattr(owner, name)
 
-    def counting(self, word):
-        calls.append(word)
-        return normalize(self, word)
+    def counting(self, *args):
+        calls.append(args)
+        return method(self, *args)
 
-    monkeypatch.setattr(groups.GroupPresentation, "normalize", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -307,17 +308,47 @@ def _count_normalize(monkeypatch):
 def test_free_runs_rarely_normalize(tmp_path, monkeypatch, args, limit):
     # free-kind distances come from the common prefix of the two words,
     # so the properness certificates renormalize no product
-    calls = _count_normalize(monkeypatch)
+    calls = _count_calls(monkeypatch, groups.GroupPresentation, "normalize")
     code, _ = run_main(tmp_path, "check", *args)
     assert code == 0
     assert len(calls) < limit
+
+
+def test_properness_reads_the_band_matrix(tmp_path, monkeypatch):
+    # parameters and Gromov products come from two rows of the band's
+    # matrix: 9,476 gromov_product and 37,904 left_quotient calls when
+    # each partition point took one scalar product
+    products = _count_calls(monkeypatch, metrics.MetricStructure,
+                            "gromov_product")
+    quotients = _count_calls(monkeypatch, groups.GroupPresentation,
+                             "left_quotient")
+    code, _ = run_main(tmp_path, "check", "--suite", "properness",
+                       "--group", "free:2")
+    assert code == 0
+    assert len(products) == 0
+    assert len(quotients) <= 1456       # one per non-identity element
+
+
+def test_green_norm_bound_is_a_float(tmp_path):
+    # (K-2C)^p * n is exact only on exact metrics; on Green bands the csv
+    # prints it as a float, as properness certificates report it (it was
+    # a Fraction of 30 to 100 digits)
+    code, payload = run_main(tmp_path, "check", "--suite", "cocycle",
+                             "--group", "free:2", "--metric", "green",
+                             "--g", "abab", "--radius", "4",
+                             "--K", "1.0986122886681098", "--format", "csv")
+    assert code == 0
+    lines = payload.decode().splitlines()
+    assert lines[0].endswith(",n,lower_bound")
+    bounds = [line.split(",")[-1] for line in lines[1:]]
+    assert bounds == ["2.19722457332", "2.41389791279", "2.65193790574"]
 
 
 def test_cocycle_scan_forms_each_product_once(tmp_path, monkeypatch):
     # the identity scan reads each g*h of the outer ball from the row kept
     # when it was first formed (16,048 normalize calls when it formed
     # every product twice)
-    calls = _count_normalize(monkeypatch)
+    calls = _count_calls(monkeypatch, groups.GroupPresentation, "normalize")
     code, _ = run_main(tmp_path, "check", "--suite", "cocycle",
                        "--group", "surface:2", "--radius", "2")
     assert code == 0

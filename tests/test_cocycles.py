@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hyperlab import cocycles, groups, metrics
-from hyperlab.errors import InputError, ResourceLimitError
+from hyperlab.errors import InputError, InvariantViolation, ResourceLimitError
 
 
 @pytest.fixture(scope="module")
@@ -247,9 +247,69 @@ def test_properness_whole_ball(band6, free2):
 
 def test_properness_needs_room(word2, free2):
     small = cocycles.build_pair_band(word2, 1, 2, C=0)
-    from hyperlab.errors import InvariantViolation
-    with pytest.raises(InvariantViolation):
+    # "aba" is outside the radius-2 ball, so no pair holds it
+    with pytest.raises(InvariantViolation) as caught:
         cocycles.properness_check(small, free2.element("ababab"), 1)
+    assert str(caught.value) == (
+        "partition pair (aba, ab) left the coarse edge set; the rough "
+        "constant C=0 is too small or the band radius is too small")
+
+
+def _scalar_certificate(band, g, n):
+    """Partition points and segment values by the scalar route: the
+    rough geodesic's points and one Gromov product per point."""
+    metric = band.metric
+    path = metrics.rough_geodesic(metric, metric.pres.identity, g)
+    chosen = cocycles._nearest_points(
+        path, [i * band.K for i in range(n + 1)])
+    values = [metric.gromov_product(g, x1) - metric.gromov_product(g, x0)
+              for (_, x0), (_, x1) in zip(chosen, chosen[1:])]
+    return [t for t, _ in chosen], values
+
+
+@pytest.mark.parametrize("spec,radius,K,C", [
+    ("free:2", 6, 1, 0),
+    ("free:2", 5, Fraction(5, 2), Fraction(1, 2)),
+    ("free:3", 4, 2, 0),
+    ("modular", 6, 1, 0),
+    ("surface:2", 2, 1, 0),
+])
+def test_properness_matches_the_scalar_route(spec, radius, K, C):
+    pres = groups.preset(spec)
+    band = cocycles.build_pair_band(metrics.word_metric(pres), K, radius,
+                                    C=C)
+    for g in band.ball.elements[1:]:
+        cert = cocycles.properness_check(band, g, 1)
+        points, values = _scalar_certificate(band, g, cert.n)
+        assert cert.points == points
+        assert all(type(t) is int for t in cert.points)
+        assert cert.segment_values == values
+        assert all(type(v) is Fraction for v in cert.segment_values)
+
+
+def test_green_properness_matches_the_scalar_route(green_band):
+    for g in green_band.ball.elements[1:]:
+        cert = cocycles.properness_check(green_band, g, 1)
+        points, values = _scalar_certificate(green_band, g, cert.n)
+        assert cert.points == pytest.approx(points, rel=1e-12)
+        assert cert.segment_values == pytest.approx(values, rel=1e-12)
+
+
+def test_one_rule_for_the_certificate_bound(band6, green_band, free2):
+    # (K-2C)^p * n: exact on exact metrics at integral p, else a float,
+    # for lp norms and properness certificates alike
+    g = free2.element("aba")
+    for band, exact in ((band6, True), (green_band, False)):
+        gap = Fraction(band.K) - 2 * Fraction(band.C)
+        for p in (1, 2, 2.5):
+            for rep in (cocycles.lp_norm(band, g, p),
+                        cocycles.properness_check(band, g, p)):
+                if exact and p == int(p):
+                    assert rep.lower_bound == gap ** p * rep.n
+                    assert type(rep.lower_bound) is Fraction
+                else:
+                    assert rep.lower_bound == float(gap) ** p * rep.n
+                    assert type(rep.lower_bound) is float
 
 
 def test_exponent_scan_ratios_and_verdicts(band6):
@@ -334,6 +394,8 @@ def _literal_nearest(path, targets):
 @pytest.mark.parametrize("times,targets", [
     # exact ties: K = 5/2 on an integer path, ties go to the smaller t
     ([Fraction(t) for t in range(8)], [i * Fraction(5, 2) for i in range(4)]),
+    # the same path and targets in units of 1/2, as properness compares them
+    ([2 * t for t in range(8)], [5 * i for i in range(4)]),
     # repeated parameters: the earlier point wins
     ([0, 1, 1, 2, 2, 2, 3, 3], [Fraction(i, 2) for i in range(8)]),
     # floats, not monotone, with repeats and targets past both ends
@@ -353,9 +415,15 @@ def test_partition_points_follow_the_min_rule_on_random_paths():
     rng = random.Random(11)
     for _ in range(300):
         n = rng.randint(1, 12)
-        if rng.random() < 0.5:
+        kind = rng.random()
+        if kind < 0.25:
             times = [Fraction(rng.randint(0, 8), 2) for _ in range(n)]
             targets = [Fraction(rng.randint(-2, 20), 4) for _ in range(5)]
+        elif kind < 0.5:
+            # integer-scaled K = 5/2 in units of 1/2: targets 5i fall
+            # halfway between the even parameters 2t
+            times = [2 * rng.randint(0, 8) for _ in range(n)]
+            targets = [5 * i for i in range(5)]
         else:
             times = [rng.choice((0.1, 0.2, 0.3)) * rng.randint(0, 9)
                      for _ in range(n)]

@@ -206,6 +206,11 @@ def fixed_points(g):
 # (presentation, length) partitions kept by reduced_words; the free:2
 # depth-8 partition holds 8,748 words
 PARTITION_CACHE_SIZE = 64
+# cylinder maps kept by crossed.StepFunction: refine's by (presentation,
+# depth, deeper depth), translate's by (presentation, word of g^-1,
+# depth); each holds one int32 per word of the deeper partition
+REFINE_CACHE_SIZE = 64
+TRANSLATE_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=PARTITION_CACHE_SIZE)
@@ -221,6 +226,25 @@ def reduced_words(pres, length):
     for _ in range(max(0, length - 1)):
         words = [w + (s,) for w in words for s in letters if s != inv[w[-1]]]
     return tuple(words)
+
+
+# cylinder masses kept by (rank, length) and powers of 2k-1 by (base,
+# exponent); a conformality scan at depth n reads n masses and at most
+# 2n + 1 powers
+MASS_CACHE_SIZE = 64
+POWER_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=MASS_CACHE_SIZE)
+def _cylinder_mass(rank, length):
+    if not length:
+        return Fraction(1)
+    return Fraction(1, 2 * rank * (2 * rank - 1) ** (length - 1))
+
+
+@functools.lru_cache(maxsize=POWER_CACHE_SIZE)
+def _base_power(base, exponent):
+    return Fraction(base) ** exponent
 
 
 class BoundaryMeasure:
@@ -243,10 +267,7 @@ class BoundaryMeasure:
 
     def word_mass(self, word):
         """Mass of the cylinder over a reduced word; the empty word is everything."""
-        if not word:
-            return Fraction(1)
-        k = self.rank
-        return Fraction(1, 2 * k * (2 * k - 1) ** (len(word) - 1))
+        return _cylinder_mass(self.rank, len(word))
 
     def __repr__(self):
         return f"<BoundaryMeasure rank={self.rank}>"
@@ -292,9 +313,16 @@ def conformality_ratio(g, word):
         raise InputError(
             f"busemann value of {g.spelled()!r} is not constant on "
             f"cylinder {_spell(pres.alphabet, w)!r}; need a deeper cylinder")
-    if t == len(w) == g.length():
-        # w is exactly g's word: the pullback misses only the cylinder
-        # over the inverse of g's last letter
+    return _conformality_record(measure, g, w)
+
+
+def _conformality_record(measure, g, w):
+    """conformality_ratio for a reduced word w on which the busemann value
+    of g is constant."""
+    pres = g.pres
+    if w == g.word:
+        # the pullback misses only the cylinder over the inverse of g's
+        # last letter
         pulled_mass = 1 - measure.word_mass((pres.alphabet.inverse[w[-1]],))
     else:
         pulled_mass = measure.word_mass(pres.left_quotient(g.word, w))
@@ -304,7 +332,7 @@ def conformality_ratio(g, word):
         cylinder=_spell(pres.alphabet, w),
         ratio=ratio,
         busemann=b,
-        ok=ratio == Fraction(measure.base()) ** b,
+        ok=ratio == _base_power(measure.base(), b),
     )
 
 
@@ -312,7 +340,7 @@ def conformality_check(g, depth):
     """Run conformality_ratio over every cylinder at the given depth.
 
     The depth must exceed the word length of g so that the busemann value
-    is constant on every scanned cylinder.
+    is constant on every scanned cylinder, and the scan shares one measure.
     """
     pres = g.pres
     _require_free(pres)
@@ -325,7 +353,9 @@ def conformality_check(g, depth):
             f"depth {depth} does not determine the busemann value of "
             f"{g.spelled()!r}: not constant on cylinder {offending!r}; "
             f"need depth >= {n + 1}")
-    records = [conformality_ratio(g, w) for w in reduced_words(pres, depth)]
+    measure = BoundaryMeasure(pres)
+    records = [_conformality_record(measure, g, w)
+               for w in reduced_words(pres, depth)]
     return ConformalityReport(
         g=g.spelled(),
         depth=depth,

@@ -13,11 +13,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InputError, InvariantViolation
 from .groups import GroupElement, _spell, enumerate_ball
 from .boundary import (
     PARTITION_CACHE_SIZE,
+    REFINE_CACHE_SIZE,
+    TRANSLATE_CACHE_SIZE,
     BoundaryMeasure,
+    _base_power,
+    _check_reduced,
     _require_free,
     busemann_boundary,
     busemann_on_word,
@@ -27,9 +33,35 @@ from .boundary import (
 
 
 @functools.lru_cache(maxsize=PARTITION_CACHE_SIZE)
-def _cylinder_set(pres, depth):
-    """The words of the depth-`depth` partition as a frozenset."""
-    return frozenset(reduced_words(pres, depth))
+def _cylinder_index(pres, depth):
+    """Position of each word in the depth-`depth` partition."""
+    return {w: i for i, w in enumerate(reduced_words(pres, depth))}
+
+
+def _positions(ints):
+    """A read-only int32 array: one position per word of a deeper
+    partition, shared by every caller of a cached map."""
+    out = np.array(ints, dtype=np.int32)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=REFINE_CACHE_SIZE)
+def _refine_map(pres, depth, deeper):
+    """For each word w of the depth-`deeper` partition, the position of
+    w[:depth] in the depth-`depth` partition."""
+    index = _cylinder_index(pres, depth)
+    return _positions([index[w[:depth]]
+                       for w in reduced_words(pres, deeper)])
+
+
+@functools.lru_cache(maxsize=TRANSLATE_CACHE_SIZE)
+def _translate_map(pres, h, depth):
+    """For each word w of the depth-(depth + |h|) partition, the position
+    of (hw)[:depth] in the depth-`depth` partition; one product per word."""
+    index = _cylinder_index(pres, depth)
+    return _positions([index[pres.multiply(h, w)[:depth]]
+                       for w in reduced_words(pres, depth + len(h))])
 
 
 def _times(x, y):
@@ -55,7 +87,7 @@ class StepFunction:
         if depth < 0:
             raise InputError("depth must be nonnegative")
         values = dict(values)
-        if values.keys() != _cylinder_set(pres, depth):
+        if values.keys() != _cylinder_index(pres, depth).keys():
             raise InputError(
                 f"step function values must cover the depth-{depth} partition")
         self.pres = pres
@@ -69,6 +101,7 @@ class StepFunction:
     @classmethod
     def indicator(cls, pres, word):
         word = pres.parse_word(word)
+        _check_reduced(pres, word, "cylinder word")
         if not word:
             return cls.constant(pres, Fraction(1))
         vals = {w: Fraction(1) if w == word else Fraction(0)
@@ -80,9 +113,18 @@ class StepFunction:
             raise InputError("refinement can only go deeper")
         if depth == self.depth:
             return self
-        return StepFunction(self.pres, depth,
-                            {w: self.values[w[:self.depth]]
-                             for w in reduced_words(self.pres, depth)})
+        return self._pulled(depth, _refine_map(self.pres, self.depth, depth))
+
+    def _pulled(self, depth, positions):
+        """The depth-`depth` function whose value on the i-th cylinder is
+        this function's value on cylinder positions[i]; the values are
+        read once, in partition order."""
+        pres = self.pres
+        old = list(map(self.values.__getitem__,
+                       reduced_words(pres, self.depth)))
+        return StepFunction(pres, depth,
+                            zip(reduced_words(pres, depth),
+                                map(old.__getitem__, positions.tolist())))
 
     def _binary(self, other, fn):
         if not isinstance(other, StepFunction) or other.pres is not self.pres:
@@ -115,11 +157,9 @@ class StepFunction:
             raise InputError("element lives in a different presentation")
         if g.is_identity() or self.depth == 0:
             return self
-        pres, d = self.pres, self.depth + g.length()
-        h = pres.invert(g.word)
-        return StepFunction(pres, d,
-                            {w: self.values[pres.multiply(h, w)[:self.depth]]
-                             for w in reduced_words(pres, d)})
+        positions = _translate_map(self.pres, self.pres.invert(g.word),
+                                   self.depth)
+        return self._pulled(self.depth + g.length(), positions)
 
     def evaluate(self, xi):
         return self.values[xi.prefix(self.depth)]
@@ -290,10 +330,10 @@ def apply_flow(a, flow):
     if flow.kind == "imaginary":
         measure = BoundaryMeasure(pres)
         m = _temperature_exponent(measure, flow.value)
-        base = Fraction(measure.base())
+        base = measure.base()
 
         def weight(b):
-            return base ** (-m * b)
+            return _base_power(base, -m * b)
     else:
         t = flow.value
 
@@ -366,10 +406,7 @@ def kms_monomial_scan(pres, radius, depth, beta, seed=0):
         raise InputError("scan needs depth > radius so translated cylinders "
                          "stay cylinders")
     m = _temperature_exponent(measure, beta)
-    base = Fraction(measure.base())
-    # masses keyed by word, powers by exponent, for this scan only
-    mass = functools.cache(measure.word_mass)
-    power = functools.cache(base.__pow__)
+    base = measure.base()
     ball = enumerate_ball(pres, radius)
     words = reduced_words(pres, depth)
     monomials = len(ball) * len(words)
@@ -390,9 +427,9 @@ def kms_monomial_scan(pres, radius, depth, beta, seed=0):
                           for hit in meets.get(w[:n], ()))
             for _, v, gv in hits:
                 z = gv if len(gv) >= depth else w    # the deeper cylinder
-                rhs = mass(z)
-                lhs = (power(-m * busemann_on_word(g, z))
-                       * mass(pres.left_quotient(g.word, z)))
+                rhs = measure.word_mass(z)
+                lhs = (_base_power(base, -m * busemann_on_word(g, z))
+                       * measure.word_mass(pres.left_quotient(g.word, z)))
                 if lhs != rhs and len(failures) < KMS_WITNESSES:
                     failures.append((
                         g.spelled(), _spell(pres.alphabet, w),

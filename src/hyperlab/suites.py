@@ -7,6 +7,7 @@ SuiteReport whose serialized form is byte-deterministic for a given
 configuration.
 """
 
+import functools
 import math
 import random
 import time
@@ -399,6 +400,12 @@ def _suite_boundary(pres, cfg, radius):
     ))
 
     small = groups.enumerate_ball(pres, min(2, radius))
+    # each distinct (element, point) action and Busemann value is
+    # evaluated once in this suite call, through the boundary module's
+    # functions as bound at call time
+    act = functools.cache(lambda g, xi: boundary.act(g, xi))
+    busemann = functools.cache(
+        lambda g, xi: boundary.busemann_boundary(g, xi))
     action_bad = None
     cocycle_bad = None
     pairs = 0
@@ -408,13 +415,12 @@ def _suite_boundary(pres, cfg, radius):
             gh = g * h
             for xi in family[:12]:
                 pairs += 1
-                if boundary.act(g, boundary.act(h, xi)) != boundary.act(gh, xi):
+                if act(g, act(h, xi)) != act(gh, xi):
                     action_bad = action_bad or {"g": g.spelled(),
                                                 "h": h.spelled(),
                                                 "xi": xi.spelled()}
-                lhs = boundary.busemann_boundary(gh, xi)
-                rhs = (boundary.busemann_boundary(g, xi)
-                       + boundary.busemann_boundary(h, boundary.act(gi, xi)))
+                lhs = busemann(gh, xi)
+                rhs = busemann(g, xi) + busemann(h, act(gi, xi))
                 if lhs != rhs:
                     cocycle_bad = cocycle_bad or {"g": g.spelled(),
                                                   "h": h.spelled(),

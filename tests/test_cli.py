@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from hyperlab import cli, cocycles, groups, metrics
+from hyperlab import boundary, cli, cocycles, groups, metrics
 from hyperlab.errors import InvariantViolation
 
 
@@ -327,6 +327,25 @@ def test_properness_reads_the_band_matrix(tmp_path, monkeypatch):
     assert code == 0
     assert len(products) == 0
     assert len(quotients) <= 1456       # one per non-identity element
+
+
+def test_kms_translates_through_cached_maps(tmp_path, monkeypatch):
+    # one product per word of the deeper partition on every translate
+    # made 176,322 multiply calls; each (g^-1, depth) map is built once
+    calls = _count_calls(monkeypatch, groups.GroupPresentation, "multiply")
+    code, _ = run_main(tmp_path, "check", "--suite", "kms", "--group",
+                       "free:2", "--seed", "3", "--depth", "4")
+    assert code == 0
+    assert len(calls) <= 30_000
+
+
+def test_boundary_suite_acts_once_per_argument(tmp_path, monkeypatch):
+    # 14,272 act calls when the action law re-evaluated each action
+    calls = _count_calls(monkeypatch, boundary, "act")
+    code, _ = run_main(tmp_path, "check", "--suite", "boundary", "--group",
+                       "free:2")
+    assert code == 0
+    assert len(calls) <= 6_000
 
 
 def test_green_norm_bound_is_a_float(tmp_path):

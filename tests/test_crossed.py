@@ -35,6 +35,18 @@ def test_step_function_constant_and_indicator(free2):
     assert ind.integral() == Fraction(1, 12)
 
 
+def test_indicator_rejects_a_word_that_is_not_reduced(free2):
+    # "a a'" names no cylinder; as in conformality_ratio, it is an input
+    # error rather than the zero function
+    with pytest.raises(InputError, match="cylinder word \"aa'\" is not "
+                                         "reduced"):
+        crossed.StepFunction.indicator(free2, "a a'")
+    with pytest.raises(InputError, match="not reduced"):
+        crossed.CrossedElement.monomial(free2, "a a'", free2.element("b"))
+    with pytest.raises(InputError, match="not reduced"):
+        boundary.conformality_ratio(free2.element("b"), "b b'")
+
+
 def test_step_function_refine_preserves_values(free2):
     ind = crossed.StepFunction.indicator(free2, "a")
     fine = ind.refine(3)
@@ -96,18 +108,42 @@ def test_translate_by_inverse_letter_spreads(free2):
     assert moved.integral() == Fraction(3, 4)
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3])
-def test_translate_matches_the_product_formula(free2, depth):
-    # reference: renormalize g^-1 w as a whole word and read its prefix
-    words = boundary.reduced_words(free2, depth)
-    phi = crossed.StepFunction(free2, depth,
-                               {w: Fraction(i) for i, w in enumerate(words)})
-    for g in groups.enumerate_ball(free2, 2).elements[1:]:
-        gi = g.inverse()
-        expected = {
-            w: phi.values[free2.normalize(gi.word + w)[:depth]]
-            for w in boundary.reduced_words(free2, depth + g.length())}
-        assert phi.translate(g).values == expected
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_translate_matches_the_product_formula(depth):
+    # references: refine reads the value at w[:d], translate renormalizes
+    # g^-1 w as a whole word and reads its prefix.  One function holds
+    # Fraction values with exact zeros, the other complex real-time flow
+    # values; every cylinder must carry the very object the reference
+    # names, in partition order, and a second (cached) call must agree
+    for rank in (2, 3):
+        pres = groups.free_group(rank)
+        words = boundary.reduced_words(pres, depth)
+        exact = crossed.StepFunction(pres, depth, {
+            w: Fraction(i) if i % 2 else Fraction(0)
+            for i, w in enumerate(words)})
+        flowed = crossed.StepFunction(pres, depth, {
+            w: cmath.exp(0.5j * i) for i, w in enumerate(words)})
+        for phi in (exact, flowed):
+            for deeper in (depth + 1, depth + 2):
+                fine = phi.refine(deeper)
+                assert list(fine.values) == list(
+                    boundary.reduced_words(pres, deeper))
+                assert all(v is phi.values[w[:depth]]
+                           for w, v in fine.values.items())
+        for g in groups.enumerate_ball(pres, 2).elements[1:]:
+            gi = g.inverse()
+            deeper = boundary.reduced_words(pres, depth + g.length())
+            expected = [pres.normalize(gi.word + w)[:depth] for w in deeper]
+            for phi in (exact, flowed):
+                moved = phi.translate(g)
+                assert list(moved.values) == list(deeper)
+                assert all(moved.values[w] is phi.values[v]
+                           for w, v in zip(deeper, expected))
+                assert phi.translate(g).values == moved.values
+        assert all(type(v) is Fraction for v in exact.translate(
+            pres.element("a")).values.values())
+        assert all(type(v) is complex for v in flowed.translate(
+            pres.element("a")).values.values())
 
 
 def test_worked_product_is_deeper_indicator(free2, worked_pair):
@@ -323,6 +359,41 @@ def test_kms_suite_enumerates_each_partition_once(tmp_path):
     # nothing was evicted, so every miss built a partition still cached
     assert info.misses == info.currsize < info.maxsize
     assert info.hits > info.misses
+
+
+def test_cylinder_caches_are_bounded(tmp_path):
+    caches = [
+        (crossed._cylinder_index, boundary.PARTITION_CACHE_SIZE),
+        (crossed._refine_map, boundary.REFINE_CACHE_SIZE),
+        (crossed._translate_map, boundary.TRANSLATE_CACHE_SIZE),
+        (boundary._cylinder_mass, boundary.MASS_CACHE_SIZE),
+        (boundary._base_power, boundary.POWER_CACHE_SIZE),
+    ]
+    code = cli.main(["check", "--suite", "kms", "--group", "free:3",
+                     "--seed", "3", "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    for cache, size in caches:
+        info = cache.cache_info()
+        assert info.maxsize == size
+        assert info.currsize <= size
+    # more distinct keys than each bound: (g^-1, depth) pairs for
+    # translate, fresh presentations for the partition maps, (rank,
+    # length) and (base, exponent) for the arithmetic
+    pres = groups.free_group(2)
+    elements = groups.enumerate_ball(pres, 4).elements[1:]
+    for word in ("a", "ab"):
+        phi = crossed.StepFunction.indicator(pres, word)
+        for g in elements:
+            phi.translate(g)
+    assert 2 * len(elements) > boundary.TRANSLATE_CACHE_SIZE
+    for _ in range(boundary.REFINE_CACHE_SIZE + 1):
+        crossed.StepFunction.indicator(groups.free_group(2), "a").refine(2)
+    measure = boundary.BoundaryMeasure(pres)
+    for n in range(boundary.MASS_CACHE_SIZE + boundary.POWER_CACHE_SIZE):
+        measure.word_mass((0,) * n)
+        boundary._base_power(3, n)
+    for cache, size in caches:
+        assert cache.cache_info().currsize == size
 
 
 def test_kms_scan_depth_guard(free2):

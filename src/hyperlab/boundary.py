@@ -206,10 +206,9 @@ def fixed_points(g):
 # (presentation, length) partitions kept by reduced_words; the free:2
 # depth-8 partition holds 8,748 words
 PARTITION_CACHE_SIZE = 64
-# cylinder maps kept by crossed.StepFunction: refine's by (presentation,
-# depth, deeper depth), translate's by (presentation, word of g^-1,
-# depth); each holds one int32 per word of the deeper partition
-REFINE_CACHE_SIZE = 64
+# translation maps kept by crossed.StepFunction, by (presentation, word
+# of g^-1, depth); each holds one position per word of the deeper
+# partition.  Refinement needs no map: it repeats values in place
 TRANSLATE_CACHE_SIZE = 128
 
 

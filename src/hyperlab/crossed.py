@@ -1,29 +1,33 @@
 """Exact crossed-product algebra over the free-group boundary.
 
 Elements are finite sums of group terms with cylinder step-function
-coefficients.  Products, adjoints, the modular flow at integer multiples
-of log(2k-1), the canonical state, and KMS comparisons are all exact
-rational computations; real-time flow is the only float path.
+coefficients.  A step function is the tuple of its values in the order
+of `reduced_words(pres, depth)`, so a cylinder's position is its key:
+refinement repeats each value, pointwise operations map over aligned
+tuples, and translation gathers through a cached position map.  Products,
+adjoints, the modular flow at integer multiples of log(2k-1), the
+canonical state, and KMS comparisons are all exact rational
+computations; real-time flow is the only float path.
 """
 
 import cmath
 import functools
 import math
+import operator
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import InputError, InvariantViolation
 from .groups import GroupElement, _spell, enumerate_ball
 from .boundary import (
     PARTITION_CACHE_SIZE,
-    REFINE_CACHE_SIZE,
     TRANSLATE_CACHE_SIZE,
     BoundaryMeasure,
     _base_power,
     _check_reduced,
+    _cylinder_mass,
     _require_free,
     busemann_boundary,
     busemann_on_word,
@@ -38,30 +42,13 @@ def _cylinder_index(pres, depth):
     return {w: i for i, w in enumerate(reduced_words(pres, depth))}
 
 
-def _positions(ints):
-    """A read-only int32 array: one position per word of a deeper
-    partition, shared by every caller of a cached map."""
-    out = np.array(ints, dtype=np.int32)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=REFINE_CACHE_SIZE)
-def _refine_map(pres, depth, deeper):
-    """For each word w of the depth-`deeper` partition, the position of
-    w[:depth] in the depth-`depth` partition."""
-    index = _cylinder_index(pres, depth)
-    return _positions([index[w[:depth]]
-                       for w in reduced_words(pres, deeper)])
-
-
 @functools.lru_cache(maxsize=TRANSLATE_CACHE_SIZE)
 def _translate_map(pres, h, depth):
     """For each word w of the depth-(depth + |h|) partition, the position
     of (hw)[:depth] in the depth-`depth` partition; one product per word."""
     index = _cylinder_index(pres, depth)
-    return _positions([index[pres.multiply(h, w)[:depth]]
-                       for w in reduced_words(pres, depth + len(h))])
+    return tuple([index[pres.multiply(h, w)[:depth]]
+                  for w in reduced_words(pres, depth + len(h))])
 
 
 def _times(x, y):
@@ -78,7 +65,8 @@ def _times(x, y):
 
 class StepFunction:
     """Locally constant function on the boundary, one value per cylinder
-    of a fixed-depth partition."""
+    of a fixed-depth partition: `values[i]` is the value on the cylinder
+    over `reduced_words(pres, depth)[i]`."""
 
     __slots__ = ("pres", "depth", "values")
 
@@ -86,8 +74,12 @@ class StepFunction:
         _require_free(pres)
         if depth < 0:
             raise InputError("depth must be nonnegative")
-        values = dict(values)
-        if values.keys() != _cylinder_index(pres, depth).keys():
+        if isinstance(values, Mapping):
+            raise InputError(
+                "step function values are a sequence, one per cylinder in "
+                "reduced_words(pres, depth) order, not a mapping from words")
+        values = tuple(values)
+        if len(values) != len(reduced_words(pres, depth)):
             raise InputError(
                 f"step function values must cover the depth-{depth} partition")
         self.pres = pres
@@ -96,46 +88,36 @@ class StepFunction:
 
     @classmethod
     def constant(cls, pres, value):
-        return cls(pres, 0, {(): value})
+        return cls(pres, 0, (value,))
 
     @classmethod
     def indicator(cls, pres, word):
         word = pres.parse_word(word)
         _check_reduced(pres, word, "cylinder word")
-        if not word:
-            return cls.constant(pres, Fraction(1))
-        vals = {w: Fraction(1) if w == word else Fraction(0)
-                for w in reduced_words(pres, len(word))}
-        return cls(pres, len(word), vals)
+        values = [Fraction(0)] * len(reduced_words(pres, len(word)))
+        values[_cylinder_index(pres, len(word))[word]] = Fraction(1)
+        return cls(pres, len(word), values)
 
     def refine(self, depth):
         if depth < self.depth:
             raise InputError("refinement can only go deeper")
         if depth == self.depth:
             return self
-        return self._pulled(depth, _refine_map(self.pres, self.depth, depth))
-
-    def _pulled(self, depth, positions):
-        """The depth-`depth` function whose value on the i-th cylinder is
-        this function's value on cylinder positions[i]; the values are
-        read once, in partition order."""
-        pres = self.pres
-        old = list(map(self.values.__getitem__,
-                       reduced_words(pres, self.depth)))
-        return StepFunction(pres, depth,
-                            zip(reduced_words(pres, depth),
-                                map(old.__getitem__, positions.tolist())))
+        # the extensions of a word are contiguous and equally many in the
+        # deeper partition, so each value repeats in place
+        n = len(reduced_words(self.pres, depth)) // len(self.values)
+        return StepFunction(self.pres, depth,
+                            [v for v in self.values for _ in range(n)])
 
     def _binary(self, other, fn):
         if not isinstance(other, StepFunction) or other.pres is not self.pres:
             raise InputError("operands live on different boundaries")
         d = max(self.depth, other.depth)
-        a, b = self.refine(d), other.refine(d)
-        return StepFunction(self.pres, d,
-                            {w: fn(a.values[w], b.values[w]) for w in a.values})
+        return StepFunction(self.pres, d, map(fn, self.refine(d).values,
+                                              other.refine(d).values))
 
     def __add__(self, other):
-        return self._binary(other, lambda x, y: x + y)
+        return self._binary(other, operator.add)
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
@@ -144,12 +126,12 @@ class StepFunction:
 
     def scale(self, scalar):
         return StepFunction(self.pres, self.depth,
-                            {w: scalar * v for w, v in self.values.items()})
+                            [scalar * v for v in self.values])
 
     def conjugate(self):
         return StepFunction(self.pres, self.depth,
-                            {w: v.conjugate() if isinstance(v, complex) else v
-                             for w, v in self.values.items()})
+                            [v.conjugate() if isinstance(v, complex) else v
+                             for v in self.values])
 
     def translate(self, g):
         """Pushforward by g: the function xi -> value at g^-1 xi."""
@@ -159,21 +141,23 @@ class StepFunction:
             return self
         positions = _translate_map(self.pres, self.pres.invert(g.word),
                                    self.depth)
-        return self._pulled(self.depth + g.length(), positions)
+        return StepFunction(self.pres, self.depth + g.length(),
+                            map(self.values.__getitem__, positions))
 
     def evaluate(self, xi):
-        return self.values[xi.prefix(self.depth)]
+        index = _cylinder_index(self.pres, self.depth)
+        return self.values[index[xi.prefix(self.depth)]]
 
     def integral(self):
         """Exact integral against the presentation's boundary measure."""
-        measure = BoundaryMeasure(self.pres)
-        # zero cylinders add nothing to the exact sum; the start keeps the
-        # Fraction type when every value is zero
-        return sum((measure.word_mass(w) * v for w, v in self.values.items()
-                    if v), start=Fraction(0))
+        # every cylinder of one depth has the same mass; zero cylinders add
+        # nothing to the exact sum, and the start keeps the Fraction type
+        # when every value is zero
+        mass = _cylinder_mass(BoundaryMeasure(self.pres).rank, self.depth)
+        return sum((mass * v for v in self.values if v), start=Fraction(0))
 
     def is_zero(self):
-        return not any(self.values.values())
+        return not any(self.values)
 
     def __eq__(self, other):
         if not isinstance(other, StepFunction):
@@ -301,9 +285,8 @@ class FlowParameter:
 def busemann_step(pres, g):
     """b(g) as an integer step function at depth |g|+1."""
     n = g.length()
-    return StepFunction(pres, n + 1,
-                        {w: busemann_on_word(g, w)
-                         for w in reduced_words(pres, n + 1)})
+    return StepFunction(pres, n + 1, [busemann_on_word(g, w)
+                                      for w in reduced_words(pres, n + 1)])
 
 
 def _temperature_exponent(measure, beta):
@@ -342,9 +325,7 @@ def apply_flow(a, flow):
     terms = {}
     for g, phi in a.terms.items():
         c = busemann_step(pres, g)
-        terms[g] = phi * StepFunction(pres, c.depth,
-                                      {w: weight(v)
-                                       for w, v in c.values.items()})
+        terms[g] = phi * StepFunction(pres, c.depth, map(weight, c.values))
     return CrossedElement(pres, terms)
 
 
@@ -509,7 +490,8 @@ def crossed_records(a):
     out = []
     for g in sorted(a.terms):
         phi = a.terms[g]
-        rows = [(_spell(a.pres.alphabet, w), phi.values[w])
-                for w in sorted(phi.values, key=lambda w: (len(w), w))]
+        # the partition order is already the sorted word order
+        rows = [(_spell(a.pres.alphabet, w), v)
+                for w, v in zip(reduced_words(a.pres, phi.depth), phi.values)]
         out.append((g.spelled(), rows))
     return out

@@ -66,15 +66,16 @@ def test_step_function_algebra(free2):
 def test_products_stay_dense_with_exact_zeros(free2):
     prod = (crossed.StepFunction.indicator(free2, "a")
             * crossed.StepFunction.indicator(free2, "bb"))
-    assert prod.values.keys() == set(boundary.reduced_words(free2, 2))
-    assert all(type(v) is Fraction and v == 0 for v in prod.values.values())
+    assert type(prod.values) is tuple
+    assert len(prod.values) == len(boundary.reduced_words(free2, 2))
+    assert all(type(v) is Fraction and v == 0 for v in prod.values)
     assert prod.is_zero()
     assert type(prod.integral()) is Fraction
     # an integer factor still makes Fraction products, zeros included
     a = free2.element("a")
     mixed = crossed.busemann_step(free2, a) * crossed.StepFunction.indicator(
         free2, "b")
-    assert all(type(v) is Fraction for v in mixed.values.values())
+    assert all(type(v) is Fraction for v in mixed.values)
 
 
 def test_real_time_flow_values_stay_complex(free2):
@@ -82,10 +83,11 @@ def test_real_time_flow_values_stay_complex(free2):
     flowed = crossed.apply_flow(crossed.CrossedElement.monomial(free2, "a", a),
                                 crossed.FlowParameter.real(0.5))
     values = flowed.terms[a].values
-    assert values.keys() == set(boundary.reduced_words(free2, 2))
-    assert all(type(v) is complex for v in values.values())
-    assert [w for w, v in values.items() if v] == [
-        w for w in boundary.reduced_words(free2, 2) if w[0] == 0]
+    words = boundary.reduced_words(free2, 2)
+    assert len(values) == len(words)
+    assert all(type(v) is complex for v in values)
+    assert [w for w, v in zip(words, values) if v] == [
+        w for w in words if w[0] == 0]
 
 
 def test_step_function_translate(free2):
@@ -108,42 +110,66 @@ def test_translate_by_inverse_letter_spreads(free2):
     assert moved.integral() == Fraction(3, 4)
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
 def test_translate_matches_the_product_formula(depth):
     # references: refine reads the value at w[:d], translate renormalizes
     # g^-1 w as a whole word and reads its prefix.  One function holds
     # Fraction values with exact zeros, the other complex real-time flow
     # values; every cylinder must carry the very object the reference
-    # names, in partition order, and a second (cached) call must agree
-    for rank in (2, 3):
+    # names, in partition order, and a second (cached) call must agree.
+    # Refinement by repetition and crossed_records rest on that order
+    # being strictly increasing.  Rank 4 translates by letters only, which
+    # bounds the reference route's normalize calls
+    for rank, radius in ((2, 2), (3, 2), (4, 1)):
         pres = groups.free_group(rank)
         words = boundary.reduced_words(pres, depth)
-        exact = crossed.StepFunction(pres, depth, {
-            w: Fraction(i) if i % 2 else Fraction(0)
-            for i, w in enumerate(words)})
-        flowed = crossed.StepFunction(pres, depth, {
-            w: cmath.exp(0.5j * i) for i, w in enumerate(words)})
+        for n in (depth, depth + 1, depth + 2):
+            partition = boundary.reduced_words(pres, n)
+            assert all(u < v for u, v in zip(partition, partition[1:]))
+        index = {w: i for i, w in enumerate(words)}
+        exact = crossed.StepFunction(pres, depth, [
+            Fraction(i) if i % 2 else Fraction(0) for i in range(len(words))])
+        flowed = crossed.StepFunction(pres, depth, [
+            cmath.exp(0.5j * i) for i in range(len(words))])
         for phi in (exact, flowed):
             for deeper in (depth + 1, depth + 2):
                 fine = phi.refine(deeper)
-                assert list(fine.values) == list(
-                    boundary.reduced_words(pres, deeper))
-                assert all(v is phi.values[w[:depth]]
-                           for w, v in fine.values.items())
-        for g in groups.enumerate_ball(pres, 2).elements[1:]:
+                finer = boundary.reduced_words(pres, deeper)
+                assert len(fine.values) == len(finer)
+                assert all(v is phi.values[index[w[:depth]]]
+                           for w, v in zip(finer, fine.values))
+        for g in groups.enumerate_ball(pres, radius).elements[1:]:
             gi = g.inverse()
             deeper = boundary.reduced_words(pres, depth + g.length())
             expected = [pres.normalize(gi.word + w)[:depth] for w in deeper]
             for phi in (exact, flowed):
                 moved = phi.translate(g)
-                assert list(moved.values) == list(deeper)
-                assert all(moved.values[w] is phi.values[v]
-                           for w, v in zip(deeper, expected))
+                if depth == 0:
+                    # a constant function is translation invariant
+                    assert moved is phi
+                    continue
+                assert len(moved.values) == len(deeper)
+                assert all(v is phi.values[index[w]]
+                           for v, w in zip(moved.values, expected))
                 assert phi.translate(g).values == moved.values
         assert all(type(v) is Fraction for v in exact.translate(
-            pres.element("a")).values.values())
+            pres.element("a")).values)
         assert all(type(v) is complex for v in flowed.translate(
-            pres.element("a")).values.values())
+            pres.element("a")).values)
+
+
+def test_step_function_values_are_positional(free2):
+    # a mapping from words is the old form; taking it as a sequence would
+    # read the words back as values
+    words = boundary.reduced_words(free2, 1)
+    with pytest.raises(InputError, match="one per cylinder in "
+                                         r"reduced_words\(pres, depth\) "
+                                         "order"):
+        crossed.StepFunction(free2, 1, {w: Fraction(1) for w in words})
+    with pytest.raises(InputError, match="must cover the depth-1 partition"):
+        crossed.StepFunction(free2, 1, [Fraction(1)] * (len(words) - 1))
+    phi = crossed.StepFunction(free2, 1, iter([Fraction(1)] * len(words)))
+    assert phi.values == (Fraction(1),) * len(words)
 
 
 def test_worked_product_is_deeper_indicator(free2, worked_pair):
@@ -364,7 +390,6 @@ def test_kms_suite_enumerates_each_partition_once(tmp_path):
 def test_cylinder_caches_are_bounded(tmp_path):
     caches = [
         (crossed._cylinder_index, boundary.PARTITION_CACHE_SIZE),
-        (crossed._refine_map, boundary.REFINE_CACHE_SIZE),
         (crossed._translate_map, boundary.TRANSLATE_CACHE_SIZE),
         (boundary._cylinder_mass, boundary.MASS_CACHE_SIZE),
         (boundary._base_power, boundary.POWER_CACHE_SIZE),
@@ -386,8 +411,8 @@ def test_cylinder_caches_are_bounded(tmp_path):
         for g in elements:
             phi.translate(g)
     assert 2 * len(elements) > boundary.TRANSLATE_CACHE_SIZE
-    for _ in range(boundary.REFINE_CACHE_SIZE + 1):
-        crossed.StepFunction.indicator(groups.free_group(2), "a").refine(2)
+    for _ in range(boundary.PARTITION_CACHE_SIZE + 1):
+        crossed.StepFunction.indicator(groups.free_group(2), "a")
     measure = boundary.BoundaryMeasure(pres)
     for n in range(boundary.MASS_CACHE_SIZE + boundary.POWER_CACHE_SIZE):
         measure.word_mass((0,) * n)

@@ -87,8 +87,6 @@ def build_pair_band(metric, K, radius, C=None):
     """
     if C is None:
         C = metric.rough_constant
-        if C is None:
-            raise InputError("metric has no rough constant; pass C explicitly")
     if K <= 0:
         raise InputError("K must be positive")
     if not K > 2 * C:

@@ -20,6 +20,7 @@ the maximum over all quadruples is nonpositive up to tolerance.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -107,10 +108,9 @@ def _table_passage(pres, walk, truncation):
     probs = np.array([float(p) for _, p in steps])[:, None]
     # one row per step: numpy sums the columns fast and adds each element's
     # products in step order
-    nbr = np.empty((len(steps), n), dtype=np.int64)
-    for j, (s, _) in enumerate(steps):
-        for i, g in enumerate(ball.elements):
-            nbr[j, i] = ball.index.get(pres.multiply(g.word, s.word), n)
+    nbr = np.array([[ball.index.get(pres.multiply(g.word, s.word), n)
+                     for g in ball.elements] for s, _ in steps],
+                   dtype=np.int64)
     u = np.zeros(n + 1)
     u[0] = 1.0
     vals = np.empty(nbr.shape)
@@ -130,16 +130,15 @@ def _table_passage(pres, walk, truncation):
 
 class GreenData:
     """Solved first-passage probabilities with an explicit usable range:
-    one per distance (radial), or `u` in the order of a ball (table)."""
+    one per distance (radial), or `u` in ball order (table); lazy `gap`."""
 
-    def __init__(self, pres, walk, mode, truncation, usable, gap,
+    def __init__(self, pres, walk, mode, truncation, usable,
                  radial=None, ball=None, u=None):
         self.pres = pres
         self.walk = walk
         self.mode = mode
         self.truncation = truncation
         self.usable = usable
-        self.gap = gap
         self._radial = radial
         self._ball = ball
         self._u = u
@@ -170,14 +169,29 @@ class GreenData:
             raise InputError("log table needs the radial solver")
         return -np.log(self._radial[: self.usable + 1])
 
+    @cached_property
+    def gap(self):
+        """Largest |log f_2t - log f_t| over the usable range: the walk is
+        solved again at twice the truncation on first read."""
+        if self.mode == "radial":
+            u, top = self._radial, self.usable + 1
+            u2 = _radial_passage(self.pres.rank, 2 * self.truncation)
+            return float(np.abs(np.log(u2[:top]) - np.log(u[:top])).max())
+        _, u2 = _table_passage(self.pres, self.walk, 2 * self.truncation)
+        # the radius-t ball is a prefix of the radius-2t ball: spheres are
+        # built the same way and each is sorted by word
+        diffs = [abs(math.log(f2) - math.log(f))
+                 for f, f2 in zip(self._u, u2) if f > 0 and f2 > 0]
+        return max(diffs) if diffs else 0.0
+
 
 def solve_green(pres, walk=None, radius_hint=4, truncation=None):
     """Solve the truncated first-passage problem for a walk.
 
     The radial reduction (simple walk on a free group) costs nothing, so
     its default truncation is generous; the generic ball solver pays for
-    elements and keeps the truncation tight, reporting its doubling gap
-    honestly instead.
+    elements and keeps the truncation tight.  Only truncation t is solved
+    here; `GreenData.gap` solves 2t, the doubling gap, when first read.
     """
     if walk is None:
         walk = GreenWalk.simple(pres)
@@ -187,25 +201,11 @@ def solve_green(pres, walk=None, radius_hint=4, truncation=None):
         t = truncation if truncation is not None else max(21, 4 * radius_hint + 16)
         # the one-letter passage is always usable, even at radius 0
         usable = min(max(1, 2 * radius_hint), t)
-        u1 = _radial_passage(pres.rank, t)
-        u2 = _radial_passage(pres.rank, 2 * t)
-        top = min(usable, t)
-        gap = float(np.abs(np.log(u2[: top + 1]) - np.log(u1[: top + 1])).max())
-        return GreenData(pres, walk, "radial", t, usable, gap, radial=u1)
+        return GreenData(pres, walk, "radial", t, usable,
+                         radial=_radial_passage(pres.rank, t))
     t = truncation if truncation is not None else 2 * radius_hint + 4
     ball, u = _table_passage(pres, walk, t)
-    gap = None
-    try:
-        _, u2 = _table_passage(pres, walk, 2 * t)
-    except ResourceLimitError:
-        pass
-    else:
-        # the radius-t ball is a prefix of the radius-2t ball: spheres are
-        # built the same way and each is sorted by word
-        diffs = [abs(math.log(f2) - math.log(f))
-                 for f, f2 in zip(u, u2[: len(u)]) if f > 0 and f2 > 0]
-        gap = max(diffs) if diffs else 0.0
-    return GreenData(pres, walk, "table", t, t, gap, ball=ball, u=u)
+    return GreenData(pres, walk, "table", t, t, ball=ball, u=u)
 
 
 class MetricStructure:
@@ -267,9 +267,11 @@ class MetricStructure:
         """Additivity defect bound along canonical-word paths."""
         if self.exact:
             return Fraction(0)
-        if self.green.gap is None:
-            return None
-        return 4.0 * self.green.gap + 1e-9
+        try:
+            return 4.0 * self.green.gap + 1e-9
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(
+                f"truncation gap: {exc}; pass --C explicitly") from exc
 
 
 def word_metric(pres):

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from hyperlab import groups, metrics
-from hyperlab.errors import InputError
+from hyperlab import cocycles, groups, metrics
+from hyperlab.errors import InputError, ResourceLimitError
+from hyperlab.suites import ScenarioConfig, run_scenario
 
 
 def test_word_metric_is_exact_and_equivariant():
@@ -220,11 +221,51 @@ def _modular_multi_letter():
         "a43ca9914b734f6d6af6dce35aeb663539d3bb79e648daa2014cc5ff33b6b56f",
         "1.4817019208984856", id="modular-multi-letter-r2"),
 ])
-def test_green_tables_are_pinned(solve, digest, gap):
+def test_green_tables_are_pinned(monkeypatch, solve, digest, gap):
+    solved = _record_table_solves(monkeypatch)
     data = solve()
     assert data.mode == "table"
     assert hashlib.sha256(data._u.tobytes()).hexdigest() == digest
+    t = data.truncation
+    assert solved == [t]
+    # the doubling gap is solved on first read, once
     assert repr(data.gap) == gap
+    assert repr(data.gap) == gap
+    assert solved == [t, 2 * t]
+
+
+def _record_table_solves(monkeypatch):
+    solved = []
+    passage = metrics._table_passage
+
+    def recording(pres, walk, truncation):
+        solved.append(truncation)
+        return passage(pres, walk, truncation)
+
+    monkeypatch.setattr(metrics, "_table_passage", recording)
+    return solved
+
+
+@pytest.mark.parametrize("config,truncation", [
+    ({"suite": "green", "group": "modular"}, 12),
+    ({"suite": "strong-hyp", "group": "modular", "metric": "green"}, 10),
+], ids=["green-modular", "strong-hyp-modular-green"])
+def test_unread_green_gap_is_not_solved(monkeypatch, config, truncation):
+    solved = _record_table_solves(monkeypatch)
+    run_scenario(ScenarioConfig(**config).validated())
+    assert solved == [truncation]
+
+
+def test_refused_gap_ball_is_an_error_where_the_gap_is_read(monkeypatch):
+    monkeypatch.setattr(groups, "ELEMENT_CAP", 5000)
+    # the radius-12 ball holds 442 elements, the radius-24 ball 28,666
+    metric = metrics.green_metric(groups.modular_group(), radius_hint=4)
+    with pytest.raises(ResourceLimitError, match=r"cap of 5000.*--C"):
+        cocycles.build_pair_band(metric, 1.0, 2)
+    solved = _record_table_solves(monkeypatch)
+    band = cocycles.build_pair_band(metric, 1.0, 2, C=0.25)
+    assert band.C == 0.25
+    assert solved == []
 
 
 def test_green_default_truncation_floor():

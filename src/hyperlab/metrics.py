@@ -32,6 +32,9 @@ from .groups import (GroupElement, bulk_product_lengths, common_prefix_len,
 FOURPOINT_TOLERANCE = 1e-9
 # most quadruples an exhaustive four-point scan covers
 QUADRUPLE_CAP = 1_200_000_000
+# most (x, y, z) triples, summed over basepoints, the min-rule oracle scans:
+# above free:3 radius 4 (2.7e10), below free:2 radius 6 (5.8e11)
+MIN_RULE_TRIPLE_CAP = 100_000_000_000
 # the table iteration stops once no first-passage value moves this much
 GREEN_ITERATION_STOP = 1e-12
 
@@ -350,7 +353,7 @@ def _basepoint_representatives(ball, d):
     for perm in pres.symmetry_generators():
         img = [ball.index.get(pres.normalize([perm[s] for s in g.word]))
                for g in ball.elements]
-        if None in img or not np.array_equal(d[np.ix_(img, img)], d):
+        if None in img or not np.array_equal(d[img][:, img], d):
             continue
         for i, j in enumerate(img):
             a, b = find(i), find(j)
@@ -425,6 +428,22 @@ def check_strong_hyperbolicity(metric, ball, mode="exhaustive", seed=0,
     )
 
 
+def _min_rule_margin(g):
+    """min over x, y of g[x,y] - max_z min(g[x,z], g[z,y]), in g's dtype.
+
+    One x row at a time, so the working memory is two more n x n
+    buffers of g's dtype.  g must be nonnegative, so that every
+    difference of two entries fits that dtype.
+    """
+    s = np.empty_like(g)
+    best = np.empty_like(g)
+    for x in range(len(g)):
+        np.minimum(g[x][:, None], g, out=s)
+        s.max(axis=0, out=best[x])
+    np.subtract(g, best, out=best)
+    return int(best.min())
+
+
 def four_point_min_rule_margin(ball):
     """Exact integer margin of the tree rule (x|y) >= min((x|z), (z|y)).
 
@@ -432,14 +451,30 @@ def four_point_min_rule_margin(ball):
     nonnegative margin proves the float four-point defect clamps to zero
     exactly: the exponential of the smaller product dominates one of the
     two right-hand terms bit for bit.  One basepoint per symmetry orbit
-    is scanned, as in `check_strong_hyperbolicity`.
+    is scanned, as in `check_strong_hyperbolicity`, in O(n^2) working
+    memory per basepoint: the doubled products lie in [0, 2 max d] and
+    are stored in the narrowest signed dtype that holds that bound (int8
+    on every preset ball).  More than `MIN_RULE_TRIPLE_CAP` triples
+    (representatives x n^3) raise ResourceLimitError before the scan.
     """
-    dist = word_distance_matrix(ball).astype(np.int32)
+    dist = word_distance_matrix(ball)
+    n = dist.shape[0]
+    top = 2 * int(dist.max())
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= top)
+    d = dist.astype(dtype)
+    reps = _basepoint_representatives(ball, d)
+    triples = len(reps) * n ** 3
+    if triples > MIN_RULE_TRIPLE_CAP:
+        raise ResourceLimitError(
+            f"tree min-rule scan needs {len(reps)} basepoints x {n}^3 = "
+            f"{triples:.2e} triples, over the cap {MIN_RULE_TRIPLE_CAP:.1e}")
+    g = np.empty_like(d)
     worst = None
-    for o in _basepoint_representatives(ball, dist):
-        g = dist[o][:, None] + dist[o][None, :] - dist
-        cube = np.minimum(g[:, None, :], g.T[None, :, :])
-        margin = int((g - cube.max(axis=2)).min())
+    for o in reps:
+        np.add(d[o][:, None], d[o], out=g)
+        g -= d
+        margin = _min_rule_margin(g)
         if worst is None or margin < worst:
             worst = margin
     return worst

@@ -145,6 +145,18 @@ def test_oversized_distance_matrix_exit_two(capsys):
     assert "39365 x 39365" in err and "46.2 GiB" in err
 
 
+def test_oversized_min_rule_scan_exit_two(capsys):
+    # the free:2 radius-6 tree oracle would scan 186 basepoints of a
+    # 1457-element ball, 5.8e11 triples; it is refused before the scan
+    started = time.perf_counter()
+    assert cli.main(["check", "--suite", "strong-hyp", "--group", "free:2",
+                     "--radius", "6"]) == 2
+    assert time.perf_counter() - started < 10
+    err = capsys.readouterr().err
+    assert "186 basepoints x 1457^3 = 5.75e+11 triples" in err
+    assert "cap 1.0e+11" in err
+
+
 def test_unwritable_out_exit_three(capsys):
     code = cli.main(["check", "--suite", "strong-hyp", "--group", "free:2",
                      "--out", "/nonexistent-dir/x.json"])

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hyperlab import kernels
 
@@ -27,3 +28,35 @@ def test_pure_scan_tie_break_is_lex_first():
 
 def test_backend_name_is_declared():
     assert kernels.backend_name() == "python"
+
+
+def _scan_oracle(e):
+    # every (x, y, z) at once, in the kernel's association order
+    vals = (e[:, :, None] - e[:, None, :]) - e.T[None, :, :]
+    flat = int(np.argmax(vals))
+    n = e.shape[0]
+    return float(vals.max()), flat // (n * n), flat // n % n, flat % n
+
+
+@pytest.mark.parametrize("n,buffer", [
+    (7, 3 * 49), (10, 4 * 100), (13, 5 * 169),  # forced blocks of 3, 4, 5
+    (65, kernels.SCAN_BUFFER_ENTRIES),  # 15-row blocks, the last of 5
+    (161, kernels.SCAN_BUFFER_ENTRIES),  # 2-row blocks, the last of 1
+])
+def test_scan_matches_the_cube_oracle(monkeypatch, n, buffer):
+    monkeypatch.setattr(kernels, "SCAN_BUFFER_ENTRIES", buffer)
+    rows = buffer // (n * n)
+    assert 1 <= rows < n and n % rows
+    rng = np.random.default_rng(n)
+    # asymmetric, so reading E[y,z] for E[z,y] would show
+    e = rng.uniform(0.0, 1.0, size=(n, n))
+    assert kernels.fourpoint_scan(e) == _scan_oracle(e)
+    # ties: the first rows cannot reach the maximum, two later rows can
+    e = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+    e[:rows] = 0.0
+    e[n - 1] = e[rows + 1]
+    got = kernels.fourpoint_scan(e)
+    assert got == _scan_oracle(e)
+    assert got[0] == 2.0 and got[1] >= rows
+    e = np.full((n, n), 0.25)
+    assert kernels.fourpoint_scan(e) == (-0.25, 0, 0, 0)

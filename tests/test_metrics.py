@@ -1,7 +1,9 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperlab import cocycles, groups, metrics
@@ -58,6 +60,96 @@ def test_four_point_min_rule_oracle():
     f2 = groups.free_group(2)
     ball = groups.enumerate_ball(f2, 3)
     assert metrics.four_point_min_rule_margin(ball) >= 0
+
+
+def _cube_margin(g):
+    # the whole (x, y, z) cube of min(g[x,z], g[z,y]) at once, in int64
+    g = g.astype(np.int64)
+    cube = np.minimum(g[:, None, :], g.T[None, :, :])
+    return int((g - cube.max(axis=2)).min())
+
+
+def _cube_oracle(ball):
+    dist = metrics.word_distance_matrix(ball)
+    return min(_cube_margin(dist[o][:, None] + dist[o][None, :] - dist)
+               for o in metrics._basepoint_representatives(ball, dist))
+
+
+@pytest.mark.parametrize("make,radius,margin", [
+    (lambda: groups.free_group(2), 3, 0),
+    (lambda: groups.free_group(2), 4, 0),
+    (groups.modular_group, 6, 0),
+    (lambda: groups.surface_group(2), 2, 0),
+    (lambda: groups.cyclic_free_product([3, 4]), 3, -2),
+    (lambda: groups.cyclic_free_product([3, 4]), 4, -2),
+    (lambda: groups.cyclic_free_product([4, 4]), 3, -2),
+])
+def test_min_rule_margin_matches_the_cube_oracle(make, radius, margin):
+    ball = groups.enumerate_ball(make(), radius)
+    assert metrics.four_point_min_rule_margin(ball) == margin
+    assert _cube_oracle(ball) == margin
+
+
+def test_min_rule_margin_past_int8(monkeypatch):
+    rng = np.random.default_rng(7)
+    g = rng.integers(0, 9, size=(23, 23))
+    for dtype in (np.int8, np.int16, np.int64):
+        assert metrics._min_rule_margin(g.astype(dtype)) == _cube_margin(g)
+    # distances scaled by 100 give doubled products up to 1600, held in
+    # int16, and a margin scaled by 100
+    seen = []
+    scan = metrics._min_rule_margin
+
+    def recorded(g):
+        seen.append(g.dtype)
+        return scan(g)
+
+    monkeypatch.setattr(metrics, "_min_rule_margin", recorded)
+    for pres, margin in [(groups.free_group(2), 0),
+                         (groups.cyclic_free_product([3, 4]), -2)]:
+        ball = groups.enumerate_ball(pres, 4)
+        ball.distances = 100 * metrics.word_distance_matrix(ball)
+        assert metrics.four_point_min_rule_margin(ball) == 100 * margin
+    assert set(seen) == {np.dtype(np.int16)}
+
+
+def test_min_rule_margin_works_in_a_few_n_squared_bytes():
+    ball = groups.enumerate_ball(groups.free_group(2), 4)
+    n = len(ball)
+    metrics.word_distance_matrix(ball)
+    tracemalloc.start()
+    try:
+        assert metrics.four_point_min_rule_margin(ball) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an n^3 int32 cube would be 16.7 MB
+    assert peak < 6 * n * n
+
+
+def test_min_rule_scan_past_its_cap_is_refused(monkeypatch):
+    ball = groups.enumerate_ball(groups.free_group(2), 4)
+    monkeypatch.setattr(metrics, "MIN_RULE_TRIPLE_CAP", 23 * 161 ** 3 - 1)
+    with pytest.raises(ResourceLimitError,
+                       match=r"23 basepoints x 161\^3 = 9\.60e\+07 triples"):
+        metrics.four_point_min_rule_margin(ball)
+
+
+@pytest.mark.parametrize("orders,radius,witness", [
+    ([3, 4], 3, ("t", "t'", "tt", "1")),
+    ([3, 4], 4, ("t", "t'", "tt", "1")),
+    ([4, 4], 3, ("s", "s'", "ss", "1")),
+])
+def test_exhaustive_failing_witness_is_pinned(orders, radius, witness):
+    # in an order-4 factor t and t' are 2 apart and both 1 from tt, so at
+    # the identity (t|t') = 0 and (t|tt) = (tt|t') = 1: the defect is
+    # 1 - 2/e, and the lex-first failing quadruple is pinned bit for bit
+    pres = groups.cyclic_free_product(orders)
+    ball = groups.enumerate_ball(pres, radius)
+    rep = metrics.check_strong_hyperbolicity(metrics.word_metric(pres), ball)
+    assert rep.mode == "exhaustive"
+    assert rep.raw == 0.26424111765711533
+    assert rep.witness == witness
 
 
 def test_four_point_green_metric():

@@ -481,14 +481,16 @@ class GroupPresentation:
         """Alphabet permutations, as tuples of symbol indices, that extend
         to length-preserving automorphisms.
 
-        One swaps each generator with its inverse.  One swaps each pair of
-        consecutive generators of the same type, and their inverses: every
-        free generator has one type, a free-product generator's type is
-        its factor order.  Small-cancellation kinds get none, since their
-        symmetries must also keep the relator set.
+        On free and free-product kinds, one swaps each generator with its
+        inverse, and one swaps each pair of consecutive generators of the
+        same type, and their inverses: every free generator has one type,
+        a free-product generator's type is its factor order.  On
+        small-cancellation kinds, every permutation but the identity that
+        commutes with inversion and maps the set of relator rotations onto
+        itself.
         """
         if self.kind == "small-cancellation":
-            return []
+            return self._relator_symmetries()
         inv = self.alphabet.inverse
         gens = [s for s in range(len(inv)) if s <= inv[s]]
 
@@ -506,6 +508,29 @@ class GroupPresentation:
         for same in by_type.values():
             out.extend(swap((x, y), (inv[x], inv[y]))
                        for x, y in zip(same, same[1:]))
+        return out
+
+    def _relator_symmetries(self):
+        # such a permutation maps the first rotation onto a rotation of the
+        # same length letter by letter, which fixes it on that rotation's
+        # letters and their inverses; the candidate keeps the other letters
+        inv = self.alphabet.inverse
+        letters = range(len(inv))
+        rots = set(self._rotations)
+        first = self._rotations[0]
+        out = []
+        for rot in self._rotations:
+            if len(rot) != len(first):
+                continue
+            image = {}
+            for a, b in zip(first, rot):
+                image.setdefault(a, b)
+                image.setdefault(inv[a], inv[b])
+            perm = tuple(image.get(s, s) for s in letters)
+            if (perm != tuple(letters) and len(set(perm)) == len(perm)
+                    and all(perm[inv[s]] == inv[perm[s]] for s in letters)
+                    and {tuple(perm[s] for s in r) for r in rots} == rots):
+                out.append(perm)
         return out
 
     def element_from_symbol(self, sym):
@@ -619,6 +644,50 @@ class Ball:
 
     def sphere_sizes(self):
         return [len(s) for s in self.spheres]
+
+    def symmetries(self):
+        """Index permutations of the ball that keep word length, as lists:
+        element i goes to element img[i].
+
+        Each of the presentation's `symmetry_generators` that maps the
+        ball onto itself, and on free kinds the branch swaps: at a vertex
+        v = a^k inside the ball, for each other child vt of v, the map
+        v a u -> v t p(u), v t u -> v a p(u), where p swaps the letters a
+        and t and their inverses, and every other element is fixed.  A
+        branch swap exchanges two isomorphic subtrees of the Cayley tree,
+        and together they move every element onto a^n, so each sphere is
+        one orbit.
+        """
+        pres, index = self.pres, self.index
+        words = [g.word for g in self.elements]
+
+        def lookup(w):
+            # a spelled image already in the ball is its canonical word
+            i = index.get(w)
+            return i if i is not None else index.get(pres.normalize(w))
+
+        for perm in pres.symmetry_generators():
+            img = [lookup(tuple(perm[s] for s in w)) for w in words]
+            if None not in img:
+                yield img
+        if pres.kind != "free":
+            return
+        inv = pres.alphabet.inverse
+        a = 0
+        for k in range(self.radius):
+            v = (a,) * k
+            for t in range(len(inv)):
+                if t == a or (k and t == inv[a]):
+                    continue
+                p = list(range(len(inv)))
+                p[a], p[t] = t, a
+                p[inv[a]], p[inv[t]] = inv[t], inv[a]
+                img = list(range(len(words)))
+                for i, w in enumerate(words):
+                    if len(w) > k and w[k] in (a, t) and w[:k] == v:
+                        img[i] = index[v + (p[w[k]],)
+                                       + tuple(p[s] for s in w[k + 1:])]
+                yield img
 
     def __len__(self):
         return len(self.elements)

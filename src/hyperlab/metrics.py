@@ -26,14 +26,13 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError, NumericError, ResourceLimitError
-from .groups import (GroupElement, bulk_product_lengths, common_prefix_len,
-                     enumerate_ball)
+from .groups import bulk_product_lengths, common_prefix_len, enumerate_ball
 
 FOURPOINT_TOLERANCE = 1e-9
 # most quadruples an exhaustive four-point scan covers
 QUADRUPLE_CAP = 1_200_000_000
 # most (x, y, z) triples, summed over basepoints, the min-rule oracle scans:
-# above free:3 radius 4 (2.7e10), below free:2 radius 6 (5.8e11)
+# above free:2 radius 6 (2.2e10), below free:4 radius 4 (1.6e11)
 MIN_RULE_TRIPLE_CAP = 100_000_000_000
 # the table iteration stops once no first-passage value moves this much
 GREEN_ITERATION_STOP = 1e-12
@@ -334,14 +333,13 @@ def metric_distance_matrix(metric, ball):
 def _basepoint_representatives(ball, d):
     """Least index of each orbit of the ball's basepoints, ascending.
 
-    The orbits are those of the presentation's symmetry generators that
-    map the ball onto itself and leave the matrix `d` unchanged bit for
-    bit; any other generator is dropped.  A four-point scan at an image
-    basepoint sees the same table with rows and columns permuted, so it
-    finds the same maximum, and the least index of an orbit is the first
-    basepoint of that orbit in a full scan.
+    The orbits are those of the ball's `symmetries` that leave the matrix
+    `d` unchanged bit for bit; any other permutation is dropped.  A
+    four-point scan at an image basepoint sees the same table with rows
+    and columns permuted, so it finds the same maximum, and the least
+    index of an orbit is the first basepoint of that orbit in a full
+    scan.
     """
-    pres = ball.pres
     root = list(range(len(ball)))
 
     def find(i):
@@ -350,10 +348,8 @@ def _basepoint_representatives(ball, d):
             i = root[i]
         return i
 
-    for perm in pres.symmetry_generators():
-        img = [ball.index.get(pres.normalize([perm[s] for s in g.word]))
-               for g in ball.elements]
-        if None in img or not np.array_equal(d[img][:, img], d):
+    for img in ball.symmetries():
+        if not np.array_equal(d[img][:, img], d):
             continue
         for i, j in enumerate(img):
             a, b = find(i), find(j)
@@ -444,6 +440,15 @@ def _min_rule_margin(g):
     return int(best.min())
 
 
+def _refuse_min_rule_scan(basepoints, n, bound=""):
+    triples = basepoints * n ** 3
+    if triples > MIN_RULE_TRIPLE_CAP:
+        raise ResourceLimitError(
+            f"tree min-rule scan needs {bound}{basepoints} basepoints x "
+            f"{n}^3 = {triples:.2e} triples, over the cap "
+            f"{MIN_RULE_TRIPLE_CAP:.1e}")
+
+
 def four_point_min_rule_margin(ball):
     """Exact integer margin of the tree rule (x|y) >= min((x|z), (z|y)).
 
@@ -455,20 +460,20 @@ def four_point_min_rule_margin(ball):
     memory per basepoint: the doubled products lie in [0, 2 max d] and
     are stored in the narrowest signed dtype that holds that bound (int8
     on every preset ball).  More than `MIN_RULE_TRIPLE_CAP` triples
-    (representatives x n^3) raise ResourceLimitError before the scan.
+    (representatives x n^3) raise ResourceLimitError before the scan,
+    and before the orbits are sought when the ball's nonempty spheres
+    already exceed it: every symmetry keeps word length, so there are
+    at least that many orbits.
     """
+    n = len(ball)
+    _refuse_min_rule_scan(sum(1 for s in ball.spheres if s), n, "at least ")
     dist = word_distance_matrix(ball)
-    n = dist.shape[0]
     top = 2 * int(dist.max())
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if np.iinfo(t).max >= top)
     d = dist.astype(dtype)
     reps = _basepoint_representatives(ball, d)
-    triples = len(reps) * n ** 3
-    if triples > MIN_RULE_TRIPLE_CAP:
-        raise ResourceLimitError(
-            f"tree min-rule scan needs {len(reps)} basepoints x {n}^3 = "
-            f"{triples:.2e} triples, over the cap {MIN_RULE_TRIPLE_CAP:.1e}")
+    _refuse_min_rule_scan(len(reps), n)
     g = np.empty_like(d)
     worst = None
     for o in reps:
@@ -478,19 +483,6 @@ def four_point_min_rule_margin(ball):
         if worst is None or margin < worst:
             worst = margin
     return worst
-
-
-def rough_geodesic(metric, x, y):
-    """Canonical-word path from x to y parametrized by distance from x."""
-    metric._check(x, y)
-    pres = metric.pres
-    letters = pres.left_quotient(x.word, y.word)
-    points = [(0 if metric.exact else 0.0, x)]
-    g = x
-    for sym in letters:
-        g = GroupElement(pres, pres.multiply(g.word, (sym,)))
-        points.append((metric.distance(x, g), g))
-    return points
 
 
 def growth_exponent(ball):

@@ -146,14 +146,15 @@ def test_oversized_distance_matrix_exit_two(capsys):
 
 
 def test_oversized_min_rule_scan_exit_two(capsys):
-    # the free:2 radius-6 tree oracle would scan 186 basepoints of a
-    # 1457-element ball, 5.8e11 triples; it is refused before the scan
+    # the free:4 radius-4 tree oracle would scan one basepoint per sphere
+    # of a 3201-element ball, 1.6e11 triples; the sphere count refuses it
+    # before the orbits are sought
     started = time.perf_counter()
-    assert cli.main(["check", "--suite", "strong-hyp", "--group", "free:2",
-                     "--radius", "6"]) == 2
+    assert cli.main(["check", "--suite", "strong-hyp", "--group", "free:4",
+                     "--radius", "4"]) == 2
     assert time.perf_counter() - started < 10
     err = capsys.readouterr().err
-    assert "186 basepoints x 1457^3 = 5.75e+11 triples" in err
+    assert "at least 5 basepoints x 3201^3 = 1.64e+11 triples" in err
     assert "cap 1.0e+11" in err
 
 

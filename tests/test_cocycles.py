@@ -8,6 +8,8 @@ import pytest
 from hyperlab import cocycles, groups, metrics
 from hyperlab.errors import InputError, InvariantViolation, ResourceLimitError
 
+from oracles import rough_geodesic
+
 
 @pytest.fixture(scope="module")
 def free2():
@@ -259,7 +261,7 @@ def _scalar_certificate(band, g, n):
     """Partition points and segment values by the scalar route: the
     rough geodesic's points and one Gromov product per point."""
     metric = band.metric
-    path = metrics.rough_geodesic(metric, metric.pres.identity, g)
+    path = rough_geodesic(metric, metric.pres.identity, g)
     chosen = cocycles._nearest_points(
         path, [i * band.K for i in range(n + 1)])
     values = [metric.gromov_product(g, x1) - metric.gromov_product(g, x0)

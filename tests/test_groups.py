@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -444,6 +445,27 @@ def test_relator_lookup_matches_full_rotation_scan(genus, radius):
             word = g.word + (s,)
             assert list(pres._sc_moves(word)) == _literal_sc_moves(pres, word)
             assert pres.dehn_reduce(word) == _literal_dehn_reduce(pres, word)
+
+
+@pytest.mark.parametrize("genus,count", [(2, 3), (3, 5)])
+def test_relator_symmetries_match_a_search_of_all_permutations(genus, count):
+    # every permutation that commutes with inversion: a permutation of the
+    # generators, each sent to its image or to its image's inverse
+    pres = groups.surface_group(genus)
+    inv = pres.alphabet.inverse
+    gens = [s for s in range(len(inv)) if s < inv[s]]
+    rots = set(pres._rotations)
+    found = set()
+    for order in itertools.permutations(gens):
+        for flips in itertools.product((False, True), repeat=len(gens)):
+            perm = [0] * len(inv)
+            for s, t, flip in zip(gens, order, flips):
+                perm[s], perm[inv[s]] = (inv[t], t) if flip else (t, inv[t])
+            if {tuple(perm[x] for x in r) for r in rots} == rots:
+                found.add(tuple(perm))
+    found.discard(tuple(range(len(inv))))
+    assert set(pres.symmetry_generators()) == found
+    assert len(found) == count
 
 
 @given(letters_surface)

@@ -10,6 +10,8 @@ from hyperlab import cocycles, groups, metrics
 from hyperlab.errors import InputError, ResourceLimitError
 from hyperlab.suites import ScenarioConfig, run_scenario
 
+from oracles import rough_geodesic
+
 
 def test_word_metric_is_exact_and_equivariant():
     f2 = groups.free_group(2)
@@ -128,10 +130,22 @@ def test_min_rule_margin_works_in_a_few_n_squared_bytes():
 
 
 def test_min_rule_scan_past_its_cap_is_refused(monkeypatch):
+    # free spheres are orbits, so the sphere count refuses before the
+    # distance matrix is built
     ball = groups.enumerate_ball(groups.free_group(2), 4)
-    monkeypatch.setattr(metrics, "MIN_RULE_TRIPLE_CAP", 23 * 161 ** 3 - 1)
+    monkeypatch.setattr(metrics, "MIN_RULE_TRIPLE_CAP", 5 * 161 ** 3 - 1)
     with pytest.raises(ResourceLimitError,
-                       match=r"23 basepoints x 161\^3 = 9\.60e\+07 triples"):
+                       match=r"5 basepoints x 161\^3 = 2\.09e\+07 triples"):
+        metrics.four_point_min_rule_margin(ball)
+    assert ball.distances is None
+
+
+def test_min_rule_scan_is_refused_once_the_orbits_are_known(monkeypatch):
+    # 3 spheres but 17 orbits
+    ball = groups.enumerate_ball(groups.surface_group(2), 2)
+    monkeypatch.setattr(metrics, "MIN_RULE_TRIPLE_CAP", 17 * 65 ** 3 - 1)
+    with pytest.raises(ResourceLimitError,
+                       match=r"needs 17 basepoints x 65\^3 = 4\.67e\+06"):
         metrics.four_point_min_rule_margin(ball)
 
 
@@ -178,6 +192,16 @@ ORBIT_CASES = [
     (lambda: groups.cyclic_free_product([2, 3, 3]), 3, "word", False),
     (lambda: groups.cyclic_free_product([4, 4]), 3, "word", True),
     (groups.modular_group, 3, "green", False),
+    pytest.param(lambda: groups.free_group(2), 4, "word", False,
+                 id="free2-r4-word"),
+    pytest.param(lambda: groups.free_group(2), 4, "green", False,
+                 id="free2-r4-green"),
+    pytest.param(lambda: groups.free_group(3), 3, "word", False,
+                 id="free3-r3-word"),
+    pytest.param(lambda: groups.surface_group(2), 2, "word", False,
+                 id="surface2-r2-word"),
+    pytest.param(lambda: groups.surface_group(3), 1, "word", False,
+                 id="surface3-r1-word"),
 ]
 
 
@@ -193,11 +217,15 @@ def test_orbit_reduced_scans_equal_the_full_scan(monkeypatch, make, radius,
     pres = make()
     ball = groups.enumerate_ball(pres, radius)
     metric = _metric(pres, kind, radius)
+    # free:3 radius 3 (187^4 = 1.22e9) is just over the exhaustive cap
+    monkeypatch.setattr(metrics, "QUADRUPLE_CAP",
+                        max(metrics.QUADRUPLE_CAP, len(ball) ** 4))
     reduced = (metrics.check_strong_hyperbolicity(metric, ball),
                metrics.four_point_min_rule_margin(ball))
-    # with no symmetry generators every basepoint is scanned
-    monkeypatch.setattr(groups.GroupPresentation, "symmetry_generators",
-                        lambda self: [])
+    # with no symmetries at all every basepoint is scanned
+    monkeypatch.setattr(groups.Ball, "symmetries", lambda self: iter(()))
+    assert metrics._basepoint_representatives(ball, None) == list(
+        range(len(ball)))
     full = (metrics.check_strong_hyperbolicity(metric, ball),
             metrics.four_point_min_rule_margin(ball))
     assert reduced == full
@@ -205,8 +233,8 @@ def test_orbit_reduced_scans_equal_the_full_scan(monkeypatch, make, radius,
 
 
 @pytest.mark.parametrize("make,radius,kind,count", [
-    (lambda: groups.free_group(2), 4, "word", 23),
-    (lambda: groups.surface_group(2), 2, "word", 65),
+    (lambda: groups.free_group(2), 4, "word", 5),
+    (lambda: groups.surface_group(2), 2, "word", 17),
     # the table Green metric is not bitwise symmetric under t <-> t'
     (groups.modular_group, 3, "green", 14),
 ])
@@ -217,6 +245,40 @@ def test_basepoint_representatives(make, radius, kind, count):
     reps = metrics._basepoint_representatives(ball, d)
     assert len(reps) == count
     assert reps == sorted(reps)
+
+
+@pytest.mark.parametrize("make,radius", [
+    (lambda: groups.free_group(2), 3),
+    (lambda: groups.free_group(3), 2),
+    (groups.modular_group, 5),
+    (lambda: groups.cyclic_free_product([3, 3]), 4),
+    (lambda: groups.cyclic_free_product([2, 3, 3]), 3),
+    (lambda: groups.cyclic_free_product([4, 4]), 3),
+    (lambda: groups.surface_group(2), 2),
+    (lambda: groups.surface_group(3), 1),
+])
+def test_ball_symmetries_are_isometries(make, radius):
+    ball = groups.enumerate_ball(make(), radius)
+    d = metrics.word_distance_matrix(ball)
+    count = 0
+    for img in ball.symmetries():
+        assert sorted(img) == list(range(len(ball)))
+        assert np.array_equal(ball.lengths[img], ball.lengths)
+        assert np.array_equal(d[img][:, img], d)
+        count += 1
+    assert count > 0
+
+
+@pytest.mark.parametrize("rank,radius", [
+    (2, r) for r in range(1, 6)] + [(3, r) for r in range(1, 4)])
+def test_free_representatives_are_the_first_of_each_sphere(rank, radius):
+    ball = groups.enumerate_ball(groups.free_group(rank), radius)
+    reps = metrics._basepoint_representatives(
+        ball, metrics.word_distance_matrix(ball))
+    starts = np.cumsum([0] + ball.sphere_sizes()[:-1]).tolist()
+    assert reps == starts
+    assert [ball.elements[i].word for i in reps] == [
+        (0,) * k for k in range(radius + 1)]
 
 
 def test_four_point_sampled_is_seeded():
@@ -398,7 +460,7 @@ def test_rough_geodesic_endpoints_and_steps():
     f2 = groups.free_group(2)
     wm = metrics.word_metric(f2)
     x, y = f2.element("ab'a"), f2.element("ba")
-    path = metrics.rough_geodesic(wm, x, y)
+    path = rough_geodesic(wm, x, y)
     assert path[0] == (0, x)
     assert path[-1][1] == y
     assert path[-1][0] == wm.distance(x, y)
@@ -485,4 +547,4 @@ def test_rough_geodesic_equals_the_product_route(spec, radius, kind):
             for k in range(len(letters) + 1):
                 g = x * groups.GroupElement(pres, letters[:k])
                 expected.append((_product_distance(metric, x, g), g))
-            assert metrics.rough_geodesic(metric, x, y) == expected
+            assert rough_geodesic(metric, x, y) == expected

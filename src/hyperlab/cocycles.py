@@ -506,53 +506,38 @@ def cocycle_identity_scan(band, outer_radius, seed=0, samples=200):
 
     The defect at (g,h,x,y) equals half the difference of two length
     discrepancies |h^-1 (g^-1 x)| - |(gh)^-1 x| (same at y), so verifying
-    every such discrepancy vanishes covers every band pair exactly.  A
-    seeded sample of triples is also evaluated literally through
-    haagerup_value as an independent route.
+    every such discrepancy vanishes covers every band pair exactly.  The
+    products gh and g^-1 x, for g, h in the outer ball B(o) and x in the
+    band's ball B(r), are read off the edges of one ball B(max(2o, o+r)),
+    whose sphere-order prefixes B(o), B(2o) and B(o+r) hold g and h, gh
+    and g^-1 x.  A seeded sample of triples is also evaluated literally
+    through haagerup_value, with element products, as an independent
+    route.
     """
     metric = band.metric
     pres = metric.pres
-    outer = enumerate_ball(pres, outer_radius).elements
     ball_els = band.ball.elements
-
-    products = {}
-    pair_words = []     # gh for every (g, h) of outer, g-major
-    for g in outer:
-        for h in outer:
-            gh = g * h
-            products.setdefault(gh.word, gh)
-            pair_words.append(gh.word)
-    prod_els = [products[w] for w in sorted(products, key=lambda w: (len(w), w))]
-    prod_idx = {e.word: i for i, e in enumerate(prod_els)}
+    ball = enumerate_ball(pres, max(2 * outer_radius,
+                                    outer_radius + band.ball.radius))
+    ends = np.cumsum(ball.sphere_sizes()).tolist()
+    outer = ball.elements[: ends[outer_radius]]
     # row of lens_prod for each (g, h): g along axis 0, h along axis 1
-    pair_rows = np.array([prod_idx[w] for w in pair_words],
-                         dtype=np.int64).reshape(len(outer), len(outer))
+    pair_rows = ball.walk(range(len(outer)), [h.word for h in outer])
+    # g^-1 is the h of the outer ball with gh = e
+    g_inv = (pair_rows == 0).argmax(axis=1)
+    # column of lens_trans for each (g, x): g^-1 x
+    trans_tables = ball.walk(g_inv, [x.word for x in ball_els])
 
-    translated = {}
-    trans_rows = {}
-    for g in outer:
-        gi = g.inverse()
-        row = []
-        for x in ball_els:
-            gx = gi * x
-            row.append(translated.setdefault(gx.word, gx))
-        trans_rows[g.word] = row
-    trans_els = [translated[w]
-                 for w in sorted(translated, key=lambda w: (len(w), w))]
-    trans_idx = {e.word: i for i, e in enumerate(trans_els)}
-    trans_tables = {
-        w: np.array([trans_idx[e.word] for e in row], dtype=np.int64)
-        for w, row in trans_rows.items()
-    }
-
-    lens_prod = bulk_product_lengths(pres, prod_els, ball_els)
-    lens_trans = bulk_product_lengths(pres, outer, trans_els)
+    lens_prod = bulk_product_lengths(
+        pres, ball.elements[: ends[2 * outer_radius]], ball_els)
+    lens_trans = bulk_product_lengths(
+        pres, outer, ball.elements[: ends[outer_radius + band.ball.radius]])
 
     mismatches = 0
     checks = 0
-    for i, g in enumerate(outer):
+    for i in range(len(outer)):
         # row k compares |h_k^-1 (g^-1 x)| with |(g h_k)^-1 x| over x
-        rows_h = lens_trans[:, trans_tables[g.word]]
+        rows_h = lens_trans[:, trans_tables[i]]
         rows_gh = lens_prod[pair_rows[i]]
         checks += rows_h.size
         mismatches += int((rows_h != rows_gh).sum())

@@ -34,7 +34,8 @@ DISTANCE_BYTES_CAP = 2 << 30
 # bytes a pair that bulk_product_lengths allocates at its peak, by kind;
 # each bounds its route's tracemalloc peak: 24.0 on the free prefix route,
 # up to 37 on the free-product scalar route (modular radius 12, first
-# call) and 51 on the small-cancellation letter walk (surface:2, surface:3)
+# call) and 28 on the small-cancellation window search (surface:2 and
+# surface:3, either orientation)
 PAIR_BYTES = {"free": 32, "free-product": 48, "small-cancellation": 64}
 
 
@@ -625,12 +626,17 @@ class Ball:
     """Elements within a given word-metric radius, grouped by sphere.
 
     The one holder of what derives from the ball: its `elements` in sphere
-    order, their `index` (word -> position) and word `lengths`, and the
-    word `distances`, filled in by `metrics.word_distance_matrix`.
+    order, their `index` (word -> position) and word `lengths`; its
+    Cayley `edges`, filled in by `enumerate_ball`: `edges[s, i]` is the
+    position of element i times letter s, for every element i inside the
+    outer sphere; the word `distances`, filled in by
+    `metrics.word_distance_matrix`; and the `representatives` of the
+    basepoint orbits under the symmetries that keep those distances,
+    filled in by `metrics`.
     """
 
     __slots__ = ("pres", "radius", "spheres", "elements", "index", "lengths",
-                 "distances")
+                 "edges", "distances", "representatives")
 
     def __init__(self, pres, radius, spheres):
         self.pres = pres
@@ -640,10 +646,28 @@ class Ball:
         self.index = {g.word: i for i, g in enumerate(self.elements)}
         self.lengths = np.array([len(g.word) for g in self.elements],
                                 dtype=np.int64)
+        self.edges = None
         self.distances = None
+        self.representatives = None
 
     def sphere_sizes(self):
         return [len(s) for s in self.spheres]
+
+    def walk(self, starts, words):
+        """Ball positions of g w along `edges`, for g at each start
+        position (axis 0) and each word (axis 1).  Words are padded on
+        the left with a letter that stays put, so a walk ends on its own
+        letters and reads no edge of the element it ends at."""
+        width = max(map(len, words), default=0)
+        letters = np.full((len(words), width), -1, dtype=np.int64)
+        for k, w in enumerate(words):
+            letters[k, width - len(w):] = w
+        edges = np.vstack([self.edges, np.arange(self.edges.shape[1])])
+        pos = np.broadcast_to(np.asarray(starts)[:, None],
+                              (len(starts), len(words)))
+        for t in range(width):
+            pos = edges[letters[:, t], pos]
+        return pos
 
     def symmetries(self):
         """Index permutations of the ball that keep word length, as lists:
@@ -707,7 +731,11 @@ def free_sphere_size(pres, n):
 
 
 def enumerate_ball(pres, radius):
-    """Breadth-first ball enumeration with canonical-form deduplication."""
+    """Breadth-first ball enumeration with canonical-form deduplication.
+
+    Each product g s it forms, for g inside the outer sphere and s a
+    letter, is kept as the ball position of g s in `Ball.edges`.
+    """
     if radius < 0:
         raise InputError("radius must be >= 0")
     if pres.kind == "free":
@@ -716,23 +744,39 @@ def enumerate_ball(pres, radius):
             raise ResourceLimitError(
                 f"ball would hold {total} elements (cap {ELEMENT_CAP})"
             )
+    letters = range(len(pres.alphabet.symbols))
     spheres = [[pres.identity]]
-    seen = {()}
+    # word -> discovery id; `final` maps ids to positions in sorted spheres
+    found = {(): 0}
+    final = [np.zeros(1, dtype=np.int64)]
+    edges = [np.zeros((0, len(letters)), dtype=np.int64)]
     for _ in range(radius):
-        layer = []
+        start = len(found)
+        layer, targets = [], []
         for g in spheres[-1]:
-            for s in range(len(pres.alphabet.symbols)):
+            for s in letters:
                 w = pres.multiply(g.word, (s,))
-                if len(w) == len(g.word) + 1 and w not in seen:
-                    seen.add(w)
+                n = len(found)
+                i = found.setdefault(w, n)
+                if i == n:
+                    # new, so one letter longer than g: products no
+                    # longer than g are in the ball already
                     layer.append(GroupElement(pres, w))
-                    if len(seen) > ELEMENT_CAP:
+                    if n >= ELEMENT_CAP:
                         raise ResourceLimitError(
                             f"ball exceeded the cap of {ELEMENT_CAP} elements"
                         )
-        layer.sort(key=lambda e: e.word)
-        spheres.append(layer)
-    return Ball(pres, radius, spheres)
+                targets.append(i)
+        order = sorted(range(len(layer)), key=lambda k: layer[k].word)
+        rank = np.empty(len(layer), dtype=np.int64)
+        rank[order] = np.arange(start, start + len(layer))
+        final.append(rank)
+        edges.append(np.array(targets, dtype=np.int64).reshape(-1, len(letters)))
+        spheres.append([layer[k] for k in order])
+    ball = Ball(pres, radius, spheres)
+    inner = np.concatenate(final)[np.concatenate(edges)]
+    ball.edges = np.ascontiguousarray(inner.T)
+    return ball
 
 
 def enumerate_ball_pairwise(pres, radius):
@@ -774,9 +818,10 @@ def bulk_product_lengths(pres, lefts, rights):
     so only prefix comparisons are needed.  Small-cancellation kinds
     additionally need Dehn reduction; when every piece has length 1 and
     every raw product is shorter than the relator, a Dehn-irreducible word
-    is geodesic, so one pass of a prefix-transition table over all
-    products at once finds those holding more than half a relator, and
-    the scalar dehn_reduce finishes just these.  Free
+    is geodesic, so a prefix-transition table, walked once over each l^-1
+    and tabulated from every state over each r (`_window_hits`), finds
+    those holding more than half a relator, and the scalar dehn_reduce
+    finishes just these.  Free
     products and the remaining small-cancellation cases fall back to one
     `left_quotient` call per pair, or per unordered pair when `lefts` and
     `rights` are one list.  A call whose estimated allocation passes
@@ -836,12 +881,9 @@ def _vectorized_lengths(pres, lefts, rights):
     """Vectorized |l^-1 r| for free and fast small-cancellation cases;
     None when the scalar route is needed.
 
-    The fast small-cancellation case walks `_relator_windows` over the
-    letters of every reduced l^-1 r at once, one letter a step, without
-    building the words; only words whose walk ends accepting hold a
-    subword longer than half a relator, and those go to dehn_reduce.
+    The fast small-cancellation case finds the reduced words l^-1 r that
+    hold a relator window (`_window_hits`); only those go to dehn_reduce.
     """
-    nl, nr = len(lefts), len(rights)
     lv = np.array([len(l.word) for l in lefts], dtype=np.int64)
     lx = np.array([len(r.word) for r in rights], dtype=np.int64)
     wl = max(1, int(lv.max()))
@@ -853,41 +895,65 @@ def _vectorized_lengths(pres, lefts, rights):
         return lens
     if pres._max_piece != 1 or int(lens.max()) >= pres._min_relator:
         return None
-
-    # symbols and the -1 padding share the smallest signed type that holds
-    # every index, so alphabets past 128 symbols widen instead of overflow
-    sym = np.min_scalar_type(-len(pres.alphabet.symbols))
-    b = np.full((nr, wr), -1, dtype=sym)   # right words as spelled
-    for j, r in enumerate(rights):
-        if r.word:
-            b[j, : len(r.word)] = r.word
+    # r^-1 l is the inverse of l^-1 r, and the windows are closed under
+    # inversion: the per-state table goes on the shorter list
+    if len(rights) > len(lefts):
+        hits = _window_hits(pres, rights, lefts, lcp.T, lx).T
+    else:
+        hits = _window_hits(pres, lefts, rights, lcp, lv)
     inv = pres.alphabet.inverse
-    last = int(lens.max())
-    # inverse words of lefts, padded so that every step reads a column
-    ia = np.full((nl, max(wl, last)), -1, dtype=sym)
-    for i, l in enumerate(lefts):
-        if l.word:
-            ia[i, : len(l.word)] = [inv[s] for s in reversed(l.word)]
-    # letter t of the reduced word l^-1 r: l^-1 gives the first |l| - lcp,
-    # r its letters past the common prefix, then -1 pads
-    keep = lv[:, None] - lcp
-    shift = lcp - keep          # letter t >= keep is r's letter t + shift
-    cols = np.arange(nr)[None, :]
-    # one walk of the relator-window table over all words at once; the -1
-    # padding indexes the table's last column
-    table, accept = pres._relator_windows
-    state = np.zeros((nl, nr), dtype=table.dtype)
-    for t in range(last):
-        from_r = b[cols, np.clip(t + shift, 0, wr - 1)]
-        letter = np.where(t < keep, ia[:, t, None],
-                          np.where(t < lens, from_r, sym.type(-1)))
-        state = table[state, letter]
-    # the few words holding a relator window finish by Dehn reduction
-    for i, j in np.argwhere(accept[state]).tolist():
+    for i, j in np.argwhere(hits).tolist():
         c = int(lcp[i, j])
         word = _invert_word(inv, lefts[i].word[c:]) + rights[j].word[c:]
         lens[i, j] = len(pres.dehn_reduce(word))
     return lens
+
+
+def _window_hits(pres, lefts, rights, lcp, lv):
+    """Whether each reduced word l^-1 r holds a relator window.
+
+    The walk of `_relator_windows` over l^-1 r factors at the junction:
+    the state after the kept part of l^-1 depends on l and the common
+    prefix length c, the state after r[c:] on r, c and the state before
+    it.  One walk over each l^-1 and one table over every state, r and c
+    give these; one gather per pair joins them.  Accepting states absorb,
+    so the word holds a window exactly when the joined state accepts.
+    """
+    table, accept = pres._relator_windows
+    inv = pres.alphabet.inverse
+    # symbols and the -1 padding share the smallest signed type that holds
+    # every index, so alphabets past 128 symbols widen instead of overflow
+    sym = np.min_scalar_type(-len(pres.alphabet.symbols))
+
+    def letters(words):
+        out = np.full((len(words), max(1, max(map(len, words)))), -1,
+                      dtype=sym)
+        for k, w in enumerate(words):
+            out[k, : len(w)] = w
+        return out
+
+    ia = letters([_invert_word(inv, l.word) for l in lefts])
+    # after[i, k]: the state after the first k letters of l_i^-1
+    after = np.zeros((len(lefts), ia.shape[1] + 1), dtype=table.dtype)
+    for t in range(ia.shape[1]):
+        after[:, t + 1] = table[after[:, t], ia[:, t]]
+    b = letters([r.word for r in rights])
+    # onward[j, c, q]: the state after r_j[c:] read from state q, built
+    # from the end; the -1 padding resets only states that do not accept
+    states = len(table)
+    onward = np.empty((len(rights), b.shape[1] + 1, states),
+                      dtype=table.dtype)
+    onward[:, -1] = np.arange(states)
+    for c in range(b.shape[1] - 1, -1, -1):
+        onward[:, c] = np.take_along_axis(onward[:, c + 1],
+                                          table[:, b[:, c]].T, axis=1)
+    # the kept part of l^-1 is its first |l| - c letters
+    idx = (np.arange(len(lefts)) * after.shape[1] + lv)[:, None] - lcp
+    joint = after.ravel()[idx]
+    np.add(np.arange(len(rights)) * onward.shape[1], lcp, out=idx)
+    idx *= states
+    idx += joint
+    return accept[onward.ravel()[idx]]
 
 
 # -- presets and presentation files ------------------------------------

@@ -330,6 +330,15 @@ def metric_distance_matrix(metric, ball):
     return d
 
 
+def _narrow(dist):
+    """A nonnegative integer matrix in the narrowest signed dtype that
+    holds twice its largest entry."""
+    top = 2 * int(dist.max())
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= top)
+    return dist.astype(dtype)
+
+
 def _basepoint_representatives(ball, d):
     """Least index of each orbit of the ball's basepoints, ascending.
 
@@ -338,8 +347,15 @@ def _basepoint_representatives(ball, d):
     four-point scan at an image basepoint sees the same table with rows
     and columns permuted, so it finds the same maximum, and the least
     index of an orbit is the first basepoint of that orbit in a full
-    scan.
+    scan.  The orbits of the ball's own word distances are sought once
+    and kept on the ball, where the float scan and the min-rule oracle
+    both read them.
     """
+    own = d is not None and d is ball.distances
+    if own:
+        if ball.representatives is not None:
+            return ball.representatives
+        d = _narrow(d)      # the same equalities in fewer bytes
     root = list(range(len(ball)))
 
     def find(i):
@@ -349,12 +365,15 @@ def _basepoint_representatives(ball, d):
         return i
 
     for img in ball.symmetries():
-        if not np.array_equal(d[img][:, img], d):
+        if not np.array_equal(d.take(img, 0).take(img, 1), d):
             continue
         for i, j in enumerate(img):
             a, b = find(i), find(j)
             root[max(a, b)] = min(a, b)
-    return [i for i in range(len(root)) if find(i) == i]
+    reps = [i for i in range(len(root)) if find(i) == i]
+    if own:
+        ball.representatives = reps
+    return reps
 
 
 @dataclass
@@ -468,11 +487,8 @@ def four_point_min_rule_margin(ball):
     n = len(ball)
     _refuse_min_rule_scan(sum(1 for s in ball.spheres if s), n, "at least ")
     dist = word_distance_matrix(ball)
-    top = 2 * int(dist.max())
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).max >= top)
-    d = dist.astype(dtype)
-    reps = _basepoint_representatives(ball, d)
+    reps = _basepoint_representatives(ball, dist)
+    d = _narrow(dist)
     _refuse_min_rule_scan(len(reps), n)
     g = np.empty_like(d)
     worst = None

@@ -7,6 +7,7 @@ import pytest
 
 from hyperlab import cocycles, groups, metrics
 from hyperlab.errors import InputError, InvariantViolation, ResourceLimitError
+from hyperlab.suites import ScenarioConfig, run_scenario
 
 from oracles import rough_geodesic
 
@@ -105,6 +106,61 @@ def test_identity_scan_surface():
     scan = cocycles.cocycle_identity_scan(band, 1, samples=50)
     assert scan.mismatches == 0
     assert scan.max_sample_defect == 0
+
+
+@pytest.mark.parametrize("spec,K,radius,outer", [
+    ("free:2", 2, 3, 2),
+    ("surface:2", 3, 2, 1),
+])
+def test_identity_scan_sees_a_broken_edge(monkeypatch, spec, K, radius,
+                                          outer):
+    # gh and g^-1 x are read off the ball's edges: swapping two of them
+    # must show as mismatches
+    pres = groups.preset(spec)
+    band = cocycles.build_pair_band(metrics.word_metric(pres), K, radius)
+    enumerate_ball = groups.enumerate_ball
+
+    def broken(pres, radius):
+        ball = enumerate_ball(pres, radius)
+        edges = ball.edges
+        edges[0, 1], edges[0, 2] = edges[0, 2], edges[0, 1]
+        return ball
+
+    monkeypatch.setattr(cocycles, "enumerate_ball", broken)
+    assert cocycles.cocycle_identity_scan(band, outer).mismatches > 0
+
+
+@pytest.mark.parametrize("spec,radius,outer,cap", [
+    # B(max(2o, o+r)): 485 elements on free:2, 65 on surface:2
+    ("free:2", 3, 2, 400),
+    ("surface:2", 1, 1, 50),
+])
+def test_identity_scan_ball_is_capped(monkeypatch, spec, radius, outer, cap):
+    pres = groups.preset(spec)
+    band = cocycles.build_pair_band(metrics.word_metric(pres), 1, radius)
+    monkeypatch.setattr(groups, "ELEMENT_CAP", cap)
+    products = []
+    monkeypatch.setattr(groups.GroupElement, "__mul__",
+                        lambda self, other: products.append(other))
+    with pytest.raises(ResourceLimitError):
+        cocycles.cocycle_identity_scan(band, outer)
+    assert products == []
+
+
+def test_identity_scan_normalizes_no_products(monkeypatch):
+    # only the ball's enumeration and the 200-triple sample normalize:
+    # 3,728 and 3,164 calls
+    calls = []
+    normalize = groups.GroupPresentation.normalize
+
+    def counted(self, word):
+        calls.append(word)
+        return normalize(self, word)
+
+    monkeypatch.setattr(groups.GroupPresentation, "normalize", counted)
+    run_scenario(ScenarioConfig(suite="cocycle", group="surface:2",
+                                radius=2))
+    assert len(calls) <= 7500
 
 
 def test_edge_norm_law(band6, free2):

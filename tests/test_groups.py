@@ -190,6 +190,51 @@ def test_ball_is_a_prefix_of_larger_balls():
         assert outer.lengths.tolist() == [g.length() for g in outer.elements]
 
 
+def _two_relator_presentation():
+    # relators of lengths 7 and 9: windows of 4 and 5 letters, and every
+    # piece one letter long
+    return groups.parse_presentation(
+        "generators: a b c d e f g\nabcdefg\nacegbdfa'c'\n")
+
+
+@pytest.mark.parametrize("make,radius", [
+    pytest.param(lambda: groups.free_group(2), 4, id="free2-r4"),
+    pytest.param(groups.modular_group, 6, id="modular-r6"),
+    pytest.param(lambda: groups.cyclic_free_product([3, 4]), 4,
+                 id="z3-z4-r4"),
+    pytest.param(lambda: groups.surface_group(2), 3, id="surface2-r3"),
+    pytest.param(lambda: groups.surface_group(3), 2, id="surface3-r2"),
+    pytest.param(_two_relator_presentation, 2, id="two-relator-file"),
+])
+def test_ball_edges_are_the_products_by_one_letter(make, radius):
+    pres = make()
+    ball = groups.enumerate_ball(pres, radius)
+    inner = len(ball) - len(ball.spheres[-1])
+    assert ball.edges.shape == (len(pres.alphabet), inner)
+    expected = [[ball.index[pres.multiply(g.word, (s,))]
+                 for g in ball.elements[:inner]]
+                for s in range(len(pres.alphabet))]
+    assert ball.edges.tolist() == expected
+    # a walk from the identity along each canonical word ends on it
+    assert ball.walk([0], [g.word for g in ball.elements]).tolist() == [
+        list(range(len(ball)))]
+
+
+def test_ball_edges_cost_no_normalization(monkeypatch):
+    # the products enumeration forms anyway are the edges: 8 letters on
+    # each of the 457 elements of the surface:2 radius-3 ball
+    calls = []
+    normalize = groups.GroupPresentation.normalize
+
+    def counted(self, word):
+        calls.append(word)
+        return normalize(self, word)
+
+    monkeypatch.setattr(groups.GroupPresentation, "normalize", counted)
+    groups.enumerate_ball(groups.surface_group(2), 4)
+    assert len(calls) == 3656
+
+
 _PRODUCT_BALLS = [
     pytest.param(lambda: groups.free_group(2), 3, id="free2-r3"),
     pytest.param(lambda: groups.free_group(3), 2, id="free3-r2"),
@@ -307,10 +352,8 @@ def _surface3_sample():
 
 
 def _two_relator_file():
-    # relators of lengths 7 and 9: windows of 4 and 5 letters, and every
-    # piece one letter long, so the walk decides
-    pres = groups.parse_presentation(
-        "generators: a b c d e f g\nabcdefg\nacegbdfa'c'\n")
+    # every piece is one letter long, so the walk decides
+    pres = _two_relator_presentation()
     els = groups.enumerate_ball(pres, 2).elements
     rng = random.Random(7)
     lefts, rights = _window_pairs(pres, 1)
@@ -326,6 +369,18 @@ def _surface2_far_sample():
             groups.enumerate_ball(s, 3).elements)
 
 
+def _surface2_far_sample_transposed():
+    # more rights than lefts: the walk reads r^-1 l
+    s, lefts, rights = _surface2_far_sample()
+    return s, rights, lefts
+
+
+def _surface2_wide():
+    s = groups.surface_group(2)
+    return (s, groups.enumerate_ball(s, 2).elements,
+            groups.enumerate_ball(s, 4).elements)
+
+
 @pytest.mark.parametrize("case", [
     pytest.param(_free2_corner, id="free2-corner"),
     pytest.param(_surface2_sample, id="surface2-sample"),
@@ -336,6 +391,9 @@ def _surface2_far_sample():
     pytest.param(_surface3_sample, id="surface3-sample"),
     pytest.param(_two_relator_file, id="two-relator-file"),
     pytest.param(_surface2_far_sample, id="surface2-far-sample"),
+    pytest.param(_surface2_far_sample_transposed,
+                 id="surface2-far-sample-transposed"),
+    pytest.param(_surface2_wide, id="surface2-wide"),
 ])
 def test_bulk_product_lengths_matches_scalar(case):
     pres, lefts, rights = case()

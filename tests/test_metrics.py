@@ -222,10 +222,12 @@ def test_orbit_reduced_scans_equal_the_full_scan(monkeypatch, make, radius,
                         max(metrics.QUADRUPLE_CAP, len(ball) ** 4))
     reduced = (metrics.check_strong_hyperbolicity(metric, ball),
                metrics.four_point_min_rule_margin(ball))
-    # with no symmetries at all every basepoint is scanned
+    # with no symmetries at all every basepoint is scanned; a new ball
+    # keeps no orbits from the reduced scans
     monkeypatch.setattr(groups.Ball, "symmetries", lambda self: iter(()))
     assert metrics._basepoint_representatives(ball, None) == list(
         range(len(ball)))
+    ball = groups.enumerate_ball(pres, radius)
     full = (metrics.check_strong_hyperbolicity(metric, ball),
             metrics.four_point_min_rule_margin(ball))
     assert reduced == full
@@ -245,6 +247,22 @@ def test_basepoint_representatives(make, radius, kind, count):
     reps = metrics._basepoint_representatives(ball, d)
     assert len(reps) == count
     assert reps == sorted(reps)
+
+
+def test_strong_hyp_seeks_the_orbits_once(monkeypatch):
+    # the float scan and the min-rule oracle read one orbit search
+    searches = []
+    symmetries = groups.Ball.symmetries
+
+    def recorded(ball):
+        searches.append(len(ball))
+        return symmetries(ball)
+
+    monkeypatch.setattr(groups.Ball, "symmetries", recorded)
+    reports = run_scenario(ScenarioConfig(suite="strong-hyp", group="free:2",
+                                          radius=4))
+    assert [c.passed for r in reports for c in r.checks] == [True, True]
+    assert searches == [161]
 
 
 @pytest.mark.parametrize("make,radius", [

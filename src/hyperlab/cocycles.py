@@ -10,6 +10,7 @@ partition-of-a-geodesic argument and read the same two rows, d(e, .)
 and d(g, .), comparing integers on exact metrics.
 """
 import math
+import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -542,15 +543,15 @@ def cocycle_identity_scan(band, outer_radius, seed=0, samples=200):
         checks += rows_h.size
         mismatches += int((rows_h != rows_gh).sum())
 
-    rng = np.random.default_rng(seed)
+    draw = random.Random(seed).randrange
     max_defect = Fraction(0) if metric.exact else 0.0
     n_pairs = len(band)
     sampled = 0
     if n_pairs:
         for _ in range(samples):
-            g = outer[int(rng.integers(len(outer)))]
-            h = outer[int(rng.integers(len(outer)))]
-            i, j = band.index[int(rng.integers(n_pairs))]
+            g = outer[draw(len(outer))]
+            h = outer[draw(len(outer))]
+            i, j = band.index[draw(n_pairs)]
             x, y = ball_els[i], ball_els[j]
             gi = g.inverse()
             lhs = haagerup_value(metric, g * h, x, y)

@@ -34,9 +34,10 @@ DISTANCE_BYTES_CAP = 2 << 30
 # bytes a pair that bulk_product_lengths allocates at its peak, by kind;
 # each bounds its route's tracemalloc peak: 24.0 on the free prefix route,
 # up to 37 on the free-product scalar route (modular radius 12, first
-# call) and 28 on the small-cancellation window search (surface:2 and
-# surface:3, either orientation)
-PAIR_BYTES = {"free": 32, "free-product": 48, "small-cancellation": 64}
+# call), up to 28.2 on the small-cancellation window search (surface:2
+# and surface:3, either orientation) and 30.5 on its scalar route
+# (square calls on surface:2 radius-4 samples), 36 leaving 18% margin
+PAIR_BYTES = {"free": 32, "free-product": 48, "small-cancellation": 36}
 
 
 class Alphabet:
@@ -98,6 +99,14 @@ def _free_reduce(inverse, word):
         else:
             out.append(s)
     return tuple(out)
+
+
+def _window_state(table, word):
+    """State of a window table's walk after reading word from the start."""
+    q = 0
+    for s in word:
+        q = table[q][s]
+    return q
 
 
 def _invert_word(inverse, word):
@@ -218,23 +227,35 @@ class GroupPresentation:
 
     @functools.cached_property
     def _relator_windows(self):
-        """Prefix-transition table that finds relator subwords longer than
-        half the relator (Aho-Corasick, CACM 1975).
+        """Dehn reduction's (table, accept): len(rot)//2 + 1 letters."""
+        return self._window_table(lambda n: n // 2 + 1)
 
-        Its states are the prefixes of the len(rot)//2 + 1 letter prefixes
-        of all rotations; `table[q, s]` is the state after symbol s, the
-        last column sending the -1 padding to the start state 0.  The
-        states that end one of those prefixes accept and absorb.  A subword
-        longer than half a relator begins with such a prefix, so a word
-        holds one exactly when its walk ends accepting.  No prefix lies
-        inside another state's word, for it would make a piece of more
-        than half a relator, so a walk that reads one is in its end state.
+    @functools.cached_property
+    def _move_windows(self):
+        """(table, accept) as plain lists, finding the subwords that
+        `_sc_moves` replaces: windows of ceil(len(rot)/2) letters.  A
+        reduced word whose walk ends outside `accept` has no move."""
+        table, accept = self._window_table(lambda n: (n + 1) // 2)
+        return table.tolist(), accept.tolist()
+
+    def _window_table(self, width):
+        """Prefix-transition table that finds windows, the first
+        width(len(rot)) letters of any rotation (Aho-Corasick, CACM 1975).
+
+        Its states are the prefixes of all windows; `table[q, s]` is the
+        state after symbol s, the last column sending the -1 padding to
+        the start state 0.  The states that end a window accept and
+        absorb, so a word holds a window exactly when its walk ends
+        accepting.  Both widths used are at least half the rotation, and
+        a window seen inside another state's word at any place but its
+        start would make a piece of at least half a relator, which C'(1/6)
+        rules out; so a walk that reads a window is in its end state.
         Returns (table, accept).
         """
         children, ends = [{}], [False]
         for rot in self._rotations:
             q = 0
-            for s in rot[: len(rot) // 2 + 1]:
+            for s in rot[: width(len(rot))]:
                 if s not in children[q]:
                     children[q][s] = len(children)
                     children.append({})
@@ -380,10 +401,17 @@ class GroupPresentation:
                 yield _free_reduce(inv, word[:i] + repl + word[i + take :])
 
     def _canonical_sc(self, word):
+        """Shortlex-least word of the move closure of the freely reduced
+        word, cached for every word visited.  A word holding no move
+        window has a closure of one word, so it is returned as it is,
+        without a search and without a cache entry."""
         word = _free_reduce(self.alphabet.inverse, word)
         hit = self._canon_cache.get(word)
         if hit is not None:
             return hit
+        table, accept = self._move_windows
+        if not accept[_window_state(table, word)]:
+            return word
         seen = {word}
         frontier = [word]
         best = word
@@ -734,7 +762,11 @@ def enumerate_ball(pres, radius):
     """Breadth-first ball enumeration with canonical-form deduplication.
 
     Each product g s it forms, for g inside the outer sphere and s a
-    letter, is kept as the ball position of g s in `Ball.edges`.
+    letter, is kept as the ball position of g s in `Ball.edges`.  On
+    small-cancellation kinds each element keeps its `_move_windows`
+    state: a canonical g holding no move window has a prefix g[:-1] and
+    windowless one-letter extensions g s that are canonical as they
+    stand, so only the products whose step accepts go through `multiply`.
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
@@ -745,23 +777,39 @@ def enumerate_ball(pres, radius):
                 f"ball would hold {total} elements (cap {ELEMENT_CAP})"
             )
     letters = range(len(pres.alphabet.symbols))
+    inv = pres.alphabet.inverse
+    sc = pres.kind == "small-cancellation"
+    # other kinds have one state, which accepts: every product multiplies
+    table, accept = (pres._move_windows if sc
+                     else ([[0] * len(letters)], [True]))
     spheres = [[pres.identity]]
+    states = [0]
     # word -> discovery id; `final` maps ids to positions in sorted spheres
     found = {(): 0}
     final = [np.zeros(1, dtype=np.int64)]
     edges = [np.zeros((0, len(letters)), dtype=np.int64)]
     for _ in range(radius):
         start = len(found)
-        layer, targets = [], []
-        for g in spheres[-1]:
+        layer, layer_states, targets = [], [], []
+        for g, q in zip(spheres[-1], states):
+            word = g.word
             for s in letters:
-                w = pres.multiply(g.word, (s,))
+                step = table[q][s]
+                if accept[step]:
+                    w = pres.multiply(word, (s,))
+                elif word and s == inv[word[-1]]:
+                    w = word[:-1]
+                else:
+                    w = word + (s,)
                 n = len(found)
                 i = found.setdefault(w, n)
                 if i == n:
                     # new, so one letter longer than g: products no
                     # longer than g are in the ball already
                     layer.append(GroupElement(pres, w))
+                    if sc and accept[step]:
+                        step = _window_state(table, w)
+                    layer_states.append(step)
                     if n >= ELEMENT_CAP:
                         raise ResourceLimitError(
                             f"ball exceeded the cap of {ELEMENT_CAP} elements"
@@ -773,6 +821,7 @@ def enumerate_ball(pres, radius):
         final.append(rank)
         edges.append(np.array(targets, dtype=np.int64).reshape(-1, len(letters)))
         spheres.append([layer[k] for k in order])
+        states = [layer_states[k] for k in order]
     ball = Ball(pres, radius, spheres)
     inner = np.concatenate(final)[np.concatenate(edges)]
     ball.edges = np.ascontiguousarray(inner.T)

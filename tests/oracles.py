@@ -1,5 +1,5 @@
 """Reference routes that tests compare the library against."""
-from hyperlab.groups import GroupElement
+from hyperlab.groups import GroupElement, _free_reduce
 
 
 def rough_geodesic(metric, x, y):
@@ -13,3 +13,49 @@ def rough_geodesic(metric, x, y):
         g = GroupElement(pres, pres.multiply(g.word, (sym,)))
         points.append((metric.distance(x, g), g))
     return points
+
+
+def holds_move_window(pres, word):
+    """Whether word holds the first ceil(|r|/2) letters of a relator
+    rotation, the subwords that Dehn moves replace, by a scan of every
+    subword."""
+    windows = {rot[: (len(rot) + 1) // 2] for rot in pres._rotations}
+    return any(word[i:j] in windows
+               for i in range(len(word)) for j in range(i + 1, len(word) + 1))
+
+
+def move_closure_normal_form(pres, word):
+    """Shortlex-least word of the Dehn-move closure of word, searched in
+    full on every call: no cache, and no shortcut for words without a
+    move window."""
+    word = _free_reduce(pres.alphabet.inverse, tuple(word))
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        new = []
+        for w in frontier:
+            for w2 in pres._sc_moves(w):
+                if w2 not in seen:
+                    seen.add(w2)
+                    new.append(w2)
+        frontier = new
+    return min(seen, key=lambda w: (len(w), w))
+
+
+def multiply_ball(pres, radius):
+    """Ball words in sphere order, each sphere sorted, and edges[s][i],
+    the position of word i times letter s for i inside the outer sphere;
+    every product is formed with `multiply`."""
+    letters = range(len(pres.alphabet))
+    spheres = [[()]]
+    known = {()}
+    for _ in range(radius):
+        layer = {pres.multiply(w, (s,)) for w in spheres[-1]
+                 for s in letters} - known
+        known |= layer
+        spheres.append(sorted(layer))
+    words = [w for sphere in spheres for w in sphere]
+    index = {w: i for i, w in enumerate(words)}
+    inner = words[: len(words) - len(spheres[-1])]
+    edges = [[index[pres.multiply(w, (s,))] for w in inner] for s in letters]
+    return words, edges

@@ -114,6 +114,20 @@ def test_every_suite_ends_promptly_on_the_integers(suite):
         assert b"free:1 is elementary" in proc.stderr
 
 
+def test_identity_scan_sample_leaves_numpy_random_unloaded(tmp_path):
+    # the scan's seeded sample draws with the standard library; importing
+    # numpy.random would cost every cocycle run about 15 ms
+    code = ("import sys; from hyperlab import cli; "
+            "cli.main(['check', '--suite', 'cocycle', '--group', "
+            "'surface:2', '--radius', '2', '--out', sys.argv[1]]); "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(tmp_path / "out.json")],
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"False"
+
+
 def test_green_suite_at_radius_zero(tmp_path):
     # the closed-form check reads the one-letter passage at every radius
     code, payload = run_main(tmp_path, "check", "--suite", "green",

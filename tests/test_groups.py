@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperlab import groups
+from hyperlab import boundary, groups
 from hyperlab.errors import (InputError, ResourceLimitError,
                              UnsupportedElementError)
+
+from oracles import (holds_move_window, move_closure_normal_form,
+                     multiply_ball)
 
 letters2 = st.lists(st.sampled_from("abAB"), max_size=12)
 letters_surface = st.lists(st.sampled_from("abcdABCD"), max_size=10)
@@ -203,7 +206,10 @@ def _two_relator_presentation():
     pytest.param(lambda: groups.cyclic_free_product([3, 4]), 4,
                  id="z3-z4-r4"),
     pytest.param(lambda: groups.surface_group(2), 3, id="surface2-r3"),
+    # the radius-4 ball's last products reach surface:2's move windows
+    pytest.param(lambda: groups.surface_group(2), 4, id="surface2-r4"),
     pytest.param(lambda: groups.surface_group(3), 2, id="surface3-r2"),
+    pytest.param(lambda: groups.surface_group(3), 3, id="surface3-r3"),
     pytest.param(_two_relator_presentation, 2, id="two-relator-file"),
 ])
 def test_ball_edges_are_the_products_by_one_letter(make, radius):
@@ -211,9 +217,8 @@ def test_ball_edges_are_the_products_by_one_letter(make, radius):
     ball = groups.enumerate_ball(pres, radius)
     inner = len(ball) - len(ball.spheres[-1])
     assert ball.edges.shape == (len(pres.alphabet), inner)
-    expected = [[ball.index[pres.multiply(g.word, (s,))]
-                 for g in ball.elements[:inner]]
-                for s in range(len(pres.alphabet))]
+    words, expected = multiply_ball(pres, radius)
+    assert [g.word for g in ball.elements] == words
     assert ball.edges.tolist() == expected
     # a walk from the identity along each canonical word ends on it
     assert ball.walk([0], [g.word for g in ball.elements]).tolist() == [
@@ -221,8 +226,9 @@ def test_ball_edges_are_the_products_by_one_letter(make, radius):
 
 
 def test_ball_edges_cost_no_normalization(monkeypatch):
-    # the products enumeration forms anyway are the edges: 8 letters on
-    # each of the 457 elements of the surface:2 radius-3 ball
+    # the products enumeration forms anyway are the edges, and a canonical
+    # word with no move window drops its last letter or gains one as it
+    # stands: only the 16 products whose window walk accepts normalize
     calls = []
     normalize = groups.GroupPresentation.normalize
 
@@ -232,7 +238,64 @@ def test_ball_edges_cost_no_normalization(monkeypatch):
 
     monkeypatch.setattr(groups.GroupPresentation, "normalize", counted)
     groups.enumerate_ball(groups.surface_group(2), 4)
-    assert len(calls) == 3656
+    assert len(calls) == 16
+
+
+def _window_words(pres, length):
+    """Every freely reduced word u W v of at most `length` letters around
+    a move window W, the first ceil(|r|/2) letters of a rotation."""
+    letters = range(len(pres.alphabet))
+    out = set()
+    for rot in pres._rotations:
+        window = rot[: (len(rot) + 1) // 2]
+        room = length - len(window)
+        for a in range(room + 1):
+            for b in range(room - a + 1):
+                for u in itertools.product(letters, repeat=a):
+                    for v in itertools.product(letters, repeat=b):
+                        out.add(u + window + v)
+    inv = pres.alphabet.inverse
+    return [w for w in out if groups._free_reduce(inv, w) == w]
+
+
+# every reduced word up to the first length, and every one holding a move
+# window up to the second (all reduced words of 6 letters over the file's
+# 14 would be 5.2 million)
+_WORD_SETS = [
+    pytest.param(lambda: groups.surface_group(2), 5, 6, id="surface2"),
+    pytest.param(lambda: groups.surface_group(3), 4, 7, id="surface3"),
+    pytest.param(_two_relator_presentation, 4, 6, id="two-relator-file"),
+]
+
+
+def _word_set(pres, every, windowed):
+    # the free group on the same alphabet spells every reduced word
+    cover = groups.GroupPresentation(pres.alphabet, "free")
+    words = {w for n in range(every + 1)
+             for w in boundary.reduced_words(cover, n)}
+    words.update(_window_words(pres, windowed))
+    return sorted(words, key=groups._shortlex_key)
+
+
+@pytest.mark.parametrize("make,every,windowed", _WORD_SETS)
+def test_move_windows_accept_exactly_the_words_holding_one(make, every,
+                                                           windowed):
+    pres = make()
+    table, accept = pres._move_windows
+    seen = set()
+    for w in _word_set(pres, every, windowed):
+        holds = holds_move_window(pres, w)
+        assert accept[groups._window_state(table, w)] == holds, w
+        seen.add(holds)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("make,every,windowed", _WORD_SETS)
+def test_normalize_equals_the_full_move_closure(make, every, windowed):
+    pres = make()
+    words = _word_set(pres, every, windowed)
+    assert ([pres.normalize(w) for w in words]
+            == [move_closure_normal_form(pres, w) for w in words])
 
 
 _PRODUCT_BALLS = [

@@ -37,9 +37,7 @@ from .metrics import (
     check_strong_hyperbolicity,
     four_point_min_rule_margin,
     green_metric,
-    growth_exponent,
     solve_green,
-    tree_metric,
     word_metric,
 )
 from .cocycles import (
@@ -49,7 +47,6 @@ from .cocycles import (
     PropernessCertificate,
     affine_action_check,
     build_pair_band,
-    busemann_group,
     cocycle_identity_scan,
     critical_exponent_scan,
     haagerup_value,
@@ -66,14 +63,12 @@ from .boundary import (
     conformal_identity_check,
     conformality_check,
     fixed_points,
-    parse_boundary_point,
     reduced_words,
     seeded_family,
     visual_distance,
 )
 from .crossed import (
     CrossedElement,
-    FlowParameter,
     StepFunction,
     apply_flow,
     busemann_step,
@@ -94,17 +89,16 @@ __all__ = [
     "parse_presentation", "preset", "surface_group",
     "FOURPOINT_TOLERANCE", "FourPointReport", "GreenData", "MetricStructure",
     "check_strong_hyperbolicity", "four_point_min_rule_margin",
-    "green_metric", "growth_exponent", "solve_green", "tree_metric",
-    "word_metric",
+    "green_metric", "solve_green", "word_metric",
     "AffineActionReport", "LpNormReport", "PairBand", "PropernessCertificate",
-    "affine_action_check", "build_pair_band", "busemann_group",
+    "affine_action_check", "build_pair_band",
     "cocycle_identity_scan", "critical_exponent_scan", "haagerup_value",
     "lp_norm", "properness_check",
     "BoundaryMeasure", "BoundaryPoint", "boundary_gromov", "boundary_point",
     "busemann_boundary", "busemann_on_word", "conformal_identity_check",
-    "conformality_check", "fixed_points", "parse_boundary_point",
-    "reduced_words", "seeded_family", "visual_distance",
-    "CrossedElement", "FlowParameter", "StepFunction", "apply_flow",
+    "conformality_check", "fixed_points", "reduced_words",
+    "seeded_family", "visual_distance",
+    "CrossedElement", "StepFunction", "apply_flow",
     "busemann_step", "kms_check", "kms_monomial_scan",
     "nonvanishing_certificate", "state_omega",
     "ScenarioConfig", "SuiteReport", "run_scenario",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InvariantViolation, UnsupportedElementError
-from .groups import GroupElement, _spell, common_prefix_len, cyclically_reduce
+from .groups import _spell, common_prefix_len, cyclically_reduce
 
 INFINITE_PRODUCT = math.inf
 
@@ -88,10 +88,6 @@ class BoundaryPoint:
         reps = (n - len(u)) // len(c) + 1
         return (u + c * reps)[:n]
 
-    def starts_with(self, word):
-        word = tuple(word)
-        return self.prefix(len(word)) == word
-
     def spelled(self):
         alph = self.pres.alphabet
         return f"{_spell(alph, self.preperiod)}|{_spell(alph, self.period)}"
@@ -115,14 +111,6 @@ def boundary_point(pres, preperiod, period):
     return BoundaryPoint(pres, pres.parse_word(preperiod), pres.parse_word(period))
 
 
-def parse_boundary_point(pres, text):
-    """Inverse of BoundaryPoint.spelled: 'u|c' with '1' for an empty u."""
-    if text.count("|") != 1:
-        raise InputError(f"boundary point text {text!r} must look like 'u|c'")
-    left, right = text.split("|")
-    return boundary_point(pres, left, right)
-
-
 def act(g, xi):
     """Left action of the group on its boundary."""
     if g.pres is not xi.pres:
@@ -136,22 +124,8 @@ def act(g, xi):
 
 
 def boundary_gromov(x, y):
-    """Gromov product based at the identity; INFINITE_PRODUCT when x == y on the boundary.
-
-    Accepts group elements, boundary points, or one of each; in a tree the
-    product is the length of the longest common prefix.
-    """
-    if isinstance(x, GroupElement) and isinstance(y, GroupElement):
-        if x.pres is not y.pres:
-            raise InputError("arguments live in different presentations")
-        _require_free(x.pres)
-        return common_prefix_len(x.word, y.word)
-    if isinstance(x, GroupElement):
-        x, y = y, x
-    if isinstance(y, GroupElement):
-        if x.pres is not y.pres:
-            raise InputError("arguments live in different presentations")
-        return common_prefix_len(y.word, x.prefix(len(y.word)))
+    """Gromov product of two boundary points based at the identity, the
+    length of their longest common prefix; INFINITE_PRODUCT when x == y."""
     if x.pres is not y.pres:
         raise InputError("arguments live in different presentations")
     if x == y:
@@ -291,41 +265,17 @@ class ConformalityReport:
         return [r for r in self.records if not r.ok]
 
 
-def conformality_ratio(g, word):
-    """Measure ratio of g^-1 C_w to C_w against the predicted power of 2k-1.
+def _conformality_record(measure, g, w):
+    """Measure ratio of g^-1 C_w to C_w against the predicted power of
+    2k-1, for a reduced word w longer than g's.
 
-    The cylinder C_w is given by its nonempty reduced word w, spelled or
-    as a tuple.  The two sides come from independent routes: group
-    multiplication plus the mass formula for the ratio, prefix matching
-    for the busemann exponent.  The busemann value must be constant on
-    the cylinder, which fails exactly when w is a proper prefix of g's
-    word.
+    The two sides come from independent routes: group multiplication
+    plus the mass formula for the ratio, prefix matching for the
+    busemann exponent, which is constant on C_w since |w| > |g|.
     """
     pres = g.pres
-    measure = BoundaryMeasure(pres)
-    w = pres.parse_word(word)
-    if not w:
-        raise InputError("cylinder word must be nonempty")
-    _check_reduced(pres, w, "cylinder word")
-    t = common_prefix_len(g.word, w)
-    if t == len(w) and len(w) < g.length():
-        raise InputError(
-            f"busemann value of {g.spelled()!r} is not constant on "
-            f"cylinder {_spell(pres.alphabet, w)!r}; need a deeper cylinder")
-    return _conformality_record(measure, g, w)
-
-
-def _conformality_record(measure, g, w):
-    """conformality_ratio for a reduced word w on which the busemann value
-    of g is constant."""
-    pres = g.pres
-    if w == g.word:
-        # the pullback misses only the cylinder over the inverse of g's
-        # last letter
-        pulled_mass = 1 - measure.word_mass((pres.alphabet.inverse[w[-1]],))
-    else:
-        pulled_mass = measure.word_mass(pres.left_quotient(g.word, w))
-    ratio = pulled_mass / measure.word_mass(w)
+    ratio = (measure.word_mass(pres.left_quotient(g.word, w))
+             / measure.word_mass(w))
     b = busemann_on_word(g, w)
     return ConformalityRecord(
         cylinder=_spell(pres.alphabet, w),
@@ -336,7 +286,7 @@ def _conformality_record(measure, g, w):
 
 
 def conformality_check(g, depth):
-    """Run conformality_ratio over every cylinder at the given depth.
+    """Conformality ratios over every cylinder at the given depth.
 
     The depth must exceed the word length of g so that the busemann value
     is constant on every scanned cylinder, and the scan shares one measure.

@@ -24,13 +24,6 @@ from .groups import (GroupElement, bulk_product_lengths, enumerate_ball,
 from .metrics import metric_distance_matrix
 
 
-def busemann_group(g, x):
-    """b(g)(x) = |x| - |g^-1 x|, an exact integer."""
-    if g.pres is not x.pres:
-        raise InputError("elements live in different presentations")
-    return x.length() - len(g.pres.left_quotient(g.word, x.word))
-
-
 def haagerup_value(metric, g, x, y):
     """c_g(x,y) = (g|x) - (g|y) in the given metric."""
     return metric.gromov_product(g, x) - metric.gromov_product(g, y)

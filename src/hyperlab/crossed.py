@@ -5,12 +5,11 @@ coefficients.  A step function is the tuple of its values in the order
 of `reduced_words(pres, depth)`, so a cylinder's position is its key:
 refinement repeats each value, pointwise operations map over aligned
 tuples, and translation gathers through a cached position map.  Products,
-adjoints, the modular flow at integer multiples of log(2k-1), the
-canonical state, and KMS comparisons are all exact rational
-computations; real-time flow is the only float path.
+adjoints, the modular flow at inverse temperatures that are integer
+multiples of log(2k-1), the canonical state, and KMS comparisons are all
+exact rational computations.
 """
 
-import cmath
 import functools
 import math
 import operator
@@ -53,8 +52,7 @@ def _translate_map(pres, h, depth):
 
 def _times(x, y):
     """x * y; a zero Fraction factor times a Fraction is returned as is,
-    with no Fraction arithmetic.  Other types multiply as Python does, so
-    real-time flow values stay complex."""
+    with no Fraction arithmetic.  Other types multiply as Python does."""
     if x.__class__ is Fraction and y.__class__ is Fraction:
         if not x:
             return x
@@ -128,11 +126,6 @@ class StepFunction:
         return StepFunction(self.pres, self.depth,
                             [scalar * v for v in self.values])
 
-    def conjugate(self):
-        return StepFunction(self.pres, self.depth,
-                            [v.conjugate() if isinstance(v, complex) else v
-                             for v in self.values])
-
     def translate(self, g):
         """Pushforward by g: the function xi -> value at g^-1 xi."""
         if g.pres is not self.pres:
@@ -143,10 +136,6 @@ class StepFunction:
                                    self.depth)
         return StepFunction(self.pres, self.depth + g.length(),
                             map(self.values.__getitem__, positions))
-
-    def evaluate(self, xi):
-        index = _cylinder_index(self.pres, self.depth)
-        return self.values[index[xi.prefix(self.depth)]]
 
     def integral(self):
         """Exact integral against the presentation's boundary measure."""
@@ -250,36 +239,14 @@ def cp_multiply(a, b):
 
 
 def cp_adjoint(a):
-    """(phi g)* = (g^-1 . conj phi) g^-1, extended additively."""
+    """(phi g)* = (g^-1 . phi) g^-1, extended additively; coefficients are
+    exact rationals, so each is its own complex conjugate."""
     out = {}
     for g, phi in a.terms.items():
         gi = g.inverse()
-        psi = phi.conjugate().translate(gi)
+        psi = phi.translate(gi)
         out[gi] = out[gi] + psi if gi in out else psi
     return CrossedElement(a.pres, out)
-
-
-@dataclass(frozen=True)
-class FlowParameter:
-    """Flow time: kind 'real' for unitary time t, 'imaginary' for inverse
-    temperature beta (the exact, rational regime)."""
-
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in ("real", "imaginary"):
-            raise InputError("flow kind must be 'real' or 'imaginary'")
-        if not math.isfinite(self.value):
-            raise InputError("flow parameter must be finite")
-
-    @classmethod
-    def real(cls, t):
-        return cls("real", t)
-
-    @classmethod
-    def imaginary(cls, beta):
-        return cls("imaginary", beta)
 
 
 def busemann_step(pres, g):
@@ -293,39 +260,29 @@ def _temperature_exponent(measure, beta):
     """beta as an integer multiple of log(2k-1), or an input error."""
     base = measure.base()
     m = beta / math.log(base)
-    if abs(m - round(m)) > 1e-9:
+    if not math.isfinite(m) or abs(m - round(m)) > 1e-9:
         raise InputError(
             f"inverse temperature {beta!r} is not an integer multiple of "
-            f"log({base}); exact flow values would be irrational, use a "
-            f"real-time flow (kind 'real') instead")
+            f"log({base}); the flow values would be irrational")
     return round(m)
 
 
-def apply_flow(a, flow):
-    """Flow automorphism: multiply the g term by e^(i t b(g)), b the
-    Busemann step function.
+def apply_flow(a, beta):
+    """Flow automorphism at imaginary time i*beta: multiply the g term by
+    e^(-beta b(g)), b the Busemann step function.
 
-    At imaginary time i*beta with beta an integer multiple m of log(2k-1)
-    the factor is the exact rational (2k-1)^(-m b(g)); any other beta is
-    rejected.  Real time gives unit-modulus complex factors.
+    beta must be an integer multiple m of log(2k-1), so that the factor
+    is the exact rational (2k-1)^(-m b(g)); any other beta is rejected.
     """
     pres = a.pres
-    if flow.kind == "imaginary":
-        measure = BoundaryMeasure(pres)
-        m = _temperature_exponent(measure, flow.value)
-        base = measure.base()
-
-        def weight(b):
-            return _base_power(base, -m * b)
-    else:
-        t = flow.value
-
-        def weight(b):
-            return cmath.exp(1j * t * b)
+    measure = BoundaryMeasure(pres)
+    m = _temperature_exponent(measure, beta)
+    base = measure.base()
     terms = {}
     for g, phi in a.terms.items():
         c = busemann_step(pres, g)
-        terms[g] = phi * StepFunction(pres, c.depth, map(weight, c.values))
+        terms[g] = phi * StepFunction(
+            pres, c.depth, [_base_power(base, -m * b) for b in c.values])
     return CrossedElement(pres, terms)
 
 
@@ -347,7 +304,7 @@ class KmsReport:
 
 def kms_check(a, b, beta):
     """Compare omega(b sigma_{i beta}(a)) with omega(a b), exactly."""
-    flowed = apply_flow(a, FlowParameter.imaginary(beta))
+    flowed = apply_flow(a, beta)
     lhs = state_omega(cp_multiply(b, flowed))
     rhs = state_omega(cp_multiply(a, b))
     return KmsReport(beta=beta, lhs=lhs, rhs=rhs, equal=lhs == rhs)
@@ -484,14 +441,3 @@ def nonvanishing_certificate(ball):
         all_ok=all(r.ok for r in records),
     )
 
-
-def crossed_records(a):
-    """Deterministic serializable form: (group word, [(cylinder, value)])."""
-    out = []
-    for g in sorted(a.terms):
-        phi = a.terms[g]
-        # the partition order is already the sorted word order
-        rows = [(_spell(a.pres.alphabet, w), v)
-                for w, v in zip(reduced_words(a.pres, phi.depth), phi.values)]
-        out.append((g.spelled(), rows))
-    return out

@@ -26,9 +26,8 @@ from .errors import InputError, ResourceLimitError, UnsupportedElementError
 
 Word = tuple  # tuple[int, ...], indices into an Alphabet
 
-# largest ball enumerate_ball builds, and the quadratic oracle's smaller one
+# largest ball enumerate_ball builds
 ELEMENT_CAP = 2_000_000
-PAIRWISE_ELEMENT_CAP = 20_000
 # largest estimated allocation of one bulk_product_lengths call
 DISTANCE_BYTES_CAP = 2 << 30
 # bytes a pair that bulk_product_lengths allocates at its peak, by kind;
@@ -38,6 +37,10 @@ DISTANCE_BYTES_CAP = 2 << 30
 # and surface:3, either orientation) and 30.5 on its scalar route
 # (square calls on surface:2 radius-4 samples), 36 leaving 18% margin
 PAIR_BYTES = {"free": 32, "free-product": 48, "small-cancellation": 36}
+# most words the small-cancellation canonical-form cache keeps; the
+# largest count measured, after `cocycle surface:2` at its default
+# radius, is 206,999
+CANON_CACHE_ENTRIES = 1 << 18
 
 
 class Alphabet:
@@ -404,7 +407,9 @@ class GroupPresentation:
         """Shortlex-least word of the move closure of the freely reduced
         word, cached for every word visited.  A word holding no move
         window has a closure of one word, so it is returned as it is,
-        without a search and without a cache entry."""
+        without a search and without a cache entry.  The cache keeps the
+        newest `CANON_CACHE_ENTRIES` words: the oldest go after a search,
+        and a hit costs no bookkeeping."""
         word = _free_reduce(self.alphabet.inverse, word)
         hit = self._canon_cache.get(word)
         if hit is not None:
@@ -425,9 +430,14 @@ class GroupPresentation:
                         if _shortlex_key(w2) < _shortlex_key(best):
                             best = w2
             frontier = new
+        cache = self._canon_cache
         for w in seen:
             # every visited word spells the same element
-            self._canon_cache.setdefault(w, best)
+            cache.setdefault(w, best)
+        excess = len(cache) - CANON_CACHE_ENTRIES
+        if excess > 0:
+            for w in list(itertools.islice(cache, excess)):
+                del cache[w]
         return best
 
     def dehn_reduce(self, word):
@@ -444,13 +454,6 @@ class GroupPresentation:
             else:
                 break
         return word
-
-    def is_trivial(self, word):
-        """Dehn's algorithm: the element is trivial iff greedy replacement
-        of more-than-half relator subwords empties the word."""
-        if self.kind != "small-cancellation":
-            return self.normalize(word) == ()
-        return self.dehn_reduce(word) == ()
 
     # -- element helpers ----------------------------------------------
 
@@ -489,16 +492,6 @@ class GroupPresentation:
                     break
             else:
                 raise InputError(f"unknown symbol at {tok[i:]!r}")
-        return out
-
-    def generators(self):
-        seen = set()
-        out = []
-        for i, name in enumerate(self.alphabet.symbols):
-            j = self.alphabet.inverse[i]
-            if j not in seen:
-                seen.add(i)
-                out.append(self.element_from_symbol(i))
         return out
 
     def symmetric_generators(self):
@@ -826,34 +819,6 @@ def enumerate_ball(pres, radius):
     inner = np.concatenate(final)[np.concatenate(edges)]
     ball.edges = np.ascontiguousarray(inner.T)
     return ball
-
-
-def enumerate_ball_pairwise(pres, radius):
-    """Ball enumeration deduplicating with is_trivial(g h^-1) only.
-
-    Quadratic; used as an independent oracle for the canonical-form route.
-    Returns the spheres as lists of freely reduced (not canonicalized) words.
-    """
-    inv = pres.alphabet.inverse
-    spheres = [[()]]
-    known = [()]
-    for _ in range(radius):
-        layer = []
-        for w in spheres[-1]:
-            for s in range(len(pres.alphabet.symbols)):
-                cand = _free_reduce(inv, w + (s,))
-                dup = False
-                for v in itertools.chain(known, layer):
-                    if pres.is_trivial(cand + _invert_word(inv, v)):
-                        dup = True
-                        break
-                if not dup:
-                    layer.append(cand)
-                    if len(known) + len(layer) > PAIRWISE_ELEMENT_CAP:
-                        raise ResourceLimitError("pairwise ball cap exceeded")
-        known.extend(layer)
-        spheres.append(layer)
-    return spheres
 
 
 def bulk_product_lengths(pres, lefts, rights):

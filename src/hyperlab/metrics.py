@@ -1,12 +1,9 @@
 """Left-invariant metrics on group models and the four-point check.
 
-Three metric kinds:
+Two metric kinds:
 
 * "word": canonical word length, an exact integer read from
   `GroupPresentation.left_quotient` (the common prefix on free groups).
-* "tree": same values on free groups; its Gromov product is the common
-  prefix of the products o^-1 x and o^-1 y, not a sum of three distances,
-  so the two routes can be checked against each other.
 * "green": minus the log of first-passage probabilities of a symmetric
   random walk, solved with an absorbing truncation.
 
@@ -26,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError, NumericError, ResourceLimitError
-from .groups import bulk_product_lengths, common_prefix_len, enumerate_ball
+from .groups import bulk_product_lengths, enumerate_ball
 
 FOURPOINT_TOLERANCE = 1e-9
 # most quadruples an exhaustive four-point scan covers
@@ -214,10 +211,8 @@ class MetricStructure:
     """A left-invariant metric: d(x, y) is a function of x^-1 y."""
 
     def __init__(self, pres, kind="word", green=None):
-        if kind not in ("word", "tree", "green"):
+        if kind not in ("word", "green"):
             raise InputError(f"unknown metric kind {kind!r}")
-        if kind == "tree" and pres.kind != "free":
-            raise InputError("tree metrics need a free presentation")
         if kind == "green":
             if green is None:
                 raise InputError("green metrics need solved walk data")
@@ -238,9 +233,6 @@ class MetricStructure:
 
     def distance(self, x, y):
         self._check(x, y)
-        if self.kind == "tree":
-            lcp = common_prefix_len(x.word, y.word)
-            return len(x.word) + len(y.word) - 2 * lcp
         w = self.pres.left_quotient(x.word, y.word)
         if self.kind == "word":
             return len(w)
@@ -251,9 +243,6 @@ class MetricStructure:
         self._check(x, y)
         o = self.pres.identity if base is None else base
         self._check(o)
-        if self.kind == "tree":
-            q = self.pres.left_quotient
-            return common_prefix_len(q(o.word, x.word), q(o.word, y.word))
         if self.kind == "word":
             q = self.pres.left_quotient
             n = (len(q(o.word, x.word)) + len(q(o.word, y.word))
@@ -278,10 +267,6 @@ class MetricStructure:
 
 def word_metric(pres):
     return MetricStructure(pres, "word")
-
-
-def tree_metric(pres):
-    return MetricStructure(pres, "tree")
 
 
 def green_metric(pres, walk=None, radius_hint=4, truncation=None):
@@ -500,14 +485,3 @@ def four_point_min_rule_margin(ball):
             worst = margin
     return worst
 
-
-def growth_exponent(ball):
-    """Least-squares slope of log sphere sizes against the radius."""
-    sizes = ball.sphere_sizes()
-    if len(sizes) < 4:
-        raise InputError("growth fit needs radius >= 3")
-    if any(s == 0 for s in sizes[1:]):
-        raise NumericError("empty sphere inside the ball")
-    ns = np.arange(1, len(sizes), dtype=np.float64)
-    ys = np.log(np.array(sizes[1:], dtype=np.float64))
-    return float(np.polyfit(ns, ys, 1)[0])

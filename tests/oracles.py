@@ -1,5 +1,54 @@
 """Reference routes that tests compare the library against."""
-from hyperlab.groups import GroupElement, _free_reduce
+import itertools
+
+from hyperlab.errors import InputError, ResourceLimitError
+from hyperlab.groups import GroupElement, _free_reduce, _invert_word
+
+# largest ball the quadratic pairwise enumeration builds
+PAIRWISE_ELEMENT_CAP = 20_000
+
+
+def is_trivial(pres, word):
+    """Dehn's algorithm: the element is trivial iff greedy replacement
+    of more-than-half relator subwords empties the word."""
+    if pres.kind != "small-cancellation":
+        return pres.normalize(word) == ()
+    return pres.dehn_reduce(word) == ()
+
+
+def enumerate_ball_pairwise(pres, radius):
+    """Ball enumeration deduplicating with is_trivial(g h^-1) only.
+
+    Quadratic, and independent of the canonical-form route.  Returns the
+    spheres as lists of freely reduced (not canonicalized) words.
+    """
+    inv = pres.alphabet.inverse
+    spheres = [[()]]
+    known = [()]
+    for _ in range(radius):
+        layer = []
+        for w in spheres[-1]:
+            for s in range(len(pres.alphabet.symbols)):
+                cand = _free_reduce(inv, w + (s,))
+                dup = False
+                for v in itertools.chain(known, layer):
+                    if is_trivial(pres, cand + _invert_word(inv, v)):
+                        dup = True
+                        break
+                if not dup:
+                    layer.append(cand)
+                    if len(known) + len(layer) > PAIRWISE_ELEMENT_CAP:
+                        raise ResourceLimitError("pairwise ball cap exceeded")
+        known.extend(layer)
+        spheres.append(layer)
+    return spheres
+
+
+def busemann_group(g, x):
+    """b(g)(x) = |x| - |g^-1 x|, an exact integer."""
+    if g.pres is not x.pres:
+        raise InputError("elements live in different presentations")
+    return x.length() - len(g.pres.left_quotient(g.word, x.word))
 
 
 def rough_geodesic(metric, x, y):

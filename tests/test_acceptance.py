@@ -45,12 +45,12 @@ def test_criterion_01_four_point_exhaustive(free2, word2, ball4):
 def test_criterion_02_green_closed_form(free2, ball4):
     data = metrics.solve_green(free2, radius_hint=4)
     green = metrics.green_metric(free2, radius_hint=4)
-    tree = metrics.tree_metric(free2)
+    word = metrics.word_metric(free2)
     worst = 0.0
     for x in ball4.elements:
         for y in ball4.elements[::7]:
             dev = abs(green.distance(x, y)
-                      - math.log(3) * tree.distance(x, y))
+                      - math.log(3) * word.distance(x, y))
             worst = max(worst, dev)
     passage_err = abs(data.passage(free2.element("a").word) - Fraction(1, 3))
     ok = (data.truncation >= 12 and worst <= 1e-6 and passage_err <= 1e-9)

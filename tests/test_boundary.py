@@ -41,8 +41,8 @@ def test_point_equality_and_hash(free2):
 def test_point_prefix(free2):
     p = boundary.boundary_point(free2, "b", "ab")
     assert p.prefix(4) == free2.element("baba").word
-    assert p.starts_with(free2.element("bab").word)
-    assert not p.starts_with(free2.element("bb").word)
+    assert p.prefix(0) == ()
+    assert p.prefix(7) == free2.element("bababab").word
 
 
 def test_point_validation(free2):
@@ -55,13 +55,10 @@ def test_point_validation(free2):
 
 
 def test_parse_spelled_round_trip(free2):
+    # 'u|c', with '1' for an empty u, spells both parts as words
     for u, c in (("", "ab"), ("b", "a"), ("a'a'", "ba")):
         p = boundary.boundary_point(free2, u, c)
-        assert boundary.parse_boundary_point(free2, p.spelled()) == p
-    with pytest.raises(InputError):
-        boundary.parse_boundary_point(free2, "ab")
-    with pytest.raises(InputError):
-        boundary.parse_boundary_point(free2, "a|b|c")
+        assert boundary.boundary_point(free2, *p.spelled().split("|")) == p
 
 
 def test_rejects_non_free_presentation():
@@ -106,8 +103,10 @@ def test_action_matches_the_reduced_prefix(rank):
 
 def test_gromov_product_values(free2):
     xi = boundary.boundary_point(free2, "", "ab")
-    assert boundary.boundary_gromov(free2.element("abb"), xi) == 2
-    assert boundary.boundary_gromov(free2.element("aba"), xi) == 3
+    assert boundary.boundary_gromov(boundary.boundary_point(free2, "ab", "b"),
+                                    xi) == 2
+    assert boundary.boundary_gromov(xi, boundary.boundary_point(free2, "aba",
+                                                                "a")) == 3
     eta = boundary.boundary_point(free2, "", "ab'")
     assert boundary.boundary_gromov(xi, eta) == 1
     assert boundary.boundary_gromov(xi, xi) == boundary.INFINITE_PRODUCT
@@ -241,38 +240,26 @@ def test_measure_splits_over_children(free2, measure):
 
 
 def test_conformality_single_cylinders(free2):
-    a = free2.element("a")
-    rec = boundary.conformality_ratio(a, "aa")
+    records = {r.cylinder: r
+               for r in boundary.conformality_check(free2.element("a"),
+                                                    2).records}
+    rec = records["aa"]
     assert rec.ratio == 3
     assert rec.busemann == 1
     assert rec.ok
 
-    rec = boundary.conformality_ratio(a, "ba")
+    rec = records["ba"]
     assert rec.ratio == Fraction(1, 3)
     assert rec.busemann == -1
     assert rec.ok
 
 
-def test_conformality_on_own_cylinder():
-    # pulling C_g back by g covers everything except one letter's worth:
-    # mass (2k-1)/(2k) against the 1/(2k(2k-1)^(|g|-1)) of C_g
-    for k, spelled in ((2, "a"), (3, "ab'c")):
-        pres = groups.free_group(k)
-        g = pres.element(spelled)
-        rec = boundary.conformality_ratio(g, spelled)
-        n = g.length()
-        own_mass = Fraction(1, 2 * k * (2 * k - 1) ** (n - 1))
-        assert rec.ratio == Fraction(2 * k - 1, 2 * k) / own_mass
-        assert rec.busemann == n
-        assert rec.ok
-
-
 def test_conformality_needs_constant_busemann(free2):
     g = free2.element("ab")
-    with pytest.raises(InputError):
-        boundary.conformality_ratio(g, "a")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="not constant on cylinder 'ab'"):
         boundary.conformality_check(g, 2)
+    with pytest.raises(InputError, match="at least 1"):
+        boundary.conformality_check(g, 0)
 
 
 def test_conformality_full_scan(free2):
@@ -314,15 +301,6 @@ def test_seeded_family_deterministic(free2):
     two = boundary.seeded_family(free2, count=10, seed=3)
     assert [p.spelled() for p in one] == [p.spelled() for p in two]
     assert len({p.spelled() for p in one}) == 10
-
-
-def test_conformality_rejects_words_outside_input(free2):
-    # a cylinder is given by a nonempty reduced word
-    a = free2.element("a")
-    for word in ("1", "aa'", (0, 1)):
-        with pytest.raises(InputError):
-            boundary.conformality_ratio(a, word)
-    assert boundary.conformality_ratio(a, (0, 0)).ratio == 3
 
 
 def test_reduced_words_counts(free2):

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from hyperlab import boundary, cli, cocycles, groups, metrics
-from hyperlab.errors import InvariantViolation
+from hyperlab import boundary, cli, cocycles, groups, metrics, suites
+from hyperlab.errors import InvariantViolation, ResourceLimitError
 
 
 def run_main(tmp_path, *args):
@@ -170,6 +170,18 @@ def test_oversized_min_rule_scan_exit_two(capsys):
     err = capsys.readouterr().err
     assert "at least 5 basepoints x 3201^3 = 1.64e+11 triples" in err
     assert "cap 1.0e+11" in err
+
+
+def test_min_rule_refusal_precedes_the_distance_matrix(monkeypatch):
+    # strong-hyp runs the min-rule oracle before the float scan, so the
+    # free:4 radius-4 refusal comes before any n x n matrix is built
+    def build(*args):
+        raise AssertionError("distance matrix built before the refusal")
+
+    monkeypatch.setattr(metrics, "bulk_product_lengths", build)
+    cfg = suites.ScenarioConfig(suite="strong-hyp", group="free:4", radius=4)
+    with pytest.raises(ResourceLimitError, match="at least 5 basepoints"):
+        suites.run_scenario(cfg)
 
 
 def test_unwritable_out_exit_three(capsys):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperlab import boundary, groups
+from hyperlab import boundary, groups, metrics
 from hyperlab.errors import (InputError, ResourceLimitError,
                              UnsupportedElementError)
 
-from oracles import (holds_move_window, move_closure_normal_form,
-                     multiply_ball)
+from oracles import (enumerate_ball_pairwise, holds_move_window,
+                     move_closure_normal_form, multiply_ball)
 
 letters2 = st.lists(st.sampled_from("abAB"), max_size=12)
 letters_surface = st.lists(st.sampled_from("abcdABCD"), max_size=10)
@@ -60,12 +60,40 @@ def test_pairwise_enumeration_agrees_with_canonical():
     # dual route: is_trivial-based dedup vs canonical normal forms
     for pres in (groups.free_group(2), groups.surface_group(2)):
         radius = 3 if pres.kind == "free" else 2
-        raw = groups.enumerate_ball_pairwise(pres, radius)
+        raw = enumerate_ball_pairwise(pres, radius)
         ball = groups.enumerate_ball(pres, radius)
         assert [len(layer) for layer in raw] == ball.sphere_sizes()
         for layer, sphere in zip(raw, ball.spheres):
             assert sorted(pres.normalize(w) for w in layer) == \
                 sorted(g.word for g in sphere)
+
+
+def _surface_ball_and_green_table():
+    pres = groups.surface_group(2)
+    ball = groups.enumerate_ball(pres, 4)
+    data = metrics.solve_green(pres, truncation=4)
+    return pres, [g.word for g in ball.elements], data._u.tobytes()
+
+
+def test_canonical_form_cache_is_bounded(monkeypatch):
+    # the oldest words go once the cache passes its cap, and the normal
+    # forms do not change: the same ball and the same Green table bytes
+    pres, words, table = _surface_ball_and_green_table()
+    assert len(pres._canon_cache) > 50
+    sizes = []
+    search = groups.GroupPresentation._canonical_sc
+
+    def recorded(self, word):
+        out = search(self, word)
+        sizes.append(len(self._canon_cache))
+        return out
+
+    monkeypatch.setattr(groups, "CANON_CACHE_ENTRIES", 50)
+    monkeypatch.setattr(groups.GroupPresentation, "_canonical_sc", recorded)
+    _, bounded_words, bounded_table = _surface_ball_and_green_table()
+    assert max(sizes) == 50
+    assert bounded_words == words
+    assert bounded_table == table
 
 
 def test_parse_word_round_trip():
@@ -169,7 +197,7 @@ def test_presentation_text_errors():
 def test_preset_specs():
     assert groups.preset("free:3").rank == 3
     assert groups.preset("modular").kind == "free-product"
-    assert len(groups.preset("surface:3").generators()) == 6
+    assert len(groups.preset("surface:3").symmetric_generators()) == 12
     with pytest.raises(InputError):
         groups.preset("nosuch:9")
 
@@ -608,7 +636,7 @@ def test_surface_relator_insertion_anywhere(chars, cut):
 
 def test_modular_torsion():
     m = groups.modular_group()
-    gens = m.generators()
+    gens = [m.element("s"), m.element("t")]
     orders = []
     for g in gens:
         k = 1

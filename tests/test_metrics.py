@@ -334,12 +334,12 @@ def test_green_first_passage_value():
 def test_green_matches_scaled_tree():
     f2 = groups.free_group(2)
     gm = metrics.green_metric(f2, radius_hint=4)
-    tm = metrics.tree_metric(f2)
+    wm = metrics.word_metric(f2)
     ball = groups.enumerate_ball(f2, 4)
     worst = 0.0
     for x in ball.elements[::5]:
         for y in ball.elements[::13]:
-            dev = abs(gm.distance(x, y) - math.log(3) * tm.distance(x, y))
+            dev = abs(gm.distance(x, y) - math.log(3) * wm.distance(x, y))
             worst = max(worst, dev)
     assert worst <= 1e-6
 
@@ -451,11 +451,11 @@ def test_low_truncation_degrades_honestly():
     # absorbing boundary too close: deviation from log3 x tree grows to
     # about q^(d-T-1), far beyond the acceptance tolerance
     f2 = groups.free_group(2)
-    tm = metrics.tree_metric(f2)
+    wm = metrics.word_metric(f2)
     gm = metrics.green_metric(f2, radius_hint=4, truncation=12)
     ball = groups.enumerate_ball(f2, 3)
     dev = max(abs(gm.distance(x, f2.identity)
-                  - math.log(3) * tm.distance(x, f2.identity))
+                  - math.log(3) * wm.distance(x, f2.identity))
               for x in ball.elements)
     assert dev > 1e-6
     assert dev < 1e-4
@@ -468,10 +468,11 @@ def test_green_usable_range_guard():
         gm.distance(f2.element("aaa"), f2.element("b'b'b'"))
 
 
-def test_growth_exponent_free():
-    ball = groups.enumerate_ball(groups.free_group(2), 4)
-    assert metrics.growth_exponent(ball) == pytest.approx(math.log(3),
-                                                          abs=1e-9)
+def test_metric_kinds_are_word_and_green():
+    f2 = groups.free_group(2)
+    for kind in ("tree", "lp"):
+        with pytest.raises(InputError, match=f"unknown metric kind '{kind}'"):
+            metrics.MetricStructure(f2, kind)
 
 
 def test_rough_geodesic_endpoints_and_steps():

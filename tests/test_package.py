@@ -1,6 +1,12 @@
+import ast
 import collections
+import pathlib
+import re
 
 import hyperlab
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hyperlab"
 
 
 def test_exports_resolve_once():
@@ -9,3 +15,33 @@ def test_exports_resolve_once():
     assert repeated == []
     assert [name for name in hyperlab.__all__
             if not hasattr(hyperlab, name)] == []
+
+
+def _uncalled_definitions(package, root):
+    """Public top-level defs and classes of the package that no module but
+    `__init__.py` names, and that no benchmark file or README python
+    block names either."""
+    defined = []
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    texts = [p.read_text() for p in sorted((root / "perfbench").glob("*.py"))]
+    texts += re.findall(r"^```python\n(.*?)^```",
+                        (root / "README.md").read_text(), flags=re.M | re.S)
+    for text in texts:
+        used.update(re.findall(r"\w+", text))
+    return [name for name in defined if name not in used]
+
+
+def test_every_public_definition_has_a_caller():
+    assert _uncalled_definitions(PACKAGE, ROOT) == []

@@ -495,7 +495,11 @@ class IdentityScanReport:
     max_sample_defect: object
 
 
-def cocycle_identity_scan(band, outer_radius, seed=0, samples=200):
+# triples the identity scan also evaluates literally
+IDENTITY_SAMPLES = 200
+
+
+def cocycle_identity_scan(band, outer_radius, seed=0):
     """Exhaustive check of c_{gh}(x,y) = c_g(x,y) + c_h(g^-1 x, g^-1 y).
 
     The defect at (g,h,x,y) equals half the difference of two length
@@ -506,7 +510,8 @@ def cocycle_identity_scan(band, outer_radius, seed=0, samples=200):
     whose sphere-order prefixes B(o), B(2o) and B(o+r) hold g and h, gh
     and g^-1 x.  A seeded sample of triples is also evaluated literally
     through haagerup_value, with element products, as an independent
-    route.
+    route: `IDENTITY_SAMPLES` of them, drawn from a generator seeded by
+    `seed`.
     """
     metric = band.metric
     pres = metric.pres
@@ -541,7 +546,7 @@ def cocycle_identity_scan(band, outer_radius, seed=0, samples=200):
     n_pairs = len(band)
     sampled = 0
     if n_pairs:
-        for _ in range(samples):
+        for _ in range(IDENTITY_SAMPLES):
             g = outer[draw(len(outer))]
             h = outer[draw(len(outer))]
             i, j = band.index[draw(n_pairs)]

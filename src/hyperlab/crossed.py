@@ -5,13 +5,11 @@ coefficients.  A step function is the tuple of its values in the order
 of `reduced_words(pres, depth)`, so a cylinder's position is its key:
 refinement repeats each value, pointwise operations map over aligned
 tuples, and translation gathers through a cached position map.  Products,
-adjoints, the modular flow at inverse temperatures that are integer
-multiples of log(2k-1), the canonical state, and KMS comparisons are all
-exact rational computations.
+adjoints, the modular flow at an exact rational lambda = e^(-beta), the
+canonical state, and KMS comparisons are all exact rational computations.
 """
 
 import functools
-import math
 import operator
 import random
 from collections.abc import Mapping
@@ -24,7 +22,6 @@ from .boundary import (
     PARTITION_CACHE_SIZE,
     TRANSLATE_CACHE_SIZE,
     BoundaryMeasure,
-    _base_power,
     _check_reduced,
     _cylinder_mass,
     _require_free,
@@ -256,33 +253,30 @@ def busemann_step(pres, g):
                                       for w in reduced_words(pres, n + 1)])
 
 
-def _temperature_exponent(measure, beta):
-    """beta as an integer multiple of log(2k-1), or an input error."""
-    base = measure.base()
-    m = beta / math.log(base)
-    if not math.isfinite(m) or abs(m - round(m)) > 1e-9:
+def _lambda_powers(lam, reach):
+    """lam ** b for every integer b with |b| <= reach, as exact rationals:
+    the Busemann values of an element of length at most reach."""
+    exact = lam.__class__ is int or isinstance(lam, Fraction)
+    if not exact or lam <= 0:
         raise InputError(
-            f"inverse temperature {beta!r} is not an integer multiple of "
-            f"log({base}); the flow values would be irrational")
-    return round(m)
+            f"lambda = e^(-beta) must be a positive int or Fraction, got "
+            f"{lam!r}")
+    lam = Fraction(lam)
+    return {b: lam ** b for b in range(-reach, reach + 1)}
 
 
-def apply_flow(a, beta):
-    """Flow automorphism at imaginary time i*beta: multiply the g term by
-    e^(-beta b(g)), b the Busemann step function.
-
-    beta must be an integer multiple m of log(2k-1), so that the factor
-    is the exact rational (2k-1)^(-m b(g)); any other beta is rejected.
-    """
+def apply_flow(a, lam):
+    """Flow automorphism at imaginary time i*beta, lam = e^(-beta) > 0 an
+    int or Fraction: multiply the g term by the exact rational
+    lam^b(g) = e^(-beta b(g)), b the Busemann step function."""
     pres = a.pres
-    measure = BoundaryMeasure(pres)
-    m = _temperature_exponent(measure, beta)
-    base = measure.base()
+    powers = _lambda_powers(lam, max((g.length() for g in a.terms),
+                                     default=0))
     terms = {}
     for g, phi in a.terms.items():
         c = busemann_step(pres, g)
-        terms[g] = phi * StepFunction(
-            pres, c.depth, [_base_power(base, -m * b) for b in c.values])
+        terms[g] = phi * StepFunction(pres, c.depth,
+                                      map(powers.__getitem__, c.values))
     return CrossedElement(pres, terms)
 
 
@@ -296,23 +290,24 @@ def state_omega(a):
 
 @dataclass(frozen=True)
 class KmsReport:
-    beta: float
+    lam: Fraction
     lhs: Fraction
     rhs: Fraction
     equal: bool
 
 
-def kms_check(a, b, beta):
-    """Compare omega(b sigma_{i beta}(a)) with omega(a b), exactly."""
-    flowed = apply_flow(a, beta)
+def kms_check(a, b, lam):
+    """Compare omega(b sigma_{i beta}(a)) with omega(a b) exactly, at
+    lam = e^(-beta)."""
+    flowed = apply_flow(a, lam)
     lhs = state_omega(cp_multiply(b, flowed))
     rhs = state_omega(cp_multiply(a, b))
-    return KmsReport(beta=beta, lhs=lhs, rhs=rhs, equal=lhs == rhs)
+    return KmsReport(lam=lam, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
 @dataclass(frozen=True)
 class KmsScanReport:
-    beta: float
+    lam: Fraction
     radius: int
     depth: int
     monomials: int
@@ -330,8 +325,9 @@ KMS_CROSSCHECKS = 50
 KMS_WITNESSES = 5
 
 
-def kms_monomial_scan(pres, radius, depth, beta, seed=0):
-    """KMS comparison over every monomial pair 1_{C_w} g, 1_{C_v} h.
+def kms_monomial_scan(pres, radius, depth, lam, seed=0):
+    """KMS comparison at lam = e^(-beta) over every monomial pair
+    1_{C_w} g, 1_{C_v} h.
 
     Both state values vanish unless h = g^-1, since only products landing
     on the identity survive the expectation; those pairs are counted as
@@ -343,8 +339,7 @@ def kms_monomial_scan(pres, radius, depth, beta, seed=0):
     if depth < radius + 1:
         raise InputError("scan needs depth > radius so translated cylinders "
                          "stay cylinders")
-    m = _temperature_exponent(measure, beta)
-    base = measure.base()
+    powers = _lambda_powers(lam, radius)
     ball = enumerate_ball(pres, radius)
     words = reduced_words(pres, depth)
     monomials = len(ball) * len(words)
@@ -366,7 +361,7 @@ def kms_monomial_scan(pres, radius, depth, beta, seed=0):
             for _, v, gv in hits:
                 z = gv if len(gv) >= depth else w    # the deeper cylinder
                 rhs = measure.word_mass(z)
-                lhs = (_base_power(base, -m * busemann_on_word(g, z))
+                lhs = (powers[busemann_on_word(g, z)]
                        * measure.word_mass(pres.left_quotient(g.word, z)))
                 if lhs != rhs and len(failures) < KMS_WITNESSES:
                     failures.append((
@@ -378,14 +373,14 @@ def kms_monomial_scan(pres, radius, depth, beta, seed=0):
     for g, w, v, lhs, rhs in sample:
         a = CrossedElement.monomial(pres, w, g)
         b_el = CrossedElement.monomial(pres, v, g.inverse())
-        rep = kms_check(a, b_el, beta)
+        rep = kms_check(a, b_el, lam)
         if (rep.lhs, rep.rhs) != (lhs, rhs):
             raise InvariantViolation(
                 f"closed-form KMS values disagree with the generic engine "
                 f"for g={g.spelled()!r} w={_spell(pres.alphabet, w)!r} "
                 f"v={_spell(pres.alphabet, v)!r}")
     return KmsScanReport(
-        beta=beta,
+        lam=lam,
         radius=radius,
         depth=depth,
         monomials=monomials,

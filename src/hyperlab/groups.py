@@ -18,7 +18,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
@@ -211,20 +210,17 @@ class GroupPresentation:
     def _check_sixth(self):
         """Reject presentations whose pieces reach 1/6 of a relator length."""
         rots = self._rotations
-        worst = 0
         max_piece = 0
         for u, v in itertools.permutations(rots, 2):
             if u == v:
                 continue
             # longest common prefix of distinct rotations = piece candidate
             m = common_prefix_len(u, v)
-            worst = max(worst, Fraction(m, len(u)))
             max_piece = max(max_piece, m)
             if 6 * m >= len(u):
                 raise InputError(
                     f"presentation is not C'(1/6): piece ratio {m}/{len(u)}"
                 )
-        self._piece_ratio = worst
         self._max_piece = max_piece
         self._min_relator = min(len(r) for r in rots)
 
@@ -493,11 +489,6 @@ class GroupPresentation:
             else:
                 raise InputError(f"unknown symbol at {tok[i:]!r}")
         return out
-
-    def symmetric_generators(self):
-        """Every generator and inverse as elements, in symbol order."""
-        return [self.element_from_symbol(i)
-                for i in range(len(self.alphabet.symbols))]
 
     def symmetry_generators(self):
         """Alphabet permutations, as tuples of symbol indices, that extend

@@ -4,7 +4,7 @@ Two metric kinds:
 
 * "word": canonical word length, an exact integer read from
   `GroupPresentation.left_quotient` (the common prefix on free groups).
-* "green": minus the log of first-passage probabilities of a symmetric
+* "green": minus the log of first-passage probabilities of the simple
   random walk, solved with an absorbing truncation.
 
 The four-point quantity for a basepoint o and points x, y, z is
@@ -26,56 +26,16 @@ from .errors import InputError, NumericError, ResourceLimitError
 from .groups import bulk_product_lengths, enumerate_ball
 
 FOURPOINT_TOLERANCE = 1e-9
-# most quadruples an exhaustive four-point scan covers
+# most quadruples an exhaustive four-point scan computes (basepoint
+# representatives x n^3); a larger ball is sampled instead
 QUADRUPLE_CAP = 1_200_000_000
+# quadruples a sampled four-point scan draws
+FOURPOINT_SAMPLES = 200_000
 # most (x, y, z) triples, summed over basepoints, the min-rule oracle scans:
 # above free:2 radius 6 (2.2e10), below free:4 radius 4 (1.6e11)
 MIN_RULE_TRIPLE_CAP = 100_000_000_000
 # the table iteration stops once no first-passage value moves this much
 GREEN_ITERATION_STOP = 1e-12
-
-
-class GreenWalk:
-    """Finitely supported symmetric probability measure driving a walk."""
-
-    def __init__(self, pres, steps):
-        if not steps:
-            raise InputError("walk needs at least one step")
-        clean = {}
-        for g, p in steps.items():
-            if g.pres is not pres:
-                raise InputError("walk steps live in a different presentation")
-            if g.is_identity():
-                raise InputError("walk steps must avoid the identity")
-            if p <= 0:
-                raise InputError("walk probabilities must be positive")
-            clean[g] = p
-        for g, p in clean.items():
-            q = clean.get(g.inverse())
-            if q is None or q != p:
-                raise InputError("walk is not symmetric")
-        total = sum(clean.values())
-        if any(isinstance(p, float) for p in clean.values()):
-            if abs(total - 1.0) > 1e-12:
-                raise InputError("walk probabilities must sum to 1")
-        elif Fraction(total) != 1:
-            raise InputError("walk probabilities must sum to 1")
-        self.pres = pres
-        self.steps = clean
-
-    @classmethod
-    def simple(cls, pres):
-        support = pres.symmetric_generators()
-        p = Fraction(1, len(support))
-        return cls(pres, {g: p for g in support})
-
-    def is_radial(self):
-        """True when the radial distance reduction applies exactly."""
-        if self.pres.kind != "free":
-            return False
-        if set(self.steps) != set(self.pres.symmetric_generators()):
-            return False
-        return len(set(self.steps.values())) == 1
 
 
 def _radial_passage(rank, truncation):
@@ -100,22 +60,24 @@ def _radial_passage(rank, truncation):
     return np.concatenate([[1.0], u])
 
 
-def _table_passage(pres, walk, truncation):
+def _table_passage(pres, truncation):
     ball = enumerate_ball(pres, truncation)
     n = len(ball)
-    steps = sorted(walk.steps.items(), key=lambda it: it[0].word)
-    probs = np.array([float(p) for _, p in steps])[:, None]
-    # one row per step: numpy sums the columns fast and adds each element's
-    # products in step order
-    nbr = np.array([[ball.index.get(pres.multiply(g.word, s.word), n)
-                     for g in ball.elements] for s, _ in steps],
-                   dtype=np.int64)
+    letters = range(len(pres.alphabet.symbols))
+    # one row per letter, in symbol order: numpy sums the columns fast and
+    # adds each element's products in letter order.  Inside the outer
+    # sphere the rows are the ball's Cayley edges; only the outer sphere
+    # forms products, which may leave the ball (position n)
+    outer = [[ball.index.get(pres.multiply(g.word, (s,)), n)
+              for g in ball.elements[ball.edges.shape[1]:]] for s in letters]
+    nbr = np.hstack([ball.edges, np.array(outer, dtype=np.int64)])
+    prob = 1.0 / len(letters)
     u = np.zeros(n + 1)
     u[0] = 1.0
     vals = np.empty(nbr.shape)
     for _ in range(20_000):
         np.take(u, nbr, out=vals)
-        vals *= probs
+        vals *= prob
         nxt = vals.sum(axis=0)
         nxt[0] = 1.0
         change = np.abs(nxt - u[:n]).max()
@@ -131,10 +93,9 @@ class GreenData:
     """Solved first-passage probabilities with an explicit usable range:
     one per distance (radial), or `u` in ball order (table); lazy `gap`."""
 
-    def __init__(self, pres, walk, mode, truncation, usable,
+    def __init__(self, pres, mode, truncation, usable,
                  radial=None, ball=None, u=None):
         self.pres = pres
-        self.walk = walk
         self.mode = mode
         self.truncation = truncation
         self.usable = usable
@@ -176,7 +137,7 @@ class GreenData:
             u, top = self._radial, self.usable + 1
             u2 = _radial_passage(self.pres.rank, 2 * self.truncation)
             return float(np.abs(np.log(u2[:top]) - np.log(u[:top])).max())
-        _, u2 = _table_passage(self.pres, self.walk, 2 * self.truncation)
+        _, u2 = _table_passage(self.pres, 2 * self.truncation)
         # the radius-t ball is a prefix of the radius-2t ball: spheres are
         # built the same way and each is sorted by word
         diffs = [abs(math.log(f2) - math.log(f))
@@ -184,27 +145,26 @@ class GreenData:
         return max(diffs) if diffs else 0.0
 
 
-def solve_green(pres, walk=None, radius_hint=4, truncation=None):
-    """Solve the truncated first-passage problem for a walk.
+def solve_green(pres, radius_hint=4, truncation=None):
+    """Solve the truncated first-passage problem of the simple random walk,
+    which steps by each letter with probability 1/|alphabet|.
 
-    The radial reduction (simple walk on a free group) costs nothing, so
-    its default truncation is generous; the generic ball solver pays for
-    elements and keeps the truncation tight.  Only truncation t is solved
-    here; `GreenData.gap` solves 2t, the doubling gap, when first read.
+    On free kinds the walk seen from the root is a birth-death chain on
+    the distance (the radial solver), which costs nothing, so its default
+    truncation is generous; every other kind iterates a first-passage
+    table over the ball, which pays for elements and keeps the truncation
+    tight.  Only truncation t is solved here; `GreenData.gap` solves 2t,
+    the doubling gap, when first read.
     """
-    if walk is None:
-        walk = GreenWalk.simple(pres)
-    if walk.pres is not pres:
-        raise InputError("walk belongs to a different presentation")
-    if walk.is_radial():
+    if pres.kind == "free":
         t = truncation if truncation is not None else max(21, 4 * radius_hint + 16)
         # the one-letter passage is always usable, even at radius 0
         usable = min(max(1, 2 * radius_hint), t)
-        return GreenData(pres, walk, "radial", t, usable,
+        return GreenData(pres, "radial", t, usable,
                          radial=_radial_passage(pres.rank, t))
     t = truncation if truncation is not None else 2 * radius_hint + 4
-    ball, u = _table_passage(pres, walk, t)
-    return GreenData(pres, walk, "table", t, t, ball=ball, u=u)
+    ball, u = _table_passage(pres, t)
+    return GreenData(pres, "table", t, t, ball=ball, u=u)
 
 
 class MetricStructure:
@@ -269,9 +229,8 @@ def word_metric(pres):
     return MetricStructure(pres, "word")
 
 
-def green_metric(pres, walk=None, radius_hint=4, truncation=None):
-    data = solve_green(pres, walk, radius_hint=radius_hint,
-                       truncation=truncation)
+def green_metric(pres, radius_hint=4, truncation=None):
+    data = solve_green(pres, radius_hint=radius_hint, truncation=truncation)
     return MetricStructure(pres, "green", green=data)
 
 
@@ -372,37 +331,36 @@ class FourPointReport:
     threshold: float
 
 
-def check_strong_hyperbolicity(metric, ball, mode="exhaustive", seed=0,
-                               samples=200_000):
+def check_strong_hyperbolicity(metric, ball, seed=0):
     """Scan four-point defects over a ball.
 
-    Exhaustive mode covers every (basepoint, x, y, z) quadruple, scanning
-    one basepoint per symmetry orbit (`_basepoint_representatives`);
-    sampled mode draws quadruples with a seeded generator.  The reported
+    The scan covers every (basepoint, x, y, z) quadruple, one basepoint
+    per symmetry orbit (`_basepoint_representatives`), when those
+    representatives x n^3 quadruples are at most `QUADRUPLE_CAP`; it is
+    then "exhaustive".  Otherwise it is "sampled": `FOURPOINT_SAMPLES`
+    quadruples drawn with a generator seeded by `seed`.  The reported
     defect clamps at zero; the signed maximum is kept in `raw`.
     """
     d = metric_distance_matrix(metric, ball)
     n = d.shape[0]
     els = ball.elements
-    if mode == "exhaustive":
-        total = n ** 4
-        if total > QUADRUPLE_CAP:
-            raise ResourceLimitError(
-                f"{total} quadruples exceed the cap {QUADRUPLE_CAP}; "
-                "use sampled mode")
+    reps = _basepoint_representatives(ball, d)
+    if len(reps) * n ** 3 <= QUADRUPLE_CAP:
+        mode = "exhaustive"
         best = -math.inf
         at = None
-        for o in _basepoint_representatives(ball, d):
+        for o in reps:
             two_g = d[o][:, None] + d[o][None, :] - d
             e = np.ascontiguousarray(np.exp(-0.5 * two_g))
             r, x, y, z = kernels.fourpoint_scan(e)
             if r > best:
                 best = r
                 at = (x, y, z, o)
-        quadruples = total
-    elif mode == "sampled":
+        quadruples = n ** 4
+    else:
+        mode = "sampled"
         rng = np.random.default_rng(seed)
-        draws = rng.integers(0, n, size=(4, samples))
+        draws = rng.integers(0, n, size=(4, FOURPOINT_SAMPLES))
         oo, xx, yy, zz = draws
         exy = np.exp(-0.5 * (d[oo, xx] + d[oo, yy] - d[xx, yy]))
         exz = np.exp(-0.5 * (d[oo, xx] + d[oo, zz] - d[xx, zz]))
@@ -411,9 +369,7 @@ def check_strong_hyperbolicity(metric, ball, mode="exhaustive", seed=0,
         i = int(np.argmax(vals))
         best = float(vals[i])
         at = (int(xx[i]), int(yy[i]), int(zz[i]), int(oo[i]))
-        quadruples = samples
-    else:
-        raise InputError(f"unknown scan mode {mode!r}")
+        quadruples = FOURPOINT_SAMPLES
     witness = None
     if best > FOURPOINT_TOLERANCE:
         witness = tuple(els[i].spelled() for i in at)

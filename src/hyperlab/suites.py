@@ -132,12 +132,7 @@ def _suite_strong_hyp(pres, cfg, radius):
         # first, so that a min-rule scan over its cap is refused before
         # the float scan builds the n x n distance matrix
         margin = metrics.four_point_min_rule_margin(ball)
-    # Seeded sampling keeps large balls tractable without losing determinism.
-    mode = "exhaustive"
-    if len(ball.elements) ** 4 > metrics.QUADRUPLE_CAP:
-        mode = "sampled"
-    rep = metrics.check_strong_hyperbolicity(metric, ball, mode=mode,
-                                             seed=cfg.seed)
+    rep = metrics.check_strong_hyperbolicity(metric, ball, seed=cfg.seed)
     witness = None
     if rep.witness is not None:
         witness = {"x": rep.witness[0], "y": rep.witness[1],
@@ -486,14 +481,15 @@ def _random_monomial(pres, rng, words, els):
 def _suite_kms(pres, cfg, radius):
     depth = cfg.depth if cfg.depth is not None else 3
     measure = boundary.BoundaryMeasure(pres)
-    dim = measure.dimension
+    base = measure.base()
+    lam = Fraction(1, base)     # e^(-beta) at beta = log(2k-1)
     settings = _settings(cfg, radius, depth=depth)
     checks = []
 
     a = pres.element_from_symbol(0)
     A = crossed.CrossedElement.monomial(pres, a.word, a)
     B = crossed.CrossedElement.monomial(pres, a.word * 2, a.inverse())
-    pair = crossed.kms_check(A, B, dim)
+    pair = crossed.kms_check(A, B, lam)
     expected = measure.word_mass(a.word * 3)
     checks.append(CheckResult(
         name="worked-monomial-pair",
@@ -501,7 +497,7 @@ def _suite_kms(pres, cfg, radius):
         details={"lhs": pair.lhs, "rhs": pair.rhs, "expected": expected},
     ))
 
-    scan = crossed.kms_monomial_scan(pres, radius, depth, dim, seed=cfg.seed)
+    scan = crossed.kms_monomial_scan(pres, radius, depth, lam, seed=cfg.seed)
     checks.append(CheckResult(
         name="kms-monomial-scan",
         passed=scan.equal,
@@ -512,8 +508,8 @@ def _suite_kms(pres, cfg, radius):
         witness=_kms_witness(scan),
     ))
 
-    base = measure.base()
-    hot = crossed.kms_monomial_scan(pres, radius, depth, dim + math.log(base),
+    # beta raised by log(2k-1)
+    hot = crossed.kms_monomial_scan(pres, radius, depth, lam ** 2,
                                     seed=cfg.seed)
     checks.append(CheckResult(
         name="temperature-sensitivity",
@@ -545,9 +541,9 @@ def _suite_kms(pres, cfg, radius):
     for _ in range(10):
         one = _random_monomial(pres, rng, words, els)
         two = _random_monomial(pres, rng, words, els)
-        lhs = crossed.apply_flow(crossed.cp_multiply(one, two), dim)
-        rhs = crossed.cp_multiply(crossed.apply_flow(one, dim),
-                                  crossed.apply_flow(two, dim))
+        lhs = crossed.apply_flow(crossed.cp_multiply(one, two), lam)
+        rhs = crossed.cp_multiply(crossed.apply_flow(one, lam),
+                                  crossed.apply_flow(two, lam))
         if lhs != rhs and bad_flow is None:
             bad_flow = {"note": "flow failed to distribute over a product"}
     checks.append(CheckResult(

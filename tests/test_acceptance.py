@@ -163,15 +163,15 @@ def test_criterion_08_conformal_metric_identity(free2):
 
 
 def test_criterion_09_kms_at_dimension(free2):
-    D = math.log(3)
+    lam = Fraction(1, 3)     # e^(-beta) at beta = log 3, the dimension
     a = free2.element("a")
     A = crossed.CrossedElement.monomial(free2, "a", a)
     B = crossed.CrossedElement.monomial(free2, "aa", a.inverse())
-    worked = crossed.kms_check(A, B, D)
+    worked = crossed.kms_check(A, B, lam)
     worked_ok = (worked.lhs == worked.rhs == Fraction(1, 36))
 
-    scan = crossed.kms_monomial_scan(free2, 2, 3, D)
-    hot = crossed.kms_monomial_scan(free2, 2, 3, D + math.log(3))
+    scan = crossed.kms_monomial_scan(free2, 2, 3, lam)
+    hot = crossed.kms_monomial_scan(free2, 2, 3, lam ** 2)
     ok = worked_ok and scan.equal and not hot.equal
     _verdict(9, ok, f"worked pair {worked.lhs} = {worked.rhs}; "
                     f"{scan.pairs} pairs equal at dimension; "

@@ -54,6 +54,35 @@ def test_math_failure_exit_one_with_witness(tmp_path):
     assert set(witness) >= {"x", "y", "z", "basepoint"}
 
 
+@pytest.mark.parametrize("group,radius,mode", [
+    # 6 x 485^3 = 6.8e8 and 110 x 218^3 = 1.14e9 quadruples computed
+    ("free:2", 5, "exhaustive"),
+    ("modular", 10, "exhaustive"),
+    # 115 x 457^3 = 1.1e10 and 222 x 442^3 = 1.9e10
+    ("surface:2", 3, "sampled"),
+    ("modular", 12, "sampled"),
+])
+def test_four_point_mode_follows_the_computed_quadruples(tmp_path, group,
+                                                         radius, mode):
+    _, payload = run_main(tmp_path, "check", "--suite", "strong-hyp",
+                          "--group", group, "--radius", str(radius))
+    details = json.loads(payload)["reports"][0]["checks"][0]["details"]
+    assert details["mode"] == mode
+    assert details["quadruples"] == (details["elements"] ** 4
+                                     if mode == "exhaustive"
+                                     else metrics.FOURPOINT_SAMPLES)
+
+
+@pytest.mark.parametrize("group", ["free:3", "free:4"])
+def test_green_suite_scans_large_free_balls_by_sphere(tmp_path, group):
+    # B(3) holds 187 and 457 elements: n^4 passes the cap, but one
+    # basepoint per sphere leaves 4 n^3 quadruples
+    code, payload = run_main(tmp_path, "check", "--suite", "green",
+                             "--group", group)
+    assert code == 0
+    assert json.loads(payload)["passed"] is True
+
+
 @pytest.mark.parametrize("suite", ["strong-hyp", "cocycle", "properness"])
 def test_alphabet_past_int8_range(tmp_path, suite):
     # free:65 spells its elements with 130 symbols

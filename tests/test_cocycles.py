@@ -103,7 +103,7 @@ def test_identity_scan_free(word2):
 def test_identity_scan_surface():
     s = groups.surface_group(2)
     band = cocycles.build_pair_band(metrics.word_metric(s), 3, 2)
-    scan = cocycles.cocycle_identity_scan(band, 1, samples=50)
+    scan = cocycles.cocycle_identity_scan(band, 1)
     assert scan.mismatches == 0
     assert scan.max_sample_defect == 0
 

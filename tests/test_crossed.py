@@ -228,7 +228,7 @@ def test_busemann_step_matches_boundary_route(free2):
 
 def test_flow_at_dimension_beta(free2, worked_pair):
     A, _ = worked_pair
-    flowed = crossed.apply_flow(A, math.log(3))
+    flowed = crossed.apply_flow(A, Fraction(1, 3))
     ((g, phi),) = list(flowed.terms.items())
     assert g == free2.element("a")
     masses = {_raw_spell(free2, w): v for w, v in zip(
@@ -239,17 +239,23 @@ def test_flow_at_dimension_beta(free2, worked_pair):
     assert masses["ba"] == 0
 
 
-def test_flow_rejects_incompatible_beta(free2, worked_pair):
+@pytest.mark.parametrize("lam", [
+    1 / 3, math.inf, True, 0, -3, Fraction(-1, 3), "1/3",
+], ids=["float", "inf", "bool", "zero", "negative", "negative-fraction",
+        "text"])
+def test_flow_rejects_a_lambda_that_is_not_a_positive_rational(
+        free2, worked_pair, lam):
     A, _ = worked_pair
-    with pytest.raises(InputError):
-        crossed.apply_flow(A, 0.5)
-    with pytest.raises(InputError):
-        crossed.apply_flow(A, math.inf)
+    with pytest.raises(InputError, match="positive int or Fraction"):
+        crossed.apply_flow(A, lam)
+    with pytest.raises(InputError, match="positive int or Fraction"):
+        crossed.kms_monomial_scan(free2, 2, 3, lam)
 
 
 def test_flow_at_zero_is_identity(free2, worked_pair):
     A, _ = worked_pair
-    assert crossed.apply_flow(A, 0.0) == A
+    assert crossed.apply_flow(A, 1) == A
+    assert crossed.apply_flow(A, Fraction(1)) == A
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -273,7 +279,7 @@ def test_flow_is_multiplicative_at_exact_beta(free2):
     import random
 
     rng = random.Random(1)
-    flow = math.log(3)
+    flow = Fraction(1, 3)
     words = boundary.reduced_words(free2, 2)
     els = groups.enumerate_ball(free2, 2).elements
     for _ in range(8):
@@ -311,20 +317,18 @@ def test_state_positivity_samples(free2):
 
 def test_kms_worked_pair(free2, worked_pair):
     A, B = worked_pair
-    D = math.log(3)
-    rep = crossed.kms_check(A, B, D)
+    rep = crossed.kms_check(A, B, Fraction(1, 3))
     assert rep.lhs == rep.rhs == Fraction(1, 36)
     assert rep.equal
 
-    hot = crossed.kms_check(A, B, 2 * D)
+    hot = crossed.kms_check(A, B, Fraction(1, 9))
     assert hot.lhs == Fraction(1, 108)
     assert hot.rhs == Fraction(1, 36)
     assert not hot.equal
 
 
 def test_kms_scan_at_dimension(free2):
-    D = math.log(3)
-    scan = crossed.kms_monomial_scan(free2, 2, 3, D)
+    scan = crossed.kms_monomial_scan(free2, 2, 3, Fraction(1, 3))
     assert scan.equal
     assert scan.monomials == 612
     assert scan.pairs == 612 ** 2
@@ -334,7 +338,7 @@ def test_kms_scan_at_dimension(free2):
 
 
 def test_kms_scan_detects_wrong_temperature(free2):
-    scan = crossed.kms_monomial_scan(free2, 2, 3, 2 * math.log(3))
+    scan = crossed.kms_monomial_scan(free2, 2, 3, Fraction(1, 9))
     assert not scan.equal
     assert len(scan.failures) == 5  # capped
     g, w, z, lhs, rhs = scan.failures[0]
@@ -348,11 +352,11 @@ def test_closed_form_matches_the_engine_on_every_pair(monkeypatch, rank,
     # every pair whose cylinders meet goes through the generic engine,
     # which raises on any closed-form value it does not reproduce
     pres = groups.free_group(rank)
-    beta = boundary.BoundaryMeasure(pres).dimension
+    lam = Fraction(1, 2 * rank - 1)
     if hot:
-        beta += math.log(2 * rank - 1)
+        lam **= 2
     monkeypatch.setattr(crossed, "KMS_CROSSCHECKS", 10 ** 9)
-    scan = crossed.kms_monomial_scan(pres, 1, 2, beta)
+    scan = crossed.kms_monomial_scan(pres, 1, 2, lam)
     words = boundary.reduced_words(pres, 2)
     meeting = 0
     for g in groups.enumerate_ball(pres, 1).elements:
@@ -411,7 +415,7 @@ def test_cylinder_caches_are_bounded(tmp_path):
 
 def test_kms_scan_depth_guard(free2):
     with pytest.raises(InputError):
-        crossed.kms_monomial_scan(free2, 3, 3, math.log(3))
+        crossed.kms_monomial_scan(free2, 3, 3, Fraction(1, 3))
 
 
 def test_nonvanishing_certificate(free2):

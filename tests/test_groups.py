@@ -197,7 +197,7 @@ def test_presentation_text_errors():
 def test_preset_specs():
     assert groups.preset("free:3").rank == 3
     assert groups.preset("modular").kind == "free-product"
-    assert len(groups.preset("surface:3").symmetric_generators()) == 12
+    assert len(groups.preset("surface:3").alphabet.symbols) == 12
     with pytest.raises(InputError):
         groups.preset("nosuch:9")
 

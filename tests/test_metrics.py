@@ -217,7 +217,8 @@ def test_orbit_reduced_scans_equal_the_full_scan(monkeypatch, make, radius,
     pres = make()
     ball = groups.enumerate_ball(pres, radius)
     metric = _metric(pres, kind, radius)
-    # free:3 radius 3 (187^4 = 1.22e9) is just over the exhaustive cap
+    # the full scan below takes every basepoint: free:3 radius 3
+    # (187^4 = 1.22e9) is just over the exhaustive cap
     monkeypatch.setattr(metrics, "QUADRUPLE_CAP",
                         max(metrics.QUADRUPLE_CAP, len(ball) ** 4))
     reduced = (metrics.check_strong_hyperbolicity(metric, ball),
@@ -300,15 +301,14 @@ def test_free_representatives_are_the_first_of_each_sphere(rank, radius):
 
 
 def test_four_point_sampled_is_seeded():
-    f2 = groups.free_group(2)
-    ball = groups.enumerate_ball(f2, 3)
-    wm = metrics.word_metric(f2)
-    r1 = metrics.check_strong_hyperbolicity(wm, ball, mode="sampled",
-                                            seed=5, samples=5000)
-    r2 = metrics.check_strong_hyperbolicity(wm, ball, mode="sampled",
-                                            seed=5, samples=5000)
+    s2 = groups.surface_group(2)
+    ball = groups.enumerate_ball(s2, 3)
+    wm = metrics.word_metric(s2)
+    r1 = metrics.check_strong_hyperbolicity(wm, ball, seed=5)
+    r2 = metrics.check_strong_hyperbolicity(wm, ball, seed=5)
+    assert r1.mode == "sampled"
     assert (r1.defect, r1.raw, r1.witness) == (r2.defect, r2.raw, r2.witness)
-    assert r1.quadruples == 5000
+    assert r1.quadruples == metrics.FOURPOINT_SAMPLES
 
 
 def test_green_passage_closed_form():
@@ -344,9 +344,9 @@ def test_green_matches_scaled_tree():
     assert worst <= 1e-6
 
 
-def test_green_table_solve_normalizes_only_the_walk(monkeypatch):
-    # neighbours in the table come from multiply; what normalizes is
-    # the simple walk's symmetry check, one inverse per step
+def test_green_table_solve_never_normalizes_on_a_free_product(monkeypatch):
+    # neighbours in the table come from the ball's edges and multiply,
+    # which on a free product only cancels and merges letters
     m = groups.modular_group()
     calls = []
     normalize = groups.GroupPresentation.normalize
@@ -357,7 +357,29 @@ def test_green_table_solve_normalizes_only_the_walk(monkeypatch):
 
     monkeypatch.setattr(groups.GroupPresentation, "normalize", counting)
     metrics.solve_green(m, radius_hint=2)
-    assert len(calls) <= len(m.alphabet)
+    assert calls == []
+
+
+@pytest.mark.parametrize("make,truncation", [
+    (groups.modular_group, 12),
+    (lambda: groups.surface_group(2), 2),
+], ids=["modular-t12", "surface2-t2"])
+def test_green_table_multiplies_only_on_the_outer_sphere(monkeypatch, make,
+                                                         truncation):
+    # inside the outer sphere the neighbour rows are the ball's edges
+    pres = make()
+    ball = groups.enumerate_ball(pres, truncation)
+    monkeypatch.setattr(metrics, "enumerate_ball", lambda p, r: ball)
+    calls = []
+    multiply = groups.GroupPresentation.multiply
+
+    def counting(self, u, v):
+        calls.append(v)
+        return multiply(self, u, v)
+
+    monkeypatch.setattr(groups.GroupPresentation, "multiply", counting)
+    metrics._table_passage(pres, truncation)
+    assert len(calls) == len(pres.alphabet.symbols) * len(ball.spheres[-1])
 
 
 def _modular_simple():
@@ -367,14 +389,6 @@ def _modular_simple():
 def _z3_z4_simple():
     return metrics.solve_green(groups.cyclic_free_product([3, 4]),
                                truncation=5)
-
-
-def _modular_multi_letter():
-    m = groups.modular_group()
-    s, st = m.element("s"), m.element("st")
-    walk = metrics.GreenWalk(m, {s: Fraction(1, 2), st: Fraction(1, 4),
-                                 st.inverse(): Fraction(1, 4)})
-    return metrics.solve_green(m, walk, radius_hint=2)
 
 
 # Green tables bit for bit: the table iteration must add the same
@@ -388,10 +402,6 @@ def _modular_multi_letter():
         _z3_z4_simple,
         "811b1a6c2894686a8ccd22a11d7cc3301ad2c929c0fc52a6ebed552bf63ab89a",
         "0.7286923333344557", id="z3-z4-t5"),
-    pytest.param(
-        _modular_multi_letter,
-        "a43ca9914b734f6d6af6dce35aeb663539d3bb79e648daa2014cc5ff33b6b56f",
-        "1.4817019208984856", id="modular-multi-letter-r2"),
 ])
 def test_green_tables_are_pinned(monkeypatch, solve, digest, gap):
     solved = _record_table_solves(monkeypatch)
@@ -410,9 +420,9 @@ def _record_table_solves(monkeypatch):
     solved = []
     passage = metrics._table_passage
 
-    def recording(pres, walk, truncation):
+    def recording(pres, truncation):
         solved.append(truncation)
-        return passage(pres, walk, truncation)
+        return passage(pres, truncation)
 
     monkeypatch.setattr(metrics, "_table_passage", recording)
     return solved

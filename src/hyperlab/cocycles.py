@@ -123,7 +123,7 @@ def _cocycle_norm(band, row, p):
         ip = int(p)
         top = int(mags.max()) if mags.size else 0
         if top ** ip * len(mags) < 2 ** 63:    # the int64 sum fits
-            total = int((mags ** ip).sum())
+            total = int((mags.astype(np.int64) ** ip).sum())
         else:
             total = sum(int(v) ** ip for v in mags)
         return Fraction(total, 2 ** ip)

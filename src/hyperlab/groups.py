@@ -29,13 +29,16 @@ Word = tuple  # tuple[int, ...], indices into an Alphabet
 ELEMENT_CAP = 2_000_000
 # largest estimated allocation of one bulk_product_lengths call
 DISTANCE_BYTES_CAP = 2 << 30
-# bytes a pair that bulk_product_lengths allocates at its peak, by kind;
-# each bounds its route's tracemalloc peak: 24.0 on the free prefix route,
-# up to 37 on the free-product scalar route (modular radius 12, first
-# call), up to 28.2 on the small-cancellation window search (surface:2
-# and surface:3, either orientation) and 30.5 on its scalar route
-# (square calls on surface:2 radius-4 samples), 36 leaving 18% margin
-PAIR_BYTES = {"free": 32, "free-product": 48, "small-cancellation": 36}
+# bytes a pair that bulk_product_lengths allocates at its peak, by kind,
+# for int8 distances; a wider `distance_dtype` scales them by at most its
+# itemsize.  Each bounds its route's tracemalloc peak: 2.3 on the free
+# prefix route (free:2 radius 6 and free:3 radius 4, square or not), up
+# to 13.0 on the free-product scalar route (modular radius 12, first
+# call, with the interpreter's tuple free lists still filling; 1.3 after
+# that), up to 13.8 on the small-cancellation window search (surface:2
+# and surface:3, either orientation) and 3.2 on its scalar route (square
+# calls on surface:2 radius-4 samples), each with at least 15% margin
+PAIR_BYTES = {"free": 3, "free-product": 16, "small-cancellation": 16}
 # most words the small-cancellation canonical-form cache keeps; the
 # largest count measured, after `cocycle surface:2` at its default
 # radius, is 206,999
@@ -812,12 +815,24 @@ def enumerate_ball(pres, radius):
     return ball
 
 
+def distance_dtype(top):
+    """The narrowest signed integer dtype that holds 2 * top.
+
+    Word distances up to top stored in it keep every doubled Gromov
+    product and every difference of two of them in range: int8 while
+    top is at most 63, which covers every preset ball.
+    """
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= 2 * top)
+
+
 def bulk_product_lengths(pres, lefts, rights):
     """Matrix of canonical lengths |l^-1 r| over two element lists.
 
     This is the single route from canonical words to word-metric
     distances: `metrics.word_distance_matrix` and the Busemann rows of
-    `cocycles` both go through it.
+    `cocycles` both go through it.  No length exceeds max |l| + max |r|,
+    and the matrix is stored in `distance_dtype` of that bound.
 
     Free kinds reduce l^-1 r by cancelling the common prefix of l and r,
     so only prefix comparisons are needed.  Small-cancellation kinds
@@ -833,31 +848,38 @@ def bulk_product_lengths(pres, lefts, rights):
     `DISTANCE_BYTES_CAP` raises ResourceLimitError before allocating.
     """
     nl, nr = len(lefts), len(rights)
+    lv = [len(l.word) for l in lefts]
+    lx = [len(r.word) for r in rights]
+    dtype = distance_dtype(max(lv, default=0) + max(lx, default=0))
     if nl == 0 or nr == 0:
-        return np.zeros((nl, nr), dtype=np.int64)
-    need = nl * nr * PAIR_BYTES[pres.kind]
+        return np.zeros((nl, nr), dtype=dtype)
+    need = nl * nr * PAIR_BYTES[pres.kind] * dtype.itemsize
     if need > DISTANCE_BYTES_CAP:
         raise ResourceLimitError(
             f"word distances over {nl} x {nr} elements would allocate about "
             f"{need / 2**30:.1f} GiB (cap {DISTANCE_BYTES_CAP / 2**30:g} GiB)")
     if pres.kind != "free-product":
-        lens = _vectorized_lengths(pres, lefts, rights)
+        lens = _vectorized_lengths(pres, lefts, rights,
+                                   np.array(lv, dtype=dtype),
+                                   np.array(lx, dtype=dtype))
         if lens is not None:
             return lens
-    # |l^-1 r| = |r^-1 l|, so a square call fills j >= i and mirrors
+    # |l^-1 r| = |r^-1 l|, so a square call fills row i from column i on
+    # and mirrors it into column i
     square = lefts is rights
-    out = np.empty((nl, nr), dtype=np.int64)
+    out = np.empty((nl, nr), dtype=dtype)
     for i, l in enumerate(lefts):
-        for j in range(i if square else 0, nr):
-            out[i, j] = len(pres.left_quotient(l.word, rights[j].word))
-    if square:
-        out = np.triu(out) + np.triu(out, 1).T
+        j = i if square else 0
+        out[i, j:] = [len(pres.left_quotient(l.word, r.word))
+                      for r in rights[j:]]
+        if square:
+            out[j:, i] = out[i, j:]
     return out
 
 
 def _common_prefix_lengths(lefts, rights, width):
     """Common prefix lengths, capped at width, of every left and right
-    word as an nl x nr int64 array.
+    word as an nl x nr array in `distance_dtype(width)`.
 
     Equal prefixes share one id, so two words agree on their first k
     letters exactly when their k-letter prefix ids match, and then on
@@ -876,26 +898,27 @@ def _common_prefix_lengths(lefts, rights, width):
 
     pl = prefix_ids(lefts, -1)
     pr = prefix_ids(rights, -2)    # pads never match each other
-    lcp = np.zeros((len(lefts), len(rights)), dtype=np.min_scalar_type(width))
+    lcp = np.zeros((len(lefts), len(rights)), dtype=distance_dtype(width))
     for k in range(width):
         lcp += pl[k][:, None] == pr[k][None, :]
-    return lcp.astype(np.int64)
+    return lcp
 
 
-def _vectorized_lengths(pres, lefts, rights):
-    """Vectorized |l^-1 r| for free and fast small-cancellation cases;
-    None when the scalar route is needed.
+def _vectorized_lengths(pres, lefts, rights, lv, lx):
+    """Vectorized |l^-1 r| for free and fast small-cancellation cases,
+    in the dtype of the word lengths lv and lx; None when the scalar
+    route is needed.
 
     The fast small-cancellation case finds the reduced words l^-1 r that
     hold a relator window (`_window_hits`); only those go to dehn_reduce.
     """
-    lv = np.array([len(l.word) for l in lefts], dtype=np.int64)
-    lx = np.array([len(r.word) for r in rights], dtype=np.int64)
     wl = max(1, int(lv.max()))
     wr = max(1, int(lx.max()))
     # cancellation at the l^-1 | r junction = common prefix of l and r
     lcp = _common_prefix_lengths(lefts, rights, min(wl, wr))
-    lens = lv[:, None] + lx[None, :] - 2 * lcp
+    lens = np.add.outer(lv, lx)
+    lens -= lcp
+    lens -= lcp
     if pres.kind == "free":
         return lens
     if pres._max_piece != 1 or int(lens.max()) >= pres._min_relator:

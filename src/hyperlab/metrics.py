@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError, NumericError, ResourceLimitError
-from .groups import bulk_product_lengths, enumerate_ball
+from .groups import bulk_product_lengths, distance_dtype, enumerate_ball
 
 FOURPOINT_TOLERANCE = 1e-9
 # most quadruples an exhaustive four-point scan computes (basepoint
@@ -235,7 +235,10 @@ def green_metric(pres, radius_hint=4, truncation=None):
 
 
 def word_distance_matrix(ball):
-    """Pairwise canonical word lengths over a ball, exact int64.
+    """Pairwise canonical word lengths over a ball, exact integers in
+    `groups.distance_dtype` of twice its longest word, which bounds every
+    entry: the narrowest signed dtype that holds twice that bound, int8
+    on every preset ball.
 
     The matrix is `groups.bulk_product_lengths` of the ball's elements
     against themselves, the single route from canonical words to word
@@ -249,8 +252,8 @@ def word_distance_matrix(ball):
 
 
 def metric_distance_matrix(metric, ball):
-    """Pairwise distances: on exact kinds the ball's own int64 word
-    distances (not a copy), on Green metrics a float64 table."""
+    """Pairwise distances: on exact kinds the ball's own narrow integer
+    word distances (not a copy), on Green metrics a float64 table."""
     if ball.pres is not metric.pres:
         raise InputError("ball and metric use different presentations")
     dint = word_distance_matrix(ball)
@@ -275,12 +278,9 @@ def metric_distance_matrix(metric, ball):
 
 
 def _narrow(dist):
-    """A nonnegative integer matrix in the narrowest signed dtype that
-    holds twice its largest entry."""
-    top = 2 * int(dist.max())
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).max >= top)
-    return dist.astype(dtype)
+    """A nonnegative integer matrix in `distance_dtype` of its largest
+    entry; the matrix itself when it already has that dtype."""
+    return dist.astype(distance_dtype(int(dist.max())), copy=False)
 
 
 def _basepoint_representatives(ball, d):

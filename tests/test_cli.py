@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -179,13 +180,13 @@ def test_band_past_a_small_ball_is_reported_empty(tmp_path):
 
 def test_oversized_distance_matrix_exit_two(capsys):
     # the free:2 radius-9 ball holds 39365 elements; comparing all their
-    # words at once would take about 46.2 GiB, so it is refused up front
+    # words at once would take about 4.3 GiB, so it is refused up front
     started = time.perf_counter()
     assert cli.main(["check", "--suite", "cocycle", "--group", "free:2",
                      "--radius", "9", "--g", "abababab"]) == 2
     assert time.perf_counter() - started < 10
     err = capsys.readouterr().err
-    assert "39365 x 39365" in err and "46.2 GiB" in err
+    assert "39365 x 39365" in err and "4.3 GiB" in err
 
 
 def test_oversized_min_rule_scan_exit_two(capsys):
@@ -211,6 +212,19 @@ def test_min_rule_refusal_precedes_the_distance_matrix(monkeypatch):
     cfg = suites.ScenarioConfig(suite="strong-hyp", group="free:4", radius=4)
     with pytest.raises(ResourceLimitError, match="at least 5 basepoints"):
         suites.run_scenario(cfg)
+
+
+def test_all_suites_on_free2_stay_under_twelve_megabytes():
+    # the properness suite's 1456 x 1456 word distances set the peak;
+    # stored as int64, with int64 temporaries, the peak was 49 MB
+    cfg = suites.ScenarioConfig(suite="all", group="free:2", seed=7)
+    tracemalloc.start()
+    try:
+        suites.run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
 
 
 def test_unwritable_out_exit_three(capsys):

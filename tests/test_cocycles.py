@@ -489,3 +489,40 @@ def test_partition_points_follow_the_min_rule_on_random_paths():
         path = [(t, k) for k, t in enumerate(times)]
         assert (cocycles._nearest_points(path, targets)
                 == _literal_nearest(path, targets))
+
+
+@pytest.mark.parametrize("spec, left, right, radius", [
+    ("free:2", 6, 6, 6),
+    ("modular", 12, 12, 8),
+    ("surface:2", 4, 3, 3),
+])
+def test_narrow_distances_read_as_int64(spec, left, right, radius):
+    # product lengths are stored in the narrowest dtype holding twice
+    # max |l| + max |r|; every consumer reads the integers an int64
+    # matrix holds, and cubes of doubled cocycle values past int8 stay
+    # exact on a band with K the ball's radius
+    pres = groups.preset(spec)
+    lefts = groups.enumerate_ball(pres, left).elements
+    rights = groups.enumerate_ball(pres, right).elements
+    bulk = groups.bulk_product_lengths(pres, lefts, rights)
+    assert bulk.dtype == groups.distance_dtype(left + right) == np.int8
+    rows = random.Random(5).sample(range(len(lefts)), 120)
+    ref = np.array([[len(pres.left_quotient(lefts[i].word, r.word))
+                     for r in rights] for i in rows], dtype=np.int64)
+    assert np.array_equal(bulk[rows], ref)
+
+    metric = metrics.word_metric(pres)
+    band = cocycles.build_pair_band(metric, Fraction(radius), radius)
+    wide = cocycles.PairBand(metric, band.K, band.C, band.ball,
+                             band.distances.astype(np.int64), band.mask)
+    assert band.distances.dtype == np.int8 and len(band)
+    outer = band.ball.spheres[-1]
+    for g in random.Random(6).sample(outer, 10) + [lefts[-1]]:
+        for p in (1, 2, 3):
+            narrow = cocycles._cocycle_norm(
+                band, cocycles._distance_row(band, g), p)
+            assert narrow == cocycles._cocycle_norm(
+                wide, cocycles._distance_row(wide, g), p)
+    grid = [1.0, 1.5, 2.0]
+    assert (cocycles.critical_exponent_scan(band, grid)
+            == cocycles.critical_exponent_scan(wide, grid))

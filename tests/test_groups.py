@@ -386,6 +386,28 @@ def _free2_corner():
     return f2, els[:25], els[-25:]
 
 
+def _long_words(pres, count, steps, seed):
+    rng = random.Random(seed)
+    letters = len(pres.alphabet)
+    return [groups.GroupElement(pres, pres.normalize(
+        tuple(rng.randrange(letters) for _ in range(steps))))
+        for _ in range(count)]
+
+
+def _free2_long_words():
+    # products past 127 letters: stored in int16, not int8
+    f2 = groups.free_group(2)
+    words = _long_words(f2, 20, 160, 3)
+    return f2, words, words
+
+
+def _modular_long_words():
+    # the scalar route, square and mirrored, past 127 letters
+    m = groups.modular_group()
+    words = _long_words(m, 15, 400, 4)
+    return m, words, words
+
+
 def _surface2_sample():
     s = groups.surface_group(2)
     els = groups.enumerate_ball(s, 2).elements
@@ -474,6 +496,8 @@ def _surface2_wide():
 
 @pytest.mark.parametrize("case", [
     pytest.param(_free2_corner, id="free2-corner"),
+    pytest.param(_free2_long_words, id="free2-long-words"),
+    pytest.param(_modular_long_words, id="modular-long-words"),
     pytest.param(_surface2_sample, id="surface2-sample"),
     pytest.param(_modular_ball, id="modular-ball"),
     pytest.param(_modular_rectangle, id="modular-rectangle"),
@@ -492,11 +516,15 @@ def test_bulk_product_lengths_matches_scalar(case):
     scalar = [[len(pres.normalize(x.inverse().word + y.word)) for y in rights]
               for x in lefts]
     assert np.array_equal(bulk, np.asarray(scalar))
+    top = max(map(len, (x.word for x in lefts))) + max(
+        map(len, (y.word for y in rights)))
+    assert bulk.dtype == groups.distance_dtype(top)
 
 
 def test_free_distance_matrix_peak_memory():
-    # common prefixes are counted one depth at a time in a narrow array;
-    # no array of n^2 w entries is built
+    # common prefixes are counted one depth at a time in a narrow array,
+    # and lengths are built in place in one byte a pair; no array of
+    # n^2 w entries and no n^2 int64 array is built
     f2 = groups.free_group(2)
     els = groups.enumerate_ball(f2, 5).elements
     n = len(els)
@@ -506,7 +534,7 @@ def test_free_distance_matrix_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * n * n * 8
+    assert peak < 4 * n * n
 
 
 @pytest.mark.parametrize("pres, left, right", [

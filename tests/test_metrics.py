@@ -110,7 +110,8 @@ def test_min_rule_margin_past_int8(monkeypatch):
     for pres, margin in [(groups.free_group(2), 0),
                          (groups.cyclic_free_product([3, 4]), -2)]:
         ball = groups.enumerate_ball(pres, 4)
-        ball.distances = 100 * metrics.word_distance_matrix(ball)
+        ball.distances = 100 * metrics.word_distance_matrix(ball).astype(
+            np.int64)
         assert metrics.four_point_min_rule_margin(ball) == 100 * margin
     assert set(seen) == {np.dtype(np.int16)}
 

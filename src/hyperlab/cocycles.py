@@ -11,7 +11,6 @@ and d(g, .), comparing integers on exact metrics.
 """
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -96,16 +95,24 @@ def build_pair_band(metric, K, radius, C=None):
     return PairBand(metric, K, C, ball, d, mask)
 
 
-def _distance_row(band, g):
-    """d(g, x) over the band's ball: a row of its matrix when g is in the
-    ball, else product lengths (exact kinds) or one distance an element."""
+def _distance_rows(band, gs):
+    """d(g, .) over the band's ball for each g: rows of the band's matrix
+    when every g is in the ball (a view for consecutive ones; on exact
+    metrics its columns d(., g), as word distances are symmetric), else
+    product lengths (exact kinds) or one distance a pair."""
+    if any(g.pres is not band.metric.pres for g in gs):
+        raise InputError("element lives in a different presentation")
     ball = band.ball
-    i = ball.index.get(g.word)
-    if i is not None:
-        return band.distances[i]
+    pos = [ball.index.get(g.word) for g in gs]
+    if pos and None not in pos:
+        if pos == list(range(pos[0], pos[0] + len(pos))):
+            pos = slice(pos[0], pos[0] + len(pos))
+        return (band.distances[:, pos].T if band.metric.exact
+                else band.distances[pos])
     if band.metric.exact:
-        return bulk_product_lengths(ball.pres, [g], ball.elements)[0]
-    return np.array([band.metric.distance(g, x) for x in ball.elements])
+        return bulk_product_lengths(ball.pres, gs, ball.elements)
+    return np.array([[band.metric.distance(g, x) for x in ball.elements]
+                     for g in gs]).reshape(len(gs), len(ball))
 
 
 def _band_cocycle_doubled(band, row):
@@ -115,19 +122,45 @@ def _band_cocycle_doubled(band, row):
     return b_vec[band.index[:, 0]] - b_vec[band.index[:, 1]]
 
 
-def _cocycle_norm(band, row, p):
-    """Sum of |c_g|^p over the band, given row = d(g, .) over the ball;
-    an exact Fraction on exact metrics at integral p."""
-    mags = np.abs(_band_cocycle_doubled(band, row))
+# band pairs per step of an exact norm sum, two (pairs x elements) gathers
+NORM_PAIR_CHUNK = 128
+
+
+def _cocycle_norm(band, rows, p):
+    """Sum of |c_g|^p over the band for each row d(g, .) of `rows`: exact
+    Fractions on exact metrics at integral p, summed over chunks of band
+    pairs in int64 while the largest |2 c_g|^p times the pair count fits,
+    else in Python integers; else floats, each the 1-D sum of one
+    contiguous row of band values."""
+    xi, yi = band.index[:, 0], band.index[:, 1]
+    d0 = band.distances[0]
     if band.metric.exact and p == int(p):
         ip = int(p)
-        top = int(mags.max()) if mags.size else 0
-        if top ** ip * len(mags) < 2 ** 63:    # the int64 sum fits
-            total = int((mags.astype(np.int64) ** ip).sum())
-        else:
-            total = sum(int(v) ** ip for v in mags)
-        return Fraction(total, 2 ** ip)
-    return float(((mags * 0.5) ** float(p)).sum())
+        rise = d0[xi] - d0[yi]
+        totals = np.zeros(len(rows), dtype=np.int64)
+        for lo in range(0, len(xi), NORM_PAIR_CHUNK):
+            hi = lo + NORM_PAIR_CHUNK
+            # -2 c_g(x, y) = d(g, x) - d(g, y) - (d(e, x) - d(e, y))
+            mags = rows.T[xi[lo:hi]]
+            mags -= rows.T[yi[lo:hi]] + rise[lo:hi, None]
+            np.abs(mags, out=mags)
+            top = int(mags.max(initial=0)) ** ip
+            if totals.dtype == object or top * len(xi) >= 2 ** 63:
+                totals, acc = totals.astype(object), object
+            else:
+                acc = np.int32 if top * NORM_PAIR_CHUNK < 2 ** 31 else np.int64
+            totals += ((mags.astype(acc) ** ip).sum(axis=0) if ip > 1
+                       else mags.sum(axis=0, dtype=acc))
+        return [Fraction(int(t), 2 ** ip) for t in totals]
+    step = max(1, (1 << 16) // max(1, len(xi)))
+    out = []
+    for lo in range(0, len(rows), step):
+        b = d0 - rows[lo:lo + step]
+        mags = np.abs(b.take(xi, axis=1) - b.take(yi, axis=1))
+        # in C order each row reduces as that element's 1-D sum does
+        vals = np.ascontiguousarray((mags * 0.5) ** float(p))
+        out += vals.sum(axis=1).tolist()
+    return out
 
 
 @dataclass
@@ -170,22 +203,25 @@ def _tail_bound(band, g, p):
     return 2.0 * per_point * spread * series
 
 
-def _norm_lower_bound(band, n, p):
-    """(K-2C)^p * n: exact on exact metrics at integral p, else a float."""
+def _norm_unit_bound(band, p):
+    """(K-2C)^p: exact on exact metrics at integral p, else a float."""
     unit, k, c = band.integer_window
     gap = Fraction(k - 2 * c, unit)
     if band.metric.exact and p == int(p):
-        return gap ** int(p) * n
-    return float(gap) ** float(p) * n
+        return gap ** int(p)
+    return float(gap) ** float(p)
+
+
+def cocycle_norms(band, gs, p):
+    """Truncated sums of |c_g|^p over the band, one per g in gs."""
+    return _cocycle_norm(band, _distance_rows(band, gs), p)
 
 
 def lp_norm(band, g, p):
     """Truncated sum of |c_g|^p over the band, with tail bound."""
     if p < 1:
         raise InputError("p must be >= 1")
-    if g.pres is not band.metric.pres:
-        raise InputError("element lives in a different presentation")
-    row = _distance_row(band, g)
+    row = _distance_rows(band, [g])[0]
     kc = Fraction(band.K) + Fraction(band.C)
     # d(e, g) in the band's unit
     n = max(0, math.floor((Fraction(row[0].item()) - kc) / Fraction(band.K)))
@@ -194,10 +230,10 @@ def lp_norm(band, g, p):
         K=band.K,
         C=band.C,
         radius=band.ball.radius,
-        norm_p=_cocycle_norm(band, row, p),
+        norm_p=_cocycle_norm(band, row[None], p)[0],
         tail_bound=_tail_bound(band, g, p),
         n=n,
-        lower_bound=_norm_lower_bound(band, n, p),
+        lower_bound=_norm_unit_bound(band, p) * n,
     )
 
 
@@ -211,119 +247,133 @@ class PropernessCertificate:
     actual: object
 
 
-def _nearest_points(path, targets):
-    """For each target, the path point that min(path, key=lambda pt:
-    (abs(pt[0] - target), pt[0])) picks: the nearest parameter, ties to
-    the smaller one, then to the earlier point.
-
-    The parameters are sorted once, stably, and each target is bisected.
-    Parameters need not be monotone along the path.
-    """
-    order = sorted(range(len(path)), key=lambda i: path[i][0])
-    ts = [path[i][0] for i in order]
-    out = []
-    for target in targets:
-        i = bisect_left(ts, target)        # ts[:i] < target <= ts[i:]
-        best = i
-        if i:
-            d = abs(ts[i - 1] - target)
-            if i == len(ts) or d <= abs(ts[i] - target):
-                # rounded distances can tie below the target; the smaller
-                # parameter wins, then the earlier point
-                best = i - 1
-                while best and abs(ts[best - 1] - target) == d:
-                    best -= 1
-        out.append(path[order[best]])
-    return out
+def _min_rule(params, targets):
+    """Per row of params and target, the i that min(range(L), key=lambda
+    i: (abs(params[i] - target), params[i])) picks: the first minimum of
+    the distances over the stably sorted (not monotone) parameters."""
+    order = np.argsort(params, axis=1, kind="stable")
+    ts = np.take_along_axis(params, order, axis=1)
+    picks = [np.abs(ts - target).argmin(axis=1) for target in targets]
+    return np.take_along_axis(order, np.stack(picks, axis=1), axis=1)
 
 
-def _canonical_path(band, g):
-    """(t, x, i) along the canonical word of g from the identity: the
-    point x after each prefix, its parameter t = d(e, x) and its ball
-    index i.  Prefixes that are canonical words are read from the ball;
-    others are formed by one product, and a point outside the ball (None
-    for i) takes its parameter from the metric."""
-    metric = band.metric
-    pres = metric.pres
-    els, index = band.ball.elements, band.ball.index
-    e_row = band.distances[0]
-    x = pres.identity
-    # d(e, e) = 0; the Green table's -log 1 would read -0.0
-    path = [(0 if metric.exact else 0.0, x, 0)]
-    for k in range(1, len(g.word) + 1):
-        i = index.get(g.word[:k])
-        if i is None:
-            x = GroupElement(pres, pres.multiply(x.word, g.word[k - 1:k]))
-            i = index.get(x.word)
-        else:
-            x = els[i]
-        t = e_row.item(i) if i is not None else metric.distance(
-            pres.identity, x)
-        path.append((t, x, i))
-    return path
+def _prefix_positions(ball, gs):
+    """P[k, j] = ball position of the first j letters of gs[k], each g in
+    the ball, read along its Cayley edges, which also place a prefix that
+    is not itself a canonical word; past the word's end it stays put."""
+    width = max((len(g.word) for g in gs), default=0)
+    letters = np.array([g.word + (-1,) * (width - len(g.word)) for g in gs],
+                       dtype=np.int64).reshape(len(gs), width)
+    edges = np.vstack([ball.edges, np.arange(ball.edges.shape[1])])
+    pos = np.zeros((len(gs), width + 1), dtype=np.int64)
+    for j in range(width):
+        pos[:, j + 1] = edges[letters[:, j], pos[:, j]]
+    return pos
+
+
+@dataclass
+class CertificateBlock:
+    """Row k: element k's partition count n, parameters (first n + 1) and
+    rises of c_g (first n; doubled if exact), norm, first failure or None."""
+    n: np.ndarray
+    points: np.ndarray
+    rises: np.ndarray
+    actual: list
+    errors: list
+
+
+def properness_certificates(band, gs, p):
+    """Certificates that truncated |c_g|_p^p >= (K-2C)^p * n for a block:
+    the points of g's canonical path nearest to 0, K, ..., nK in d(e, .)
+    (`_min_rule`) pair up in the band, c_g rising by K - 2C or more along
+    each pair, with 2 (g|x) = d(e, g) + d(e, x) - d(g, x) read from the
+    band's matrix, in integers (units of 1/u) on exact metrics."""
+    exact, pres = band.metric.exact, band.metric.pres
+    rows = _distance_rows(band, gs)
+    if all(g.word in band.ball.index for g in gs):
+        pos = _prefix_positions(band.ball, gs)
+        T = band.distances[0][pos].astype(np.int64 if exact else np.float64)
+    else:   # prefix elements, their positions (-1 off the ball) and t
+        width = max(len(g.word) for g in gs) + 1
+        xs = [[GroupElement(pres, pres.normalize(g.word[:j]))
+               for j in range(width)] for g in gs]
+        pos = np.array([[band.ball.index.get(x.word, -1) for x in row]
+                        for row in xs])
+        T = np.array([[band.distances.item(0, i) if i >= 0 else
+                       band.metric.distance(pres.identity, x)
+                       for x, i in zip(row, at)]
+                      for row, at in zip(xs, pos.tolist())])
+    T[:, 0] = 0     # d(e, e); the Green table's -log 1 would read -0.0
+    if exact:
+        unit, step, c = band.integer_window
+        # K or C with a huge denominator: scaled values in Python integers
+        if max(unit, step) * (2 * int(T.max(initial=0)) + 2) >= 2 ** 62:
+            T = T.astype(object)
+        n = (T[:, -1] * unit // step).astype(np.int64)
+        floor2 = 2 * (step - 2 * c)
+        targets = np.arange(n.max(initial=0) + 1).astype(T.dtype) * step
+    else:
+        unit, floor2 = 1, 2 * (band.K - 2 * band.C)
+        # the least float that compares >= 2(K - 2C)
+        floor2 = (float(floor2) if float(floor2) >= floor2
+                  else np.nextafter(float(floor2), np.inf))
+        n = np.maximum(0, np.floor(T[:, -1] / float(band.K))).astype(int)
+        targets = np.array([float(j * band.K)
+                            for j in range(n.max(initial=0) + 1)])
+    chosen = _min_rule(T * unit, targets)
+    where = np.take_along_axis(pos, chosen, axis=1)
+    points = np.take_along_axis(T, chosen, axis=1)
+    # 2 (g|x) at each chosen x (unread off the ball: its pair fails)
+    dp = (rows[:, :1] + points) - np.take_along_axis(rows, where, axis=1)
+    i0, i1 = where[:, :-1], where[:, 1:]
+    in_band = (i0 >= 0) & (i1 >= 0) & band.mask[i1, i0]
+    doubled = dp[:, 1:] - dp[:, :-1]
+    rises = doubled if exact else 0.5 * dp[:, 1:] - 0.5 * dp[:, :-1]
+    bad = (np.arange(len(targets) - 1) < n[:, None]) & ~(
+        in_band & (doubled * unit >= floor2).astype(bool))
+    errors = [None] * len(gs)
+    for k in np.flatnonzero(bad.any(axis=1)).tolist():
+        j = int(bad[k].argmax())
+        x0, x1 = (GroupElement(pres, pres.normalize(gs[k].word[:i])).spelled()
+                  for i in chosen[k, j:j + 2])
+        v = Fraction(int(rises[k, j]), 2) if exact else rises[k, j].item()
+        errors[k] = (
+            f"segment value {v} below K-2C={band.K - 2 * band.C} at "
+            f"t={points[k].tolist()[j]}" if in_band[k, j] else
+            f"partition pair ({x1}, {x0}) left the coarse edge set; the "
+            f"rough constant C={band.C} is too small or the band radius is "
+            "too small")
+    actual = _cocycle_norm(band, rows, p)
+    unit_bound = _norm_unit_bound(band, p)
+    for k, a in enumerate(actual):
+        lower = unit_bound * int(n[k])
+        if errors[k] is None and not a >= lower:
+            errors[k] = f"truncated norm {a} below certificate bound {lower}"
+    return CertificateBlock(n=n, points=points, rises=rises, actual=actual,
+                            errors=errors)
 
 
 def properness_check(band, g, p):
-    """Certificate that truncated |c_g|_p^p >= (K-2C)^p * n.
-
-    Walks the canonical path from the identity to g, picks points spaced
-    K apart in the path parameter, and checks every consecutive pair
-    stays in the band with cocycle value at least K - 2C.  Parameters
-    and Gromov products come from the rows d(e, .) and d(g, .) of the
-    band's matrix; on exact metrics they are compared as integers, in
-    units of 1/u for the u of `PairBand.integer_window`.
-    """
-    metric = band.metric
-    if g.pres is not metric.pres:
-        raise InputError("element lives in a different presentation")
-    row = _distance_row(band, g)
-    actual = _cocycle_norm(band, row, p)
+    """The certificate of `properness_certificates` for one element;
+    InvariantViolation with the message of its first failed check."""
+    block = properness_certificates(band, [g], p)
+    n = int(block.n[0])
     if g.is_identity():
         return PropernessCertificate(
             g=g.spelled(), n=0, points=[], segment_values=[],
-            lower_bound=0 * Fraction(band.K), actual=actual,
+            lower_bound=0 * Fraction(band.K), actual=block.actual[0],
         )
-    path = _canonical_path(band, g)
-    span = path[-1][0]
-    if metric.exact:
-        unit, step, c = band.integer_window
-        n = span * unit // step
-        floor2 = 2 * (step - 2 * c)
-    else:
-        unit, step = 1, band.K
-        n = max(0, math.floor(float(span) / float(band.K)))
-        floor2 = 2 * (band.K - 2 * band.C)
-    keyed = [(t * unit, t, x, i) for t, x, i in path]
-    chosen = _nearest_points(keyed, [j * step for j in range(n + 1)])
-    # 2 (g|x) = d(e, g) + d(e, x) - d(g, x), read only for points in the
-    # ball: a pair with a point outside it fails before its value
-    d_eg = row.item(0)
-    values = []
-    for (_, t0, x0, i0), (_, t1, x1, i1) in zip(chosen, chosen[1:]):
-        if i0 is None or i1 is None or not band.mask[i1, i0]:
-            raise InvariantViolation(
-                f"partition pair ({x1.spelled()}, {x0.spelled()}) left the "
-                f"coarse edge set; the rough constant C={band.C} is too small "
-                "or the band radius is too small")
-        dp0 = d_eg + t0 - row.item(i0)
-        dp1 = d_eg + t1 - row.item(i1)
-        v = Fraction(dp1 - dp0, 2) if metric.exact else 0.5 * dp1 - 0.5 * dp0
-        if not (dp1 - dp0) * unit >= floor2:
-            raise InvariantViolation(
-                f"segment value {v} below K-2C={band.K - 2 * band.C} "
-                f"at t={t0}")
-        values.append(v)
-    lower = _norm_lower_bound(band, n, p)
-    if not actual >= lower:
-        raise InvariantViolation(
-            f"truncated norm {actual} below certificate bound {lower}")
+    if block.errors[0] is not None:
+        raise InvariantViolation(block.errors[0])
+    rises = block.rises[0, :n].tolist()
     return PropernessCertificate(
         g=g.spelled(),
         n=n,
-        points=[t for _, t, _, _ in chosen],
-        segment_values=values,
-        lower_bound=lower,
-        actual=actual,
+        points=block.points[0, :n + 1].tolist(),
+        segment_values=([Fraction(v, 2) for v in rises]
+                        if band.metric.exact else rises),
+        lower_bound=_norm_unit_bound(band, p) * n,
+        actual=block.actual[0],
     )
 
 
@@ -342,7 +392,7 @@ def _translate_vector(g, vec):
 
 def _cocycle_vector(band, g):
     """c_g as a sparse map from band pairs (x, y) to its nonzero values."""
-    doubled = _band_cocycle_doubled(band, _distance_row(band, g))
+    doubled = _band_cocycle_doubled(band, _distance_rows(band, [g])[0])
     nonzero = np.flatnonzero(doubled)
     els = band.ball.elements.__getitem__
     xi, yi = band.index[nonzero].T.tolist()

@@ -884,7 +884,7 @@ def _common_prefix_lengths(lefts, rights, width):
     Equal prefixes share one id, so two words agree on their first k
     letters exactly when their k-letter prefix ids match, and then on
     every shorter prefix too: the common prefix length counts the depths
-    whose ids match.
+    whose ids match.  A square call (`lefts is rights`) walks them once.
     """
     ids = {}
 
@@ -897,10 +897,13 @@ def _common_prefix_lengths(lefts, rights, width):
         return out
 
     pl = prefix_ids(lefts, -1)
-    pr = prefix_ids(rights, -2)    # pads never match each other
+    pr = (np.where(pl == -1, -2, pl) if rights is lefts  # pads never match
+          else prefix_ids(rights, -2))                     # each other
     lcp = np.zeros((len(lefts), len(rights)), dtype=distance_dtype(width))
+    hit = np.empty(lcp.shape, dtype=bool)
     for k in range(width):
-        lcp += pl[k][:, None] == pr[k][None, :]
+        np.equal(pl[k][:, None], pr[k][None, :], out=hit)
+        lcp += hit
     return lcp
 
 

@@ -14,8 +14,10 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import boundary, cocycles, crossed, groups, metrics
-from .errors import InputError, InvariantViolation
+from .errors import InputError
 
 SUITE_ORDER = ("strong-hyp", "green", "cocycle", "properness", "boundary", "kms")
 
@@ -256,16 +258,12 @@ def _suite_cocycle(pres, cfg, radius):
     ))
     if oracle:
         norm_els = [g for g in band.ball.elements if g.length() <= 4]
-        bad = None
-        for g in norm_els:
-            for p in (1, 2, 3):
-                rep = cocycles.lp_norm(band, g, p)
-                if rep.norm_p != 2 * g.length():
-                    bad = {"g": g.spelled(), "p": p, "norm_p": rep.norm_p,
-                           "expected": 2 * g.length()}
-                    break
-            if bad:
-                break
+        norms = {p: cocycles.cocycle_norms(band, norm_els, p)
+                 for p in (1, 2, 3)}
+        bad = next(({"g": g.spelled(), "p": p, "norm_p": norms[p][k],
+                     "expected": 2 * g.length()}
+                    for k, g in enumerate(norm_els) for p in (1, 2, 3)
+                    if norms[p][k] != 2 * g.length()), None)
         checks.append(CheckResult(
             name="edge-norm-law",
             passed=bad is None,
@@ -314,37 +312,28 @@ def _suite_properness(pres, cfg, radius):
         return settings, checks, None
     # margin = n - (d(e, g) - (K+C)) / K; on exact metrics it is kept as
     # the integer margin * K * u, with u from `PairBand.integer_window`
+    gs = band.ball.elements[1:]
+    block = cocycles.properness_certificates(band, gs, p)
+    witness = next(({"g": g.spelled(), "error": error}
+                    for g, error in zip(gs, block.errors) if error), None)
+    failures = sum(error is not None for error in block.errors)
+    # d(e, g) in the band's unit, and n, of each certified g
+    kept = [(d, k) for d, k, error in zip(band.distances[0, 1:].tolist(),
+                                          block.n.tolist(), block.errors)
+            if error is None]
     if band.metric.exact:
         unit, step, c = band.integer_window
-        reach = step + c
-    failures = 0
-    witness = None
-    count = 0
+        margins = [k * step - (d * unit - (step + c)) for d, k in kept]
+    else:
+        margins = [k - (d - (band.K + band.C)) / band.K for d, k in kept]
     min_margin = None
-    for i, g in enumerate(band.ball.elements):
-        if g.is_identity():
-            continue
-        count += 1
-        try:
-            cert = cocycles.properness_check(band, g, p)
-        except InvariantViolation as exc:
-            failures += 1
-            witness = witness or {"g": g.spelled(), "error": str(exc)}
-            continue
-        d_eg = band.distances[0, i].item()    # d(e, g) in the band's unit
-        if band.metric.exact:
-            margin = cert.n * step - (d_eg * unit - reach)
-        else:
-            margin = cert.n - (d_eg - (band.K + band.C)) / band.K
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-    if min_margin is not None:
-        min_margin = float(Fraction(min_margin, step)
-                           if band.metric.exact else min_margin)
+    if margins:
+        min_margin = float(Fraction(min(margins), step)
+                           if band.metric.exact else min(margins))
     checks.append(CheckResult(
         name="properness-certificates",
         passed=not failures,
-        details={"elements": count, "failures": failures,
+        details={"elements": len(gs), "failures": failures,
                  "min_count_margin": min_margin},
         witness=witness,
     ))
@@ -439,14 +428,12 @@ def _suite_boundary(pres, cfg, radius):
     ))
 
     points = family[:30]
-    d = [[boundary.visual_distance(x, y) for y in points] for x in points]
-    worst = 0.0
-    for x in range(len(points)):
-        for y in range(len(points)):
-            for z in range(len(points)):
-                gap = d[x][y] - (d[x][z] + d[z][y])
-                if gap > worst:
-                    worst = gap
+    d = np.array([[boundary.visual_distance(x, y) for y in points]
+                  for x in points])
+    # gap[x, y, z] = d[x][y] - (d[x][z] + d[z][y])
+    gap = d[:, None, :] + d.T[None, :, :]
+    np.subtract(d[:, :, None], gap, out=gap)
+    worst = max(0.0, float(gap.max()))
     checks.append(CheckResult(
         name="visual-four-point",
         passed=worst <= 0.0,

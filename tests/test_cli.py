@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -8,7 +9,7 @@ import tracemalloc
 import pytest
 
 from hyperlab import boundary, cli, cocycles, groups, metrics, suites
-from hyperlab.errors import InvariantViolation, ResourceLimitError
+from hyperlab.errors import ResourceLimitError
 
 
 def run_main(tmp_path, *args):
@@ -411,6 +412,22 @@ def test_properness_reads_the_band_matrix(tmp_path, monkeypatch):
     assert len(quotients) <= 1456       # one per non-identity element
 
 
+def test_all_free2_certifies_the_ball_in_one_pass(tmp_path, monkeypatch):
+    # 1,456 properness_check and 483 lp_norm calls when each element was
+    # certified and normed on its own
+    calls = {"properness_check": 0, "lp_norm": 0}
+    for name in calls:
+        def counted(*args, _call=getattr(cocycles, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(cocycles, name, counted)
+    code, _ = run_main(tmp_path, "check", "--suite", "all", "--group",
+                       "free:2", "--seed", "7")
+    assert code == 0
+    assert calls["properness_check"] <= 1
+    assert calls["lp_norm"] == 0
+
+
 def test_kms_translates_through_cached_maps(tmp_path, monkeypatch):
     # one product per word of the deeper partition on every translate
     # made 176,322 multiply calls; each (g^-1, depth) map is built once
@@ -457,10 +474,14 @@ def test_cocycle_scan_forms_each_product_once(tmp_path, monkeypatch):
 
 
 def test_properness_counts_every_failure(tmp_path, monkeypatch):
-    def failing(band, g, p):
-        raise InvariantViolation(f"no certificate for {g.spelled()}")
+    certify = cocycles.properness_certificates
 
-    monkeypatch.setattr(cocycles, "properness_check", failing)
+    def failing(band, gs, p):
+        block = certify(band, gs, p)
+        return dataclasses.replace(
+            block, errors=[f"no certificate for {g.spelled()}" for g in gs])
+
+    monkeypatch.setattr(cocycles, "properness_certificates", failing)
     code, payload = run_main(tmp_path, "check", "--suite", "properness",
                              "--group", "free:2")
     assert code == 1

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +187,66 @@ def test_lp_norm_matches_literal_sum(word2, free2):
             assert cocycles.lp_norm(band, g, p).norm_p == literal
 
 
+def _gromov_sums(band, gs, ps):
+    """Sum of |c_g(x, y)|^p over the band for each g in gs and p in ps, on
+    an exact metric, with c_g(x, y) = (g|x) - (g|y) as haagerup_value
+    forms it from the metric's scalar Gromov products, each evaluated
+    once per g and x; only the sum over the pairs is numpy's."""
+    metric = band.metric
+    xi, yi = band.index[:, 0], band.index[:, 1]
+    sums = {p: [] for p in ps}
+    for g in gs:
+        doubled = np.array([int(2 * metric.gromov_product(g, x))
+                            for x in band.ball.elements])
+        mags = np.abs(doubled[xi] - doubled[yi])
+        for p in ps:
+            sums[p].append(Fraction(int((mags ** p).sum()), 2 ** p))
+    return sums
+
+
+def _one_dimensional_norm(band, i, p):
+    """|c_g|_p^p for g the ball's i-th element from its own band vector."""
+    mags = np.abs(cocycles._band_cocycle_doubled(band, band.distances[i]))
+    if band.metric.exact and p == int(p):
+        return Fraction(int((mags.astype(np.int64) ** p).sum()), 2 ** p)
+    return float(((mags * 0.5) ** float(p)).sum())
+
+
+@pytest.mark.parametrize("spec,radius,K,C,literal", [
+    # literal sums on B(3) and 60 seeded elements: all 1,457 take ~10 s
+    ("free:2", 6, 1, 0, 60),
+    ("free:2", 5, Fraction(5, 2), Fraction(1, 2), None),
+    ("modular", 6, 1, 0, None),
+    ("surface:2", 2, 1, 0, None),
+])
+def test_block_norms_equal_the_literal_sums(spec, radius, K, C, literal):
+    pres = groups.preset(spec)
+    band = cocycles.build_pair_band(metrics.word_metric(pres), K, radius,
+                                    C=C)
+    els = band.ball.elements
+    norms = {p: cocycles.cocycle_norms(band, els, p) for p in (1, 2, 3)}
+    for p in (1, 2, 3):
+        assert norms[p] == [_one_dimensional_norm(band, i, p)
+                            for i in range(len(els))]
+    picked = range(len(els))
+    if literal is not None:
+        inner = sum(band.ball.sphere_sizes()[:4])
+        picked = list(range(inner)) + random.Random(8).sample(
+            range(inner, len(els)), literal)
+    sums = _gromov_sums(band, [els[i] for i in picked], (1, 2, 3))
+    for p in (1, 2, 3):
+        assert [norms[p][i] for i in picked] == sums[p]
+
+
+def test_float_block_norms_are_the_one_dimensional_sums(green_band, band6):
+    # bit for bit: each element's values reduce as one contiguous row
+    for band, ps in ((green_band, (1, 2, 2.5, 3)), (band6, (1.5, 2.5))):
+        els = band.ball.elements
+        for p in ps:
+            assert cocycles.cocycle_norms(band, els, p) == [
+                _one_dimensional_norm(band, i, p) for i in range(len(els))]
+
+
 def test_exact_band_keeps_the_ball_matrix(band6):
     assert band6.distances is band6.ball.distances
     surface = groups.surface_group(2)
@@ -313,44 +374,103 @@ def test_properness_needs_room(word2, free2):
         "constant C=0 is too small or the band radius is too small")
 
 
+def test_a_short_segment_names_its_value(word2, free2):
+    # with d(a, ab) read as 2, the segment (e, a) of ab rises by 1/2
+    band = cocycles.build_pair_band(word2, 1, 2, C=0)
+    index = band.ball.index
+    i, j = index[free2.element("a").word], index[free2.element("ab").word]
+    d = band.distances.copy()
+    d[i, j] = d[j, i] = 2
+    bent = cocycles.PairBand(word2, 1, 0, band.ball, d, band.mask)
+    message = "segment value 1/2 below K-2C=1 at t=0"
+    with pytest.raises(InvariantViolation) as caught:
+        cocycles.properness_check(bent, free2.element("ab"), 1)
+    assert str(caught.value) == message
+    block = cocycles.properness_certificates(bent, band.ball.elements[1:], 1)
+    assert block.errors[j - 1] == message
+
+
+def test_a_norm_below_its_bound_fails_last(band6, free2, monkeypatch):
+    monkeypatch.setattr(cocycles, "_cocycle_norm",
+                        lambda band, rows, p: [Fraction(0)] * len(rows))
+    with pytest.raises(InvariantViolation) as caught:
+        cocycles.properness_check(band6, free2.element("abab"), 1)
+    assert str(caught.value) == "truncated norm 0 below certificate bound 4"
+
+
+def test_certificate_pass_stays_under_two_megabytes(band6):
+    # the band's 1457 x 1457 int8 distances are built; the pass over its
+    # 1456 elements gathers 128 band pairs of them at a time
+    gs = band6.ball.elements[1:]
+    tracemalloc.start()
+    try:
+        block = cocycles.properness_certificates(band6, gs, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.errors == [None] * len(gs)
+    assert peak <= 2_000_000
+
+
 def _scalar_certificate(band, g, n):
     """Partition points and segment values by the scalar route: the
     rough geodesic's points and one Gromov product per point."""
     metric = band.metric
     path = rough_geodesic(metric, metric.pres.identity, g)
-    chosen = cocycles._nearest_points(
-        path, [i * band.K for i in range(n + 1)])
+    chosen = _literal_nearest(path, [i * band.K for i in range(n + 1)])
     values = [metric.gromov_product(g, x1) - metric.gromov_product(g, x0)
               for (_, x0), (_, x1) in zip(chosen, chosen[1:])]
     return [t for t, _ in chosen], values
 
 
+def _block_row(band, block, k):
+    """Row k of a certificate block as a certificate's fields."""
+    n = int(block.n[k])
+    rises = block.rises[k, :n].tolist()
+    if band.metric.exact:
+        rises = [Fraction(v, 2) for v in rises]
+    return n, block.points[k, :n + 1].tolist(), rises, block.actual[k]
+
+
 @pytest.mark.parametrize("spec,radius,K,C", [
     ("free:2", 6, 1, 0),
     ("free:2", 5, Fraction(5, 2), Fraction(1, 2)),
+    # scaled by u = 10^20, parameters pass int64: Python integers
+    ("free:2", 4, 2 + Fraction(1, 10 ** 20), Fraction(2, 10 ** 20)),
     ("free:3", 4, 2, 0),
     ("modular", 6, 1, 0),
     ("surface:2", 2, 1, 0),
 ])
 def test_properness_matches_the_scalar_route(spec, radius, K, C):
+    # the block of the whole ball, row by row, and the block of one
     pres = groups.preset(spec)
     band = cocycles.build_pair_band(metrics.word_metric(pres), K, radius,
                                     C=C)
-    for g in band.ball.elements[1:]:
+    gs = band.ball.elements[1:]
+    block = cocycles.properness_certificates(band, gs, 1)
+    assert block.errors == [None] * len(gs)
+    for k, g in enumerate(gs):
         cert = cocycles.properness_check(band, g, 1)
         points, values = _scalar_certificate(band, g, cert.n)
         assert cert.points == points
         assert all(type(t) is int for t in cert.points)
         assert cert.segment_values == values
         assert all(type(v) is Fraction for v in cert.segment_values)
+        assert _block_row(band, block, k) == (cert.n, points, values,
+                                              cert.actual)
 
 
 def test_green_properness_matches_the_scalar_route(green_band):
-    for g in green_band.ball.elements[1:]:
+    gs = green_band.ball.elements[1:]
+    block = cocycles.properness_certificates(green_band, gs, 1)
+    assert block.errors == [None] * len(gs)
+    for k, g in enumerate(gs):
         cert = cocycles.properness_check(green_band, g, 1)
         points, values = _scalar_certificate(green_band, g, cert.n)
         assert cert.points == pytest.approx(points, rel=1e-12)
         assert cert.segment_values == pytest.approx(values, rel=1e-12)
+        assert _block_row(green_band, block, k) == (
+            cert.n, cert.points, cert.segment_values, cert.actual)
 
 
 def test_one_rule_for_the_certificate_bound(band6, green_band, free2):
@@ -449,6 +569,13 @@ def _literal_nearest(path, targets):
             for target in targets]
 
 
+def _chosen_points(path, targets):
+    # one row; Fractions make object arrays, whose arithmetic is Python's
+    picks = cocycles._min_rule(np.array([[t for t, _ in path]]),
+                               np.array(targets))
+    return [path[i] for i in picks[0]]
+
+
 @pytest.mark.parametrize("times,targets", [
     # exact ties: K = 5/2 on an integer path, ties go to the smaller t
     ([Fraction(t) for t in range(8)], [i * Fraction(5, 2) for i in range(4)]),
@@ -465,7 +592,7 @@ def _literal_nearest(path, targets):
 ])
 def test_partition_points_follow_the_min_rule(times, targets):
     path = [(t, k) for k, t in enumerate(times)]
-    assert (cocycles._nearest_points(path, targets)
+    assert (_chosen_points(path, targets)
             == _literal_nearest(path, targets))
 
 
@@ -487,7 +614,7 @@ def test_partition_points_follow_the_min_rule_on_random_paths():
                      for _ in range(n)]
             targets = [rng.uniform(-0.5, 3.0) for _ in range(5)]
         path = [(t, k) for k, t in enumerate(times)]
-        assert (cocycles._nearest_points(path, targets)
+        assert (_chosen_points(path, targets)
                 == _literal_nearest(path, targets))
 
 
@@ -517,12 +644,10 @@ def test_narrow_distances_read_as_int64(spec, left, right, radius):
                              band.distances.astype(np.int64), band.mask)
     assert band.distances.dtype == np.int8 and len(band)
     outer = band.ball.spheres[-1]
-    for g in random.Random(6).sample(outer, 10) + [lefts[-1]]:
-        for p in (1, 2, 3):
-            narrow = cocycles._cocycle_norm(
-                band, cocycles._distance_row(band, g), p)
-            assert narrow == cocycles._cocycle_norm(
-                wide, cocycles._distance_row(wide, g), p)
+    gs = random.Random(6).sample(outer, 10) + [lefts[-1]]
+    for p in (1, 2, 3):
+        assert (cocycles.cocycle_norms(band, gs, p)
+                == cocycles.cocycle_norms(wide, gs, p))
     grid = [1.0, 1.5, 2.0]
     assert (cocycles.critical_exponent_scan(band, grid)
             == cocycles.critical_exponent_scan(wide, grid))

@@ -386,6 +386,13 @@ def _free2_corner():
     return f2, els[:25], els[-25:]
 
 
+def _free2_ball():
+    # one list on both sides: its prefix ids are built once
+    f2 = groups.free_group(2)
+    els = groups.enumerate_ball(f2, 3).elements
+    return f2, els, els
+
+
 def _long_words(pres, count, steps, seed):
     rng = random.Random(seed)
     letters = len(pres.alphabet)
@@ -496,6 +503,7 @@ def _surface2_wide():
 
 @pytest.mark.parametrize("case", [
     pytest.param(_free2_corner, id="free2-corner"),
+    pytest.param(_free2_ball, id="free2-ball"),
     pytest.param(_free2_long_words, id="free2-long-words"),
     pytest.param(_modular_long_words, id="modular-long-words"),
     pytest.param(_surface2_sample, id="surface2-sample"),

@@ -32,18 +32,29 @@ class PairBand:
     """Ordered pairs from a ball with distance in [K-C, K+C] (inclusive).
 
     `distances` is the metric's n x n matrix over ball.elements (the
-    ball's own word distances on exact kinds), `mask` the boolean
-    membership matrix and `index` the (pairs, 2) array of its entries.
+    ball's own word distances on exact kinds), `window` its (lo, hi),
+    integral on exact kinds, and `index` the (pairs, 2) array of the
+    positions whose pair `holds`.
     """
 
-    def __init__(self, metric, K, C, ball, distances, mask):
+    def __init__(self, metric, K, C, ball, distances):
         self.metric = metric
         self.K = K
         self.C = C
         self.ball = ball
         self.distances = distances
-        self.mask = mask
-        self.index = np.argwhere(mask)
+        lo, hi = K - C, K + C
+        if metric.exact:
+            lo, hi = math.ceil(lo), math.floor(hi)
+        self.window = lo, hi
+        near = np.argwhere(distances <= hi)    # one n x n bool array
+        self.index = near[self.holds(*near.T)]
+
+    def holds(self, i, j):
+        """i != j and lo <= d(i, j) <= hi, elementwise on index arrays."""
+        lo, hi = self.window
+        d = self.distances[i, j]
+        return (i != j) & (d >= lo) & (d <= hi)
 
     def __len__(self):
         return len(self.index)
@@ -59,7 +70,7 @@ class PairBand:
     def contains_pair(self, x, y):
         i = self.ball.index.get(x.word)
         j = self.ball.index.get(y.word)
-        return i is not None and j is not None and bool(self.mask[i, j])
+        return i is not None and j is not None and bool(self.holds(i, j))
 
     @cached_property
     def integer_window(self):
@@ -85,14 +96,7 @@ def build_pair_band(metric, K, radius, C=None):
     if not K > 2 * C:
         raise InputError(f"need K > 2C, got K={K}, C={C}")
     ball = enumerate_ball(metric.pres, radius)
-    d = metric_distance_matrix(metric, ball)
-    lo, hi = K - C, K + C
-    if metric.exact:
-        # integer distances: the window's integer ends bound the same pairs
-        lo, hi = math.ceil(lo), math.floor(hi)
-    mask = (d >= lo) & (d <= hi)
-    np.fill_diagonal(mask, False)
-    return PairBand(metric, K, C, ball, d, mask)
+    return PairBand(metric, K, C, ball, metric_distance_matrix(metric, ball))
 
 
 def _distance_rows(band, gs):
@@ -326,7 +330,7 @@ def properness_certificates(band, gs, p):
     # 2 (g|x) at each chosen x (unread off the ball: its pair fails)
     dp = (rows[:, :1] + points) - np.take_along_axis(rows, where, axis=1)
     i0, i1 = where[:, :-1], where[:, 1:]
-    in_band = (i0 >= 0) & (i1 >= 0) & band.mask[i1, i0]
+    in_band = (i0 >= 0) & (i1 >= 0) & band.holds(i1, i0)
     doubled = dp[:, 1:] - dp[:, :-1]
     rises = doubled if exact else 0.5 * dp[:, 1:] - 0.5 * dp[:, :-1]
     bad = (np.arange(len(targets) - 1) < n[:, None]) & ~(

@@ -317,6 +317,14 @@ class KmsScanReport:
     crosschecked: int
     failures: tuple
     equal: bool
+    # (g, w, v, b, mass C_(g^-1 z), mass C_z) per meeting pair, in scan
+    # order: its KMS equation at any lam is lam^b * the first = the second
+    binomials: tuple
+
+    def failures_at(self, lam):
+        """The first KMS_WITNESSES meeting pairs whose binomial fails at
+        lam, spelled (g, w, v, lhs, rhs), each confirmed by the engine."""
+        return _kms_failures(self.binomials, lam, self.radius)
 
 
 # monomial pairs the scan re-runs through the generic engine, and failing
@@ -325,15 +333,40 @@ KMS_CROSSCHECKS = 50
 KMS_WITNESSES = 5
 
 
+def _engine_check(g, w, v, lam, lhs, rhs):
+    """Raise unless the generic engine gives lhs, rhs at lam for the pair
+    1_{C_w} g, 1_{C_v} g^-1."""
+    rep = kms_check(CrossedElement.monomial(g.pres, w, g),
+                    CrossedElement.monomial(g.pres, v, g.inverse()), lam)
+    if (rep.lhs, rep.rhs) != (lhs, rhs):
+        raise InvariantViolation(
+            f"closed-form KMS values disagree with the generic engine "
+            f"for g={g.spelled()!r} w={_spell(g.pres.alphabet, w)!r} "
+            f"v={_spell(g.pres.alphabet, v)!r}")
+
+
+def _kms_failures(binomials, lam, reach):
+    """`KmsScanReport.failures_at` for binomials of a radius-reach ball."""
+    powers = _lambda_powers(lam, reach)
+    failures = []
+    for g, w, v, b, below, rhs in binomials:
+        lhs = powers[b] * below
+        if lhs != rhs and len(failures) < KMS_WITNESSES:
+            _engine_check(g, w, v, lam, lhs, rhs)
+            failures.append((g.spelled(), _spell(g.pres.alphabet, w),
+                             _spell(g.pres.alphabet, v), lhs, rhs))
+    return tuple(failures)
+
+
 def kms_monomial_scan(pres, radius, depth, lam, seed=0):
     """KMS comparison at lam = e^(-beta) over every monomial pair
     1_{C_w} g, 1_{C_v} h.
 
     Both state values vanish unless h = g^-1, since only products landing
     on the identity survive the expectation; those pairs are counted as
-    zero_pairs in bulk.  The surviving pairs are evaluated through closed
-    cylinder formulas, and a seeded sample of them is re-verified through
-    the generic product/flow/state machinery.
+    zero_pairs in bulk.  The surviving pairs are kept as binomials in lam
+    from closed cylinder formulas, and a seeded sample of them is checked
+    at lam against the generic product/flow/state machinery.
     """
     measure = BoundaryMeasure(pres)
     if depth < radius + 1:
@@ -345,8 +378,7 @@ def kms_monomial_scan(pres, radius, depth, lam, seed=0):
     monomials = len(ball) * len(words)
     pairs = monomials * monomials
     checked = len(ball) * len(words) ** 2
-    failures = []
-    nonzero = []
+    binomials = []
     for g in ball.elements:
         # pair A = 1_{C_w} g, B = 1_{C_v} g^-1: both state values vanish
         # unless C_w meets g C_v = C_{gv}, that is unless w starts with
@@ -360,25 +392,15 @@ def kms_monomial_scan(pres, radius, depth, lam, seed=0):
                           for hit in meets.get(w[:n], ()))
             for _, v, gv in hits:
                 z = gv if len(gv) >= depth else w    # the deeper cylinder
-                rhs = measure.word_mass(z)
-                lhs = (powers[busemann_on_word(g, z)]
-                       * measure.word_mass(pres.left_quotient(g.word, z)))
-                if lhs != rhs and len(failures) < KMS_WITNESSES:
-                    failures.append((
-                        g.spelled(), _spell(pres.alphabet, w),
-                        _spell(pres.alphabet, v), lhs, rhs))
-                nonzero.append((g, w, v, lhs, rhs))
+                binomials.append((
+                    g, w, v, busemann_on_word(g, z),
+                    measure.word_mass(pres.left_quotient(g.word, z)),
+                    measure.word_mass(z)))
     rng = random.Random(seed)
-    sample = rng.sample(nonzero, min(KMS_CROSSCHECKS, len(nonzero)))
-    for g, w, v, lhs, rhs in sample:
-        a = CrossedElement.monomial(pres, w, g)
-        b_el = CrossedElement.monomial(pres, v, g.inverse())
-        rep = kms_check(a, b_el, lam)
-        if (rep.lhs, rep.rhs) != (lhs, rhs):
-            raise InvariantViolation(
-                f"closed-form KMS values disagree with the generic engine "
-                f"for g={g.spelled()!r} w={_spell(pres.alphabet, w)!r} "
-                f"v={_spell(pres.alphabet, v)!r}")
+    sample = rng.sample(binomials, min(KMS_CROSSCHECKS, len(binomials)))
+    for g, w, v, b, below, rhs in sample:
+        _engine_check(g, w, v, lam, powers[b] * below, rhs)
+    failures = _kms_failures(binomials, lam, radius)
     return KmsScanReport(
         lam=lam,
         radius=radius,
@@ -388,8 +410,9 @@ def kms_monomial_scan(pres, radius, depth, lam, seed=0):
         zero_pairs=pairs - checked,
         checked_pairs=checked,
         crosschecked=len(sample),
-        failures=tuple(failures),
+        failures=failures,
         equal=not failures,
+        binomials=tuple(binomials),
     )
 
 

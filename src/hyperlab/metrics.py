@@ -198,20 +198,11 @@ class MetricStructure:
             return len(w)
         return self.green.value(w)
 
-    def gromov_product(self, x, y, base=None):
-        """(x|y)_base = (d(base,x) + d(base,y) - d(x,y)) / 2."""
-        self._check(x, y)
-        o = self.pres.identity if base is None else base
-        self._check(o)
-        if self.kind == "word":
-            q = self.pres.left_quotient
-            n = (len(q(o.word, x.word)) + len(q(o.word, y.word))
-                 - len(q(x.word, y.word)))
-            return Fraction(n, 2)
-        dx = self.distance(o, x)
-        dy = self.distance(o, y)
-        dxy = self.distance(x, y)
-        return 0.5 * (dx + dy - dxy)
+    def gromov_product(self, x, y):
+        """(x|y) = (|x| + |y| - d(x,y)) / 2, based at the identity."""
+        e = self.pres.identity
+        n = self.distance(e, x) + self.distance(e, y) - self.distance(x, y)
+        return Fraction(n, 2) if self.exact else 0.5 * n
 
     @property
     def rough_constant(self):

@@ -452,11 +452,10 @@ def _suite_boundary(pres, cfg, radius):
     return settings, checks, None
 
 
-def _kms_witness(scan):
-    """The first unequal pair of a KMS monomial scan, or None."""
-    if not scan.failures:
-        return None
-    return dict(zip(("g", "w", "v", "lhs", "rhs"), scan.failures[0]))
+def _kms_witness(failures):
+    """The first unequal pair of a KMS evaluation, or None."""
+    return (dict(zip(("g", "w", "v", "lhs", "rhs"), failures[0]))
+            if failures else None)
 
 
 def _random_monomial(pres, rng, words, els):
@@ -492,17 +491,16 @@ def _suite_kms(pres, cfg, radius):
                  "zero_pairs": scan.zero_pairs,
                  "checked_pairs": scan.checked_pairs,
                  "crosschecked": scan.crosschecked},
-        witness=_kms_witness(scan),
+        witness=_kms_witness(scan.failures),
     ))
 
-    # beta raised by log(2k-1)
-    hot = crossed.kms_monomial_scan(pres, radius, depth, lam ** 2,
-                                    seed=cfg.seed)
+    # beta raised by log(2k-1): the same binomials at lam^2
+    hot = scan.failures_at(lam ** 2)
     checks.append(CheckResult(
         name="temperature-sensitivity",
-        passed=not hot.equal,
+        passed=bool(hot),
         details={"beta_offset": math.log(base),
-                 "unequal_pairs_found": len(hot.failures)},
+                 "unequal_pairs_found": len(hot)},
         witness=_kms_witness(hot),
     ))
 

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from hyperlab import boundary, cli, cocycles, groups, metrics, suites
+from hyperlab import boundary, cli, cocycles, crossed, groups, metrics, suites
 from hyperlab.errors import ResourceLimitError
 
 
@@ -426,6 +426,25 @@ def test_all_free2_certifies_the_ball_in_one_pass(tmp_path, monkeypatch):
     assert code == 0
     assert calls["properness_check"] <= 1
     assert calls["lp_norm"] == 0
+
+
+@pytest.mark.parametrize("args", [
+    ("--suite", "all", "--group", "free:2", "--seed", "7"),
+    ("--suite", "kms", "--group", "free:2", "--seed", "3", "--depth", "4"),
+], ids=["all-free2", "kms-free2-depth4"])
+def test_kms_suite_scans_once(tmp_path, monkeypatch, args):
+    # temperature-sensitivity ran a second whole scan at lambda^2; it now
+    # evaluates the first scan's binomials there
+    calls = []
+
+    def counted(*a, _scan=crossed.kms_monomial_scan, **kw):
+        calls.append(a)
+        return _scan(*a, **kw)
+
+    monkeypatch.setattr(crossed, "kms_monomial_scan", counted)
+    code, _ = run_main(tmp_path, "check", *args)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_kms_translates_through_cached_maps(tmp_path, monkeypatch):

@@ -39,6 +39,53 @@ def test_band_membership(band6, free2):
     assert not band6.contains_pair(free2.element("ab"), free2.identity)
 
 
+@pytest.mark.parametrize("K,C,radius", [
+    (1, 0, 3), (Fraction(5, 2), Fraction(1, 2), 3), (Fraction(7, 3), 0, 3),
+    (3, 1, 2),
+], ids=["integral", "two-ends", "empty-window", "wide"])
+def test_band_membership_is_one_rule(word2, K, C, radius):
+    # `index` lists exactly the positions whose pair `holds`, and
+    # contains_pair answers the same rule for elements
+    band = cocycles.build_pair_band(word2, K, radius, C=C)
+    n = len(band.ball)
+    i, j = np.indices((n, n))
+    holds = band.holds(i, j)
+    assert np.array_equal(np.argwhere(holds), band.index)
+    els = band.ball.elements
+    for x in els[::5]:
+        for y in els[::3]:
+            d = word2.distance(x, y)
+            assert band.contains_pair(x, y) == (
+                x != y and K - C <= d <= K + C)
+
+
+def test_green_band_membership_is_one_rule(green_band):
+    n = len(green_band.ball)
+    i, j = np.indices((n, n))
+    assert np.array_equal(np.argwhere(green_band.holds(i, j)),
+                          green_band.index)
+
+
+def test_a_band_keeps_no_square_mask(band6, word2):
+    # the 1457 x 1457 int8 distances are built; the band compares them
+    # with its upper end once (d <= 1), a 2.02 MiB bool whose entries it
+    # narrows to the pairs that hold, and keeps only the index
+    d = band6.distances
+    tracemalloc.start()
+    try:
+        band = cocycles.PairBand(word2, 1, 0, band6.ball, d)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(band.index, band6.index)
+    assert band.window == (1, 1)
+    assert peak <= 2.2 * 2 ** 20
+    assert held <= 0.1 * 2 ** 20
+    squares = [name for name, value in vars(band).items()
+               if isinstance(value, np.ndarray) and value.size >= d.size]
+    assert squares == ["distances"]
+
+
 def test_band_requires_k_above_2c(word2):
     with pytest.raises(InputError):
         cocycles.build_pair_band(word2, 1, 3, C=0.5)
@@ -381,7 +428,7 @@ def test_a_short_segment_names_its_value(word2, free2):
     i, j = index[free2.element("a").word], index[free2.element("ab").word]
     d = band.distances.copy()
     d[i, j] = d[j, i] = 2
-    bent = cocycles.PairBand(word2, 1, 0, band.ball, d, band.mask)
+    bent = cocycles.PairBand(word2, 1, 0, band.ball, d)
     message = "segment value 1/2 below K-2C=1 at t=0"
     with pytest.raises(InvariantViolation) as caught:
         cocycles.properness_check(bent, free2.element("ab"), 1)
@@ -641,7 +688,7 @@ def test_narrow_distances_read_as_int64(spec, left, right, radius):
     metric = metrics.word_metric(pres)
     band = cocycles.build_pair_band(metric, Fraction(radius), radius)
     wide = cocycles.PairBand(metric, band.K, band.C, band.ball,
-                             band.distances.astype(np.int64), band.mask)
+                             band.distances.astype(np.int64))
     assert band.distances.dtype == np.int8 and len(band)
     outer = band.ball.spheres[-1]
     gs = random.Random(6).sample(outer, 10) + [lefts[-1]]

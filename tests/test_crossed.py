@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hyperlab import boundary, cli, crossed, groups
-from hyperlab.errors import InputError
+from hyperlab.errors import InputError, InvariantViolation
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +343,56 @@ def test_kms_scan_detects_wrong_temperature(free2):
     assert len(scan.failures) == 5  # capped
     g, w, z, lhs, rhs = scan.failures[0]
     assert lhs != rhs
+
+
+@pytest.mark.parametrize("rank,radius,depth", [
+    (2, 2, 3), (3, 2, 3), (2, 2, 4), (2, 3, 4),
+], ids=["free2-r2-d3", "free3-r2-d3", "free2-r2-d4", "free2-r3-d4"])
+def test_kept_binomials_answer_a_second_temperature(rank, radius, depth):
+    # evaluating the kept binomials at lam^2 gives the witnesses a fresh
+    # scan at lam^2 finds, in the same order
+    pres = groups.free_group(rank)
+    lam = Fraction(1, 2 * rank - 1)
+    scan = crossed.kms_monomial_scan(pres, radius, depth, lam)
+    hot = crossed.kms_monomial_scan(pres, radius, depth, lam ** 2)
+    assert scan.failures_at(lam) == scan.failures == ()
+    assert scan.failures_at(lam ** 2) == hot.failures
+    assert len(hot.failures) == crossed.KMS_WITNESSES
+    assert hot.binomials == scan.binomials
+
+
+@pytest.mark.parametrize("rank,radius,depth,meeting,forcing", [
+    (2, 2, 3, 972, 864), (3, 2, 3, 9750, 9000), (2, 3, 4, 10044, 9720),
+], ids=["free2-r2-d3", "free3-r2-d3", "free2-r3-d4"])
+def test_binomials_force_the_dimension(rank, radius, depth, meeting,
+                                       forcing):
+    # lam^b * mass(C_(g^-1 z)) = mass(C_z) holds at lam = 1/(2k-1) for
+    # every pair: one positive root for each pair with b != 0, and equal
+    # masses for the others
+    pres = groups.free_group(rank)
+    lam = Fraction(1, 2 * rank - 1)
+    scan = crossed.kms_monomial_scan(pres, radius, depth, lam)
+    assert len(scan.binomials) == meeting
+    assert sum(1 for *_, b, _, _ in scan.binomials if b) == forcing
+    for *_, b, below, mass in scan.binomials:
+        assert lam ** b * below == mass
+
+
+def test_failures_at_confirms_each_witness(free2, monkeypatch):
+    scan = crossed.kms_monomial_scan(free2, 2, 3, Fraction(1, 3))
+    real = crossed.kms_check
+
+    def skewed(a, b, lam):
+        rep = real(a, b, lam)
+        if lam == Fraction(1, 9):
+            return crossed.KmsReport(lam, rep.lhs + 1, rep.rhs, False)
+        return rep
+
+    monkeypatch.setattr(crossed, "kms_check", skewed)
+    assert scan.failures_at(Fraction(1, 3)) == ()
+    with pytest.raises(InvariantViolation,
+                       match="disagree with the generic engine"):
+        scan.failures_at(Fraction(1, 9))
 
 
 @pytest.mark.parametrize("rank", [2, 3])

@@ -8,13 +8,17 @@ all exact integer or rational computations.
 """
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InputError, InvariantViolation, UnsupportedElementError
-from .groups import _spell, common_prefix_len, cyclically_reduce
+from .groups import (GroupElement, _letters, _spell, bulk_product_lengths,
+                     common_prefix_len, cyclically_reduce, distance_dtype)
 
 INFINITE_PRODUCT = math.inf
 
@@ -111,16 +115,112 @@ def boundary_point(pres, preperiod, period):
     return BoundaryPoint(pres, pres.parse_word(preperiod), pres.parse_word(period))
 
 
+def _element_letters(pres, words):
+    """Letter arrays of the words and of their inverses, and the lengths."""
+    width = max(map(len, words), default=0)
+    return (_letters(pres, words, width),
+            _letters(pres, [pres.invert(w) for w in words], width),
+            np.array([len(w) for w in words], dtype=distance_dtype(width)))
+
+
+def _common_prefix(a, b):
+    """lcp of each row of a with each row of b: a's -1 padding ends its
+    words, and b's rows are unpadded over a's width."""
+    lcp = np.zeros((len(a), len(b)), dtype=distance_dtype(a.shape[1]))
+    alive = np.ones(lcp.shape, dtype=bool)
+    for i in range(min(a.shape[1], b.shape[1])):
+        alive &= a[:, i, None] == b[None, :, i]
+        lcp += alive
+    return lcp
+
+
+def _busemann(elements, windows):
+    """2 lcp(g, x) - |g| for each g of `elements` and row x of `windows`."""
+    letters, _, n = elements
+    return 2 * _common_prefix(letters, windows) - n[:, None]
+
+
+def _act_windows(elements, points, width):
+    """windows[a, b]: the first `width` letters of g.x for g the a-th of
+    `elements` and x the word whose first width + |g| letters are row b
+    of `points`.  The first k = lcp(g^-1, x) letters of x cancel against
+    the end of g and what is left is reduced: g.x = g[:|g| - k] + x[k:]."""
+    g, ginv, n = elements
+    k = _common_prefix(ginv, points)
+    kept = n[:, None] - k
+    # letter i past the kept part of g is x[i + 2k - |g|]
+    shift, rows = (k - kept).astype(np.intp), np.arange(len(points))
+    head = np.full((len(g), width), -1, dtype=g.dtype)
+    head[:, :g.shape[1]] = g[:, :width]
+    out = np.empty(k.shape + (width,), dtype=points.dtype)
+    # a column at a time, so no index array spans elements x points x width
+    for i in range(width):
+        out[:, :, i] = np.where(i < kept, head[:, i, None],
+                                points[rows, np.maximum(shift + i, 0)])
+    return out
+
+
+def _moved_points(gs, points):
+    """(a, b) -> gs[a].points[b] in canonical form, from one window pass:
+    g.(u c^inf) is |c|-periodic from P = |g| + |u|, so its first P letters
+    are a preperiod and the next |c| a block."""
+    pres = points[0].pres
+    if any(g.pres is not pres for g in gs):
+        raise InputError("element and boundary point live in different presentations")
+    m = max(g.length() for g in gs)
+    width = m + max(len(x.preperiod) + len(x.period) for x in points)
+    windows = _act_windows(
+        _element_letters(pres, [g.word for g in gs]),
+        _letters(pres, [x.prefix(width + m) for x in points], width + m),
+        width)
+
+    def point(a, b):
+        start = gs[a].length() + len(points[b].preperiod)
+        w = windows[a, b].tolist()
+        return BoundaryPoint(pres, w[:start],
+                             w[start:start + len(points[b].period)])
+    return point
+
+
 def act(g, xi):
     """Left action of the group on its boundary."""
-    if g.pres is not xi.pres:
-        raise InputError("element and boundary point live in different presentations")
-    # the product cancels at most |g| <= q|c| letters of the head, so the
-    # periods after the head stay as they are
-    c = xi.period
-    q = -(-g.length() // len(c))
-    head = xi.prefix(len(xi.preperiod) + q * len(c))
-    return BoundaryPoint(g.pres, g.pres.multiply(g.word, head), c)
+    return _moved_points([g], [xi])(0, 0)
+
+
+def action_law_scan(ball, points):
+    """The action law g.(h.xi) = (gh).xi and the Busemann cocycle identity
+    b(gh)(xi) = b(g)(xi) + b(h)(g^-1 xi) for all g, h of the ball and xi
+    of points, on prefix windows: the first failure of each in (g, h, xi)
+    order, spelled, the cocycle's with its two sides, or None.
+
+    The windows decide exactly.  xi = u c^inf is |c|-periodic from |u|,
+    so g.xi = g[:|g| - k] + xi[k:] is |c|-periodic from |g| + |u| at the
+    latest, and both g.(h.xi) and (gh).xi are from P = |g| + |h| + |u|.
+    Two words |c|-periodic from P are equal iff they agree on their first
+    P + |c| letters, and every window compared is at least that long.
+    The ball is closed under inversion, so g^-1 xi windows are h.xi rows.
+    """
+    pres, els, m = ball.pres, ball.elements, ball.radius
+    shape = (len(els), len(els), len(points))
+    width = 2 * m + max(len(x.preperiod) + len(x.period) for x in points)
+    gs = _element_letters(pres, [g.word for g in els])
+    gh = _element_letters(pres, [(g * h).word for g in els for h in els])
+    xs = _letters(pres, [x.prefix(width + 2 * m) for x in points],
+                  width + 2 * m)
+    moved = _act_windows(gs, xs, width + m)
+    left = _act_windows(gs, moved.reshape(-1, width + m), width)
+    same = (left.reshape(-1, len(points), width)
+            == _act_windows(gh, xs, width)).all(axis=2).reshape(shape)
+    inverse = [ball.index[pres.invert(g.word)] for g in els]
+    lhs = _busemann(gh, xs).reshape(shape)
+    rhs = _busemann(gs, xs)[:, None, :] + _busemann(
+        gs, moved[inverse].reshape(-1, width + m)).reshape(shape).swapaxes(0, 1)
+
+    def first(bad, *sides):
+        for g, h, x in np.argwhere(bad)[:1].tolist():
+            return ((els[g].spelled(), els[h].spelled(), points[x].spelled())
+                    + tuple(int(v[g, h, x]) for v in sides))
+    return first(~same), first(lhs != rhs, lhs, rhs)
 
 
 def boundary_gromov(x, y):
@@ -261,28 +361,36 @@ class ConformalityReport:
     records: tuple
     all_equal: bool
 
-    def failures(self):
-        return [r for r in self.records if not r.ok]
 
+def _conformality_block(measure, gs, depth):
+    """Verdicts, a (len(gs), words) bool array, of the measure ratio of
+    g^-1 C_w to C_w against (2k-1)^b for each g of gs and w of the depth
+    partition, each w longer than every g; and (i, j) -> their record.
 
-def _conformality_record(measure, g, w):
-    """Measure ratio of g^-1 C_w to C_w against the predicted power of
-    2k-1, for a reduced word w longer than g's.
-
-    The two sides come from independent routes: group multiplication
-    plus the mass formula for the ratio, prefix matching for the
-    busemann exponent, which is constant on C_w since |w| > |g|.
+    The two sides come from independent routes: product lengths |g^-1 w|
+    plus the mass formula for the ratio, letter comparison for the
+    busemann exponent b = 2 lcp(g, w) - |g|, constant on C_w as |w| > |g|.
+    Each distinct (|g^-1 w|, b) pair is compared once, in exact Fractions.
     """
-    pres = g.pres
-    ratio = (measure.word_mass(pres.left_quotient(g.word, w))
-             / measure.word_mass(w))
-    b = busemann_on_word(g, w)
-    return ConformalityRecord(
-        cylinder=_spell(pres.alphabet, w),
-        ratio=ratio,
-        busemann=b,
-        ok=ratio == _base_power(measure.base(), b),
-    )
+    pres, span = measure.pres, 2 * depth + 1
+    words = reduced_words(pres, depth)
+    lengths = bulk_product_lengths(
+        pres, gs, [GroupElement(pres, w) for w in words]).astype(np.int32)
+    b = _busemann(_element_letters(pres, [g.word for g in gs]),
+                  _letters(pres, words, depth))
+    keys, pair = np.unique(lengths * span + b + depth, return_inverse=True)
+    pair = pair.reshape(b.shape)
+    ratios = [_cylinder_mass(measure.rank, q)
+              / _cylinder_mass(measure.rank, depth)
+              for q in (keys // span).tolist()]
+    ok = np.array([r == _base_power(measure.base(), e - depth) for r, e
+                   in zip(ratios, (keys % span).tolist())])[pair]
+
+    def record(i, j):
+        return ConformalityRecord(cylinder=_spell(pres.alphabet, words[j]),
+                                  ratio=ratios[pair[i, j]],
+                                  busemann=int(b[i, j]), ok=bool(ok[i, j]))
+    return ok, record
 
 
 def conformality_check(g, depth):
@@ -302,15 +410,26 @@ def conformality_check(g, depth):
             f"depth {depth} does not determine the busemann value of "
             f"{g.spelled()!r}: not constant on cylinder {offending!r}; "
             f"need depth >= {n + 1}")
-    measure = BoundaryMeasure(pres)
-    records = [_conformality_record(measure, g, w)
-               for w in reduced_words(pres, depth)]
+    ok, record = _conformality_block(BoundaryMeasure(pres), [g], depth)
     return ConformalityReport(
-        g=g.spelled(),
-        depth=depth,
-        records=tuple(records),
-        all_equal=all(r.ok for r in records),
-    )
+        g=g.spelled(), depth=depth, all_equal=bool(ok.all()),
+        records=tuple(record(0, j) for j in range(ok.shape[1])))
+
+
+def conformality_scan(pres, gs, depth=None):
+    """Conformality under each g of gs over the cylinders at depth
+    max(|g| + 1, depth), one block per run of equal depths: the number of
+    records and the first failing (g, record) in order, or None."""
+    measure = BoundaryMeasure(pres)
+    scanned, bad = 0, None
+    for d, block in itertools.groupby(
+            gs, lambda g: max(g.length() + 1, depth or 0)):
+        block = list(block)
+        ok, record = _conformality_block(measure, block, d)
+        scanned += ok.size
+        for i, j in np.argwhere(~ok)[:1].tolist():
+            bad = bad or (block[i], record(i, j))
+    return scanned, bad
 
 
 @dataclass(frozen=True)
@@ -327,13 +446,28 @@ def conformal_identity_check(g, xi, eta):
     Checks 2<g xi, g eta> = -b(g^-1)(xi) - b(g^-1)(eta) + 2<xi, eta>
     in exact integers.
     """
-    if boundary_gromov(xi, eta) == INFINITE_PRODUCT:
-        raise InputError("boundary points must be distinct")
-    gi = g.inverse()
-    lhs = 2 * boundary_gromov(act(g, xi), act(g, eta))
-    rhs = (-busemann_boundary(gi, xi) - busemann_boundary(gi, eta)
-           + 2 * boundary_gromov(xi, eta))
-    return ConformalIdentityReport(g=g.spelled(), lhs=lhs, rhs=rhs, ok=lhs == rhs)
+    return conformal_identity_scan([(g, xi, eta)])[0]
+
+
+def conformal_identity_scan(triples):
+    """`conformal_identity_check` of each (g, xi, eta), with every g.xi
+    from one window pass over the distinct elements and points."""
+    gs = list({g.word: g for g, _, _ in triples}.values())
+    points = list(dict.fromkeys(x for t in triples for x in t[1:]))
+    moved = _moved_points(gs, points)
+    row = {g.word: a for a, g in enumerate(gs)}
+    col = {x: b for b, x in enumerate(points)}
+    reports = []
+    for g, xi, eta in triples:
+        if boundary_gromov(xi, eta) == INFINITE_PRODUCT:
+            raise InputError("boundary points must be distinct")
+        a, gi = row[g.word], g.inverse()
+        lhs = 2 * boundary_gromov(moved(a, col[xi]), moved(a, col[eta]))
+        rhs = (-busemann_boundary(gi, xi) - busemann_boundary(gi, eta)
+               + 2 * boundary_gromov(xi, eta))
+        reports.append(ConformalIdentityReport(g=g.spelled(), lhs=lhs,
+                                               rhs=rhs, ok=lhs == rhs))
+    return reports
 
 
 def seeded_family(pres, count=50, seed=0):

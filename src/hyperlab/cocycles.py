@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .groups import (GroupElement, bulk_product_lengths, enumerate_ball,
-                     free_sphere_size)
+from .groups import (GroupElement, _letters, bulk_product_lengths,
+                     enumerate_ball, free_sphere_size)
 from .metrics import metric_distance_matrix
 
 
@@ -221,15 +221,16 @@ def cocycle_norms(band, gs, p):
     return _cocycle_norm(band, _distance_rows(band, gs), p)
 
 
-def lp_norm(band, g, p):
-    """Truncated sum of |c_g|^p over the band, with tail bound."""
-    if p < 1:
+def lp_norms(band, g, grid):
+    """Truncated sums of |c_g|^p over the band, with tail bounds, one per
+    p of grid, all from one row d(g, .)."""
+    if any(p < 1 for p in grid):
         raise InputError("p must be >= 1")
     row = _distance_rows(band, [g])[0]
     kc = Fraction(band.K) + Fraction(band.C)
     # d(e, g) in the band's unit
     n = max(0, math.floor((Fraction(row[0].item()) - kc) / Fraction(band.K)))
-    return LpNormReport(
+    return [LpNormReport(
         p=p,
         K=band.K,
         C=band.C,
@@ -238,7 +239,12 @@ def lp_norm(band, g, p):
         tail_bound=_tail_bound(band, g, p),
         n=n,
         lower_bound=_norm_unit_bound(band, p) * n,
-    )
+    ) for p in grid]
+
+
+def lp_norm(band, g, p):
+    """Truncated sum of |c_g|^p over the band, with tail bound."""
+    return lp_norms(band, g, [p])[0]
 
 
 @dataclass
@@ -266,8 +272,7 @@ def _prefix_positions(ball, gs):
     the ball, read along its Cayley edges, which also place a prefix that
     is not itself a canonical word; past the word's end it stays put."""
     width = max((len(g.word) for g in gs), default=0)
-    letters = np.array([g.word + (-1,) * (width - len(g.word)) for g in gs],
-                       dtype=np.int64).reshape(len(gs), width)
+    letters = _letters(ball.pres, [g.word for g in gs], width)
     edges = np.vstack([ball.edges, np.arange(ball.edges.shape[1])])
     pos = np.zeros((len(gs), width + 1), dtype=np.int64)
     for j in range(width):

@@ -877,6 +877,18 @@ def bulk_product_lengths(pres, lefts, rights):
     return out
 
 
+def _letters(pres, words, width):
+    """Words as the rows of a (len(words), width) array, cut at width and
+    padded with -1.  Symbols and padding share the narrowest signed type
+    that holds every index, so alphabets past 128 symbols widen instead
+    of overflow."""
+    out = np.full((len(words), width), -1,
+                  dtype=np.min_scalar_type(-len(pres.alphabet.symbols)))
+    for k, w in enumerate(words):
+        out[k, :len(w)] = w[:width]
+    return out
+
+
 def _common_prefix_lengths(lefts, rights, width):
     """Common prefix lengths, capped at width, of every left and right
     word as an nl x nr array in `distance_dtype(width)`.
@@ -952,23 +964,14 @@ def _window_hits(pres, lefts, rights, lcp, lv):
     """
     table, accept = pres._relator_windows
     inv = pres.alphabet.inverse
-    # symbols and the -1 padding share the smallest signed type that holds
-    # every index, so alphabets past 128 symbols widen instead of overflow
-    sym = np.min_scalar_type(-len(pres.alphabet.symbols))
-
-    def letters(words):
-        out = np.full((len(words), max(1, max(map(len, words)))), -1,
-                      dtype=sym)
-        for k, w in enumerate(words):
-            out[k, : len(w)] = w
-        return out
-
-    ia = letters([_invert_word(inv, l.word) for l in lefts])
+    ia = _letters(pres, [_invert_word(inv, l.word) for l in lefts],
+                  max(1, int(lv.max())))
     # after[i, k]: the state after the first k letters of l_i^-1
     after = np.zeros((len(lefts), ia.shape[1] + 1), dtype=table.dtype)
     for t in range(ia.shape[1]):
         after[:, t + 1] = table[after[:, t], ia[:, t]]
-    b = letters([r.word for r in rights])
+    b = _letters(pres, [r.word for r in rights],
+                 max(1, max(len(r.word) for r in rights)))
     # onward[j, c, q]: the state after r_j[c:] read from state q, built
     # from the end; the -1 padding resets only states that do not accept
     states = len(table)

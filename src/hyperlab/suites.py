@@ -7,7 +7,6 @@ SuiteReport whose serialized form is byte-deterministic for a given
 configuration.
 """
 
-import functools
 import math
 import random
 import time
@@ -213,13 +212,9 @@ def _band_for(pres, cfg, radius):
 def _norm_table(band, g, grid):
     columns = ("p", "K", "C", "radius", "norm_p", "tail_bound", "n",
                "lower_bound")
-    rows = []
-    reports = []
-    for p in grid:
-        rep = cocycles.lp_norm(band, g, _exact_p(p))
-        reports.append(rep)
-        rows.append((rep.p, rep.K, rep.C, rep.radius, rep.norm_p,
-                     rep.tail_bound, rep.n, rep.lower_bound))
+    reports = cocycles.lp_norms(band, g, [_exact_p(p) for p in grid])
+    rows = [(rep.p, rep.K, rep.C, rep.radius, rep.norm_p, rep.tail_bound,
+             rep.n, rep.lower_bound) for rep in reports]
     return (columns, rows), reports
 
 
@@ -345,20 +340,10 @@ def _suite_boundary(pres, cfg, radius):
     ball = groups.enumerate_ball(pres, radius)
     checks = []
 
-    conf_bad = None
-    scanned = 0
-    for g in ball.elements:
-        if g.is_identity():
-            continue
-        depth = g.length() + 1
-        if cfg.depth is not None:
-            depth = max(depth, cfg.depth)
-        rep = boundary.conformality_check(g, depth)
-        scanned += len(rep.records)
-        if not rep.all_equal and conf_bad is None:
-            bad = rep.failures()[0]
-            conf_bad = {"g": rep.g, "cylinder": bad.cylinder,
-                        "ratio": bad.ratio, "busemann": bad.busemann}
+    scanned, bad = boundary.conformality_scan(pres, ball.elements[1:],
+                                              cfg.depth)
+    conf_bad = bad and {"g": bad[0].spelled(), "cylinder": bad[1].cylinder,
+                        "ratio": bad[1].ratio, "busemann": bad[1].busemann}
     checks.append(CheckResult(
         name="measure-conformality",
         passed=conf_bad is None,
@@ -369,17 +354,19 @@ def _suite_boundary(pres, cfg, radius):
     family = boundary.seeded_family(pres, 50, cfg.seed)
     rng = random.Random(cfg.seed)
     els = ball.elements
-    bad_ci = None
+    triples = []
     for _ in range(200):
         g = els[rng.randrange(len(els))]
         xi = family[rng.randrange(len(family))]
         eta = family[rng.randrange(len(family))]
         while eta == xi:
             eta = family[rng.randrange(len(family))]
-        rep = boundary.conformal_identity_check(g, xi, eta)
-        if not rep.ok and bad_ci is None:
-            bad_ci = {"g": rep.g, "xi": xi.spelled(), "eta": eta.spelled(),
-                      "lhs": rep.lhs, "rhs": rep.rhs}
+        triples.append((g, xi, eta))
+    bad_ci = next(({"g": rep.g, "xi": xi.spelled(), "eta": eta.spelled(),
+                    "lhs": rep.lhs, "rhs": rep.rhs}
+                   for rep, (_, xi, eta) in zip(
+                       boundary.conformal_identity_scan(triples), triples)
+                   if not rep.ok), None)
     checks.append(CheckResult(
         name="conformal-metric-identity",
         passed=bad_ci is None,
@@ -388,32 +375,11 @@ def _suite_boundary(pres, cfg, radius):
     ))
 
     small = groups.enumerate_ball(pres, min(2, radius))
-    # each distinct (element, point) action and Busemann value is
-    # evaluated once in this suite call, through the boundary module's
-    # functions as bound at call time
-    act = functools.cache(lambda g, xi: boundary.act(g, xi))
-    busemann = functools.cache(
-        lambda g, xi: boundary.busemann_boundary(g, xi))
-    action_bad = None
-    cocycle_bad = None
-    pairs = 0
-    for g in small.elements:
-        gi = g.inverse()
-        for h in small.elements:
-            gh = g * h
-            for xi in family[:12]:
-                pairs += 1
-                if act(g, act(h, xi)) != act(gh, xi):
-                    action_bad = action_bad or {"g": g.spelled(),
-                                                "h": h.spelled(),
-                                                "xi": xi.spelled()}
-                lhs = busemann(gh, xi)
-                rhs = busemann(g, xi) + busemann(h, act(gi, xi))
-                if lhs != rhs:
-                    cocycle_bad = cocycle_bad or {"g": g.spelled(),
-                                                  "h": h.spelled(),
-                                                  "xi": xi.spelled(),
-                                                  "lhs": lhs, "rhs": rhs}
+    action, cocycle = boundary.action_law_scan(small, family[:12])
+    pairs = len(small) ** 2 * 12
+    action_bad = action and dict(zip(("g", "h", "xi"), action))
+    cocycle_bad = cocycle and dict(zip(("g", "h", "xi", "lhs", "rhs"),
+                                       cocycle))
     checks.append(CheckResult(
         name="boundary-action-law",
         passed=action_bad is None,

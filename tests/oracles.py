@@ -1,8 +1,10 @@
 """Reference routes that tests compare the library against."""
 import itertools
+from fractions import Fraction
 
+from hyperlab import boundary
 from hyperlab.errors import InputError, ResourceLimitError
-from hyperlab.groups import GroupElement, _free_reduce, _invert_word
+from hyperlab.groups import GroupElement, _free_reduce, _invert_word, _spell
 
 # largest ball the quadratic pairwise enumeration builds
 PAIRWISE_ELEMENT_CAP = 20_000
@@ -108,3 +110,58 @@ def multiply_ball(pres, radius):
     inner = words[: len(words) - len(spheres[-1])]
     edges = [[index[pres.multiply(w, (s,))] for w in inner] for s in letters]
     return words, edges
+
+
+def conformality_record(measure, g, w):
+    """The conformality record of g on the cylinder over w, one word at a
+    time: the measure ratio from `left_quotient` and the mass formula,
+    the busemann exponent from `busemann_on_word`."""
+    pres = g.pres
+    ratio = (measure.word_mass(pres.left_quotient(g.word, w))
+             / measure.word_mass(w))
+    b = boundary.busemann_on_word(g, w)
+    return boundary.ConformalityRecord(
+        cylinder=_spell(pres.alphabet, w), ratio=ratio, busemann=b,
+        ok=ratio == Fraction(measure.base()) ** b)
+
+
+def first_conformality_failure(pres, gs, depth=None):
+    """The per-element loop: the first failing (g, record) over gs in
+    order, each g at depth max(|g| + 1, depth), then in partition order."""
+    measure = boundary.BoundaryMeasure(pres)
+    for g in gs:
+        for w in boundary.reduced_words(pres, max(g.length() + 1, depth or 0)):
+            rec = conformality_record(measure, g, w)
+            if not rec.ok:
+                return g, rec
+    return None
+
+
+def reference_act(g, xi):
+    """g.xi by free reduction of g times a head of xi that ends a period
+    past the |g| letters g can cancel."""
+    c = xi.period
+    head = xi.prefix(len(xi.preperiod) + -(-g.length() // len(c)) * len(c))
+    return boundary.BoundaryPoint(g.pres, g.pres.normalize(g.word + head), c)
+
+
+def first_action_law_failures(ball, points):
+    """The scalar loop over (g, h, xi): the first failure of the action
+    law and of the Busemann cocycle identity, spelled, the cocycle's with
+    its two sides, or None."""
+    action = cocycle = None
+    for g in ball.elements:
+        for h in ball.elements:
+            gh = g * h
+            for xi in points:
+                spelled = (g.spelled(), h.spelled(), xi.spelled())
+                if action is None and (reference_act(g, reference_act(h, xi))
+                                       != reference_act(gh, xi)):
+                    action = spelled
+                lhs = boundary.busemann_boundary(gh, xi)
+                rhs = (boundary.busemann_boundary(g, xi)
+                       + boundary.busemann_boundary(
+                           h, reference_act(g.inverse(), xi)))
+                if cocycle is None and lhs != rhs:
+                    cocycle = spelled + (lhs, rhs)
+    return action, cocycle

@@ -2,10 +2,13 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hyperlab import boundary, groups
+from hyperlab import boundary, groups, suites
 from hyperlab.errors import InputError, UnsupportedElementError
+from oracles import (conformality_record, first_action_law_failures,
+                     first_conformality_failure, reference_act)
 
 
 @pytest.fixture(scope="module")
@@ -268,9 +271,101 @@ def test_conformality_full_scan(free2):
         g = free2.element(text)
         rep = boundary.conformality_check(g, g.length() + 1)
         assert rep.all_equal
-        assert rep.failures() == []
+        assert all(r.ok for r in rep.records)
         assert len(rep.records) == len(
             boundary.reduced_words(free2, g.length() + 1))
+
+
+@pytest.mark.parametrize("rank,radius", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("depth", [None, 5])
+def test_conformality_block_matches_the_scalar_route(rank, radius, depth):
+    # each block holds the ball's elements of one scan depth, as the suite
+    # groups them; its records equal the one-word-at-a-time route's
+    pres = groups.free_group(rank)
+    measure = boundary.BoundaryMeasure(pres)
+    blocks = {}
+    for g in groups.enumerate_ball(pres, radius).elements[1:]:
+        blocks.setdefault(max(g.length() + 1, depth or 0), []).append(g)
+    for d, gs in blocks.items():
+        ok, record = boundary._conformality_block(measure, gs, d)
+        words = boundary.reduced_words(pres, d)
+        assert ok.shape == (len(gs), len(words))
+        for i, g in enumerate(gs):
+            assert [record(i, j) for j in range(len(words))] == [
+                conformality_record(measure, g, w) for w in words]
+        # the public check is a block of one
+        assert boundary.conformality_check(gs[0], d).records == tuple(
+            conformality_record(measure, gs[0], w) for w in words)
+
+
+@pytest.mark.parametrize("wrong", [3, 4, 5])
+@pytest.mark.parametrize("depth", [None, 5])
+def test_conformality_witness_is_the_first_scalar_failure(monkeypatch, wrong,
+                                                          depth):
+    # one wrong cylinder mass: a wrong |g^-1 w| mass fails some cylinders
+    # of a block, a wrong depth mass all of them
+    mass = boundary._cylinder_mass
+    monkeypatch.setattr(boundary, "_cylinder_mass", lambda rank, n: (
+        2 * mass(rank, n) if n == wrong else mass(rank, n)))
+    pres = groups.free_group(2)
+    ball = groups.enumerate_ball(pres, 3)
+    g, rec = first_conformality_failure(pres, ball.elements[1:], depth)
+    assert boundary.conformality_scan(pres, ball.elements[1:], depth) == (
+        sum(len(boundary.reduced_words(pres, max(h.length() + 1, depth or 0)))
+            for h in ball.elements[1:]), (g, rec))
+    report = suites.run_scenario(suites.ScenarioConfig(
+        suite="boundary", group="free:2", depth=depth))[0]
+    check = next(c for c in report.checks if c.name == "measure-conformality")
+    assert not check.passed
+    assert check.witness == {"g": g.spelled(), "cylinder": rec.cylinder,
+                             "ratio": rec.ratio, "busemann": rec.busemann}
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_action_law_scan_matches_the_scalar_loop(monkeypatch, rank):
+    pres = groups.free_group(rank)
+    ball = groups.enumerate_ball(pres, 2)
+    points = boundary.seeded_family(pres, 50, rank)[:12]
+    assert boundary.action_law_scan(ball, points) == (None, None)
+    assert first_action_law_failures(ball, points) == (None, None)
+    # one wrong product: both laws fail, first where the loop fails them
+    multiply = groups.GroupPresentation.multiply
+    bad = (pres.element("b").word, pres.element("a'").word)
+    monkeypatch.setattr(groups.GroupPresentation, "multiply", lambda self, u, w: (
+        multiply(self, u, w) + w if (u, w) == bad else multiply(self, u, w)))
+    action, cocycle = boundary.action_law_scan(ball, points)
+    assert (action, cocycle) == first_action_law_failures(ball, points)
+    assert action[:2] == cocycle[:2] == ("b", "a'")
+
+
+@pytest.mark.parametrize("rank,seed", [(2, 0), (3, 1)])
+def test_windows_decide_equality_of_moved_points(rank, seed):
+    # g.(u c^inf) is |c|-periodic from |g| + |u|, so two moved points are
+    # both lcm(|c|, |c'|)-periodic from P, the larger of the two starts:
+    # equal exactly when their first P + lcm letters agree
+    pres = groups.free_group(rank)
+    pairs = [(g, xi) for g in groups.enumerate_ball(pres, 2).elements
+             for xi in boundary.seeded_family(pres, 50, seed)]
+    start = np.array([g.length() + len(xi.preperiod) for g, xi in pairs])
+    period = np.array([len(xi.period) for _, xi in pairs])
+    need = (np.maximum.outer(start, start) + np.lcm.outer(period, period))
+    width = int(need.max())
+    windows = np.array([pres.normalize(g.word + xi.prefix(width + g.length()))
+                        [:width] for g, xi in pairs], dtype=np.int8)
+    agree = np.zeros(need.shape, dtype=np.int16)
+    alive = np.ones(need.shape, dtype=bool)
+    for i in range(width):
+        alive &= windows[:, None, i] == windows[None, :, i]
+        agree += alive
+    moved = [boundary.act(g, xi) for g, xi in pairs]
+    ids = {}
+    canonical = np.array([ids.setdefault((p.preperiod, p.period), len(ids))
+                          for p in moved])
+    equal = canonical[:, None] == canonical[None, :]
+    assert np.array_equal(agree >= need, equal)
+    assert 0 < equal.sum() - len(pairs) and not equal.all()
+    # act's windows are those of free reduction
+    assert all(p == reference_act(g, xi) for p, (g, xi) in zip(moved, pairs))
 
 
 def test_conformal_identity_example(free2):

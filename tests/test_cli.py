@@ -357,6 +357,15 @@ PINNED_REPORTS = [
     # the kms scan at depth 4: 1,836 monomials, 198,288 checked pairs
     (("--suite", "kms", "--group", "free:2", "--seed", "3", "--depth", "4"),
      "96c917bf9ca04b69b4c0d2c59cd4ff9c32b9303470b2e607e9acc71a2adb7014"),
+    # the boundary suite alone: rank 3, a --depth above |g| + 1, radius 4
+    (("--suite", "boundary", "--group", "free:3", "--seed", "1"),
+     "3f69f4c5e5abc0cf88f8375bd1ac32490a7bfaf14008966dc3fbf923d9d1479a"),
+    (("--suite", "boundary", "--group", "free:2", "--depth", "5",
+      "--seed", "2"),
+     "c6c96c511fc100ba4da14f8d0d43da724e783514f4a6fdacbbe0297acca1b6c1"),
+    (("--suite", "boundary", "--group", "free:2", "--radius", "4",
+      "--seed", "0"),
+     "3f6b40fa0a78187240ecb18f86f8c590d8bee6a20c26859155b48f08eca41177"),
 ]
 
 
@@ -458,12 +467,28 @@ def test_kms_translates_through_cached_maps(tmp_path, monkeypatch):
 
 
 def test_boundary_suite_acts_once_per_argument(tmp_path, monkeypatch):
-    # 14,272 act calls when the action law re-evaluated each action
+    # 14,272 act calls when the action law re-evaluated each action, and
+    # 4,933 when it evaluated each distinct one once; the law scan and the
+    # conformal identity now read every action from array windows
     calls = _count_calls(monkeypatch, boundary, "act")
     code, _ = run_main(tmp_path, "check", "--suite", "boundary", "--group",
                        "free:2")
     assert code == 0
-    assert len(calls) <= 6_000
+    assert calls == []
+
+
+def test_norm_table_reads_one_distance_row(tmp_path, monkeypatch):
+    # d(g, .) for a g outside the band's ball is one product-length row
+    # for the whole p grid (one call per p before)
+    calls = []
+    lengths = cocycles.bulk_product_lengths
+    monkeypatch.setattr(cocycles, "bulk_product_lengths",
+                        lambda *args: calls.append(args) or lengths(*args))
+    code, _ = run_main(tmp_path, "check", "--suite", "cocycle", "--group",
+                       "free:2", "--g", "abababa")
+    # the radius-4 band truncates the norm of a 7-letter g: checks fail
+    assert code == 1
+    assert len(calls) == 1
 
 
 def test_green_norm_bound_is_a_float(tmp_path):

@@ -17,8 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, InvariantViolation, UnsupportedElementError
-from .groups import (GroupElement, _letters, _spell, bulk_product_lengths,
-                     common_prefix_len, cyclically_reduce, distance_dtype)
+from .groups import (GroupElement, _common_prefix_lengths, _letters, _spell,
+                     bulk_product_lengths, common_prefix_len,
+                     cyclically_reduce, distance_dtype)
 
 INFINITE_PRODUCT = math.inf
 
@@ -123,21 +124,10 @@ def _element_letters(pres, words):
             np.array([len(w) for w in words], dtype=distance_dtype(width)))
 
 
-def _common_prefix(a, b):
-    """lcp of each row of a with each row of b: a's -1 padding ends its
-    words, and b's rows are unpadded over a's width."""
-    lcp = np.zeros((len(a), len(b)), dtype=distance_dtype(a.shape[1]))
-    alive = np.ones(lcp.shape, dtype=bool)
-    for i in range(min(a.shape[1], b.shape[1])):
-        alive &= a[:, i, None] == b[None, :, i]
-        lcp += alive
-    return lcp
-
-
 def _busemann(elements, windows):
     """2 lcp(g, x) - |g| for each g of `elements` and row x of `windows`."""
     letters, _, n = elements
-    return 2 * _common_prefix(letters, windows) - n[:, None]
+    return 2 * _common_prefix_lengths(letters, windows) - n[:, None]
 
 
 def _act_windows(elements, points, width):
@@ -146,7 +136,7 @@ def _act_windows(elements, points, width):
     of `points`.  The first k = lcp(g^-1, x) letters of x cancel against
     the end of g and what is left is reduced: g.x = g[:|g| - k] + x[k:]."""
     g, ginv, n = elements
-    k = _common_prefix(ginv, points)
+    k = _common_prefix_lengths(ginv, points)
     kept = n[:, None] - k
     # letter i past the kept part of g is x[i + 2k - |g|]
     shift, rows = (k - kept).astype(np.intp), np.arange(len(points))
@@ -367,10 +357,11 @@ def _conformality_block(measure, gs, depth):
     g^-1 C_w to C_w against (2k-1)^b for each g of gs and w of the depth
     partition, each w longer than every g; and (i, j) -> their record.
 
-    The two sides come from independent routes: product lengths |g^-1 w|
-    plus the mass formula for the ratio, letter comparison for the
-    busemann exponent b = 2 lcp(g, w) - |g|, constant on C_w as |w| > |g|.
-    Each distinct (|g^-1 w|, b) pair is compared once, in exact Fractions.
+    Both sides read `groups._common_prefix_lengths`: the ratio through
+    |g^-1 w| and the mass formula, the busemann exponent b = 2 lcp(g, w)
+    - |g| (constant on C_w as |w| > |g|) on the letters; the second route
+    is the scalar `conformality_record` of tests/oracles.py.  Each
+    distinct (|g^-1 w|, b) pair is compared once, in exact Fractions.
     """
     pres, span = measure.pres, 2 * depth + 1
     words = reduced_words(pres, depth)

@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .groups import (GroupElement, _letters, bulk_product_lengths,
-                     enumerate_ball, free_sphere_size)
+from .groups import (GroupElement, bulk_product_lengths, enumerate_ball,
+                     free_sphere_size)
 from .metrics import metric_distance_matrix
 
 
@@ -267,19 +267,6 @@ def _min_rule(params, targets):
     return np.take_along_axis(order, np.stack(picks, axis=1), axis=1)
 
 
-def _prefix_positions(ball, gs):
-    """P[k, j] = ball position of the first j letters of gs[k], each g in
-    the ball, read along its Cayley edges, which also place a prefix that
-    is not itself a canonical word; past the word's end it stays put."""
-    width = max((len(g.word) for g in gs), default=0)
-    letters = _letters(ball.pres, [g.word for g in gs], width)
-    edges = np.vstack([ball.edges, np.arange(ball.edges.shape[1])])
-    pos = np.zeros((len(gs), width + 1), dtype=np.int64)
-    for j in range(width):
-        pos[:, j + 1] = edges[letters[:, j], pos[:, j]]
-    return pos
-
-
 @dataclass
 class CertificateBlock:
     """Row k: element k's partition count n, parameters (first n + 1) and
@@ -300,7 +287,8 @@ def properness_certificates(band, gs, p):
     exact, pres = band.metric.exact, band.metric.pres
     rows = _distance_rows(band, gs)
     if all(g.word in band.ball.index for g in gs):
-        pos = _prefix_positions(band.ball, gs)
+        pos = np.stack(list(band.ball._steps([0], [g.word for g in gs])),
+                       axis=-1)[0]     # each prefix's position, one walk
         T = band.distances[0][pos].astype(np.int64 if exact else np.float64)
     else:   # prefix elements, their positions (-1 off the ball) and t
         width = max(len(g.word) for g in gs) + 1

@@ -30,14 +30,14 @@ ELEMENT_CAP = 2_000_000
 # largest estimated allocation of one bulk_product_lengths call
 DISTANCE_BYTES_CAP = 2 << 30
 # bytes a pair that bulk_product_lengths allocates at its peak, by kind,
-# for int8 distances; a wider `distance_dtype` scales them by at most its
-# itemsize.  Each bounds its route's tracemalloc peak: 2.3 on the free
-# prefix route (free:2 radius 6 and free:3 radius 4, square or not), up
-# to 13.0 on the free-product scalar route (modular radius 12, first
-# call, with the interpreter's tuple free lists still filling; 1.3 after
-# that), up to 13.8 on the small-cancellation window search (surface:2
-# and surface:3, either orientation) and 3.2 on its scalar route (square
-# calls on surface:2 radius-4 samples), each with at least 15% margin
+# for int8 distances (a wider `distance_dtype` scales them by at most its
+# itemsize), with 8 pairs a letter added for each word, at max |l| +
+# max |r| + 1 letters.  Under tracemalloc: 2.1-2.3 a pair on the free
+# prefix route (free:2 radius 6, free:3 radius 4), 12.9 on a first
+# free-product call (modular radius 12, 17.4 at 12 x 11; 1.3 after), up
+# to 14.2 on the small-cancellation window search, 2.9 on its scalar
+# route; 9.4 and 38 on skinny free:2 6 x 2 and surface:2 3 x 1 calls.
+# Each peak is at most 0.93 of its estimate from 130 words up
 PAIR_BYTES = {"free": 3, "free-product": 16, "small-cancellation": 16}
 # most words the small-cancellation canonical-form cache keeps; the
 # largest count measured, after `cocycle surface:2` at its default
@@ -112,6 +112,16 @@ def _window_state(table, word):
     for s in word:
         q = table[q][s]
     return q
+
+
+def _walk(table, letters, state):
+    """Yield the states of the walks table[state, letter] along the rows
+    of letters (the last axis of state), before and after each column in
+    turn; the -1 padding reads the table's last column."""
+    yield state
+    for column in letters.T:
+        state = table[state, column]
+        yield state
 
 
 def _invert_word(inverse, word):
@@ -668,21 +678,20 @@ class Ball:
     def sphere_sizes(self):
         return [len(s) for s in self.spheres]
 
+    def _steps(self, starts, words):
+        """`_walk` along `edges` from g at each start (axis 0) over each
+        word w (axis 1): the positions of g w[:j], j = 0, 1, ..., staying
+        put past w's end (the only step from the outer sphere)."""
+        edges = np.full((len(self), self.edges.shape[0] + 1), len(self))
+        edges[:self.edges.shape[1], :-1] = self.edges.T
+        edges[:, -1] = np.arange(len(self))
+        letters = _letters(self.pres, words, max(map(len, words), default=0))
+        return _walk(edges, letters, np.broadcast_to(
+            np.asarray(starts)[:, None], (len(starts), len(words))))
+
     def walk(self, starts, words):
-        """Ball positions of g w along `edges`, for g at each start
-        position (axis 0) and each word (axis 1).  Words are padded on
-        the left with a letter that stays put, so a walk ends on its own
-        letters and reads no edge of the element it ends at."""
-        width = max(map(len, words), default=0)
-        letters = np.full((len(words), width), -1, dtype=np.int64)
-        for k, w in enumerate(words):
-            letters[k, width - len(w):] = w
-        edges = np.vstack([self.edges, np.arange(self.edges.shape[1])])
-        pos = np.broadcast_to(np.asarray(starts)[:, None],
-                              (len(starts), len(words)))
-        for t in range(width):
-            pos = edges[letters[:, t], pos]
-        return pos
+        """Ball positions of g w: the last step of `_steps`."""
+        return collections.deque(self._steps(starts, words), maxlen=1)[0]
 
     def symmetries(self):
         """Index permutations of the ball that keep word length, as lists:
@@ -850,10 +859,13 @@ def bulk_product_lengths(pres, lefts, rights):
     nl, nr = len(lefts), len(rights)
     lv = [len(l.word) for l in lefts]
     lx = [len(r.word) for r in rights]
-    dtype = distance_dtype(max(lv, default=0) + max(lx, default=0))
+    top = max(lv, default=0) + max(lx, default=0)
+    dtype = distance_dtype(top)
     if nl == 0 or nr == 0:
         return np.zeros((nl, nr), dtype=dtype)
-    need = nl * nr * PAIR_BYTES[pres.kind] * dtype.itemsize
+    # a word's arrays count as 8 pairs a letter (see PAIR_BYTES)
+    need = ((nl * nr + 8 * (nl + nr) * (top + 1))
+            * PAIR_BYTES[pres.kind] * dtype.itemsize)
     if need > DISTANCE_BYTES_CAP:
         raise ResourceLimitError(
             f"word distances over {nl} x {nr} elements would allocate about "
@@ -889,32 +901,26 @@ def _letters(pres, words, width):
     return out
 
 
-def _common_prefix_lengths(lefts, rights, width):
-    """Common prefix lengths, capped at width, of every left and right
-    word as an nl x nr array in `distance_dtype(width)`.
-
-    Equal prefixes share one id, so two words agree on their first k
-    letters exactly when their k-letter prefix ids match, and then on
-    every shorter prefix too: the common prefix length counts the depths
-    whose ids match.  A square call (`lefts is rights`) walks them once.
-    """
-    ids = {}
-
-    def prefix_ids(elements, pad):
-        out = np.full((width, len(elements)), pad, dtype=np.int64)
-        for j, g in enumerate(elements):
-            w = g.word
-            for k in range(min(len(w), width)):
-                out[k, j] = ids.setdefault(w[: k + 1], len(ids))
-        return out
-
-    pl = prefix_ids(lefts, -1)
-    pr = (np.where(pl == -1, -2, pl) if rights is lefts  # pads never match
-          else prefix_ids(rights, -2))                     # each other
-    lcp = np.zeros((len(lefts), len(rights)), dtype=distance_dtype(width))
+def _common_prefix_lengths(left, right):
+    """Common prefix lengths of the rows of the letter arrays left and
+    right (`_letters`), a (len(left), len(right)) array in `distance_dtype`
+    of the narrower width.  Each depth numbers the prefixes of both sides
+    by `np.unique` over the last depth's number and the next letter, so
+    the length counts the depths whose numbers match.  Padded rows are
+    numbered -1 on the left and -2 on the right, so padding matches
+    nothing."""
+    width = min(left.shape[1], right.shape[1])
+    lcp = np.zeros((len(left), len(right)), dtype=distance_dtype(width))
     hit = np.empty(lcp.shape, dtype=bool)
+    span = np.iinfo(left.dtype).max + 2
+    ids = np.zeros(len(left) + len(right), dtype=np.intp)
     for k in range(width):
-        np.equal(pl[k][:, None], pr[k][None, :], out=hit)
+        column = np.concatenate([left[:, k], right[:, k]])
+        _, ids = np.unique(ids * span + column, return_inverse=True)
+        pad = column < 0
+        ids[pad] = -1
+        pr = np.where(pad, -2, ids)[len(left):]
+        np.equal(ids[:len(left), None], pr[None, :], out=hit)
         lcp += hit
     return lcp
 
@@ -927,10 +933,10 @@ def _vectorized_lengths(pres, lefts, rights, lv, lx):
     The fast small-cancellation case finds the reduced words l^-1 r that
     hold a relator window (`_window_hits`); only those go to dehn_reduce.
     """
-    wl = max(1, int(lv.max()))
-    wr = max(1, int(lx.max()))
+    left = _letters(pres, [l.word for l in lefts], int(lv.max()))
+    right = _letters(pres, [r.word for r in rights], int(lx.max()))
     # cancellation at the l^-1 | r junction = common prefix of l and r
-    lcp = _common_prefix_lengths(lefts, rights, min(wl, wr))
+    lcp = _common_prefix_lengths(left, right)
     lens = np.add.outer(lv, lx)
     lens -= lcp
     lens -= lcp
@@ -941,9 +947,9 @@ def _vectorized_lengths(pres, lefts, rights, lv, lx):
     # r^-1 l is the inverse of l^-1 r, and the windows are closed under
     # inversion: the per-state table goes on the shorter list
     if len(rights) > len(lefts):
-        hits = _window_hits(pres, rights, lefts, lcp.T, lx).T
+        hits = _window_hits(pres, rights, left, lcp.T, lx).T
     else:
-        hits = _window_hits(pres, lefts, rights, lcp, lv)
+        hits = _window_hits(pres, lefts, right, lcp, lv)
     inv = pres.alphabet.inverse
     for i, j in np.argwhere(hits).tolist():
         c = int(lcp[i, j])
@@ -952,8 +958,9 @@ def _vectorized_lengths(pres, lefts, rights, lv, lx):
     return lens
 
 
-def _window_hits(pres, lefts, rights, lcp, lv):
-    """Whether each reduced word l^-1 r holds a relator window.
+def _window_hits(pres, lefts, right, lcp, lv):
+    """Whether each reduced word l^-1 r holds a relator window, for l of
+    lefts and r the rows of the letter array right.
 
     The walk of `_relator_windows` over l^-1 r factors at the junction:
     the state after the kept part of l^-1 depends on l and the common
@@ -965,26 +972,23 @@ def _window_hits(pres, lefts, rights, lcp, lv):
     table, accept = pres._relator_windows
     inv = pres.alphabet.inverse
     ia = _letters(pres, [_invert_word(inv, l.word) for l in lefts],
-                  max(1, int(lv.max())))
+                  int(lv.max()))
     # after[i, k]: the state after the first k letters of l_i^-1
-    after = np.zeros((len(lefts), ia.shape[1] + 1), dtype=table.dtype)
-    for t in range(ia.shape[1]):
-        after[:, t + 1] = table[after[:, t], ia[:, t]]
-    b = _letters(pres, [r.word for r in rights],
-                 max(1, max(len(r.word) for r in rights)))
+    after = np.stack(list(_walk(table, ia, np.zeros(len(lefts), table.dtype))),
+                     axis=1)
     # onward[j, c, q]: the state after r_j[c:] read from state q, built
     # from the end; the -1 padding resets only states that do not accept
     states = len(table)
-    onward = np.empty((len(rights), b.shape[1] + 1, states),
+    onward = np.empty((len(right), right.shape[1] + 1, states),
                       dtype=table.dtype)
     onward[:, -1] = np.arange(states)
-    for c in range(b.shape[1] - 1, -1, -1):
+    for c in range(right.shape[1] - 1, -1, -1):
         onward[:, c] = np.take_along_axis(onward[:, c + 1],
-                                          table[:, b[:, c]].T, axis=1)
+                                          table[:, right[:, c]].T, axis=1)
     # the kept part of l^-1 is its first |l| - c letters
     idx = (np.arange(len(lefts)) * after.shape[1] + lv)[:, None] - lcp
     joint = after.ravel()[idx]
-    np.add(np.arange(len(rights)) * onward.shape[1], lcp, out=idx)
+    np.add(np.arange(len(right)) * onward.shape[1], lcp, out=idx)
     idx *= states
     idx += joint
     return accept[onward.ravel()[idx]]

@@ -253,6 +253,85 @@ def test_ball_edges_are_the_products_by_one_letter(make, radius):
         list(range(len(ball)))]
 
 
+@pytest.mark.parametrize("make,radius", [
+    pytest.param(groups.modular_group, 6, id="modular-r6"),
+    pytest.param(lambda: groups.surface_group(2), 3, id="surface2-r3"),
+    pytest.param(lambda: groups.free_group(2), 4, id="free2-r4"),
+])
+def test_walk_steps_visit_every_prefix(make, radius):
+    # one walk from the identity keeps every step: step j of a word's
+    # trail is the position of its first j letters, and past the word's
+    # end the walk stays put
+    pres = make()
+    ball = groups.enumerate_ball(pres, radius)
+    words = [g.word for g in ball.elements]
+    trails = np.stack(list(ball._steps([0], words)), axis=-1)[0]
+    assert trails.tolist() == [
+        [ball.index[pres.normalize(w[:j])] for j in range(radius + 1)]
+        for w in words]
+
+
+@pytest.mark.parametrize("make,radius", [
+    pytest.param(lambda: groups.surface_group(2), 3, id="surface2-r3"),
+    pytest.param(lambda: groups.surface_group(3), 2, id="surface3-r2"),
+])
+def test_window_walk_states_match_the_scalar_walk(monkeypatch, make, radius):
+    # the relator-window walk over each l^-1 that bulk_product_lengths
+    # takes is the scalar walk over every prefix of l^-1
+    pres = make()
+    els = groups.enumerate_ball(pres, radius).elements
+    table, _ = pres._relator_windows
+    walk, walks = groups._walk, []
+
+    def kept(*args):
+        walks.append(list(walk(*args)))
+        return iter(walks[-1])
+    monkeypatch.setattr(groups, "_walk", kept)
+    groups.bulk_product_lengths(pres, els, els)
+    steps, = walks
+    for k, g in enumerate(els):
+        inverse = groups._invert_word(pres.alphabet.inverse, g.word)
+        assert [int(steps[j][k]) for j in range(len(g.word) + 1)] == [
+            groups._window_state(table, inverse[:j])
+            for j in range(len(g.word) + 1)]
+
+
+def _seeded_words(rng, letters, count, width):
+    # a few letters keep many common prefixes
+    return [tuple(rng.choice(letters) for _ in range(rng.randrange(width + 1)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("rank,letters,nl,nr,wl,wr", [
+    pytest.param(2, (0, 1, 3), 40, 30, 6, 3, id="unequal-widths"),
+    pytest.param(2, (0, 2), 30, 30, 4, 4, id="equal-widths"),
+    pytest.param(151, (7, 200, 301), 25, 20, 3, 5, id="302-symbols"),
+    pytest.param(2, (0, 1), 0, 5, 3, 3, id="no-left-rows"),
+    pytest.param(2, (0, 1), 6, 0, 3, 2, id="no-right-rows"),
+    pytest.param(2, (0, 1), 5, 7, 0, 3, id="width-0"),
+])
+def test_common_prefix_kernel_matches_the_scalar_oracle(rank, letters, nl, nr,
+                                                        wl, wr):
+    pres = groups.free_group(rank)
+    rng = random.Random(nl * 31 + nr)
+    lw = _seeded_words(rng, letters, nl, wl)
+    rw = _seeded_words(rng, letters, nr, wr)
+    left = groups._letters(pres, lw, wl)
+    right = groups._letters(pres, rw, wr)
+    assert left.dtype == (np.int16 if rank > 64 else np.int8)
+    lcp = groups._common_prefix_lengths(left, right)
+    assert lcp.shape == (nl, nr)
+    assert lcp.dtype == groups.distance_dtype(min(wl, wr))
+    assert lcp.tolist() == [[groups.common_prefix_len(u, w) for w in rw]
+                            for u in lw]
+    # padded on both sides, an equal word gives its own length, not the
+    # width, against the same array and against a copy
+    own = [len(u) for u in lw]
+    for other in (left, left.copy()):
+        assert np.diagonal(
+            groups._common_prefix_lengths(left, other)).tolist() == own
+
+
 def test_ball_edges_cost_no_normalization(monkeypatch):
     # the products enumeration forms anyway are the edges, and a canonical
     # word with no move window drops its last letter or gains one as it
@@ -549,6 +628,9 @@ def test_free_distance_matrix_peak_memory():
     pytest.param(groups.free_group(2), 6, 6, id="free2-r6"),
     pytest.param(groups.modular_group(), 12, 12, id="modular-r12"),
     pytest.param(groups.surface_group(2), 4, 3, id="surface2-r4xr3"),
+    # skinny calls: the per-word arrays outweigh the few pairs
+    pytest.param(groups.free_group(2), 6, 2, id="free2-r6xr2"),
+    pytest.param(groups.surface_group(2), 3, 1, id="surface2-r3xr1"),
 ])
 def test_distance_estimate_bounds_the_traced_peak(monkeypatch, pres, left,
                                                   right):

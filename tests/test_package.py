@@ -45,3 +45,29 @@ def _uncalled_definitions(package, root):
 
 def test_every_public_definition_has_a_caller():
     assert _uncalled_definitions(PACKAGE, ROOT) == []
+
+
+def _uncalled_private_definitions(package):
+    """Private top-level functions and methods of the package, dunders
+    aside, that no module of the package names."""
+    defined = []
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [tree] + [node for node in tree.body
+                           if isinstance(node, ast.ClassDef)]
+        defined += [node.name for scope in scopes for node in scope.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined
+    return [name for name in defined if name not in used]
+
+
+def test_every_private_definition_has_a_caller():
+    assert _uncalled_private_definitions(PACKAGE) == []

@@ -42,30 +42,30 @@ from .metrics import (
 )
 from .cocycles import (
     AffineActionReport,
+    CertificateBlock,
     LpNormReport,
     PairBand,
-    PropernessCertificate,
     affine_action_check,
     build_pair_band,
     cocycle_identity_scan,
+    cocycle_norms,
     critical_exponent_scan,
     haagerup_value,
-    lp_norm,
-    properness_check,
+    lp_norms,
+    properness_certificates,
 )
 from .boundary import (
     BoundaryMeasure,
     BoundaryPoint,
-    boundary_gromov,
+    action_law_scan,
     boundary_point,
-    busemann_boundary,
     busemann_on_word,
-    conformal_identity_check,
-    conformality_check,
+    conformal_identity_scan,
+    conformality_scan,
     fixed_points,
     reduced_words,
     seeded_family,
-    visual_distance,
+    visual_distances,
 )
 from .crossed import (
     CrossedElement,
@@ -90,14 +90,14 @@ __all__ = [
     "FOURPOINT_TOLERANCE", "FourPointReport", "GreenData", "MetricStructure",
     "check_strong_hyperbolicity", "four_point_min_rule_margin",
     "green_metric", "solve_green", "word_metric",
-    "AffineActionReport", "LpNormReport", "PairBand", "PropernessCertificate",
-    "affine_action_check", "build_pair_band",
-    "cocycle_identity_scan", "critical_exponent_scan", "haagerup_value",
-    "lp_norm", "properness_check",
-    "BoundaryMeasure", "BoundaryPoint", "boundary_gromov", "boundary_point",
-    "busemann_boundary", "busemann_on_word", "conformal_identity_check",
-    "conformality_check", "fixed_points", "reduced_words",
-    "seeded_family", "visual_distance",
+    "AffineActionReport", "CertificateBlock", "LpNormReport", "PairBand",
+    "affine_action_check", "build_pair_band", "cocycle_identity_scan",
+    "cocycle_norms", "critical_exponent_scan", "haagerup_value", "lp_norms",
+    "properness_certificates",
+    "BoundaryMeasure", "BoundaryPoint", "action_law_scan",
+    "boundary_point", "busemann_on_word", "conformal_identity_scan",
+    "conformality_scan", "fixed_points", "reduced_words", "seeded_family",
+    "visual_distances",
     "CrossedElement", "StepFunction", "apply_flow",
     "busemann_step", "kms_check", "kms_monomial_scan",
     "nonvanishing_certificate", "state_omega",

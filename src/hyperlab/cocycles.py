@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, InvariantViolation, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .groups import (GroupElement, bulk_product_lengths, enumerate_ball,
                      free_sphere_size)
 from .metrics import metric_distance_matrix
@@ -242,21 +242,6 @@ def lp_norms(band, g, grid):
     ) for p in grid]
 
 
-def lp_norm(band, g, p):
-    """Truncated sum of |c_g|^p over the band, with tail bound."""
-    return lp_norms(band, g, [p])[0]
-
-
-@dataclass
-class PropernessCertificate:
-    g: str
-    n: int
-    points: list            # partition parameters t_i
-    segment_values: list    # c_g along consecutive partition pairs
-    lower_bound: object
-    actual: object
-
-
 def _min_rule(params, targets):
     """Per row of params and target, the i that min(range(L), key=lambda
     i: (abs(params[i] - target), params[i])) picks: the first minimum of
@@ -270,11 +255,13 @@ def _min_rule(params, targets):
 @dataclass
 class CertificateBlock:
     """Row k: element k's partition count n, parameters (first n + 1) and
-    rises of c_g (first n; doubled if exact), norm, first failure or None."""
+    rises of c_g (first n; doubled if exact), norm, its certified lower
+    bound (K-2C)^p * n, first failure or None."""
     n: np.ndarray
     points: np.ndarray
     rises: np.ndarray
     actual: list
+    lower: list
     errors: list
 
 
@@ -342,36 +329,12 @@ def properness_certificates(band, gs, p):
             "too small")
     actual = _cocycle_norm(band, rows, p)
     unit_bound = _norm_unit_bound(band, p)
-    for k, a in enumerate(actual):
-        lower = unit_bound * int(n[k])
-        if errors[k] is None and not a >= lower:
-            errors[k] = f"truncated norm {a} below certificate bound {lower}"
+    lower = [unit_bound * k for k in n.tolist()]
+    for k, (a, b) in enumerate(zip(actual, lower)):
+        if errors[k] is None and not a >= b:
+            errors[k] = f"truncated norm {a} below certificate bound {b}"
     return CertificateBlock(n=n, points=points, rises=rises, actual=actual,
-                            errors=errors)
-
-
-def properness_check(band, g, p):
-    """The certificate of `properness_certificates` for one element;
-    InvariantViolation with the message of its first failed check."""
-    block = properness_certificates(band, [g], p)
-    n = int(block.n[0])
-    if g.is_identity():
-        return PropernessCertificate(
-            g=g.spelled(), n=0, points=[], segment_values=[],
-            lower_bound=0 * Fraction(band.K), actual=block.actual[0],
-        )
-    if block.errors[0] is not None:
-        raise InvariantViolation(block.errors[0])
-    rises = block.rises[0, :n].tolist()
-    return PropernessCertificate(
-        g=g.spelled(),
-        n=n,
-        points=block.points[0, :n + 1].tolist(),
-        segment_values=([Fraction(v, 2) for v in rises]
-                        if band.metric.exact else rises),
-        lower_bound=_norm_unit_bound(band, p) * n,
-        actual=block.actual[0],
-    )
+                            lower=lower, errors=errors)
 
 
 @dataclass

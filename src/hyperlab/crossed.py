@@ -25,7 +25,6 @@ from .boundary import (
     _check_reduced,
     _cylinder_mass,
     _require_free,
-    busemann_boundary,
     busemann_on_word,
     fixed_points,
     reduced_words,
@@ -446,8 +445,8 @@ def nonvanishing_certificate(ball):
         if g.is_identity():
             continue
         plus, minus, ell = fixed_points(g)
-        at_plus = busemann_boundary(g, plus)
-        at_minus = busemann_boundary(g, minus)
+        at_plus = busemann_on_word(g, plus.prefix(g.length()))
+        at_minus = busemann_on_word(g, minus.prefix(g.length()))
         growth = (g ** 4).length() - (g ** 3).length()
         ok = (at_plus == ell == growth and at_plus > 0 and at_minus == -at_plus)
         records.append(NonvanishingRecord(

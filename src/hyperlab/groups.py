@@ -32,17 +32,22 @@ DISTANCE_BYTES_CAP = 2 << 30
 # bytes a pair that bulk_product_lengths allocates at its peak, by kind,
 # for int8 distances (a wider `distance_dtype` scales them by at most its
 # itemsize), with 8 pairs a letter added for each word, at max |l| +
-# max |r| + 1 letters.  Under tracemalloc: 2.1-2.3 a pair on the free
-# prefix route (free:2 radius 6, free:3 radius 4), 12.9 on a first
-# free-product call (modular radius 12, 17.4 at 12 x 11; 1.3 after), up
-# to 14.2 on the small-cancellation window search, 2.9 on its scalar
-# route; 9.4 and 38 on skinny free:2 6 x 2 and surface:2 3 x 1 calls.
-# Each peak is at most 0.93 of its estimate from 130 words up
+# max |r| + 1 letters.  Under tracemalloc: 2.1-2.2 a pair on the free
+# prefix route (free:2 radius 6, free:3 radius 4), 11.1 on a first
+# free-product call (modular radius 12; 1.2 after), 3.0-3.7 on the
+# blocked small-cancellation window search over surface:2 4 x 3 and 4 x 4
+# (7.0 counting the canonical forms a first call caches) and up to 8.7
+# on a few 100,000 pairs (surface:2 3 x 3, surface:3 3 x 2); 9.4 and 38
+# on skinny free:2 6 x 2 and surface:2 3 x 1 calls.  Each peak is at
+# most 0.64 of its estimate
 PAIR_BYTES = {"free": 3, "free-product": 16, "small-cancellation": 16}
 # most words the small-cancellation canonical-form cache keeps; the
 # largest count measured, after `cocycle surface:2` at its default
-# radius, is 206,999
+# radius, is 207,268
 CANON_CACHE_ENTRIES = 1 << 18
+# pairs of one window-search block in `_window_hits`: its index and
+# state arrays stay at a few hundred KB whatever the call's size
+WINDOW_BLOCK_PAIRS = 1 << 16
 
 
 class Alphabet:
@@ -244,10 +249,15 @@ class GroupPresentation:
 
     @functools.cached_property
     def _move_windows(self):
-        """(table, accept) as plain lists, finding the subwords that
-        `_sc_moves` replaces: windows of ceil(len(rot)/2) letters.  A
-        reduced word whose walk ends outside `accept` has no move."""
-        table, accept = self._window_table(lambda n: (n + 1) // 2)
+        """(table, accept) finding the subwords that `_sc_moves` replaces:
+        windows of ceil(len(rot)/2) letters.  A reduced word whose walk
+        ends outside `accept` has no move."""
+        return self._window_table(lambda n: (n + 1) // 2)
+
+    @functools.cached_property
+    def _move_walk(self):
+        """`_move_windows` as plain lists, for walks one letter at a time."""
+        table, accept = self._move_windows
         return table.tolist(), accept.tolist()
 
     def _window_table(self, width):
@@ -423,7 +433,7 @@ class GroupPresentation:
         hit = self._canon_cache.get(word)
         if hit is not None:
             return hit
-        table, accept = self._move_windows
+        table, accept = self._move_walk
         if not accept[_window_state(table, word)]:
             return word
         seen = {word}
@@ -776,7 +786,7 @@ def enumerate_ball(pres, radius):
     inv = pres.alphabet.inverse
     sc = pres.kind == "small-cancellation"
     # other kinds have one state, which accepts: every product multiplies
-    table, accept = (pres._move_windows if sc
+    table, accept = (pres._move_walk if sc
                      else ([[0] * len(letters)], [True]))
     spheres = [[pres.identity]]
     states = [0]
@@ -845,15 +855,14 @@ def bulk_product_lengths(pres, lefts, rights):
 
     Free kinds reduce l^-1 r by cancelling the common prefix of l and r,
     so only prefix comparisons are needed.  Small-cancellation kinds
-    additionally need Dehn reduction; when every piece has length 1 and
-    every raw product is shorter than the relator, a Dehn-irreducible word
-    is geodesic, so a prefix-transition table, walked once over each l^-1
-    and tabulated from every state over each r (`_window_hits`), finds
-    those holding more than half a relator, and the scalar dehn_reduce
-    finishes just these.  Free
-    products and the remaining small-cancellation cases fall back to one
-    `left_quotient` call per pair, or per unordered pair when `lefts` and
-    `rights` are one list.  A call whose estimated allocation passes
+    whose pieces are single letters additionally walk a prefix-transition
+    table, once over each l^-1 and tabulated from every state over each r
+    (`_window_hits`), to find the products that hold a relator window
+    (all shorter than the relator) or a move window (past it); a scalar
+    dehn_reduce or normalize finishes just these.  Free products and the
+    remaining small-cancellation cases fall back to one `left_quotient`
+    call per pair, or per unordered pair when `lefts` and `rights` are
+    one list.  A call whose estimated allocation passes
     `DISTANCE_BYTES_CAP` raises ResourceLimitError before allocating.
     """
     nl, nr = len(lefts), len(rights)
@@ -926,12 +935,15 @@ def _common_prefix_lengths(left, right):
 
 
 def _vectorized_lengths(pres, lefts, rights, lv, lx):
-    """Vectorized |l^-1 r| for free and fast small-cancellation cases,
-    in the dtype of the word lengths lv and lx; None when the scalar
-    route is needed.
+    """Vectorized |l^-1 r| for free and small-cancellation kinds whose
+    pieces are single letters, in the dtype of the word lengths lv and
+    lx; None when the scalar route is needed.
 
-    The fast small-cancellation case finds the reduced words l^-1 r that
-    hold a relator window (`_window_hits`); only those go to dehn_reduce.
+    Small-cancellation kinds find the reduced words l^-1 r that hold a
+    window (`_window_hits`) and finish only those: when every product is
+    shorter than every relator, a Dehn-irreducible word is geodesic, so
+    relator windows go to dehn_reduce; past that, a word holding no move
+    window is its own normal form, so move windows go to normalize.
     """
     left = _letters(pres, [l.word for l in lefts], int(lv.max()))
     right = _letters(pres, [r.word for r in rights], int(lx.max()))
@@ -942,34 +954,42 @@ def _vectorized_lengths(pres, lefts, rights, lv, lx):
     lens -= lcp
     if pres.kind == "free":
         return lens
-    if pres._max_piece != 1 or int(lens.max()) >= pres._min_relator:
+    if pres._max_piece != 1:
         return None
+    windows, finish = ((pres._relator_windows, pres.dehn_reduce)
+                       if int(lens.max()) < pres._min_relator
+                       else (pres._move_windows, pres.normalize))
     # r^-1 l is the inverse of l^-1 r, and the windows are closed under
     # inversion: the per-state table goes on the shorter list
     if len(rights) > len(lefts):
-        hits = _window_hits(pres, rights, left, lcp.T, lx).T
+        js, hits = _window_hits(windows, pres, rights, left, lcp.T, lx)
     else:
-        hits = _window_hits(pres, lefts, right, lcp, lv)
+        hits, js = _window_hits(windows, pres, lefts, right, lcp, lv)
+    if lefts is rights:     # |l^-1 r| = |r^-1 l|: one word of each pair
+        hits, js = hits[hits <= js], js[hits <= js]
     inv = pres.alphabet.inverse
-    for i, j in np.argwhere(hits).tolist():
-        c = int(lcp[i, j])
+    for i, j, c in zip(hits.tolist(), js.tolist(), lcp[hits, js].tolist()):
         word = _invert_word(inv, lefts[i].word[c:]) + rights[j].word[c:]
-        lens[i, j] = len(pres.dehn_reduce(word))
+        lens[i, j] = len(finish(word))
+    if lefts is rights:
+        lens[js, hits] = lens[hits, js]
     return lens
 
 
-def _window_hits(pres, lefts, right, lcp, lv):
-    """Whether each reduced word l^-1 r holds a relator window, for l of
-    lefts and r the rows of the letter array right.
+def _window_hits(windows, pres, lefts, right, lcp, lv):
+    """Index arrays (i, j) of the reduced words l^-1 r that hold a window
+    of `windows`, a `_window_table` (table, accept), for l the i-th of
+    lefts and r row j of the letter array right.
 
-    The walk of `_relator_windows` over l^-1 r factors at the junction:
-    the state after the kept part of l^-1 depends on l and the common
-    prefix length c, the state after r[c:] on r, c and the state before
-    it.  One walk over each l^-1 and one table over every state, r and c
-    give these; one gather per pair joins them.  Accepting states absorb,
-    so the word holds a window exactly when the joined state accepts.
+    The walk over l^-1 r factors at the junction: the state after the
+    kept part of l^-1 depends on l and the common prefix length c, the
+    state after r[c:] on r, c and the state before it.  One walk over
+    each l^-1 and one table over every state, r and c give these; one
+    gather per pair joins them, for `WINDOW_BLOCK_PAIRS` pairs at a
+    time.  Accepting states absorb, so the word holds a window exactly
+    when the joined state accepts.
     """
-    table, accept = pres._relator_windows
+    table, accept = windows
     inv = pres.alphabet.inverse
     ia = _letters(pres, [_invert_word(inv, l.word) for l in lefts],
                   int(lv.max()))
@@ -985,13 +1005,19 @@ def _window_hits(pres, lefts, right, lcp, lv):
     for c in range(right.shape[1] - 1, -1, -1):
         onward[:, c] = np.take_along_axis(onward[:, c + 1],
                                           table[:, right[:, c]].T, axis=1)
-    # the kept part of l^-1 is its first |l| - c letters
-    idx = (np.arange(len(lefts)) * after.shape[1] + lv)[:, None] - lcp
-    joint = after.ravel()[idx]
-    np.add(np.arange(len(right)) * onward.shape[1], lcp, out=idx)
-    idx *= states
-    idx += joint
-    return accept[onward.ravel()[idx]]
+    onward = onward.reshape(len(right), -1)
+    rows = max(1, WINDOW_BLOCK_PAIRS // len(right))
+    found = []
+    for lo in range(0, len(lefts), rows):
+        c = lcp[lo:lo + rows].astype(np.intp)
+        # the kept part of l^-1 is its first |l| - c letters
+        joint = np.take_along_axis(after[lo:lo + rows],
+                                   lv[lo:lo + rows, None] - c, axis=1)
+        c *= states
+        c += joint
+        i, j = np.nonzero(accept[onward[np.arange(len(right)), c]])
+        found.append((i + lo, j))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 # -- presets and presentation files ------------------------------------

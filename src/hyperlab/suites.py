@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import boundary, cocycles, crossed, groups, metrics
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 
 SUITE_ORDER = ("strong-hyp", "green", "cocycle", "properness", "boundary", "kms")
 
@@ -297,12 +297,15 @@ def _suite_properness(pres, cfg, radius):
     checks = []
     if cfg.g is not None:
         g = pres.element(cfg.g)
-        cert = cocycles.properness_check(band, g, p)
+        block = cocycles.properness_certificates(band, [g], p)
+        if block.errors[0] is not None:
+            raise InvariantViolation(block.errors[0])
         checks.append(CheckResult(
             name="properness-certificate",
             passed=True,
-            details={"g": cert.g, "n": cert.n,
-                     "lower_bound": cert.lower_bound, "actual": cert.actual},
+            details={"g": g.spelled(), "n": int(block.n[0]),
+                     "lower_bound": block.lower[0],
+                     "actual": block.actual[0]},
         ))
         return settings, checks, None
     # margin = n - (d(e, g) - (K+C)) / K; on exact metrics it is kept as
@@ -362,16 +365,14 @@ def _suite_boundary(pres, cfg, radius):
         while eta == xi:
             eta = family[rng.randrange(len(family))]
         triples.append((g, xi, eta))
-    bad_ci = next(({"g": rep.g, "xi": xi.spelled(), "eta": eta.spelled(),
-                    "lhs": rep.lhs, "rhs": rep.rhs}
-                   for rep, (_, xi, eta) in zip(
-                       boundary.conformal_identity_scan(triples), triples)
-                   if not rep.ok), None)
+    identity = boundary.conformal_identity_scan(triples)
+    identity_bad = identity and dict(zip(("g", "xi", "eta", "lhs", "rhs"),
+                                         identity))
     checks.append(CheckResult(
         name="conformal-metric-identity",
-        passed=bad_ci is None,
+        passed=identity_bad is None,
         details={"triples": 200},
-        witness=bad_ci,
+        witness=identity_bad,
     ))
 
     small = groups.enumerate_ball(pres, min(2, radius))
@@ -394,8 +395,7 @@ def _suite_boundary(pres, cfg, radius):
     ))
 
     points = family[:30]
-    d = np.array([[boundary.visual_distance(x, y) for y in points]
-                  for x in points])
+    d = boundary.visual_distances(points)
     # gap[x, y, z] = d[x][y] - (d[x][z] + d[z][y])
     gap = d[:, None, :] + d.T[None, :, :]
     np.subtract(d[:, :, None], gap, out=gap)

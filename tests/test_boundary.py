@@ -464,6 +464,11 @@ def test_conformal_identity_scan_matches_the_scalar_route(monkeypatch, rank,
         g.spelled(), xi.spelled(), eta.spelled(), lhs, rhs - 1)
 
 
+def test_empty_inputs_give_empty_results():
+    assert boundary.conformal_identity_scan([]) is None
+    assert boundary.visual_distances([]).shape == (0, 0)
+
+
 def test_conformal_identity_rejects_equal_points(free2):
     xi = boundary.boundary_point(free2, "", "ab")
     with pytest.raises(InputError):

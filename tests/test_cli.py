@@ -456,6 +456,21 @@ def test_single_element_certificate_bytes_and_failure(tmp_path, capsys):
         "small\n")
 
 
+@pytest.mark.parametrize("args, bound", [
+    (("--group", "free:2"), "0/1"),
+    # a float (K-2C)^p still leaves the identity an exact 0
+    (("--group", "free:2", "--p", "2.5"), "0/1"),
+    (("--group", "modular", "--metric", "green", "--radius", "3", "--K",
+      "12"), 0),
+])
+def test_identity_certificate_lower_bound(tmp_path, args, bound):
+    code, payload = run_main(tmp_path, "check", "--suite", "properness",
+                             "--g", "1", *args)
+    assert code == 0
+    details = json.loads(payload)["reports"][0]["checks"][0]["details"]
+    assert (details["n"], details["lower_bound"]) == (0, bound)
+
+
 @pytest.mark.parametrize("args", [
     ("--suite", "all", "--group", "free:2", "--seed", "7"),
     ("--suite", "kms", "--group", "free:2", "--seed", "3", "--depth", "4"),

@@ -724,22 +724,25 @@ def test_free_distance_matrix_peak_memory():
     assert peak < 4 * n * n
 
 
-@pytest.mark.parametrize("pres, left, right", [
-    pytest.param(groups.free_group(2), 6, 6, id="free2-r6"),
-    pytest.param(groups.modular_group(), 12, 12, id="modular-r12"),
-    pytest.param(groups.surface_group(2), 4, 3, id="surface2-r4xr3"),
+@pytest.mark.parametrize("pres, left, right, shared", [
+    pytest.param(groups.free_group(2), 6, 6, False, id="free2-r6"),
+    pytest.param(groups.modular_group(), 12, 12, False, id="modular-r12"),
+    pytest.param(groups.surface_group(2), 4, 3, False, id="surface2-r4xr3"),
     # skinny calls: the per-word arrays outweigh the few pairs
-    pytest.param(groups.free_group(2), 6, 2, id="free2-r6xr2"),
-    pytest.param(groups.surface_group(2), 3, 1, id="surface2-r3xr1"),
-    # the move-window search over 10 million pairs, a block at a time
-    pytest.param(groups.surface_group(2), 4, 4, id="surface2-r4xr4"),
+    pytest.param(groups.free_group(2), 6, 2, False, id="free2-r6xr2"),
+    pytest.param(groups.surface_group(2), 3, 1, False, id="surface2-r3xr1"),
+    # one list on both sides: the square routes finish one word of each
+    # pair; on surface:2, the move-window search over 10 million pairs, a
+    # block at a time
+    pytest.param(groups.modular_group(), 12, 12, True,
+                 id="modular-r12-square"),
+    pytest.param(groups.surface_group(2), 4, 4, True, id="surface2-r4xr4"),
 ])
 def test_distance_estimate_bounds_the_traced_peak(monkeypatch, pres, left,
-                                                  right):
+                                                  right, shared):
     # a cap just under the traced peak must refuse the call up front
     lefts = groups.enumerate_ball(pres, left).elements
-    rights = lefts if left == right else groups.enumerate_ball(
-        pres, right).elements
+    rights = lefts if shared else groups.enumerate_ball(pres, right).elements
     if (pres.kind == "small-cancellation"
             and left + right >= pres._min_relator):
         # the canonical forms a first call caches (a bounded cache of

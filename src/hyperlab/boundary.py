@@ -238,9 +238,11 @@ def fixed_points(g):
 # (presentation, length) partitions kept by reduced_words; the free:2
 # depth-8 partition holds 8,748 words
 PARTITION_CACHE_SIZE = 64
-# translation maps kept by crossed.StepFunction, by (presentation, word
-# of g^-1, depth); each holds one position per word of the deeper
-# partition.  Refinement needs no map: it repeats values in place
+# preimage lists kept by crossed.StepFunction.translate, by (presentation,
+# word of g^-1, depth): one per cylinder of the partition, a range of
+# deeper positions once depth > |g|.  `kms free:3 --seed 3` keeps 63 in
+# about 0.6 MB (1.0 MB as the forward position maps they replaced).
+# Refinement needs none: position i maps to a run of deeper positions
 TRANSLATE_CACHE_SIZE = 128
 
 
@@ -260,8 +262,9 @@ def reduced_words(pres, length):
 
 
 # cylinder masses kept by (rank, length): `all free:2 --seed 7` asks
-# for 2,095 of them and finds 2,089 in the cache (about 1.7 ms of exact
-# arithmetic uncached); a conformality scan at depth n reads n masses
+# for 2,095 and keeps 6, `kms free:3 --seed 3` asks for 19,633 and keeps
+# 3 (about 1.5 and 14 ms of exact arithmetic uncached), nearly all for
+# the KMS binomials; a conformality scan at depth n reads n masses
 MASS_CACHE_SIZE = 64
 
 

@@ -155,7 +155,9 @@ def _cocycle_norm(band, rows, p):
                 acc = np.int32 if top * NORM_PAIR_CHUNK < 2 ** 31 else np.int64
             totals += ((mags.astype(acc) ** ip).sum(axis=0) if ip > 1
                        else mags.sum(axis=0, dtype=acc))
-        return [Fraction(int(t), 2 ** ip) for t in totals]
+        # one Fraction per distinct sum, shared by the rows that have it
+        halves = {t: Fraction(int(t), 2 ** ip) for t in set(totals.tolist())}
+        return [halves[t] for t in totals.tolist()]
     step = max(1, (1 << 16) // max(1, len(xi)))
     out = []
     for lo in range(0, len(rows), step):
@@ -329,9 +331,15 @@ def properness_certificates(band, gs, p):
             "too small")
     actual = _cocycle_norm(band, rows, p)
     unit_bound = _norm_unit_bound(band, p)
-    lower = [unit_bound * k for k in n.tolist()]
+    bounds = {k: unit_bound * k for k in set(n.tolist())}
+    lower = [bounds[k] for k in n.tolist()]
+    tested = {}
     for k, (a, b) in enumerate(zip(actual, lower)):
-        if errors[k] is None and not a >= b:
+        # each distinct exact norm, and each bound, is one object
+        key = id(a), id(b)
+        if key not in tested:
+            tested[key] = a >= b
+        if errors[k] is None and not tested[key]:
             errors[k] = f"truncated norm {a} below certificate bound {b}"
     return CertificateBlock(n=n, points=points, rises=rises, actual=actual,
                             lower=lower, errors=errors)

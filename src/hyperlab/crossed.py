@@ -1,18 +1,18 @@
 """Exact crossed-product algebra over the free-group boundary.
 
 Elements are finite sums of group terms with cylinder step-function
-coefficients.  A step function is the tuple of its values in the order
-of `reduced_words(pres, depth)`, so a cylinder's position is its key:
-refinement repeats each value, pointwise operations map over aligned
-tuples, and translation gathers through a cached position map.  Products,
+coefficients.  A step function is its support: the nonzero values keyed
+by position in `reduced_words(pres, depth)`.  Zeros are never stored, so
+no operation multiplies, tests or integrates them: refinement sends
+position i to the m positions i*m ... i*m + m - 1 of its extensions,
+products multiply only positions in both supports, and translation
+spreads each value over a cached list of preimage positions.  Products,
 adjoints, the modular flow at an exact rational lambda = e^(-beta), the
 canonical state, and KMS comparisons are all exact rational computations.
 """
 
 import functools
-import operator
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,59 +38,64 @@ def _cylinder_index(pres, depth):
 
 
 @functools.lru_cache(maxsize=TRANSLATE_CACHE_SIZE)
-def _translate_map(pres, h, depth):
-    """For each word w of the depth-(depth + |h|) partition, the position
-    of (hw)[:depth] in the depth-`depth` partition; one product per word."""
+def _preimages(pres, h, depth):
+    """For each position i of the depth-`depth` partition, the positions
+    of the depth-(depth + |h|) words w with (hw)[:depth] at i: where the
+    translate by h^-1 takes cylinder i's value.  One product per word.
+    When depth > |h| they are the cylinder over h^-1 u, u the i-th word,
+    so one run of positions, kept as a range."""
     index = _cylinder_index(pres, depth)
-    return tuple([index[pres.multiply(h, w)[:depth]]
-                  for w in reduced_words(pres, depth + len(h))])
+    lists = [[] for _ in index]
+    for j, w in enumerate(reduced_words(pres, depth + len(h))):
+        lists[index[pres.multiply(h, w)[:depth]]].append(j)
+    return tuple(range(js[0], js[-1] + 1) if js[-1] - js[0] < len(js)
+                 else tuple(js) for js in lists)
 
 
-def _times(x, y):
-    """x * y; a zero Fraction factor times a Fraction is returned as is,
-    with no Fraction arithmetic.  Other types multiply as Python does."""
-    if x.__class__ is Fraction and y.__class__ is Fraction:
-        if not x:
-            return x
-        if not y:
-            return y
-    return x * y
+def _ratio(pres, deep, shallow):
+    """How many depth-`deep` cylinders each depth-`shallow` one holds."""
+    return len(reduced_words(pres, deep)) // len(reduced_words(pres, shallow))
 
 
 class StepFunction:
-    """Locally constant function on the boundary, one value per cylinder
-    of a fixed-depth partition: `values[i]` is the value on the cylinder
-    over `reduced_words(pres, depth)[i]`."""
+    """Locally constant function on the boundary, constant on each
+    cylinder of a fixed-depth partition: `support[i]` is the nonzero
+    value on the cylinder over `reduced_words(pres, depth)[i]`, and every
+    cylinder missing from `support` carries zero."""
 
-    __slots__ = ("pres", "depth", "values")
+    __slots__ = ("pres", "depth", "support")
 
-    def __init__(self, pres, depth, values):
+    def __init__(self, pres, depth, support):
         _require_free(pres)
         if depth < 0:
             raise InputError("depth must be nonnegative")
-        if isinstance(values, Mapping):
+        size = len(reduced_words(pres, depth))
+        support = dict(support)
+        if not all(i.__class__ is int and 0 <= i < size for i in support):
             raise InputError(
-                "step function values are a sequence, one per cylinder in "
-                "reduced_words(pres, depth) order, not a mapping from words")
-        values = tuple(values)
-        if len(values) != len(reduced_words(pres, depth)):
-            raise InputError(
-                f"step function values must cover the depth-{depth} partition")
+                f"step function support is keyed by position 0..{size - 1} "
+                f"in reduced_words(pres, {depth}), not by word")
         self.pres = pres
         self.depth = depth
-        self.values = values
+        self.support = {i: v for i, v in support.items() if v}
+
+    @classmethod
+    def _of(cls, pres, depth, support):
+        """A step function on valid positions, with no zero value."""
+        phi = cls.__new__(cls)
+        phi.pres, phi.depth, phi.support = pres, depth, support
+        return phi
 
     @classmethod
     def constant(cls, pres, value):
-        return cls(pres, 0, (value,))
+        return cls(pres, 0, {0: value})
 
     @classmethod
     def indicator(cls, pres, word):
         word = pres.parse_word(word)
         _check_reduced(pres, word, "cylinder word")
-        values = [Fraction(0)] * len(reduced_words(pres, len(word)))
-        values[_cylinder_index(pres, len(word))[word]] = Fraction(1)
-        return cls(pres, len(word), values)
+        return cls._of(pres, len(word),
+                       {_cylinder_index(pres, len(word))[word]: Fraction(1)})
 
     def refine(self, depth):
         if depth < self.depth:
@@ -98,29 +103,43 @@ class StepFunction:
         if depth == self.depth:
             return self
         # the extensions of a word are contiguous and equally many in the
-        # deeper partition, so each value repeats in place
-        n = len(reduced_words(self.pres, depth)) // len(self.values)
-        return StepFunction(self.pres, depth,
-                            [v for v in self.values for _ in range(n)])
+        # deeper partition
+        m = _ratio(self.pres, depth, self.depth)
+        return StepFunction._of(self.pres, depth, {
+            j: v for i, v in self.support.items()
+            for j in range(i * m, i * m + m)})
 
-    def _binary(self, other, fn):
+    def _aligned(self, other):
         if not isinstance(other, StepFunction) or other.pres is not self.pres:
             raise InputError("operands live on different boundaries")
-        d = max(self.depth, other.depth)
-        return StepFunction(self.pres, d, map(fn, self.refine(d).values,
-                                              other.refine(d).values))
+        return max(self.depth, other.depth)
 
     def __add__(self, other):
-        return self._binary(other, operator.add)
+        d = self._aligned(other)
+        total = dict(self.refine(d).support)
+        for j, v in other.refine(d).support.items():
+            if j in total:
+                v = total.pop(j) + v
+                if not v:
+                    continue
+            total[j] = v
+        return StepFunction._of(self.pres, d, total)
 
     def __mul__(self, other):
-        if isinstance(other, StepFunction):
-            return self._binary(other, _times)
-        return self.scale(other)
+        if not isinstance(other, StepFunction):
+            return self.scale(other)
+        d = self._aligned(other)
+        # each value of the deeper factor meets the shallower factor's on
+        # the cylinder that holds it; products of exact nonzeros are nonzero
+        fine, coarse = (self, other) if self.depth == d else (other, self)
+        m, near = _ratio(self.pres, d, coarse.depth), coarse.support
+        return StepFunction._of(self.pres, d, {
+            j: v * near[j // m] for j, v in fine.support.items()
+            if j // m in near})
 
     def scale(self, scalar):
-        return StepFunction(self.pres, self.depth,
-                            [scalar * v for v in self.values])
+        return StepFunction._of(self.pres, self.depth, {
+            i: scalar * v for i, v in self.support.items()} if scalar else {})
 
     def translate(self, g):
         """Pushforward by g: the function xi -> value at g^-1 xi."""
@@ -128,21 +147,20 @@ class StepFunction:
             raise InputError("element lives in a different presentation")
         if g.is_identity() or self.depth == 0:
             return self
-        positions = _translate_map(self.pres, self.pres.invert(g.word),
-                                   self.depth)
-        return StepFunction(self.pres, self.depth + g.length(),
-                            map(self.values.__getitem__, positions))
+        preimages = _preimages(self.pres, self.pres.invert(g.word),
+                               self.depth)
+        return StepFunction._of(self.pres, self.depth + g.length(), {
+            j: v for i, v in self.support.items() for j in preimages[i]})
 
     def integral(self):
         """Exact integral against the presentation's boundary measure."""
-        # every cylinder of one depth has the same mass; zero cylinders add
-        # nothing to the exact sum, and the start keeps the Fraction type
-        # when every value is zero
+        # every cylinder of one depth has the same mass, and the start
+        # keeps the Fraction type when the support is empty
         mass = _cylinder_mass(BoundaryMeasure(self.pres).rank, self.depth)
-        return sum((mass * v for v in self.values if v), start=Fraction(0))
+        return mass * sum(self.support.values(), start=Fraction(0))
 
     def is_zero(self):
-        return not any(self.values)
+        return not self.support
 
     def __eq__(self, other):
         if not isinstance(other, StepFunction):
@@ -150,7 +168,7 @@ class StepFunction:
         if other.pres is not self.pres:
             return False
         d = max(self.depth, other.depth)
-        return self.refine(d).values == other.refine(d).values
+        return self.refine(d).support == other.refine(d).support
 
     def __hash__(self):
         raise TypeError("step functions are not hashable")
@@ -248,8 +266,8 @@ def cp_adjoint(a):
 def busemann_step(pres, g):
     """b(g) as an integer step function at depth |g|+1."""
     n = g.length()
-    return StepFunction(pres, n + 1, [busemann_on_word(g, w)
-                                      for w in reduced_words(pres, n + 1)])
+    return StepFunction(pres, n + 1, enumerate(
+        busemann_on_word(g, w) for w in reduced_words(pres, n + 1)))
 
 
 def _lambda_powers(lam, reach):
@@ -267,15 +285,19 @@ def _lambda_powers(lam, reach):
 def apply_flow(a, lam):
     """Flow automorphism at imaginary time i*beta, lam = e^(-beta) > 0 an
     int or Fraction: multiply the g term by the exact rational
-    lam^b(g) = e^(-beta b(g)), b the Busemann step function."""
+    lam^b(g) = e^(-beta b(g)), b the Busemann step function, read only at
+    the term's support positions (lam^b is 1 off b's own support)."""
     pres = a.pres
     powers = _lambda_powers(lam, max((g.length() for g in a.terms),
                                      default=0))
     terms = {}
     for g, phi in a.terms.items():
-        c = busemann_step(pres, g)
-        terms[g] = phi * StepFunction(pres, c.depth,
-                                      map(powers.__getitem__, c.values))
+        b = busemann_step(pres, g)
+        phi = phi.refine(max(phi.depth, b.depth))
+        m = _ratio(pres, phi.depth, b.depth)
+        terms[g] = StepFunction._of(pres, phi.depth, {
+            j: v * powers[b.support.get(j // m, 0)]
+            for j, v in phi.support.items()})
     return CrossedElement(pres, terms)
 
 
@@ -316,8 +338,9 @@ class KmsScanReport:
     crosschecked: int
     failures: tuple
     equal: bool
-    # (g, w, v, b, mass C_(g^-1 z), mass C_z) per meeting pair, in scan
-    # order: its KMS equation at any lam is lam^b * the first = the second
+    # (g, w, v, |g^-1 z|, |z|, b, mass C_(g^-1 z), mass C_z) per meeting
+    # pair, in scan order: its KMS equation at any lam is lam^b * the first
+    # mass = the second, and the three ints decide it
     binomials: tuple
 
     def failures_at(self, lam):
@@ -345,15 +368,21 @@ def _engine_check(g, w, v, lam, lhs, rhs):
 
 
 def _kms_failures(binomials, lam, reach):
-    """`KmsScanReport.failures_at` for binomials of a radius-reach ball."""
+    """`KmsScanReport.failures_at` for binomials of a radius-reach ball:
+    each distinct (|g^-1 z|, |z|, b) is decided once."""
     powers = _lambda_powers(lam, reach)
+    holds = {}
     failures = []
-    for g, w, v, b, below, rhs in binomials:
-        lhs = powers[b] * below
-        if lhs != rhs and len(failures) < KMS_WITNESSES:
+    for g, w, v, n_below, n_z, b, below, rhs in binomials:
+        if (n_below, n_z, b) not in holds:
+            holds[n_below, n_z, b] = powers[b] * below == rhs
+        if not holds[n_below, n_z, b]:
+            lhs = powers[b] * below
             _engine_check(g, w, v, lam, lhs, rhs)
             failures.append((g.spelled(), _spell(g.pres.alphabet, w),
                              _spell(g.pres.alphabet, v), lhs, rhs))
+            if len(failures) == KMS_WITNESSES:
+                break
     return tuple(failures)
 
 
@@ -391,13 +420,13 @@ def kms_monomial_scan(pres, radius, depth, lam, seed=0):
                           for hit in meets.get(w[:n], ()))
             for _, v, gv in hits:
                 z = gv if len(gv) >= depth else w    # the deeper cylinder
+                quotient = pres.left_quotient(g.word, z)
                 binomials.append((
-                    g, w, v, busemann_on_word(g, z),
-                    measure.word_mass(pres.left_quotient(g.word, z)),
-                    measure.word_mass(z)))
+                    g, w, v, len(quotient), len(z), busemann_on_word(g, z),
+                    measure.word_mass(quotient), measure.word_mass(z)))
     rng = random.Random(seed)
     sample = rng.sample(binomials, min(KMS_CROSSCHECKS, len(binomials)))
-    for g, w, v, b, below, rhs in sample:
+    for g, w, v, _, _, b, below, rhs in sample:
         _engine_check(g, w, v, lam, powers[b] * below, rhs)
     failures = _kms_failures(binomials, lam, radius)
     return KmsScanReport(

@@ -1,6 +1,7 @@
 """Reference routes that tests compare the library against."""
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -235,3 +236,107 @@ def random_small_cancellation(seed, generators, relators, lengths):
                                                    label=f"seed{seed}")
         except InputError:
             continue
+
+
+class DenseStep:
+    """Step function as the tuple of its values on every cylinder of
+    `reduced_words(pres, depth)`, zeros included: the reference for the
+    sparse `crossed.StepFunction`.  Refinement repeats values, operations
+    map over aligned tuples, and a translate reads the value at
+    normalize(g^-1 w)[:depth] for every deeper word w."""
+
+    def __init__(self, pres, depth, values):
+        self.pres, self.depth, self.values = pres, depth, tuple(values)
+
+    @classmethod
+    def of(cls, phi):
+        """The dense form of a sparse step function."""
+        size = len(boundary.reduced_words(phi.pres, phi.depth))
+        return cls(phi.pres, phi.depth,
+                   [phi.support.get(i, Fraction(0)) for i in range(size)])
+
+    def support(self):
+        return {i: v for i, v in enumerate(self.values) if v}
+
+    def refine(self, depth):
+        n = len(boundary.reduced_words(self.pres, depth)) // len(self.values)
+        return DenseStep(self.pres, depth,
+                         [v for v in self.values for _ in range(n)])
+
+    def _binary(self, other, fn):
+        d = max(self.depth, other.depth)
+        return DenseStep(self.pres, d, map(fn, self.refine(d).values,
+                                           other.refine(d).values))
+
+    def __add__(self, other):
+        return self._binary(other, operator.add)
+
+    def __mul__(self, other):
+        return self._binary(other, operator.mul)
+
+    def translate(self, g):
+        if g.is_identity() or self.depth == 0:
+            return self
+        pres, gi = self.pres, g.inverse().word
+        index = {w: i for i, w in
+                 enumerate(boundary.reduced_words(pres, self.depth))}
+        deeper = boundary.reduced_words(pres, self.depth + g.length())
+        return DenseStep(pres, self.depth + g.length(), [
+            self.values[index[pres.normalize(gi + w)[:self.depth]]]
+            for w in deeper])
+
+
+def dense_element(x):
+    """A crossed-product element's terms as dense step functions."""
+    return {g: DenseStep.of(phi) for g, phi in x.terms.items()}
+
+
+def _accumulate(out, g, phi):
+    out[g] = out[g] + phi if g in out else phi
+
+
+def dense_multiply(a, b):
+    """(phi g)(psi h) = phi (g.psi) gh over dense terms."""
+    out = {}
+    for g, phi in a.items():
+        for h, psi in b.items():
+            _accumulate(out, g * h, phi * psi.translate(g))
+    return out
+
+
+def dense_adjoint(a):
+    out = {}
+    for g, phi in a.items():
+        _accumulate(out, g.inverse(), phi.translate(g.inverse()))
+    return out
+
+
+def dense_flow(a, lam):
+    """Each g term times lam^b(g), with b(g) = |w| - |g^-1 w| on the
+    cylinder over each word w of length |g| + 1."""
+    out = {}
+    for g, phi in a.items():
+        pres, gi = g.pres, g.inverse().word
+        words = boundary.reduced_words(pres, g.length() + 1)
+        out[g] = phi * DenseStep(pres, g.length() + 1, [
+            Fraction(lam) ** (len(w) - len(pres.normalize(gi + w)))
+            for w in words])
+    return out
+
+
+def dense_state(a, pres):
+    """The identity term integrated against the uniform measure, each
+    depth-n cylinder weighing 1 / (number of depth-n cylinders)."""
+    phi = a.get(pres.identity)
+    if phi is None:
+        return Fraction(0)
+    return sum(phi.values, Fraction(0)) / len(phi.values)
+
+
+def same_element(x, dense):
+    """The sparse element x has exactly the dense terms that are not all
+    zero, each at the same depth with the same nonzero values."""
+    kept = {g: phi for g, phi in dense.items() if any(phi.values)}
+    return set(x.terms) == set(kept) and all(
+        (x.terms[g].depth, x.terms[g].support) == (phi.depth, phi.support())
+        for g, phi in kept.items())

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -436,6 +437,34 @@ def test_all_free2_certifies_the_ball_in_one_pass(tmp_path, monkeypatch):
     assert code == 0
     assert calls == {"properness_certificates": 1, "cocycle_norms": 3,
                      "lp_norms": 0}
+
+
+def test_properness_block_builds_fractions_per_distinct_value(
+        tmp_path, monkeypatch):
+    # a work count, not a timer: the ball's 1,456 norms take 6 distinct
+    # values, as do their partition counts; one Fraction norm and bound
+    # per element built 2,918 Fractions in the block, per value 18
+    made, inside = [0], [False]
+    real_new, certify = Fraction.__new__, cocycles.properness_certificates
+
+    def counted(cls, *args, **kwargs):
+        made[0] += inside[0]
+        return real_new(cls, *args, **kwargs)
+
+    def traced(*args):
+        inside[0] = True
+        try:
+            return certify(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(cocycles, "properness_certificates", traced)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    code, _ = run_main(tmp_path, "check", "--suite", "all", "--group",
+                       "free:2", "--seed", "7")
+    monkeypatch.undo()
+    assert code == 0
+    assert 0 < made[0] <= 32
 
 
 def test_single_element_certificate_bytes_and_failure(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from hyperlab import boundary, cli, crossed, groups
 from hyperlab.errors import InputError, InvariantViolation
-from oracles import busemann_boundary
+from oracles import (busemann_boundary, dense_adjoint, dense_element,
+                     dense_flow, dense_multiply, dense_state, same_element)
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +18,7 @@ def free2():
 def _value_at(phi, xi):
     """phi's value on the cylinder that holds the boundary point xi."""
     words = boundary.reduced_words(phi.pres, phi.depth)
-    return phi.values[words.index(xi.prefix(phi.depth))]
+    return phi.support.get(words.index(xi.prefix(phi.depth)), 0)
 
 
 @pytest.fixture(scope="module")
@@ -67,19 +69,25 @@ def test_step_function_algebra(free2):
     assert (f * Fraction(3)).integral() == Fraction(3, 4)
 
 
-def test_products_stay_dense_with_exact_zeros(free2):
-    prod = (crossed.StepFunction.indicator(free2, "a")
-            * crossed.StepFunction.indicator(free2, "bb"))
-    assert type(prod.values) is tuple
-    assert len(prod.values) == len(boundary.reduced_words(free2, 2))
-    assert all(type(v) is Fraction and v == 0 for v in prod.values)
+def test_products_keep_only_the_common_support(free2):
+    # disjoint cylinders multiply to the empty support: no zero is stored
+    ind = crossed.StepFunction.indicator(free2, "a")
+    prod = ind * crossed.StepFunction.indicator(free2, "bb")
+    assert prod.depth == 2
+    assert prod.support == {}
     assert prod.is_zero()
-    assert type(prod.integral()) is Fraction
-    # an integer factor still makes Fraction products, zeros included
-    a = free2.element("a")
-    mixed = crossed.busemann_step(free2, a) * crossed.StepFunction.indicator(
-        free2, "b")
-    assert all(type(v) is Fraction for v in mixed.values)
+    assert type(prod.integral()) is Fraction and prod.integral() == 0
+    # cancelling sums and a zero scalar leave no stored zero either
+    assert (ind + ind.scale(-1)).support == {}
+    assert ind.scale(Fraction(0)).support == {}
+    # b(a) is +1 on the depth-2 cylinders under C_a and -1 elsewhere; the
+    # product with 1_{C_b} keeps the four under C_b, as Fractions
+    b = free2.parse_word("b")[0]
+    step = crossed.busemann_step(free2, free2.element("a"))
+    mixed = step * crossed.StepFunction.indicator(free2, "b")
+    words = boundary.reduced_words(free2, 2)
+    assert mixed.support == {i: -1 for i, w in enumerate(words) if w[0] == b}
+    assert all(type(v) is Fraction for v in mixed.support.values())
 
 
 def test_step_function_translate(free2):
@@ -106,9 +114,10 @@ def test_translate_by_inverse_letter_spreads(free2):
 def test_translate_matches_the_product_formula(depth):
     # references: refine reads the value at w[:d], translate renormalizes
     # g^-1 w as a whole word and reads its prefix.  One function holds
-    # Fraction values with exact zeros, the other float values; every
-    # cylinder must carry the very object the reference names, in
-    # partition order, and a second (cached) call must agree.
+    # Fraction values on every other cylinder, the other float values on
+    # all but the first; each position of the result's support must carry
+    # the very object the reference names, no other position may be
+    # stored, and a second (cached) call must agree.
     # Refinement by repetition rests on that order being strictly
     # increasing.  Rank 4 translates by letters only, which
     # bounds the reference route's normalize calls
@@ -119,17 +128,24 @@ def test_translate_matches_the_product_formula(depth):
             partition = boundary.reduced_words(pres, n)
             assert all(u < v for u, v in zip(partition, partition[1:]))
         index = {w: i for i, w in enumerate(words)}
-        exact = crossed.StepFunction(pres, depth, [
-            Fraction(i) if i % 2 else Fraction(0) for i in range(len(words))])
-        floats = crossed.StepFunction(pres, depth, [
-            0.5 * i for i in range(len(words))])
+        exact = crossed.StepFunction(pres, depth, {
+            i: Fraction(i) for i in range(1, len(words), 2)})
+        floats = crossed.StepFunction(pres, depth, {
+            i: 0.5 * i for i in range(1, len(words))})
+
+        def carries(moved, phi, positions):
+            """moved stores phi's very value at position positions[j] on
+            each j that has one, and nothing else"""
+            want = {j: phi.support[i] for j, i in enumerate(positions)
+                    if i in phi.support}
+            return moved.support == want and all(
+                moved.support[j] is v for j, v in want.items())
+
         for phi in (exact, floats):
             for deeper in (depth + 1, depth + 2):
-                fine = phi.refine(deeper)
                 finer = boundary.reduced_words(pres, deeper)
-                assert len(fine.values) == len(finer)
-                assert all(v is phi.values[index[w[:depth]]]
-                           for w, v in zip(finer, fine.values))
+                assert carries(phi.refine(deeper), phi,
+                               [index[w[:depth]] for w in finer])
         for g in groups.enumerate_ball(pres, radius).elements[1:]:
             gi = g.inverse()
             deeper = boundary.reduced_words(pres, depth + g.length())
@@ -140,28 +156,68 @@ def test_translate_matches_the_product_formula(depth):
                     # a constant function is translation invariant
                     assert moved is phi
                     continue
-                assert len(moved.values) == len(deeper)
-                assert all(v is phi.values[index[w]]
-                           for v, w in zip(moved.values, expected))
-                assert phi.translate(g).values == moved.values
+                assert moved.depth == depth + g.length()
+                assert carries(moved, phi, [index[w] for w in expected])
+                assert phi.translate(g).support == moved.support
         assert all(type(v) is Fraction for v in exact.translate(
-            pres.element("a")).values)
+            pres.element("a")).support.values())
         assert all(type(v) is float for v in floats.translate(
-            pres.element("a")).values)
+            pres.element("a")).support.values())
 
 
 def test_step_function_values_are_positional(free2):
-    # a mapping from words is the old form; taking it as a sequence would
-    # read the words back as values
+    # the support is keyed by position in the partition; words, positions
+    # past its end and bools are refused rather than read
     words = boundary.reduced_words(free2, 1)
-    with pytest.raises(InputError, match="one per cylinder in "
-                                         r"reduced_words\(pres, depth\) "
-                                         "order"):
-        crossed.StepFunction(free2, 1, {w: Fraction(1) for w in words})
-    with pytest.raises(InputError, match="must cover the depth-1 partition"):
-        crossed.StepFunction(free2, 1, [Fraction(1)] * (len(words) - 1))
-    phi = crossed.StepFunction(free2, 1, iter([Fraction(1)] * len(words)))
-    assert phi.values == (Fraction(1),) * len(words)
+    for bad in ({w: Fraction(1) for w in words}, {len(words): Fraction(1)},
+                {True: Fraction(1)}):
+        with pytest.raises(InputError, match=r"keyed by position 0\.\.3 in "
+                                             r"reduced_words\(pres, 1\), not "
+                                             "by word"):
+            crossed.StepFunction(free2, 1, bad)
+    # pairs are accepted, and zeros are dropped
+    phi = crossed.StepFunction(free2, 1, iter([(0, Fraction(1)),
+                                               (2, Fraction(0))]))
+    assert phi.support == {0: Fraction(1)}
+    assert crossed.StepFunction.constant(free2, 0).support == {}
+
+
+@pytest.mark.parametrize("rank,radius", [(2, 2), (3, 1)])
+def test_sparse_engine_matches_the_dense_reference(rank, radius):
+    # seeded sums of up to three monomials, rational multiples of
+    # depth-1 and depth-2 cylinders: products, adjoints, flows at lam and
+    # lam^2 and states equal the dense engine's exactly, term by term
+    pres = groups.free_group(rank)
+    rng = random.Random(rank)
+    words = [w for d in (1, 2) for w in boundary.reduced_words(pres, d)]
+    els = groups.enumerate_ball(pres, radius).elements
+    lam = Fraction(1, 2 * rank - 1)
+
+    def random_sum():
+        x = crossed.CrossedElement(pres, {})
+        for _ in range(rng.randint(1, 3)):
+            phi = crossed.StepFunction.indicator(pres, rng.choice(words))
+            x = x + crossed.CrossedElement.monomial(
+                pres, phi.scale(Fraction(rng.choice((-2, -1, 1, 3)),
+                                         rng.randint(1, 3))),
+                rng.choice(els))
+        return x
+
+    for _ in range(12):
+        x, y = random_sum(), random_sum()
+        dx, dy = dense_element(x), dense_element(y)
+        assert same_element(x, dx)
+        xy, dxy = x * y, dense_multiply(dx, dy)
+        assert same_element(xy, dxy)
+        assert same_element(x.adjoint(), dense_adjoint(dx))
+        for at in (lam, lam ** 2):
+            assert same_element(crossed.apply_flow(xy, at),
+                                dense_flow(dxy, at))
+            assert crossed.state_omega(y * crossed.apply_flow(x, at)) == \
+                dense_state(dense_multiply(dy, dense_flow(dx, at)), pres)
+        assert crossed.state_omega(xy) == dense_state(dxy, pres)
+        assert crossed.state_omega(x.adjoint() * x) == dense_state(
+            dense_multiply(dense_adjoint(dx), dx), pres)
 
 
 def test_worked_product_is_deeper_indicator(free2, worked_pair):
@@ -232,8 +288,8 @@ def test_flow_at_dimension_beta(free2, worked_pair):
     flowed = crossed.apply_flow(A, Fraction(1, 3))
     ((g, phi),) = list(flowed.terms.items())
     assert g == free2.element("a")
-    masses = {_raw_spell(free2, w): v for w, v in zip(
-        boundary.reduced_words(free2, phi.depth), phi.values)}
+    masses = {_raw_spell(free2, w): phi.support.get(i, 0) for i, w in
+              enumerate(boundary.reduced_words(free2, phi.depth))}
     assert masses["aa"] == Fraction(1, 3)
     assert masses["ab"] == Fraction(1, 3)
     assert masses["ab'"] == Fraction(1, 3)
@@ -430,10 +486,29 @@ def test_kms_suite_enumerates_each_partition_once(tmp_path):
     assert info.hits > info.misses
 
 
+def test_kms_suite_tests_few_fractions_for_zero(tmp_path, monkeypatch):
+    # a work count, not a timer: the dense engine tested 236,967 Fraction
+    # values for zero on this run, the support-based one 55
+    tests = []
+    real = Fraction.__bool__
+
+    def counted(self):
+        tests.append(None)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__bool__", counted)
+    code = cli.main(["check", "--suite", "kms", "--group", "free:2",
+                     "--seed", "3", "--depth", "4",
+                     "--out", str(tmp_path / "report.json")])
+    monkeypatch.undo()
+    assert code == 0
+    assert len(tests) <= 10_000
+
+
 def test_cylinder_caches_are_bounded(tmp_path):
     caches = [
         (crossed._cylinder_index, boundary.PARTITION_CACHE_SIZE),
-        (crossed._translate_map, boundary.TRANSLATE_CACHE_SIZE),
+        (crossed._preimages, boundary.TRANSLATE_CACHE_SIZE),
         (boundary._cylinder_mass, boundary.MASS_CACHE_SIZE),
     ]
     code = cli.main(["check", "--suite", "kms", "--group", "free:3",

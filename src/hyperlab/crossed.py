@@ -278,7 +278,13 @@ def _lambda_powers(lam, reach):
         raise InputError(
             f"lambda = e^(-beta) must be a positive int or Fraction, got "
             f"{lam!r}")
-    lam = Fraction(lam)
+    return _power_table(Fraction(lam), reach)
+
+
+@functools.lru_cache(maxsize=PARTITION_CACHE_SIZE)
+def _power_table(lam, reach):
+    """`_lambda_powers` of a Fraction, built once per (lam, reach), of
+    which a run reads a few per depth, and shared: callers only read it."""
     return {b: lam ** b for b in range(-reach, reach + 1)}
 
 

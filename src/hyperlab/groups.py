@@ -38,9 +38,15 @@ DISTANCE_BYTES_CAP = 2 << 30
 # 2.9-4.9 on the small-cancellation window search over surface:2 4 x 3
 # and 4 x 4 (the most on a first call, with the canonical forms it
 # caches), 8.8 over 3 x 3; 9.4 and 38 on skinny free:2 6 x 2 and
-# surface:2 3 x 1 calls.  From 130 words up each peak is at most 0.64 of
-# its estimate
+# surface:2 3 x 1 calls.  With `CALL_BYTES`, every call within free:2
+# radius 6, free:3 4, free:4 3, modular 8, surface:2 3 and surface:3 2
+# (both sides, warm) peaks at most 0.85 of its estimate
 PAIR_BYTES = {"free": 3, "free-product": 16, "small-cancellation": 16}
+# bytes any bulk_product_lengths call may add to its pair term: numpy
+# buffers 8192 entries of each intp operand of a broadcast comparison,
+# and np.unique a few KB.  Traced calls peak up to 92 KB past the pair
+# term (free:2 4 x 3)
+CALL_BYTES = 1 << 17
 # most words the small-cancellation canonical-form cache keeps; the
 # largest count measured, after `cocycle surface:2` at its default
 # radius, is 207,268
@@ -664,9 +670,10 @@ class Ball:
     Cayley `edges`, filled in by `enumerate_ball`: `edges[s, i]` is the
     position of element i times letter s, for every element i inside the
     outer sphere; the word `distances`, filled in by
-    `metrics.word_distance_matrix`; and the `representatives` of the
-    basepoint orbits under the symmetries that keep those distances,
-    filled in by `metrics`.
+    `metrics.word_distance_matrix`; and the `representatives`, filled in
+    by `metrics._orbit_labels`: under the symmetries that keep those
+    distances, one basepoint per orbit, each mapped to the labels of the
+    x rows at it, one least x per orbit of the symmetries fixing it.
     """
 
     __slots__ = ("pres", "radius", "spheres", "elements", "index", "lengths",
@@ -869,7 +876,7 @@ def bulk_product_lengths(pres, lefts, rights):
         return np.zeros((nl, nr), dtype=dtype)
     # a word's arrays count as 8 pairs a letter (see PAIR_BYTES)
     need = ((nl * nr + 8 * (nl + nr) * (top + 1))
-            * PAIR_BYTES[pres.kind] * dtype.itemsize)
+            * PAIR_BYTES[pres.kind] * dtype.itemsize + CALL_BYTES)
     if need > DISTANCE_BYTES_CAP:
         raise ResourceLimitError(
             f"word distances over {nl} x {nr} elements would allocate about "

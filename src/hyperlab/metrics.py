@@ -26,13 +26,14 @@ from .errors import InputError, NumericError, ResourceLimitError
 from .groups import bulk_product_lengths, distance_dtype, enumerate_ball
 
 FOURPOINT_TOLERANCE = 1e-9
-# most quadruples an exhaustive four-point scan computes (basepoint
-# representatives x n^3); a larger ball is sampled instead
+# most quadruples an exhaustive four-point scan is charged (basepoint
+# representatives x n^3, not its rows); a larger ball is sampled instead
 QUADRUPLE_CAP = 1_200_000_000
 # quadruples a sampled four-point scan draws
 FOURPOINT_SAMPLES = 200_000
-# most (x, y, z) triples, summed over basepoints, the min-rule oracle scans:
-# above free:2 radius 6 (2.2e10), below free:4 radius 4 (1.6e11)
+# most (x, y, z) triples the min-rule oracle is charged (representatives x
+# n^3, not its rows): above free:2 radius 6 (2.2e10), below free:4 radius
+# 4 (1.6e11)
 MIN_RULE_TRIPLE_CAP = 100_000_000_000
 # the table iteration stops once no first-passage value moves this much
 GREEN_ITERATION_STOP = 1e-12
@@ -274,41 +275,65 @@ def _narrow(dist):
     return dist.astype(distance_dtype(int(dist.max())), copy=False)
 
 
-def _basepoint_representatives(ball, d):
-    """Least index of each orbit of the ball's basepoints, ascending.
+def _least_in_orbit(n, blocks):
+    """Least point of each point's orbit under the permutations in the
+    (k, n) arrays that `blocks()` yields: each pass moves every label to
+    the least label one step along each permutation, then to its label's
+    label, until a pass changes nothing."""
+    labels = np.arange(n, dtype=np.min_scalar_type(n))
+    while True:
+        before = labels
+        for block in blocks():
+            labels = np.minimum(labels, labels[block].min(axis=0, initial=n))
+            labels = labels[labels]
+        if np.array_equal(labels, before):
+            return labels
 
-    The orbits are those of the ball's `symmetries` that leave the matrix
-    `d` unchanged bit for bit; any other permutation is dropped.  A
-    four-point scan at an image basepoint sees the same table with rows
-    and columns permuted, so it finds the same maximum, and the least
-    index of an orbit is the first basepoint of that orbit in a full
-    scan.  The orbits of the ball's own word distances are sought once
-    and kept on the ball, where the float scan and the min-rule oracle
-    both read them.
+
+def _least_points(labels):
+    """The points that are their own label: one per orbit, ascending."""
+    return np.flatnonzero(labels == np.arange(len(labels)))
+
+
+def _orbit_labels(ball, d):
+    """Map each basepoint representative o, ascending, to labels of the
+    x rows at o: the least point of x's orbit under symmetries fixing o.
+
+    Only the ball's `symmetries` that leave `d` unchanged bit for bit are
+    kept.  The representatives are the `_least_points` of their orbits;
+    at o the orbits are those of the kept generators fixing o and of the
+    conjugates s^-1 t s, s moving o and t fixing s(o).  All of these fix
+    o and keep `d`, and a subgroup of the stabilizer only has finer
+    orbits, so a scan over the `_least_points` at each o finds the
+    maximum and the lex-first maximizer of a full scan.  The orbits of
+    the ball's own word distances are sought once and kept on
+    `Ball.representatives`, for the float scan and the min-rule oracle.
     """
     own = d is not None and d is ball.distances
     if own:
         if ball.representatives is not None:
             return ball.representatives
         d = _narrow(d)      # the same equalities in fewer bytes
-    root = list(range(len(ball)))
+    n = len(ball)
+    dtype = np.min_scalar_type(n)
+    imgs = (np.array(img, dtype=dtype) for img in ball.symmetries())
+    gens = np.array([g for g in imgs if np.array_equal(
+        d.take(g, 0).take(g, 1), d)], dtype=dtype).reshape(-1, n)
+    undo = np.argsort(gens, axis=1).astype(dtype)
+    base = _least_in_orbit(n, lambda: [gens])
 
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
+    def stabilizer(o):
+        # one conjugate block per s, built on the fly: O(|gens| n) bytes
+        yield gens[gens[:, o] == o]
+        for s, s_inv in zip(gens, undo):
+            if s[o] != o:
+                yield s_inv[gens[gens[:, s[o]] == s[o]][:, s]]
 
-    for img in ball.symmetries():
-        if not np.array_equal(d.take(img, 0).take(img, 1), d):
-            continue
-        for i, j in enumerate(img):
-            a, b = find(i), find(j)
-            root[max(a, b)] = min(a, b)
-    reps = [i for i in range(len(root)) if find(i) == i]
+    orbits = {int(o): _least_in_orbit(n, lambda: stabilizer(o))
+              for o in _least_points(base)}
     if own:
-        ball.representatives = reps
-    return reps
+        ball.representatives = orbits
+    return orbits
 
 
 @dataclass
@@ -325,25 +350,26 @@ class FourPointReport:
 def check_strong_hyperbolicity(metric, ball, seed=0):
     """Scan four-point defects over a ball.
 
-    The scan covers every (basepoint, x, y, z) quadruple, one basepoint
-    per symmetry orbit (`_basepoint_representatives`), when those
-    representatives x n^3 quadruples are at most `QUADRUPLE_CAP`; it is
-    then "exhaustive".  Otherwise it is "sampled": `FOURPOINT_SAMPLES`
-    quadruples drawn with a generator seeded by `seed`.  The reported
-    defect clamps at zero; the signed maximum is kept in `raw`.
+    The scan covers all n^4 (basepoint, x, y, z) quadruples up to
+    symmetry (`_orbit_labels`): one basepoint per orbit and, at each,
+    one x row per orbit of the symmetries fixing it.  It is "exhaustive"
+    when representatives x n^3 quadruples are at most `QUADRUPLE_CAP`.
+    Otherwise it is "sampled": `FOURPOINT_SAMPLES` quadruples drawn with
+    a generator seeded by `seed`.  The reported defect clamps at zero;
+    the signed maximum is kept in `raw`.
     """
     d = metric_distance_matrix(metric, ball)
     n = d.shape[0]
     els = ball.elements
-    reps = _basepoint_representatives(ball, d)
-    if len(reps) * n ** 3 <= QUADRUPLE_CAP:
+    orbits = _orbit_labels(ball, d)
+    if len(orbits) * n ** 3 <= QUADRUPLE_CAP:
         mode = "exhaustive"
         best = -math.inf
         at = None
-        for o in reps:
+        for o, labels in orbits.items():
             two_g = d[o][:, None] + d[o][None, :] - d
             e = np.ascontiguousarray(np.exp(-0.5 * two_g))
-            r, x, y, z = kernels.fourpoint_scan(e)
+            r, x, y, z = kernels.fourpoint_scan(e, _least_points(labels))
             if r > best:
                 best = r
                 at = (x, y, z, o)
@@ -375,20 +401,22 @@ def check_strong_hyperbolicity(metric, ball, seed=0):
     )
 
 
-def _min_rule_margin(g):
-    """min over x, y of g[x,y] - max_z min(g[x,z], g[z,y]), in g's dtype.
+def _min_rule_margin(g, rows=None):
+    """min over x in `rows` (every row by default) and y of
+    g[x,y] - max_z min(g[x,z], g[z,y]), in g's dtype.
 
-    One x row at a time, so the working memory is two more n x n
-    buffers of g's dtype.  g must be nonnegative, so that every
+    One x row at a time, so the working memory is one more n x n
+    buffer of g's dtype.  g must be nonnegative, so that every
     difference of two entries fits that dtype.
     """
     s = np.empty_like(g)
-    best = np.empty_like(g)
-    for x in range(len(g)):
+    best = np.empty_like(g[0])
+    margins = []
+    for x in range(len(g)) if rows is None else rows:
         np.minimum(g[x][:, None], g, out=s)
-        s.max(axis=0, out=best[x])
-    np.subtract(g, best, out=best)
-    return int(best.min())
+        s.max(axis=0, out=best)
+        margins.append(int(np.subtract(g[x], best, out=best).min()))
+    return min(margins)
 
 
 def _refuse_min_rule_scan(basepoints, n, bound=""):
@@ -406,8 +434,9 @@ def four_point_min_rule_margin(ball):
     Works on doubled Gromov products so everything stays integral.  A
     nonnegative margin proves the float four-point defect clamps to zero
     exactly: the exponential of the smaller product dominates one of the
-    two right-hand terms bit for bit.  One basepoint per symmetry orbit
-    is scanned, as in `check_strong_hyperbolicity`, in O(n^2) working
+    two right-hand terms bit for bit.  One basepoint per symmetry orbit,
+    and at each one x row per orbit of the symmetries that fix it, is
+    scanned, as in `check_strong_hyperbolicity`, in O(n^2) working
     memory per basepoint: the doubled products lie in [0, 2 max d] and
     are stored in the narrowest signed dtype that holds that bound (int8
     on every preset ball).  More than `MIN_RULE_TRIPLE_CAP` triples
@@ -419,15 +448,15 @@ def four_point_min_rule_margin(ball):
     n = len(ball)
     _refuse_min_rule_scan(sum(1 for s in ball.spheres if s), n, "at least ")
     dist = word_distance_matrix(ball)
-    reps = _basepoint_representatives(ball, dist)
+    orbits = _orbit_labels(ball, dist)
     d = _narrow(dist)
-    _refuse_min_rule_scan(len(reps), n)
+    _refuse_min_rule_scan(len(orbits), n)
     g = np.empty_like(d)
     worst = None
-    for o in reps:
+    for o, labels in orbits.items():
         np.add(d[o][:, None], d[o], out=g)
         g -= d
-        margin = _min_rule_margin(g)
+        margin = _min_rule_margin(g, _least_points(labels))
         if worst is None or margin < worst:
             worst = margin
     return worst

@@ -6,6 +6,7 @@ import pytest
 
 from hyperlab import boundary, cli, crossed, groups
 from hyperlab.errors import InputError, InvariantViolation
+from hyperlab.suites import ScenarioConfig, run_scenario
 from oracles import (busemann_boundary, dense_adjoint, dense_element,
                      dense_flow, dense_multiply, dense_state, same_element)
 
@@ -307,6 +308,15 @@ def test_flow_rejects_a_lambda_that_is_not_a_positive_rational(
         crossed.apply_flow(A, lam)
     with pytest.raises(InputError, match="positive int or Fraction"):
         crossed.kms_monomial_scan(free2, 2, 3, lam)
+
+
+def test_lambda_power_tables_are_built_once():
+    # the kms suite on free:2 reads 89 power tables, at 5 distinct
+    # (lam, reach): lam = 1/3 at reach 0, 1, 2 and its square at 1, 2
+    crossed._power_table.cache_clear()
+    run_scenario(ScenarioConfig(suite="kms", group="free:2", seed=7))
+    info = crossed._power_table.cache_info()
+    assert (info.misses, info.hits + info.misses) == (5, 89)
 
 
 def test_flow_at_zero_is_identity(free2, worked_pair):

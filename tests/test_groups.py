@@ -731,6 +731,10 @@ def test_free_distance_matrix_peak_memory():
     # skinny calls: the per-word arrays outweigh the few pairs
     pytest.param(groups.free_group(2), 6, 2, False, id="free2-r6xr2"),
     pytest.param(groups.surface_group(2), 3, 1, False, id="surface2-r3xr1"),
+    # calls of a few dozen words: numpy's fixed buffers (CALL_BYTES)
+    # outweigh the pairs
+    pytest.param(groups.surface_group(2), 1, 1, False, id="surface2-r1xr1"),
+    pytest.param(groups.free_group(2), 1, 1, False, id="free2-r1xr1"),
     # one list on both sides: the square routes finish one word of each
     # pair; on surface:2, the move-window search over 10 million pairs, a
     # block at a time

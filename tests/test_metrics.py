@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperlab import cocycles, groups, metrics
+from hyperlab import cocycles, groups, kernels, metrics
 from hyperlab.errors import InputError, ResourceLimitError
 from hyperlab.suites import ScenarioConfig, run_scenario
 
@@ -73,7 +73,7 @@ def _cube_margin(g):
 def _cube_oracle(ball):
     dist = metrics.word_distance_matrix(ball)
     return min(_cube_margin(dist[o][:, None] + dist[o][None, :] - dist)
-               for o in metrics._basepoint_representatives(ball, dist))
+               for o in metrics._orbit_labels(ball, dist))
 
 
 @pytest.mark.parametrize("make,radius,margin", [
@@ -101,9 +101,9 @@ def test_min_rule_margin_past_int8(monkeypatch):
     seen = []
     scan = metrics._min_rule_margin
 
-    def recorded(g):
+    def recorded(g, rows):
         seen.append(g.dtype)
-        return scan(g)
+        return scan(g, rows)
 
     monkeypatch.setattr(metrics, "_min_rule_margin", recorded)
     for pres, margin in [(groups.free_group(2), 0),
@@ -226,7 +226,7 @@ def test_orbit_reduced_scans_equal_the_full_scan(monkeypatch, make, radius,
     # with no symmetries at all every basepoint is scanned; a new ball
     # keeps no orbits from the reduced scans
     monkeypatch.setattr(groups.Ball, "symmetries", lambda self: iter(()))
-    assert metrics._basepoint_representatives(ball, None) == list(
+    assert list(metrics._orbit_labels(ball, None)) == list(
         range(len(ball)))
     ball = groups.enumerate_ball(pres, radius)
     full = (metrics.check_strong_hyperbolicity(metric, ball),
@@ -245,7 +245,7 @@ def test_basepoint_representatives(make, radius, kind, count):
     pres = make()
     ball = groups.enumerate_ball(pres, radius)
     d = metrics.metric_distance_matrix(_metric(pres, kind, radius), ball)
-    reps = metrics._basepoint_representatives(ball, d)
+    reps = list(metrics._orbit_labels(ball, d))
     assert len(reps) == count
     assert reps == sorted(reps)
 
@@ -292,12 +292,65 @@ def test_ball_symmetries_are_isometries(make, radius):
     (2, r) for r in range(1, 6)] + [(3, r) for r in range(1, 4)])
 def test_free_representatives_are_the_first_of_each_sphere(rank, radius):
     ball = groups.enumerate_ball(groups.free_group(rank), radius)
-    reps = metrics._basepoint_representatives(
-        ball, metrics.word_distance_matrix(ball))
+    orbits = metrics._orbit_labels(ball, metrics.word_distance_matrix(ball))
+    reps = list(orbits)
     starts = np.cumsum([0] + ball.sphere_sizes()[:-1]).tolist()
     assert reps == starts
     assert [ball.elements[i].word for i in reps] == [
         (0,) * k for k in range(radius + 1)]
+    # at o = a^m a symmetry fixing o keeps |x| and lcp(o, x), and each
+    # (|x|, lcp) pair is one orbit: min(m, l) + 1 rows on sphere l
+    assert [len(metrics._least_points(labels))
+            for labels in orbits.values()] == [
+        sum(min(m, l) + 1 for l in range(radius + 1))
+        for m in range(radius + 1)]
+
+
+@pytest.mark.parametrize("make,radius", [
+    (lambda: groups.free_group(2), 4),
+    (groups.modular_group, 6),
+    (lambda: groups.cyclic_free_product([4, 4]), 3),
+    (lambda: groups.surface_group(2), 2),
+])
+def test_row_labels_are_closed_under_the_stabilizer(make, radius):
+    # every kept symmetry fixing o, and every product of two kept
+    # symmetries that fixes o, maps x to a point with x's label; a label
+    # is a point in x's orbit, so it has x's distance to o
+    ball = groups.enumerate_ball(make(), radius)
+    d = metrics.word_distance_matrix(ball)
+    orbits = metrics._orbit_labels(ball, d)
+    kept = [np.array(img) for img in ball.symmetries()
+            if np.array_equal(d[img][:, img], d)]
+    maps = kept + [s[t] for s in kept for t in kept]
+    for o, labels in orbits.items():
+        assert np.array_equal(d[o][labels], d[o])
+        for img in maps:
+            if img[o] == o:
+                assert np.array_equal(labels[img], labels)
+
+
+def test_strong_hyp_scans_one_row_per_stabilizer_orbit(monkeypatch):
+    # free:2 radius 4: 5 basepoints x 161 rows in a full scan, and
+    # 5 + 9 + 12 + 14 + 15 = 55 rows up to symmetries that fix o
+    filled, reduced = [], []
+    scan, margin = kernels.fourpoint_scan, metrics._min_rule_margin
+
+    # a call without rows takes every row
+    def scan_rows(e, *rows):
+        filled.append(len(rows[0] if rows else e))
+        return scan(e, *rows)
+
+    def margin_rows(g, *rows):
+        reduced.append(len(rows[0] if rows else g))
+        return margin(g, *rows)
+
+    monkeypatch.setattr(kernels, "fourpoint_scan", scan_rows)
+    monkeypatch.setattr(metrics, "_min_rule_margin", margin_rows)
+    reports = run_scenario(ScenarioConfig(suite="strong-hyp", group="free:2",
+                                          radius=4))
+    assert [c.passed for r in reports for c in r.checks] == [True, True]
+    assert sum(filled) <= 55 and sum(reduced) <= 55
+    assert reports[0].checks[0].details["quadruples"] == 161 ** 4
 
 
 def test_four_point_sampled_is_seeded():

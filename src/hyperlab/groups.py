@@ -671,9 +671,9 @@ class Ball:
     position of element i times letter s, for every element i inside the
     outer sphere; the word `distances`, filled in by
     `metrics.word_distance_matrix`; and the `representatives`, filled in
-    by `metrics._orbit_labels`: under the symmetries that keep those
-    distances, one basepoint per orbit, each mapped to the labels of the
-    x rows at it, one least x per orbit of the symmetries fixing it.
+    by `metrics._orbit_labels`: one array of labels of the x rows at the
+    identity, the least x of each orbit of the symmetries that keep those
+    distances.
     """
 
     __slots__ = ("pres", "radius", "spheres", "elements", "index", "lengths",

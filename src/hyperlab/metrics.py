@@ -7,12 +7,14 @@ Two metric kinds:
 * "green": minus the log of first-passage probabilities of the simple
   random walk, solved with an absorbing truncation.
 
-The four-point quantity for a basepoint o and points x, y, z is
+The four-point quantity for points x, y, z, based at the identity e, is
 
-    exp(-(x|y)_o) - exp(-(x|z)_o) - exp(-(z|y)_o)
+    exp(-(x|y)_e) - exp(-(x|z)_e) - exp(-(z|y)_e)
 
 evaluated in floats with a fixed association order; a metric passes when
-the maximum over all quadruples is nonpositive up to tolerance.
+the maximum over all triples is nonpositive up to tolerance.  By left
+invariance a quadruple (x, y, z, w) of the group has the value of
+(w^-1 x, w^-1 y, w^-1 z) at e.
 """
 import math
 from dataclasses import dataclass
@@ -26,14 +28,14 @@ from .errors import InputError, NumericError, ResourceLimitError
 from .groups import bulk_product_lengths, distance_dtype, enumerate_ball
 
 FOURPOINT_TOLERANCE = 1e-9
-# most quadruples an exhaustive four-point scan is charged (basepoint
-# representatives x n^3, not its rows); a larger ball is sampled instead
+# most quadruples an exhaustive four-point scan is charged (n^3 at the
+# identity, not its rows); a larger ball is sampled instead
 QUADRUPLE_CAP = 1_200_000_000
 # quadruples a sampled four-point scan draws
 FOURPOINT_SAMPLES = 200_000
-# most (x, y, z) triples the min-rule oracle is charged (representatives x
-# n^3, not its rows): above free:2 radius 6 (2.2e10), below free:4 radius
-# 4 (1.6e11)
+# most (x, y, z) triples the min-rule oracle is charged (n^3 at the
+# identity, not its rows): above free:4 radius 4 (3.3e10), below free:4
+# radius 5 (1.1e13)
 MIN_RULE_TRIPLE_CAP = 100_000_000_000
 # the table iteration stops once no first-passage value moves this much
 GREEN_ITERATION_STOP = 1e-12
@@ -275,17 +277,16 @@ def _narrow(dist):
     return dist.astype(distance_dtype(int(dist.max())), copy=False)
 
 
-def _least_in_orbit(n, blocks):
+def _least_in_orbit(n, gens):
     """Least point of each point's orbit under the permutations in the
-    (k, n) arrays that `blocks()` yields: each pass moves every label to
-    the least label one step along each permutation, then to its label's
-    label, until a pass changes nothing."""
+    (k, n) array `gens`: each pass moves every label to the least label
+    one step along each permutation, then to its label's label, until a
+    pass changes nothing."""
     labels = np.arange(n, dtype=np.min_scalar_type(n))
     while True:
         before = labels
-        for block in blocks():
-            labels = np.minimum(labels, labels[block].min(axis=0, initial=n))
-            labels = labels[labels]
+        labels = np.minimum(labels, labels[gens].min(axis=0, initial=n))
+        labels = labels[labels]
         if np.array_equal(labels, before):
             return labels
 
@@ -296,18 +297,14 @@ def _least_points(labels):
 
 
 def _orbit_labels(ball, d):
-    """Map each basepoint representative o, ascending, to labels of the
-    x rows at o: the least point of x's orbit under symmetries fixing o.
+    """Labels of the x rows at the identity: the least point of x's orbit
+    under the ball's `symmetries` that leave `d` unchanged bit for bit.
 
-    Only the ball's `symmetries` that leave `d` unchanged bit for bit are
-    kept.  The representatives are the `_least_points` of their orbits;
-    at o the orbits are those of the kept generators fixing o and of the
-    conjugates s^-1 t s, s moving o and t fixing s(o).  All of these fix
-    o and keep `d`, and a subgroup of the stabilizer only has finer
-    orbits, so a scan over the `_least_points` at each o finds the
-    maximum and the lex-first maximizer of a full scan.  The orbits of
-    the ball's own word distances are sought once and kept on
-    `Ball.representatives`, for the float scan and the min-rule oracle.
+    Every symmetry keeps word length, so it fixes the identity, and a
+    scan over the `_least_points` finds the maximum and the lex-first
+    maximizer of a scan over every row.  The labels of the ball's own
+    word distances are sought once and kept on `Ball.representatives`,
+    for the float scan and the min-rule oracle.
     """
     own = d is not None and d is ball.distances
     if own:
@@ -319,21 +316,10 @@ def _orbit_labels(ball, d):
     imgs = (np.array(img, dtype=dtype) for img in ball.symmetries())
     gens = np.array([g for g in imgs if np.array_equal(
         d.take(g, 0).take(g, 1), d)], dtype=dtype).reshape(-1, n)
-    undo = np.argsort(gens, axis=1).astype(dtype)
-    base = _least_in_orbit(n, lambda: [gens])
-
-    def stabilizer(o):
-        # one conjugate block per s, built on the fly: O(|gens| n) bytes
-        yield gens[gens[:, o] == o]
-        for s, s_inv in zip(gens, undo):
-            if s[o] != o:
-                yield s_inv[gens[gens[:, s[o]] == s[o]][:, s]]
-
-    orbits = {int(o): _least_in_orbit(n, lambda: stabilizer(o))
-              for o in _least_points(base)}
+    labels = _least_in_orbit(n, gens)
     if own:
-        ball.representatives = orbits
-    return orbits
+        ball.representatives = labels
+    return labels
 
 
 @dataclass
@@ -348,44 +334,38 @@ class FourPointReport:
 
 
 def check_strong_hyperbolicity(metric, ball, seed=0):
-    """Scan four-point defects over a ball.
+    """Scan four-point defects over a ball, at the identity.
 
-    The scan covers all n^4 (basepoint, x, y, z) quadruples up to
-    symmetry (`_orbit_labels`): one basepoint per orbit and, at each,
-    one x row per orbit of the symmetries fixing it.  It is "exhaustive"
-    when representatives x n^3 quadruples are at most `QUADRUPLE_CAP`.
-    Otherwise it is "sampled": `FOURPOINT_SAMPLES` quadruples drawn with
-    a generator seeded by `seed`.  The reported defect clamps at zero;
-    the signed maximum is kept in `raw`.
+    Every metric here is left-invariant, so (x, y, z, w) has the defect
+    of (w^-1 x, w^-1 y, w^-1 z, e), and the identity is the one basepoint
+    scanned.  The scan covers the n^3 (x, y, z) triples there, one x row
+    per orbit of the symmetries (`_orbit_labels`).  It is "exhaustive"
+    when n^3 is at most `QUADRUPLE_CAP`.  Otherwise it is "sampled":
+    `FOURPOINT_SAMPLES` triples drawn with a generator seeded by `seed`.
+    The reported defect clamps at zero; the signed maximum is kept in
+    `raw`.
     """
     d = metric_distance_matrix(metric, ball)
     n = d.shape[0]
     els = ball.elements
-    orbits = _orbit_labels(ball, d)
-    if len(orbits) * n ** 3 <= QUADRUPLE_CAP:
+    if n ** 3 <= QUADRUPLE_CAP:
         mode = "exhaustive"
-        best = -math.inf
-        at = None
-        for o, labels in orbits.items():
-            two_g = d[o][:, None] + d[o][None, :] - d
-            e = np.ascontiguousarray(np.exp(-0.5 * two_g))
-            r, x, y, z = kernels.fourpoint_scan(e, _least_points(labels))
-            if r > best:
-                best = r
-                at = (x, y, z, o)
-        quadruples = n ** 4
+        two_g = d[0][:, None] + d[0][None, :] - d
+        e = np.ascontiguousarray(np.exp(-0.5 * two_g))
+        best, *at = kernels.fourpoint_scan(
+            e, _least_points(_orbit_labels(ball, d)))
+        quadruples = n ** 3
     else:
         mode = "sampled"
         rng = np.random.default_rng(seed)
-        draws = rng.integers(0, n, size=(4, FOURPOINT_SAMPLES))
-        oo, xx, yy, zz = draws
-        exy = np.exp(-0.5 * (d[oo, xx] + d[oo, yy] - d[xx, yy]))
-        exz = np.exp(-0.5 * (d[oo, xx] + d[oo, zz] - d[xx, zz]))
-        ezy = np.exp(-0.5 * (d[oo, zz] + d[oo, yy] - d[zz, yy]))
+        xx, yy, zz = rng.integers(0, n, size=(3, FOURPOINT_SAMPLES))
+        exy = np.exp(-0.5 * (d[0, xx] + d[0, yy] - d[xx, yy]))
+        exz = np.exp(-0.5 * (d[0, xx] + d[0, zz] - d[xx, zz]))
+        ezy = np.exp(-0.5 * (d[0, zz] + d[0, yy] - d[zz, yy]))
         vals = (exy - exz) - ezy
         i = int(np.argmax(vals))
         best = float(vals[i])
-        at = (int(xx[i]), int(yy[i]), int(zz[i]), int(oo[i]))
+        at = (int(xx[i]), int(yy[i]), int(zz[i]))
         quadruples = FOURPOINT_SAMPLES
     witness = None
     if best > FOURPOINT_TOLERANCE:
@@ -419,45 +399,27 @@ def _min_rule_margin(g, rows=None):
     return min(margins)
 
 
-def _refuse_min_rule_scan(basepoints, n, bound=""):
-    triples = basepoints * n ** 3
-    if triples > MIN_RULE_TRIPLE_CAP:
-        raise ResourceLimitError(
-            f"tree min-rule scan needs {bound}{basepoints} basepoints x "
-            f"{n}^3 = {triples:.2e} triples, over the cap "
-            f"{MIN_RULE_TRIPLE_CAP:.1e}")
-
-
 def four_point_min_rule_margin(ball):
     """Exact integer margin of the tree rule (x|y) >= min((x|z), (z|y)).
 
     Works on doubled Gromov products so everything stays integral.  A
     nonnegative margin proves the float four-point defect clamps to zero
     exactly: the exponential of the smaller product dominates one of the
-    two right-hand terms bit for bit.  One basepoint per symmetry orbit,
-    and at each one x row per orbit of the symmetries that fix it, is
-    scanned, as in `check_strong_hyperbolicity`, in O(n^2) working
-    memory per basepoint: the doubled products lie in [0, 2 max d] and
-    are stored in the narrowest signed dtype that holds that bound (int8
-    on every preset ball).  More than `MIN_RULE_TRIPLE_CAP` triples
-    (representatives x n^3) raise ResourceLimitError before the scan,
-    and before the orbits are sought when the ball's nonempty spheres
-    already exceed it: every symmetry keeps word length, so there are
-    at least that many orbits.
+    two right-hand terms bit for bit.  As in `check_strong_hyperbolicity`
+    the basepoint is the identity, with one x row per orbit, in O(n^2)
+    working memory: the doubled products lie in [0, 2 max d] and are
+    stored in the narrowest signed dtype that holds that bound (int8 on
+    every preset ball).  More than `MIN_RULE_TRIPLE_CAP` triples (n^3)
+    raise ResourceLimitError before the distance matrix is built.
     """
     n = len(ball)
-    _refuse_min_rule_scan(sum(1 for s in ball.spheres if s), n, "at least ")
+    if n ** 3 > MIN_RULE_TRIPLE_CAP:
+        raise ResourceLimitError(
+            f"tree min-rule scan needs {n}^3 = {n ** 3:.2e} triples, over "
+            f"the cap {MIN_RULE_TRIPLE_CAP:.1e}")
     dist = word_distance_matrix(ball)
-    orbits = _orbit_labels(ball, dist)
+    labels = _orbit_labels(ball, dist)
     d = _narrow(dist)
-    _refuse_min_rule_scan(len(orbits), n)
-    g = np.empty_like(d)
-    worst = None
-    for o, labels in orbits.items():
-        np.add(d[o][:, None], d[o], out=g)
-        g -= d
-        margin = _min_rule_margin(g, _least_points(labels))
-        if worst is None or margin < worst:
-            worst = margin
-    return worst
-
+    g = np.add(d[0][:, None], d[0])
+    g -= d
+    return _min_rule_margin(g, _least_points(labels))

@@ -137,14 +137,14 @@ def _suite_strong_hyp(pres, cfg, radius):
     witness = None
     if rep.witness is not None:
         witness = {"x": rep.witness[0], "y": rep.witness[1],
-                   "z": rep.witness[2], "basepoint": rep.witness[3],
-                   "defect": rep.defect}
+                   "z": rep.witness[2], "defect": rep.defect}
     checks = [CheckResult(
         name="four-point-defect",
         passed=rep.defect <= rep.threshold,
         details={"defect": rep.defect, "raw": rep.raw,
-                 "quadruples": rep.quadruples, "elements": rep.elements,
-                 "mode": rep.mode, "threshold": rep.threshold},
+                 "basepoint": "identity", "quadruples": rep.quadruples,
+                 "elements": rep.elements, "mode": rep.mode,
+                 "threshold": rep.threshold},
         witness=witness,
     )]
     if margin is not None:
@@ -175,7 +175,7 @@ def _suite_green(pres, cfg, radius):
         expected = 1.0 / measure.base()
         checks.append(CheckResult(
             name="first-passage-closed-form",
-            passed=abs(step - expected) <= 1e-9,
+            passed=bool(abs(step - expected) <= 1e-9),
             details={"passage": step, "expected": expected,
                      "gap": data.gap},
         ))
@@ -186,7 +186,8 @@ def _suite_green(pres, cfg, radius):
         name="green-four-point-defect",
         passed=rep.defect <= rep.threshold,
         details={"defect": rep.defect, "raw": rep.raw,
-                 "quadruples": rep.quadruples, "elements": rep.elements},
+                 "basepoint": "identity", "quadruples": rep.quadruples,
+                 "elements": rep.elements},
     ))
     settings = _settings(cfg, radius, truncation=data.truncation,
                          solver=data.mode)

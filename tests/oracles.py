@@ -5,7 +5,9 @@ import operator
 import random
 from fractions import Fraction
 
-from hyperlab import boundary, groups
+import numpy as np
+
+from hyperlab import boundary, groups, kernels, metrics
 from hyperlab.errors import (InputError, InvariantViolation,
                              ResourceLimitError)
 from hyperlab.groups import (GroupElement, _free_reduce, _invert_word, _spell,
@@ -96,6 +98,34 @@ def move_closure_normal_form(pres, word):
                     new.append(w2)
         frontier = new
     return min(seen, key=lambda w: (len(w), w))
+
+
+def _doubled_products(d, o):
+    """2 (x|y)_o over a distance matrix, in its dtype."""
+    return d[o][:, None] + d[o][None, :] - d
+
+
+def all_basepoint_four_point(d, basepoints):
+    """The float four-point scan at each of `basepoints` (ascending), every
+    x row at each: the maximum of (E[x,y]-E[x,z])-E[z,y] with
+    E = exp(-(.|.)_o), and its lex-first (x, y, z, o), at the first
+    basepoint that reaches it.  The library scans the identity alone;
+    this is the scan over every quadruple of a ball."""
+    best, at = -math.inf, None
+    for o in basepoints:
+        e = np.exp(-0.5 * _doubled_products(d, o))
+        r, x, y, z = kernels.fourpoint_scan(e)
+        if r > best:
+            best, at = r, (x, y, z, int(o))
+    return best, at
+
+
+def all_basepoint_min_rule_margin(d, basepoints):
+    """The least min-rule margin over `basepoints`, every x row at each,
+    on int64 doubled products."""
+    d = d.astype(np.int64)
+    return min(metrics._min_rule_margin(_doubled_products(d, o))
+               for o in basepoints)
 
 
 def multiply_ball(pres, radius):

@@ -51,19 +51,22 @@ def test_math_failure_exit_one_with_witness(tmp_path):
     assert doc["passed"] is False
     check = doc["reports"][0]["checks"][0]
     assert check["passed"] is False
-    assert check["details"]["mode"] == "sampled"
+    assert check["details"]["mode"] == "exhaustive"
+    assert check["details"]["basepoint"] == "identity"
     witness = check["witness"]
-    assert witness["defect"] > 0
-    assert set(witness) >= {"x", "y", "z", "basepoint"}
+    assert witness["defect"] == pytest.approx(0.49678527559194496, abs=1e-12)
+    assert set(witness) == {"x", "y", "z", "defect"}
 
 
 @pytest.mark.parametrize("group,radius,mode", [
-    # 6 x 485^3 = 6.8e8 and 110 x 218^3 = 1.14e9 quadruples computed
+    # 485^3 = 1.1e8, 218^3 = 1.0e7 and 457^3 = 9.5e7 triples at the
+    # identity, and 937^3 = 8.2e8 just under the cap
     ("free:2", 5, "exhaustive"),
     ("modular", 10, "exhaustive"),
-    # 115 x 457^3 = 1.1e10 and 222 x 442^3 = 1.9e10
-    ("surface:2", 3, "sampled"),
-    ("modular", 12, "sampled"),
+    ("surface:2", 3, "exhaustive"),
+    ("free:3", 4, "exhaustive"),
+    # 1457^3 = 3.1e9 just over it
+    ("free:2", 6, "sampled"),
 ])
 def test_four_point_mode_follows_the_computed_quadruples(tmp_path, group,
                                                          radius, mode):
@@ -71,15 +74,15 @@ def test_four_point_mode_follows_the_computed_quadruples(tmp_path, group,
                           "--group", group, "--radius", str(radius))
     details = json.loads(payload)["reports"][0]["checks"][0]["details"]
     assert details["mode"] == mode
-    assert details["quadruples"] == (details["elements"] ** 4
+    assert details["quadruples"] == (details["elements"] ** 3
                                      if mode == "exhaustive"
                                      else metrics.FOURPOINT_SAMPLES)
 
 
 @pytest.mark.parametrize("group", ["free:3", "free:4"])
 def test_green_suite_scans_large_free_balls_by_sphere(tmp_path, group):
-    # B(3) holds 187 and 457 elements: n^4 passes the cap, but one
-    # basepoint per sphere leaves 4 n^3 quadruples
+    # B(3) holds 187 and 457 elements: n^4 passes the cap, but the n^3
+    # triples at the identity, one x row per sphere, do not
     code, payload = run_main(tmp_path, "check", "--suite", "green",
                              "--group", group)
     assert code == 0
@@ -193,27 +196,27 @@ def test_oversized_distance_matrix_exit_two(capsys):
 
 
 def test_oversized_min_rule_scan_exit_two(capsys):
-    # the free:4 radius-4 tree oracle would scan one basepoint per sphere
-    # of a 3201-element ball, 1.6e11 triples; the sphere count refuses it
-    # before the orbits are sought
+    # the free:4 radius-5 tree oracle would scan the 22409^3 triples of
+    # its ball at the identity; the ball's size refuses it before the
+    # distance matrix is built
     started = time.perf_counter()
     assert cli.main(["check", "--suite", "strong-hyp", "--group", "free:4",
-                     "--radius", "4"]) == 2
+                     "--radius", "5"]) == 2
     assert time.perf_counter() - started < 10
     err = capsys.readouterr().err
-    assert "at least 5 basepoints x 3201^3 = 1.64e+11 triples" in err
+    assert "needs 22409^3 = 1.13e+13 triples" in err
     assert "cap 1.0e+11" in err
 
 
 def test_min_rule_refusal_precedes_the_distance_matrix(monkeypatch):
     # strong-hyp runs the min-rule oracle before the float scan, so the
-    # free:4 radius-4 refusal comes before any n x n matrix is built
+    # free:4 radius-5 refusal comes before any n x n matrix is built
     def build(*args):
         raise AssertionError("distance matrix built before the refusal")
 
     monkeypatch.setattr(metrics, "bulk_product_lengths", build)
-    cfg = suites.ScenarioConfig(suite="strong-hyp", group="free:4", radius=4)
-    with pytest.raises(ResourceLimitError, match="at least 5 basepoints"):
+    cfg = suites.ScenarioConfig(suite="strong-hyp", group="free:4", radius=5)
+    with pytest.raises(ResourceLimitError, match=r"needs 22409\^3"):
         suites.run_scenario(cfg)
 
 
@@ -327,9 +330,9 @@ def test_stdout_and_file_payloads_match(tmp_path):
 # format change updates the hash here and says so in CHANGES.md.
 PINNED_REPORTS = [
     (("--suite", "all", "--group", "free:2", "--seed", "7"),
-     "896555dd8728c6b2e66ceb38bd831c31bbe08cfcb599b0d18e8db1748f03bb95"),
+     "888b9b6ef8fa41d3edc805063bb00dbf4156709f535df3acd41baad5c67ef08d"),
     (("--suite", "green", "--group", "modular", "--radius", "2"),
-     "8c9b1882bd095227d6daf930f7b5744a9e456785856bd6bfcae93636a8100b88"),
+     "2928ebbc75621de4ac117a9f58e9a3daa0b73b3d7d995b972d650a266c532701"),
     (("--suite", "cocycle", "--group", "surface:2", "--radius", "2"),
      "96e53fd7cbb733acf3b8d13e14dc2dc8c48951e1ffa6ffa3c8a4de7404d895db"),
     (("--suite", "cocycle", "--group", "free:2", "--g", "abab",
@@ -340,13 +343,13 @@ PINNED_REPORTS = [
       "--radius", "3", "--K", "12"),
      "fbed6284aa34bd66cff48e53a95bbb97c42ef8d28e5ca1fa90d0d81c3e666c06"),
     (("--suite", "green", "--group", "modular"),
-     "e9e4d8564bd120e390563bbd2e9de29274e3c40f787b510a4d2df72a074b33c7"),
+     "ae26f97759336cc6ab19fd8988822e02b7c570d2b1fd4248927b27480397d5a0"),
     (("--suite", "strong-hyp", "--group", "modular", "--metric", "green"),
-     "c5adf4f6e4b999f551a7d230186a01881b6ca0ff4442954d7d97197c9d2f0e6c"),
+     "d015dc0eab7471ecf557373d1677f8e64242b8958fe6aea853c5f87992d1f708"),
     (("--suite", "strong-hyp", "--group", "free:2", "--radius", "4"),
-     "715d9f10fa47da34fd7d6241a3e395cbd6c2b24f68d8b24990b1927bf2af189a"),
+     "fc1a44523dbda1b36071441fd03201eb9145db6616bad46efb651de8168934be"),
     (("--suite", "strong-hyp", "--group", "modular", "--radius", "6"),
-     "88b896b4e018c14e82d9beb17b862d146eeb4f4ca0761f2b3c48d0bfed0d23ba"),
+     "2065b6571c136195b73876f515e4863aa21f7bb380b531e5c11268c2ee4339ac"),
     # nonzero C: partition targets fall halfway between path points
     (("--suite", "properness", "--group", "free:2", "--radius", "5",
       "--K", "5/2", "--C", "1/2"),
@@ -377,6 +380,19 @@ def test_report_bytes_are_pinned(tmp_path, args, digest):
     code, payload = run_main(tmp_path, "check", *args)
     assert code == 0
     assert hashlib.sha256(payload).hexdigest() == digest
+    if "csv" not in args:
+        passed = _passed_values(json.loads(payload))
+        assert passed and all(type(v) is bool for v in passed)
+
+
+def _passed_values(node):
+    """Every value under a "passed" key in a JSON document."""
+    if isinstance(node, list):
+        return [v for item in node for v in _passed_values(item)]
+    if not isinstance(node, dict):
+        return []
+    return [v for key, item in node.items()
+            for v in ([item] if key == "passed" else _passed_values(item))]
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -396,7 +412,7 @@ def _count_calls(monkeypatch, owner, name):
 @pytest.mark.parametrize("args,limit", [
     # below one call per ball element (1,457 at the default radius 6)
     (("--suite", "properness", "--group", "free:2"), 1457),
-    # 478: 477 from the four-point scan's basepoint orbits, one parse
+    # 0 measured: `Ball.symmetries` finds every image in the ball index
     (("--suite", "all", "--group", "free:2", "--seed", "7"), 500),
 ], ids=["properness", "all"])
 def test_free_runs_rarely_normalize(tmp_path, monkeypatch, args, limit):

@@ -10,7 +10,8 @@ from hyperlab import cocycles, groups, kernels, metrics
 from hyperlab.errors import InputError, ResourceLimitError
 from hyperlab.suites import ScenarioConfig, run_scenario
 
-from oracles import rough_geodesic
+from oracles import (all_basepoint_four_point, all_basepoint_min_rule_margin,
+                     rough_geodesic)
 
 
 def test_word_metric_is_exact_and_equivariant():
@@ -43,7 +44,7 @@ def test_four_point_exact_zero_free_tree():
     ball = groups.enumerate_ball(f2, 3)
     rep = metrics.check_strong_hyperbolicity(metrics.word_metric(f2), ball)
     assert rep.mode == "exhaustive"
-    assert rep.quadruples == 53 ** 4
+    assert rep.quadruples == 53 ** 3
     assert rep.defect == 0.0
 
 
@@ -71,9 +72,10 @@ def _cube_margin(g):
 
 
 def _cube_oracle(ball):
+    # the cube at the identity, and every row at every basepoint
     dist = metrics.word_distance_matrix(ball)
-    return min(_cube_margin(dist[o][:, None] + dist[o][None, :] - dist)
-               for o in metrics._orbit_labels(ball, dist))
+    return (_cube_margin(dist[0][:, None] + dist[0][None, :] - dist),
+            all_basepoint_min_rule_margin(dist, range(len(ball))))
 
 
 @pytest.mark.parametrize("make,radius,margin", [
@@ -88,7 +90,7 @@ def _cube_oracle(ball):
 def test_min_rule_margin_matches_the_cube_oracle(make, radius, margin):
     ball = groups.enumerate_ball(make(), radius)
     assert metrics.four_point_min_rule_margin(ball) == margin
-    assert _cube_oracle(ball) == margin
+    assert _cube_oracle(ball) == (margin, margin)
 
 
 def test_min_rule_margin_past_int8(monkeypatch):
@@ -119,6 +121,8 @@ def test_min_rule_margin_works_in_a_few_n_squared_bytes():
     ball = groups.enumerate_ball(groups.free_group(2), 4)
     n = len(ball)
     metrics.word_distance_matrix(ball)
+    # the first np.unique call imports numpy.ma, about 0.5 MB traced
+    import numpy.ma  # noqa: F401
     tracemalloc.start()
     try:
         assert metrics.four_point_min_rule_margin(ball) == 0
@@ -130,29 +134,20 @@ def test_min_rule_margin_works_in_a_few_n_squared_bytes():
 
 
 def test_min_rule_scan_past_its_cap_is_refused(monkeypatch):
-    # free spheres are orbits, so the sphere count refuses before the
-    # distance matrix is built
+    # the n^3 triples at the identity are known from the ball's size, so
+    # the refusal comes before the distance matrix is built
     ball = groups.enumerate_ball(groups.free_group(2), 4)
-    monkeypatch.setattr(metrics, "MIN_RULE_TRIPLE_CAP", 5 * 161 ** 3 - 1)
+    monkeypatch.setattr(metrics, "MIN_RULE_TRIPLE_CAP", 161 ** 3 - 1)
     with pytest.raises(ResourceLimitError,
-                       match=r"5 basepoints x 161\^3 = 2\.09e\+07 triples"):
+                       match=r"needs 161\^3 = 4\.17e\+06 triples"):
         metrics.four_point_min_rule_margin(ball)
     assert ball.distances is None
 
 
-def test_min_rule_scan_is_refused_once_the_orbits_are_known(monkeypatch):
-    # 3 spheres but 17 orbits
-    ball = groups.enumerate_ball(groups.surface_group(2), 2)
-    monkeypatch.setattr(metrics, "MIN_RULE_TRIPLE_CAP", 17 * 65 ** 3 - 1)
-    with pytest.raises(ResourceLimitError,
-                       match=r"needs 17 basepoints x 65\^3 = 4\.67e\+06"):
-        metrics.four_point_min_rule_margin(ball)
-
-
 @pytest.mark.parametrize("orders,radius,witness", [
-    ([3, 4], 3, ("t", "t'", "tt", "1")),
-    ([3, 4], 4, ("t", "t'", "tt", "1")),
-    ([4, 4], 3, ("s", "s'", "ss", "1")),
+    ([3, 4], 3, ("t", "t'", "tt")),
+    ([3, 4], 4, ("t", "t'", "tt")),
+    ([4, 4], 3, ("s", "s'", "ss")),
 ])
 def test_exhaustive_failing_witness_is_pinned(orders, radius, witness):
     # in an order-4 factor t and t' are 2 apart and both 1 from tt, so at
@@ -164,6 +159,16 @@ def test_exhaustive_failing_witness_is_pinned(orders, radius, witness):
     assert rep.mode == "exhaustive"
     assert rep.raw == 0.26424111765711533
     assert rep.witness == witness
+
+
+def test_surface_ball_fails_at_the_identity():
+    # 457^3 = 9.5e7 triples at the identity, under the exhaustive cap
+    s = groups.surface_group(2)
+    ball = groups.enumerate_ball(s, 3)
+    rep = metrics.check_strong_hyperbolicity(metrics.word_metric(s), ball)
+    assert (rep.mode, rep.quadruples) == ("exhaustive", 457 ** 3)
+    assert rep.raw == 0.49678527559194496
+    assert rep.witness == ("a", "b'cd", "ab'a'")
 
 
 def test_four_point_green_metric():
@@ -217,22 +222,42 @@ def test_orbit_reduced_scans_equal_the_full_scan(monkeypatch, make, radius,
     pres = make()
     ball = groups.enumerate_ball(pres, radius)
     metric = _metric(pres, kind, radius)
-    # the full scan below takes every basepoint: free:3 radius 3
-    # (187^4 = 1.22e9) is just over the exhaustive cap
-    monkeypatch.setattr(metrics, "QUADRUPLE_CAP",
-                        max(metrics.QUADRUPLE_CAP, len(ball) ** 4))
     reduced = (metrics.check_strong_hyperbolicity(metric, ball),
                metrics.four_point_min_rule_margin(ball))
-    # with no symmetries at all every basepoint is scanned; a new ball
-    # keeps no orbits from the reduced scans
+    # with no symmetries every row at the identity is scanned; a new ball
+    # keeps no labels from the reduced scans
     monkeypatch.setattr(groups.Ball, "symmetries", lambda self: iter(()))
-    assert list(metrics._orbit_labels(ball, None)) == list(
-        range(len(ball)))
     ball = groups.enumerate_ball(pres, radius)
+    assert np.array_equal(metrics._orbit_labels(ball, None),
+                          np.arange(len(ball)))
     full = (metrics.check_strong_hyperbolicity(metric, ball),
             metrics.four_point_min_rule_margin(ball))
     assert reduced == full
     assert (reduced[0].witness is not None) == fails
+
+
+@pytest.mark.parametrize("make,radius", [
+    (lambda: groups.free_group(2), 2),
+    (groups.modular_group, 4),
+    (lambda: groups.cyclic_free_product([3, 4]), 2),
+    (lambda: groups.surface_group(2), 1),
+])
+def test_identity_scans_nest_the_all_basepoint_scan(make, radius):
+    # S_e(R) <= S(R) <= S_e(2R): a quadruple of B(R) at basepoint w has
+    # the value of its translate by w^-1, which lies in B(2R), at e; the
+    # min-rule margins nest the other way
+    pres = make()
+    metric = metrics.word_metric(pres)
+    small, large = (groups.enumerate_ball(pres, r)
+                    for r in (radius, 2 * radius))
+    d = metrics.word_distance_matrix(small)
+    every = range(len(small))
+    at_e, at_e2 = (metrics.check_strong_hyperbolicity(metric, b).raw
+                   for b in (small, large))
+    assert at_e <= all_basepoint_four_point(d, every)[0] <= at_e2
+    assert (metrics.four_point_min_rule_margin(small)
+            >= all_basepoint_min_rule_margin(d, every)
+            >= metrics.four_point_min_rule_margin(large))
 
 
 @pytest.mark.parametrize("make,radius,kind,count", [
@@ -242,12 +267,14 @@ def test_orbit_reduced_scans_equal_the_full_scan(monkeypatch, make, radius,
     (groups.modular_group, 3, "green", 14),
 ])
 def test_basepoint_representatives(make, radius, kind, count):
+    # every kept symmetry fixes the identity, so the rows scanned there
+    # are also one basepoint per orbit of the ball's symmetries
     pres = make()
     ball = groups.enumerate_ball(pres, radius)
     d = metrics.metric_distance_matrix(_metric(pres, kind, radius), ball)
-    reps = list(metrics._orbit_labels(ball, d))
-    assert len(reps) == count
-    assert reps == sorted(reps)
+    labels = metrics._orbit_labels(ball, d)
+    assert labels.dtype == np.min_scalar_type(len(ball))
+    assert len(metrics._least_points(labels)) == count
 
 
 def test_strong_hyp_seeks_the_orbits_once(monkeypatch):
@@ -291,19 +318,13 @@ def test_ball_symmetries_are_isometries(make, radius):
 @pytest.mark.parametrize("rank,radius", [
     (2, r) for r in range(1, 6)] + [(3, r) for r in range(1, 4)])
 def test_free_representatives_are_the_first_of_each_sphere(rank, radius):
+    # branch swaps make each free sphere one orbit
     ball = groups.enumerate_ball(groups.free_group(rank), radius)
-    orbits = metrics._orbit_labels(ball, metrics.word_distance_matrix(ball))
-    reps = list(orbits)
-    starts = np.cumsum([0] + ball.sphere_sizes()[:-1]).tolist()
-    assert reps == starts
-    assert [ball.elements[i].word for i in reps] == [
+    labels = metrics._orbit_labels(ball, metrics.word_distance_matrix(ball))
+    rows = metrics._least_points(labels).tolist()
+    assert rows == np.cumsum([0] + ball.sphere_sizes()[:-1]).tolist()
+    assert [ball.elements[i].word for i in rows] == [
         (0,) * k for k in range(radius + 1)]
-    # at o = a^m a symmetry fixing o keeps |x| and lcp(o, x), and each
-    # (|x|, lcp) pair is one orbit: min(m, l) + 1 rows on sphere l
-    assert [len(metrics._least_points(labels))
-            for labels in orbits.values()] == [
-        sum(min(m, l) + 1 for l in range(radius + 1))
-        for m in range(radius + 1)]
 
 
 @pytest.mark.parametrize("make,radius", [
@@ -313,25 +334,24 @@ def test_free_representatives_are_the_first_of_each_sphere(rank, radius):
     (lambda: groups.surface_group(2), 2),
 ])
 def test_row_labels_are_closed_under_the_stabilizer(make, radius):
-    # every kept symmetry fixing o, and every product of two kept
-    # symmetries that fixes o, maps x to a point with x's label; a label
-    # is a point in x's orbit, so it has x's distance to o
+    # every kept symmetry, and every product of two, fixes the identity
+    # and maps x to a point with x's label; a label is a point in x's
+    # orbit, so it has x's length
     ball = groups.enumerate_ball(make(), radius)
     d = metrics.word_distance_matrix(ball)
-    orbits = metrics._orbit_labels(ball, d)
+    labels = metrics._orbit_labels(ball, d)
     kept = [np.array(img) for img in ball.symmetries()
             if np.array_equal(d[img][:, img], d)]
     maps = kept + [s[t] for s in kept for t in kept]
-    for o, labels in orbits.items():
-        assert np.array_equal(d[o][labels], d[o])
-        for img in maps:
-            if img[o] == o:
-                assert np.array_equal(labels[img], labels)
+    assert np.array_equal(d[0][labels], d[0])
+    for img in maps:
+        assert img[0] == 0
+        assert np.array_equal(labels[img], labels)
 
 
 def test_strong_hyp_scans_one_row_per_stabilizer_orbit(monkeypatch):
-    # free:2 radius 4: 5 basepoints x 161 rows in a full scan, and
-    # 5 + 9 + 12 + 14 + 15 = 55 rows up to symmetries that fix o
+    # free:2 radius 4: 161 rows at the identity in a full scan, and one
+    # per sphere up to symmetries
     filled, reduced = [], []
     scan, margin = kernels.fourpoint_scan, metrics._min_rule_margin
 
@@ -349,14 +369,15 @@ def test_strong_hyp_scans_one_row_per_stabilizer_orbit(monkeypatch):
     reports = run_scenario(ScenarioConfig(suite="strong-hyp", group="free:2",
                                           radius=4))
     assert [c.passed for r in reports for c in r.checks] == [True, True]
-    assert sum(filled) <= 55 and sum(reduced) <= 55
-    assert reports[0].checks[0].details["quadruples"] == 161 ** 4
+    assert filled == [5] and reduced == [5]
+    assert reports[0].checks[0].details["quadruples"] == 161 ** 3
 
 
 def test_four_point_sampled_is_seeded():
-    s2 = groups.surface_group(2)
-    ball = groups.enumerate_ball(s2, 3)
-    wm = metrics.word_metric(s2)
+    # free:2 radius 6: 1457^3 = 3.1e9 triples, over the exhaustive cap
+    f2 = groups.free_group(2)
+    ball = groups.enumerate_ball(f2, 6)
+    wm = metrics.word_metric(f2)
     r1 = metrics.check_strong_hyperbolicity(wm, ball, seed=5)
     r2 = metrics.check_strong_hyperbolicity(wm, ball, seed=5)
     assert r1.mode == "sampled"

@@ -71,3 +71,27 @@ def _uncalled_private_definitions(package):
 
 def test_every_private_definition_has_a_caller():
     assert _uncalled_private_definitions(PACKAGE) == []
+
+
+def _unread_constants(package):
+    """Module-level UPPER_CASE names of the package that no module of the
+    package reads."""
+    defined = []
+    read = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [target.id for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    for target in node.targets
+                    if isinstance(target, ast.Name) and target.id.isupper()]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    return [name for name in defined if name not in read]
+
+
+def test_every_constant_is_read():
+    assert _unread_constants(PACKAGE) == []

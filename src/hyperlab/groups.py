@@ -1025,14 +1025,14 @@ def _window_hits(windows, pres, lefts, right, lcp, lv):
 # -- presets and presentation files ------------------------------------
 
 
-def free_group(rank, label=None):
+def free_group(rank):
     if rank < 1:
         raise InputError("free rank must be >= 1")
     names = [chr(ord("a") + i) for i in range(rank)] if rank <= 26 else [
         f"x{i}" for i in range(rank)
     ]
     alph = Alphabet.from_generators(names)
-    return GroupPresentation(alph, "free", label=label or f"free:{rank}")
+    return GroupPresentation(alph, "free", label=f"free:{rank}")
 
 
 def cyclic_free_product(orders, names=None, label=None):

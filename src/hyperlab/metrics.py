@@ -25,18 +25,21 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError, NumericError, ResourceLimitError
-from .groups import bulk_product_lengths, distance_dtype, enumerate_ball
+from .groups import (DISTANCE_BYTES_CAP, bulk_product_lengths, distance_dtype,
+                     enumerate_ball)
 
 FOURPOINT_TOLERANCE = 1e-9
-# most quadruples an exhaustive four-point scan is charged (n^3 at the
-# identity, not its rows); a larger ball is sampled instead
-QUADRUPLE_CAP = 1_200_000_000
-# quadruples a sampled four-point scan draws
-FOURPOINT_SAMPLES = 200_000
-# most (x, y, z) triples the min-rule oracle is charged (n^3 at the
-# identity, not its rows): above free:4 radius 4 (3.3e10), below free:4
-# radius 5 (1.1e13)
-MIN_RULE_TRIPLE_CAP = 100_000_000_000
+# most (x, y, z) entries a four-point scan computes: its x rows times n^2
+SCAN_ENTRY_CAP = 1_200_000_000
+# bytes a pair a four-point scan is charged.  The float scan holds the
+# int8 word distances and doubled products, e^(-(x|y)) and its transpose
+# in float64, and one x row's n x n float64 differences once n^2 passes
+# `kernels.SCAN_BUFFER_ENTRIES`: 26 a pair.  Traced peaks a pair at
+# n >= 457: 26.0-27.0 on word metrics, 25.1-25.5 on radial and 25.8 on
+# table Green metrics (37.3 on a process's first free-product call, as
+# CPython's tuple free lists fill with freed words); 3.1-8.7 in the
+# min-rule oracle
+SCAN_PAIR_BYTES = 32
 # the table iteration stops once no first-passage value moves this much
 GREEN_ITERATION_STOP = 1e-12
 
@@ -322,6 +325,42 @@ def _orbit_labels(ball, d):
     return labels
 
 
+def _scan_bytes(n):
+    """Bytes a four-point scan over n points is charged: `SCAN_PAIR_BYTES`
+    a pair, and the float scan's block of x rows while n^2 is small."""
+    return n * n * SCAN_PAIR_BYTES + 8 * kernels.SCAN_BUFFER_ENTRIES
+
+
+def _doubled_products(metric, ball):
+    """The doubled Gromov products 2(x|y)_e of the ball's points, and the
+    x rows a scan at the identity visits, one per orbit (`_orbit_labels`).
+
+    The one cost model of both scans raises ResourceLimitError: from n
+    alone, before any n x n array, past `DISTANCE_BYTES_CAP` bytes
+    (`_scan_bytes`); once the rows are known, past `SCAN_ENTRY_CAP`
+    entries, rows x n^2.  Exact products are integers in the narrowest
+    signed dtype that holds them (int8 on every preset ball).
+    """
+    n = len(ball)
+    need = _scan_bytes(n)
+    if need > DISTANCE_BYTES_CAP:
+        raise ResourceLimitError(
+            f"four-point scan over {n}^2 pairs needs {need / 2**30:.1f} GiB "
+            f"(cap {DISTANCE_BYTES_CAP / 2**30:g} GiB)")
+    d = metric_distance_matrix(metric, ball)
+    rows = _least_points(_orbit_labels(ball, d))
+    entries = len(rows) * n * n
+    if entries > SCAN_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"four-point scan needs {len(rows)} rows x {n}^2 = {entries:.2e} "
+            f"entries, over the cap {SCAN_ENTRY_CAP:.1e}")
+    if metric.exact:
+        d = _narrow(d)      # the same integers in fewer bytes
+    g = np.add(d[0][:, None], d[0])
+    g -= d
+    return g, rows
+
+
 @dataclass
 class FourPointReport:
     defect: float
@@ -329,56 +368,29 @@ class FourPointReport:
     witness: tuple | None
     quadruples: int
     elements: int
-    mode: str
     threshold: float
 
 
-def check_strong_hyperbolicity(metric, ball, seed=0):
+def check_strong_hyperbolicity(metric, ball):
     """Scan four-point defects over a ball, at the identity.
 
     Every metric here is left-invariant, so (x, y, z, w) has the defect
     of (w^-1 x, w^-1 y, w^-1 z, e), and the identity is the one basepoint
-    scanned.  The scan covers the n^3 (x, y, z) triples there, one x row
-    per orbit of the symmetries (`_orbit_labels`).  It is "exhaustive"
-    when n^3 is at most `QUADRUPLE_CAP`.  Otherwise it is "sampled":
-    `FOURPOINT_SAMPLES` triples drawn with a generator seeded by `seed`.
-    The reported defect clamps at zero; the signed maximum is kept in
-    `raw`.
+    scanned.  The scan covers all n^3 (x, y, z) triples there, the
+    `quadruples` reported, one x row per orbit of the symmetries; a ball
+    past the cost model of `_doubled_products` is refused.  The reported
+    defect clamps at zero; the signed maximum is kept in `raw`.
     """
-    d = metric_distance_matrix(metric, ball)
-    n = d.shape[0]
-    els = ball.elements
-    if n ** 3 <= QUADRUPLE_CAP:
-        mode = "exhaustive"
-        two_g = d[0][:, None] + d[0][None, :] - d
-        e = np.ascontiguousarray(np.exp(-0.5 * two_g))
-        best, *at = kernels.fourpoint_scan(
-            e, _least_points(_orbit_labels(ball, d)))
-        quadruples = n ** 3
-    else:
-        mode = "sampled"
-        rng = np.random.default_rng(seed)
-        xx, yy, zz = rng.integers(0, n, size=(3, FOURPOINT_SAMPLES))
-        exy = np.exp(-0.5 * (d[0, xx] + d[0, yy] - d[xx, yy]))
-        exz = np.exp(-0.5 * (d[0, xx] + d[0, zz] - d[xx, zz]))
-        ezy = np.exp(-0.5 * (d[0, zz] + d[0, yy] - d[zz, yy]))
-        vals = (exy - exz) - ezy
-        i = int(np.argmax(vals))
-        best = float(vals[i])
-        at = (int(xx[i]), int(yy[i]), int(zz[i]))
-        quadruples = FOURPOINT_SAMPLES
-    witness = None
-    if best > FOURPOINT_TOLERANCE:
-        witness = tuple(els[i].spelled() for i in at)
+    g, rows = _doubled_products(metric, ball)
+    # e^(-(x|y)), in place over float products
+    e = np.multiply(g, -0.5, out=g if g.dtype == np.float64 else None)
+    best, *at = kernels.fourpoint_scan(np.exp(e, out=e), rows)
+    witness = (tuple(ball.elements[i].spelled() for i in at)
+               if best > FOURPOINT_TOLERANCE else None)
+    n = len(ball)
     return FourPointReport(
-        defect=max(best, 0.0),
-        raw=float(best),
-        witness=witness,
-        quadruples=quadruples,
-        elements=n,
-        mode=mode,
-        threshold=FOURPOINT_TOLERANCE,
-    )
+        defect=max(best, 0.0), raw=float(best), witness=witness,
+        quadruples=n ** 3, elements=n, threshold=FOURPOINT_TOLERANCE)
 
 
 def _min_rule_margin(g, rows=None):
@@ -402,24 +414,11 @@ def _min_rule_margin(g, rows=None):
 def four_point_min_rule_margin(ball):
     """Exact integer margin of the tree rule (x|y) >= min((x|z), (z|y)).
 
-    Works on doubled Gromov products so everything stays integral.  A
-    nonnegative margin proves the float four-point defect clamps to zero
-    exactly: the exponential of the smaller product dominates one of the
-    two right-hand terms bit for bit.  As in `check_strong_hyperbolicity`
-    the basepoint is the identity, with one x row per orbit, in O(n^2)
-    working memory: the doubled products lie in [0, 2 max d] and are
-    stored in the narrowest signed dtype that holds that bound (int8 on
-    every preset ball).  More than `MIN_RULE_TRIPLE_CAP` triples (n^3)
-    raise ResourceLimitError before the distance matrix is built.
+    Works on doubled Gromov products of the word metric, so everything
+    stays integral.  A nonnegative margin proves the float four-point
+    defect clamps to zero exactly: the exponential of the smaller product
+    dominates one of the two right-hand terms bit for bit.  As in
+    `check_strong_hyperbolicity` the basepoint is the identity, with one x
+    row per orbit and the same cost model, in O(n^2) working memory.
     """
-    n = len(ball)
-    if n ** 3 > MIN_RULE_TRIPLE_CAP:
-        raise ResourceLimitError(
-            f"tree min-rule scan needs {n}^3 = {n ** 3:.2e} triples, over "
-            f"the cap {MIN_RULE_TRIPLE_CAP:.1e}")
-    dist = word_distance_matrix(ball)
-    labels = _orbit_labels(ball, dist)
-    d = _narrow(dist)
-    g = np.add(d[0][:, None], d[0])
-    g -= d
-    return _min_rule_margin(g, _least_points(labels))
+    return _min_rule_margin(*_doubled_products(word_metric(ball.pres), ball))

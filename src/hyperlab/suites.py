@@ -130,10 +130,8 @@ def _suite_strong_hyp(pres, cfg, radius):
     ball = groups.enumerate_ball(pres, radius)
     margin = None
     if pres.kind == "free" and cfg.metric == "word":
-        # first, so that a min-rule scan over its cap is refused before
-        # the float scan builds the n x n distance matrix
         margin = metrics.four_point_min_rule_margin(ball)
-    rep = metrics.check_strong_hyperbolicity(metric, ball, seed=cfg.seed)
+    rep = metrics.check_strong_hyperbolicity(metric, ball)
     witness = None
     if rep.witness is not None:
         witness = {"x": rep.witness[0], "y": rep.witness[1],
@@ -143,8 +141,7 @@ def _suite_strong_hyp(pres, cfg, radius):
         passed=rep.defect <= rep.threshold,
         details={"defect": rep.defect, "raw": rep.raw,
                  "basepoint": "identity", "quadruples": rep.quadruples,
-                 "elements": rep.elements, "mode": rep.mode,
-                 "threshold": rep.threshold},
+                 "elements": rep.elements, "threshold": rep.threshold},
         witness=witness,
     )]
     if margin is not None:
@@ -181,7 +178,7 @@ def _suite_green(pres, cfg, radius):
         ))
     green = metrics.MetricStructure(pres, "green", green=data)
     ball4p = groups.enumerate_ball(pres, min(radius, 3))
-    rep = metrics.check_strong_hyperbolicity(green, ball4p, seed=cfg.seed)
+    rep = metrics.check_strong_hyperbolicity(green, ball4p)
     checks.append(CheckResult(
         name="green-four-point-defect",
         passed=rep.defect <= rep.threshold,

@@ -51,32 +51,45 @@ def test_math_failure_exit_one_with_witness(tmp_path):
     assert doc["passed"] is False
     check = doc["reports"][0]["checks"][0]
     assert check["passed"] is False
-    assert check["details"]["mode"] == "exhaustive"
+    assert check["details"]["quadruples"] == 457 ** 3
     assert check["details"]["basepoint"] == "identity"
     witness = check["witness"]
     assert witness["defect"] == pytest.approx(0.49678527559194496, abs=1e-12)
     assert set(witness) == {"x", "y", "z", "defect"}
 
 
-@pytest.mark.parametrize("group,radius,mode", [
-    # 485^3 = 1.1e8, 218^3 = 1.0e7 and 457^3 = 9.5e7 triples at the
-    # identity, and 937^3 = 8.2e8 just under the cap
-    ("free:2", 5, "exhaustive"),
-    ("modular", 10, "exhaustive"),
-    ("surface:2", 3, "exhaustive"),
-    ("free:3", 4, "exhaustive"),
-    # 1457^3 = 3.1e9 just over it
-    ("free:2", 6, "sampled"),
+@pytest.mark.parametrize("group,radius,mode,raw", [
+    # rows x n^2 entries at the identity, under the cap 1.2e9: 6 x 485^2,
+    # 110 x 218^2, 115 x 457^2, 5 x 937^2, 7 x 1457^2 and 267 x 1597^2
+    pytest.param("free:2", 5, "exhaustive", -0.00673794699909,
+                 id="free:2-5-exhaustive"),
+    pytest.param("modular", 10, "exhaustive", -4.53999297625e-05,
+                 id="modular-10-exhaustive"),
+    pytest.param("surface:2", 3, "exhaustive", 0.496785275592,
+                 id="surface:2-3-exhaustive"),
+    pytest.param("free:3", 4, "exhaustive", -0.0183156388887,
+                 id="free:3-4-exhaustive"),
+    pytest.param("free:2", 6, "exhaustive", -0.00247875217667,
+                 id="free:2-6-exhaustive"),
+    pytest.param("surface:3", 3, "exhaustive", -0.0497870683679,
+                 id="surface:3-3-exhaustive"),
+    # 800 x 3193^2 = 8.2e9 over it
+    pytest.param("surface:2", 4, "refused", None, id="surface:2-4-refused"),
 ])
-def test_four_point_mode_follows_the_computed_quadruples(tmp_path, group,
-                                                         radius, mode):
-    _, payload = run_main(tmp_path, "check", "--suite", "strong-hyp",
-                          "--group", group, "--radius", str(radius))
+def test_four_point_mode_follows_the_computed_quadruples(tmp_path, capsys,
+                                                         group, radius, mode,
+                                                         raw):
+    # every verdict is exhaustive or refused, by the entries the scan
+    # computes
+    code, payload = run_main(tmp_path, "check", "--suite", "strong-hyp",
+                             "--group", group, "--radius", str(radius))
+    if mode == "refused":
+        assert (code, payload) == (2, b"")
+        assert "needs 800 rows x 3193^2" in capsys.readouterr().err
+        return
     details = json.loads(payload)["reports"][0]["checks"][0]["details"]
-    assert details["mode"] == mode
-    assert details["quadruples"] == (details["elements"] ** 3
-                                     if mode == "exhaustive"
-                                     else metrics.FOURPOINT_SAMPLES)
+    assert details["quadruples"] == details["elements"] ** 3
+    assert details["raw"] == raw
 
 
 @pytest.mark.parametrize("group", ["free:3", "free:4"])
@@ -196,16 +209,16 @@ def test_oversized_distance_matrix_exit_two(capsys):
 
 
 def test_oversized_min_rule_scan_exit_two(capsys):
-    # the free:4 radius-5 tree oracle would scan the 22409^3 triples of
-    # its ball at the identity; the ball's size refuses it before the
-    # distance matrix is built
+    # the free:4 radius-5 tree oracle would hold 22409^2 pairs of its ball
+    # at the identity; the ball's size refuses it before the distance
+    # matrix is built
     started = time.perf_counter()
     assert cli.main(["check", "--suite", "strong-hyp", "--group", "free:4",
                      "--radius", "5"]) == 2
     assert time.perf_counter() - started < 10
     err = capsys.readouterr().err
-    assert "needs 22409^3 = 1.13e+13 triples" in err
-    assert "cap 1.0e+11" in err
+    assert "over 22409^2 pairs needs 15.0 GiB" in err
+    assert "cap 2 GiB" in err
 
 
 def test_min_rule_refusal_precedes_the_distance_matrix(monkeypatch):
@@ -216,7 +229,8 @@ def test_min_rule_refusal_precedes_the_distance_matrix(monkeypatch):
 
     monkeypatch.setattr(metrics, "bulk_product_lengths", build)
     cfg = suites.ScenarioConfig(suite="strong-hyp", group="free:4", radius=5)
-    with pytest.raises(ResourceLimitError, match=r"needs 22409\^3"):
+    with pytest.raises(ResourceLimitError,
+                       match=r"22409\^2 pairs needs 15\.0 GiB"):
         suites.run_scenario(cfg)
 
 
@@ -330,7 +344,7 @@ def test_stdout_and_file_payloads_match(tmp_path):
 # format change updates the hash here and says so in CHANGES.md.
 PINNED_REPORTS = [
     (("--suite", "all", "--group", "free:2", "--seed", "7"),
-     "888b9b6ef8fa41d3edc805063bb00dbf4156709f535df3acd41baad5c67ef08d"),
+     "bdd54636f16e9091f9a9b47ff1ca86d388aaa8a286162652de32607a4d78c4ef"),
     (("--suite", "green", "--group", "modular", "--radius", "2"),
      "2928ebbc75621de4ac117a9f58e9a3daa0b73b3d7d995b972d650a266c532701"),
     (("--suite", "cocycle", "--group", "surface:2", "--radius", "2"),
@@ -345,11 +359,11 @@ PINNED_REPORTS = [
     (("--suite", "green", "--group", "modular"),
      "ae26f97759336cc6ab19fd8988822e02b7c570d2b1fd4248927b27480397d5a0"),
     (("--suite", "strong-hyp", "--group", "modular", "--metric", "green"),
-     "d015dc0eab7471ecf557373d1677f8e64242b8958fe6aea853c5f87992d1f708"),
+     "a266281aac081482ce043cd549eeef2804a9ea101102297fd045a4645def3dbb"),
     (("--suite", "strong-hyp", "--group", "free:2", "--radius", "4"),
-     "fc1a44523dbda1b36071441fd03201eb9145db6616bad46efb651de8168934be"),
+     "f816f129b2fe01874393190e324bfffb3c7cb6ce190e17cef825d812cdb42e45"),
     (("--suite", "strong-hyp", "--group", "modular", "--radius", "6"),
-     "2065b6571c136195b73876f515e4863aa21f7bb380b531e5c11268c2ee4339ac"),
+     "4ace4d12880e9ab9e3b0b9fec10b814b4af8cc869060f101e0ebc1ecec878d8f"),
     # nonzero C: partition targets fall halfway between path points
     (("--suite", "properness", "--group", "free:2", "--radius", "5",
       "--K", "5/2", "--C", "1/2"),

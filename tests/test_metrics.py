@@ -43,7 +43,6 @@ def test_four_point_exact_zero_free_tree():
     f2 = groups.free_group(2)
     ball = groups.enumerate_ball(f2, 3)
     rep = metrics.check_strong_hyperbolicity(metrics.word_metric(f2), ball)
-    assert rep.mode == "exhaustive"
     assert rep.quadruples == 53 ** 3
     assert rep.defect == 0.0
 
@@ -134,14 +133,58 @@ def test_min_rule_margin_works_in_a_few_n_squared_bytes():
 
 
 def test_min_rule_scan_past_its_cap_is_refused(monkeypatch):
-    # the n^3 triples at the identity are known from the ball's size, so
-    # the refusal comes before the distance matrix is built
-    ball = groups.enumerate_ball(groups.free_group(2), 4)
-    monkeypatch.setattr(metrics, "MIN_RULE_TRIPLE_CAP", 161 ** 3 - 1)
-    with pytest.raises(ResourceLimitError,
-                       match=r"needs 161\^3 = 4\.17e\+06 triples"):
-        metrics.four_point_min_rule_margin(ball)
-    assert ball.distances is None
+    # free:2 radius 5 scans 6 rows x 485^2 entries; the rows are known
+    # once the distances and their labels are, so the refusal comes
+    # before the n x n doubled products are built
+    ball = groups.enumerate_ball(groups.free_group(2), 5)
+    n = len(ball)
+    assert metrics.four_point_min_rule_margin(ball) == 0
+    monkeypatch.setattr(metrics, "SCAN_ENTRY_CAP", 6 * n * n - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError,
+                           match=r"needs 6 rows x 485\^2 = 1\.41e\+06 "
+                                 r"entries"):
+            metrics.four_point_min_rule_margin(ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int8 products alone would take n^2 bytes
+    assert peak < n * n // 4
+
+
+def test_min_rule_scan_on_free3_radius5():
+    # 4687^3 = 1.0e11 triples, which the n^3 cap refused; the scan
+    # computes 6 rows x 4687^2 = 1.3e8 entries
+    ball = groups.enumerate_ball(groups.free_group(3), 5)
+    assert len(ball) == 4687
+    assert metrics.four_point_min_rule_margin(ball) == 0
+
+
+@pytest.mark.parametrize("spec,radius,kind", [
+    ("free:2", 5, "word"),
+    ("surface:2", 3, "word"),
+    ("free:2", 3, "green"),
+    ("modular", 3, "green"),
+])
+def test_scan_charge_bounds_the_traced_peak(spec, radius, kind):
+    # the charge a refusal reads from n alone: int8 distances, products
+    # and float64 buffers, on word, radial and table Green metrics
+    pres = groups.preset(spec)
+    metric = _metric(pres, kind, radius)
+    if kind == "green":
+        assert metric.green.mode == ("radial" if pres.kind == "free"
+                                     else "table")
+    ball = groups.enumerate_ball(pres, radius)
+    # the first np.unique call imports numpy.ma, about 0.5 MB traced
+    import numpy.ma  # noqa: F401
+    tracemalloc.start()
+    try:
+        metrics.check_strong_hyperbolicity(metric, ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= metrics._scan_bytes(len(ball))
 
 
 @pytest.mark.parametrize("orders,radius,witness", [
@@ -156,17 +199,16 @@ def test_exhaustive_failing_witness_is_pinned(orders, radius, witness):
     pres = groups.cyclic_free_product(orders)
     ball = groups.enumerate_ball(pres, radius)
     rep = metrics.check_strong_hyperbolicity(metrics.word_metric(pres), ball)
-    assert rep.mode == "exhaustive"
     assert rep.raw == 0.26424111765711533
     assert rep.witness == witness
 
 
 def test_surface_ball_fails_at_the_identity():
-    # 457^3 = 9.5e7 triples at the identity, under the exhaustive cap
+    # 115 rows x 457^2 = 2.4e7 entries at the identity, under the cap
     s = groups.surface_group(2)
     ball = groups.enumerate_ball(s, 3)
     rep = metrics.check_strong_hyperbolicity(metrics.word_metric(s), ball)
-    assert (rep.mode, rep.quadruples) == ("exhaustive", 457 ** 3)
+    assert rep.quadruples == 457 ** 3
     assert rep.raw == 0.49678527559194496
     assert rep.witness == ("a", "b'cd", "ab'a'")
 
@@ -371,18 +413,6 @@ def test_strong_hyp_scans_one_row_per_stabilizer_orbit(monkeypatch):
     assert [c.passed for r in reports for c in r.checks] == [True, True]
     assert filled == [5] and reduced == [5]
     assert reports[0].checks[0].details["quadruples"] == 161 ** 3
-
-
-def test_four_point_sampled_is_seeded():
-    # free:2 radius 6: 1457^3 = 3.1e9 triples, over the exhaustive cap
-    f2 = groups.free_group(2)
-    ball = groups.enumerate_ball(f2, 6)
-    wm = metrics.word_metric(f2)
-    r1 = metrics.check_strong_hyperbolicity(wm, ball, seed=5)
-    r2 = metrics.check_strong_hyperbolicity(wm, ball, seed=5)
-    assert r1.mode == "sampled"
-    assert (r1.defect, r1.raw, r1.witness) == (r2.defect, r2.raw, r2.witness)
-    assert r1.quadruples == metrics.FOURPOINT_SAMPLES
 
 
 def test_green_passage_closed_form():

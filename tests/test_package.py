@@ -95,3 +95,32 @@ def _unread_constants(package):
 
 def test_every_constant_is_read():
     assert _unread_constants(PACKAGE) == []
+
+
+def _unread_parameters(package):
+    """`module:function:parameter` for each parameter of a package
+    function that its body never reads; `self`, `cls` and names that
+    start with `_` are exempt."""
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs
+                                      + [args.vararg, args.kwarg]) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.stem}:{name}:{p}" for p in params
+                       if p not in read and p not in ("self", "cls")
+                       and not p.startswith("_")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert _unread_parameters(PACKAGE) == []

@@ -93,6 +93,8 @@ def build_pair_band(metric, K, radius, C=None):
         C = metric.rough_constant
     if K <= 0:
         raise InputError("K must be positive")
+    if C < 0:
+        raise InputError(f"C must be nonnegative, got C={C}")
     if not K > 2 * C:
         raise InputError(f"need K > 2C, got K={K}, C={C}")
     ball = enumerate_ball(metric.pres, radius)

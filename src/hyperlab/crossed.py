@@ -334,79 +334,57 @@ def kms_check(a, b, lam):
 
 @dataclass(frozen=True)
 class KmsScanReport:
-    lam: Fraction
-    radius: int
-    depth: int
+    lam: Fraction           # the solved lam, None when no pair forces one
     monomials: int
     pairs: int
     zero_pairs: int
     checked_pairs: int
     crosschecked: int
+    forcing_pairs: int      # meeting pairs with b != 0, each forcing lam
+    first_forcing: tuple    # (g, w, v) of the first of them, or None
+    neutral_pairs: int      # meeting pairs with b == 0
     failures: tuple
     equal: bool
-    # (g, w, v, |g^-1 z|, |z|, b, mass C_(g^-1 z), mass C_z) per meeting
-    # pair, in scan order: its KMS equation at any lam is lam^b * the first
-    # mass = the second, and the three ints decide it
-    binomials: tuple
-
-    def failures_at(self, lam):
-        """The first KMS_WITNESSES meeting pairs whose binomial fails at
-        lam, spelled (g, w, v, lhs, rhs), each confirmed by the engine."""
-        return _kms_failures(self.binomials, lam, self.radius)
 
 
-# monomial pairs the scan re-runs through the generic engine, and failing
-# pairs it keeps as witnesses
+# monomial pairs the scan re-runs through the generic engine
 KMS_CROSSCHECKS = 50
-KMS_WITNESSES = 5
+
+
+def monomial_pair_kms(g, w, v, lam):
+    """The generic engine's KMS comparison at lam for the pair 1_{C_w} g,
+    1_{C_v} g^-1, spelled (g, w, v, lhs, rhs)."""
+    rep = kms_check(CrossedElement.monomial(g.pres, w, g),
+                    CrossedElement.monomial(g.pres, v, g.inverse()), lam)
+    return (g.spelled(), _spell(g.pres.alphabet, w),
+            _spell(g.pres.alphabet, v), rep.lhs, rep.rhs)
 
 
 def _engine_check(g, w, v, lam, lhs, rhs):
-    """Raise unless the generic engine gives lhs, rhs at lam for the pair
-    1_{C_w} g, 1_{C_v} g^-1."""
-    rep = kms_check(CrossedElement.monomial(g.pres, w, g),
-                    CrossedElement.monomial(g.pres, v, g.inverse()), lam)
-    if (rep.lhs, rep.rhs) != (lhs, rhs):
+    """`monomial_pair_kms`, raising unless it gives lhs, rhs."""
+    pair = monomial_pair_kms(g, w, v, lam)
+    if pair[3:] != (lhs, rhs):
         raise InvariantViolation(
             f"closed-form KMS values disagree with the generic engine "
-            f"for g={g.spelled()!r} w={_spell(g.pres.alphabet, w)!r} "
-            f"v={_spell(g.pres.alphabet, v)!r}")
+            f"for g={pair[0]!r} w={pair[1]!r} v={pair[2]!r}")
+    return pair
 
 
-def _kms_failures(binomials, lam, reach):
-    """`KmsScanReport.failures_at` for binomials of a radius-reach ball:
-    each distinct (|g^-1 z|, |z|, b) is decided once."""
-    powers = _lambda_powers(lam, reach)
-    holds = {}
-    failures = []
-    for g, w, v, n_below, n_z, b, below, rhs in binomials:
-        if (n_below, n_z, b) not in holds:
-            holds[n_below, n_z, b] = powers[b] * below == rhs
-        if not holds[n_below, n_z, b]:
-            lhs = powers[b] * below
-            _engine_check(g, w, v, lam, lhs, rhs)
-            failures.append((g.spelled(), _spell(g.pres.alphabet, w),
-                             _spell(g.pres.alphabet, v), lhs, rhs))
-            if len(failures) == KMS_WITNESSES:
-                break
-    return tuple(failures)
-
-
-def kms_monomial_scan(pres, radius, depth, lam, seed=0):
-    """KMS comparison at lam = e^(-beta) over every monomial pair
-    1_{C_w} g, 1_{C_v} h.
+def kms_monomial_scan(pres, radius, depth, seed=0):
+    """Solve for the lam = e^(-beta) at which every monomial pair
+    1_{C_w} g, 1_{C_v} h meets the KMS condition, and check it there.
 
     Both state values vanish unless h = g^-1, since only products landing
     on the identity survive the expectation; those pairs are counted as
-    zero_pairs in bulk.  The surviving pairs are kept as binomials in lam
-    from closed cylinder formulas, and a seeded sample of them is checked
-    at lam against the generic product/flow/state machinery.
+    zero_pairs in bulk.  The others give binomials lam^b * mass(C_(g^-1 z))
+    = mass(C_z); the first with |b| = 1 gives lam, each distinct one is
+    checked at it, and its failures and a seeded sample of pairs are
+    rerun through the generic product/flow/state machinery.
     """
     measure = BoundaryMeasure(pres)
     if depth < radius + 1:
         raise InputError("scan needs depth > radius so translated cylinders "
                          "stay cylinders")
-    powers = _lambda_powers(lam, radius)
     ball = enumerate_ball(pres, radius)
     words = reduced_words(pres, depth)
     monomials = len(ball) * len(words)
@@ -426,27 +404,41 @@ def kms_monomial_scan(pres, radius, depth, lam, seed=0):
                           for hit in meets.get(w[:n], ()))
             for _, v, gv in hits:
                 z = gv if len(gv) >= depth else w    # the deeper cylinder
-                quotient = pres.left_quotient(g.word, z)
                 binomials.append((
-                    g, w, v, len(quotient), len(z), busemann_on_word(g, z),
-                    measure.word_mass(quotient), measure.word_mass(z)))
+                    g, w, v, busemann_on_word(g, z),
+                    measure.word_mass(pres.left_quotient(g.word, z)),
+                    measure.word_mass(z)))
+    # each distinct equation with its first pair, in scan order; the
+    # masses are keyed as int pairs, which hash far faster than Fractions
+    equations = {}
+    for pair in binomials:
+        equations.setdefault((pair[3], pair[4].as_integer_ratio(),
+                              pair[5].as_integer_ratio()), pair)
+    # a generator's Busemann values are +-1, so |b| = 1 occurs whenever
+    # some b != 0; with none, any value checks b = 0, and 1 is used
+    lam = next(((rhs / below) ** b for *_, b, below, rhs in
+                equations.values() if abs(b) == 1), None)
+    at = lam or 1
     rng = random.Random(seed)
     sample = rng.sample(binomials, min(KMS_CROSSCHECKS, len(binomials)))
-    for g, w, v, _, _, b, below, rhs in sample:
-        _engine_check(g, w, v, lam, powers[b] * below, rhs)
-    failures = _kms_failures(binomials, lam, radius)
+    for g, w, v, b, below, rhs in sample:
+        _engine_check(g, w, v, at, at ** b * below, rhs)
+    failures = tuple(_engine_check(g, w, v, at, at ** b * below, rhs)
+                     for g, w, v, b, below, rhs in equations.values()
+                     if at ** b * below != rhs)
+    forcing = [pair[:3] for pair in binomials if pair[3]]
     return KmsScanReport(
         lam=lam,
-        radius=radius,
-        depth=depth,
         monomials=monomials,
         pairs=pairs,
         zero_pairs=pairs - checked,
         checked_pairs=checked,
         crosschecked=len(sample),
+        forcing_pairs=len(forcing),
+        first_forcing=forcing[0] if forcing else None,
+        neutral_pairs=len(binomials) - len(forcing),
         failures=failures,
         equal=not failures,
-        binomials=tuple(binomials),
     )
 
 

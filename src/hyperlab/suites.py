@@ -419,7 +419,7 @@ def _suite_boundary(pres, cfg, radius):
 
 
 def _kms_witness(failures):
-    """The first unequal pair of a KMS evaluation, or None."""
+    """The first spelled (g, w, v, lhs, rhs) comparison as a witness."""
     return (dict(zip(("g", "w", "v", "lhs", "rhs"), failures[0]))
             if failures else None)
 
@@ -431,7 +431,7 @@ def _random_monomial(pres, rng, words, els):
 
 
 def _suite_kms(pres, cfg, radius):
-    depth = cfg.depth if cfg.depth is not None else 3
+    depth = cfg.depth if cfg.depth is not None else max(3, radius + 1)
     measure = boundary.BoundaryMeasure(pres)
     base = measure.base()
     lam = Fraction(1, base)     # e^(-beta) at beta = log(2k-1)
@@ -449,24 +449,27 @@ def _suite_kms(pres, cfg, radius):
         details={"lhs": pair.lhs, "rhs": pair.rhs, "expected": expected},
     ))
 
-    scan = crossed.kms_monomial_scan(pres, radius, depth, lam, seed=cfg.seed)
+    scan = crossed.kms_monomial_scan(pres, radius, depth, seed=cfg.seed)
     checks.append(CheckResult(
         name="kms-monomial-scan",
-        passed=scan.equal,
+        passed=scan.equal and scan.lam in (lam, None),
         details={"monomials": scan.monomials, "pairs": scan.pairs,
                  "zero_pairs": scan.zero_pairs,
                  "checked_pairs": scan.checked_pairs,
-                 "crosschecked": scan.crosschecked},
+                 "crosschecked": scan.crosschecked,
+                 "solved_lambda": scan.lam},
         witness=_kms_witness(scan.failures),
     ))
 
-    # beta raised by log(2k-1): the same binomials at lam^2
-    hot = scan.failures_at(lam ** 2)
+    # beta raised by log(2k-1): a pair that forces lam fails at lam^2, as
+    # lam^(2b) != lam^b for b != 0; the engine shows it on the first
+    hot = () if scan.first_forcing is None else (
+        crossed.monomial_pair_kms(*scan.first_forcing, scan.lam ** 2),)
     checks.append(CheckResult(
         name="temperature-sensitivity",
-        passed=bool(hot),
+        passed=any(lhs != rhs for *_, lhs, rhs in hot),
         details={"beta_offset": math.log(base),
-                 "unequal_pairs_found": len(hot)},
+                 "unequal_pairs_found": scan.forcing_pairs},
         witness=_kms_witness(hot),
     ))
 

@@ -162,12 +162,17 @@ def test_criterion_09_kms_at_dimension(free2):
     worked = crossed.kms_check(A, B, lam)
     worked_ok = (worked.lhs == worked.rhs == Fraction(1, 36))
 
-    scan = crossed.kms_monomial_scan(free2, 2, 3, lam)
-    hot = crossed.kms_monomial_scan(free2, 2, 3, lam ** 2)
-    ok = worked_ok and scan.equal and not hot.equal
+    # one scan solves for lam; every pair that forces it fails at lam^2,
+    # as the engine shows on the first
+    scan = crossed.kms_monomial_scan(free2, 2, 3)
+    *_, hot_lhs, hot_rhs = crossed.monomial_pair_kms(*scan.first_forcing,
+                                                     lam ** 2)
+    ok = (worked_ok and scan.lam == lam and scan.equal
+          and scan.forcing_pairs == 864 and hot_lhs != hot_rhs)
     _verdict(9, ok, f"worked pair {worked.lhs} = {worked.rhs}; "
-                    f"{scan.pairs} pairs equal at dimension; "
-                    f"{len(hot.failures)} unequal witnesses at higher beta")
+                    f"{scan.pairs} pairs equal at solved lambda {scan.lam}; "
+                    f"{scan.forcing_pairs} forcing pairs, the first unequal "
+                    f"at higher beta")
 
 
 def test_criterion_10_nonvanishing(free2):

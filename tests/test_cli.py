@@ -123,8 +123,17 @@ def test_unknown_group_exit_two(capsys):
 
 def test_kms_depth_radius_guard_exit_two(capsys):
     assert cli.main(["check", "--suite", "kms", "--group", "free:2",
-                     "--radius", "3"]) == 2
+                     "--radius", "3", "--depth", "3"]) == 2
     assert "depth" in capsys.readouterr().err
+
+
+def test_kms_default_depth_follows_the_radius(tmp_path):
+    # the scan needs depth > radius, so the default is max(3, radius + 1)
+    code, payload = run_main(tmp_path, "check", "--suite", "all",
+                             "--group", "free:2", "--radius", "3")
+    assert code == 0
+    kms = json.loads(payload)["reports"][-1]
+    assert (kms["suite"], kms["settings"]["depth"]) == ("kms", 4)
 
 
 @pytest.mark.parametrize("suite", ["cocycle", "properness"])
@@ -141,6 +150,8 @@ def test_empty_band_exit_two(capsys, suite):
     (("--p", "inf", "--g", "a"), "finite and at least 1, got inf"),
     (("--p", "nan"), "finite and at least 1, got nan"),
     (("--p", "1,-inf"), "got -inf"),
+    # radius 0 leaves the band empty: only the refusal can fail this run
+    (("--C", "-1", "--radius", "0"), "C must be nonnegative, got C=-1"),
 ])
 def test_bad_seed_or_p_exit_two(capsys, flags, message):
     assert cli.main(["check", "--suite", "cocycle", "--group", "free:2",
@@ -344,7 +355,7 @@ def test_stdout_and_file_payloads_match(tmp_path):
 # format change updates the hash here and says so in CHANGES.md.
 PINNED_REPORTS = [
     (("--suite", "all", "--group", "free:2", "--seed", "7"),
-     "bdd54636f16e9091f9a9b47ff1ca86d388aaa8a286162652de32607a4d78c4ef"),
+     "a75cea9084f26600e988fbe185f683ecacb011625f3b0d379032b44c76bcd5f0"),
     (("--suite", "green", "--group", "modular", "--radius", "2"),
      "2928ebbc75621de4ac117a9f58e9a3daa0b73b3d7d995b972d650a266c532701"),
     (("--suite", "cocycle", "--group", "surface:2", "--radius", "2"),
@@ -375,7 +386,7 @@ PINNED_REPORTS = [
      "02b2ba6104fa1799557911d75e6be0bfccd4d1ce544574d85825da106379f0cc"),
     # the kms scan at depth 4: 1,836 monomials, 198,288 checked pairs
     (("--suite", "kms", "--group", "free:2", "--seed", "3", "--depth", "4"),
-     "96c917bf9ca04b69b4c0d2c59cd4ff9c32b9303470b2e607e9acc71a2adb7014"),
+     "529537873652e095fa772e97c9200fdd10e44b79051eefcc858a519e35fbe59e"),
     # the boundary suite alone: rank 3, a --depth above |g| + 1, radius 4
     (("--suite", "boundary", "--group", "free:3", "--seed", "1"),
      "3f69f4c5e5abc0cf88f8375bd1ac32490a7bfaf14008966dc3fbf923d9d1479a"),
@@ -536,7 +547,7 @@ def test_identity_certificate_lower_bound(tmp_path, args, bound):
 ], ids=["all-free2", "kms-free2-depth4"])
 def test_kms_suite_scans_once(tmp_path, monkeypatch, args):
     # temperature-sensitivity ran a second whole scan at lambda^2; it now
-    # evaluates the first scan's binomials there
+    # reads the forcing pairs of the one scan
     calls = []
 
     def counted(*a, _scan=crossed.kms_monomial_scan, **kw):

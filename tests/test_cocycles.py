@@ -101,6 +101,12 @@ def test_band_requires_k_above_2c(word2):
         cocycles.build_pair_band(word2, 1, 3, C=0.5)
 
 
+def test_band_refuses_a_negative_c(word2):
+    # [K-C, K+C] would be turned inside out
+    with pytest.raises(InputError, match="C must be nonnegative, got C=-1"):
+        cocycles.build_pair_band(word2, 1, 3, C=-1)
+
+
 def test_band_can_be_empty_without_error(word2):
     band = cocycles.build_pair_band(word2, 5, 2, C=0)
     assert band.empty

@@ -306,17 +306,15 @@ def test_flow_rejects_a_lambda_that_is_not_a_positive_rational(
     A, _ = worked_pair
     with pytest.raises(InputError, match="positive int or Fraction"):
         crossed.apply_flow(A, lam)
-    with pytest.raises(InputError, match="positive int or Fraction"):
-        crossed.kms_monomial_scan(free2, 2, 3, lam)
 
 
 def test_lambda_power_tables_are_built_once():
-    # the kms suite on free:2 reads 89 power tables, at 5 distinct
-    # (lam, reach): lam = 1/3 at reach 0, 1, 2 and its square at 1, 2
+    # the kms suite on free:2 reads 82 power tables, at 4 distinct
+    # (lam, reach): lam = 1/3 at reach 0, 1, 2 and its square at 1
     crossed._power_table.cache_clear()
     run_scenario(ScenarioConfig(suite="kms", group="free:2", seed=7))
     info = crossed._power_table.cache_info()
-    assert (info.misses, info.hits + info.misses) == (5, 89)
+    assert (info.misses, info.hits + info.misses) == (4, 82)
 
 
 def test_flow_at_zero_is_identity(free2, worked_pair):
@@ -395,7 +393,8 @@ def test_kms_worked_pair(free2, worked_pair):
 
 
 def test_kms_scan_at_dimension(free2):
-    scan = crossed.kms_monomial_scan(free2, 2, 3, Fraction(1, 3))
+    scan = crossed.kms_monomial_scan(free2, 2, 3)
+    assert scan.lam == Fraction(1, 3)
     assert scan.equal
     assert scan.monomials == 612
     assert scan.pairs == 612 ** 2
@@ -405,61 +404,107 @@ def test_kms_scan_at_dimension(free2):
 
 
 def test_kms_scan_detects_wrong_temperature(free2):
-    scan = crossed.kms_monomial_scan(free2, 2, 3, Fraction(1, 9))
-    assert not scan.equal
-    assert len(scan.failures) == 5  # capped
-    g, w, z, lhs, rhs = scan.failures[0]
-    assert lhs != rhs
+    # the first forcing pair holds at the solved lam and fails at lam^2
+    scan = crossed.kms_monomial_scan(free2, 2, 3)
+    g, w, v = scan.first_forcing
+    assert (g.spelled(), w, v) == ("a", (0, 0, 0), (0, 0, 0))
+    *_, lhs, rhs = crossed.monomial_pair_kms(g, w, v, Fraction(1, 3))
+    assert lhs == rhs == Fraction(1, 108)
+    assert crossed.monomial_pair_kms(g, w, v, Fraction(1, 9)) == (
+        "a", "aaa", "aaa", Fraction(1, 324), Fraction(1, 108))
+
+
+@pytest.mark.parametrize("rank,radius,depth,lam,forcing,neutral", [
+    (2, 2, 3, Fraction(1, 3), 864, 108), (3, 2, 3, Fraction(1, 5), 9000, 750),
+    (2, 2, 4, Fraction(1, 3), 2592, 324), (2, 3, 4, Fraction(1, 3), 9720, 324),
+    (2, 0, 1, None, 0, 4),
+], ids=["free2-r2-d3", "free3-r2-d3", "free2-r2-d4", "free2-r3-d4",
+        "free2-r0-d1"])
+def test_binomials_force_the_dimension(rank, radius, depth, lam, forcing,
+                                       neutral):
+    # lam^b * mass(C_(g^-1 z)) = mass(C_z) holds at lam = 1/(2k-1) for
+    # every meeting pair: the pairs with b != 0 force it, and the others
+    # have equal masses; a radius-0 ball has only the latter
+    pres = groups.free_group(rank)
+    scan = crossed.kms_monomial_scan(pres, radius, depth)
+    assert (scan.lam, scan.forcing_pairs, scan.neutral_pairs) == (
+        lam, forcing, neutral)
+    assert scan.equal and scan.failures == ()
+    if lam is None:
+        assert scan.first_forcing is None
 
 
 @pytest.mark.parametrize("rank,radius,depth", [
     (2, 2, 3), (3, 2, 3), (2, 2, 4), (2, 3, 4),
 ], ids=["free2-r2-d3", "free3-r2-d3", "free2-r2-d4", "free2-r3-d4"])
 def test_kept_binomials_answer_a_second_temperature(rank, radius, depth):
-    # evaluating the kept binomials at lam^2 gives the witnesses a fresh
-    # scan at lam^2 finds, in the same order
+    # the first forcing pair the scan keeps balances at the solved lam
+    # = 1/(2k-1) and, through the engine, fails at lam^2: there lhs/rhs
+    # is lam^b for its b != 0
     pres = groups.free_group(rank)
+    scan = crossed.kms_monomial_scan(pres, radius, depth)
     lam = Fraction(1, 2 * rank - 1)
-    scan = crossed.kms_monomial_scan(pres, radius, depth, lam)
-    hot = crossed.kms_monomial_scan(pres, radius, depth, lam ** 2)
-    assert scan.failures_at(lam) == scan.failures == ()
-    assert scan.failures_at(lam ** 2) == hot.failures
-    assert len(hot.failures) == crossed.KMS_WITNESSES
-    assert hot.binomials == scan.binomials
+    assert scan.lam == lam and scan.failures == ()
+    *_, lhs, rhs = crossed.monomial_pair_kms(*scan.first_forcing, lam)
+    assert lhs == rhs
+    *_, lhs, rhs = crossed.monomial_pair_kms(*scan.first_forcing, lam ** 2)
+    assert lhs != rhs
+    assert any(lhs / rhs == lam ** b for b in range(-radius, radius + 1) if b)
 
 
-@pytest.mark.parametrize("rank,radius,depth,meeting,forcing", [
-    (2, 2, 3, 972, 864), (3, 2, 3, 9750, 9000), (2, 3, 4, 10044, 9720),
-], ids=["free2-r2-d3", "free3-r2-d3", "free2-r3-d4"])
-def test_binomials_force_the_dimension(rank, radius, depth, meeting,
-                                       forcing):
-    # lam^b * mass(C_(g^-1 z)) = mass(C_z) holds at lam = 1/(2k-1) for
-    # every pair: one positive root for each pair with b != 0, and equal
-    # masses for the others
-    pres = groups.free_group(rank)
-    lam = Fraction(1, 2 * rank - 1)
-    scan = crossed.kms_monomial_scan(pres, radius, depth, lam)
-    assert len(scan.binomials) == meeting
-    assert sum(1 for *_, b, _, _ in scan.binomials if b) == forcing
-    for *_, b, below, mass in scan.binomials:
-        assert lam ** b * below == mass
+def _skew_the_measure(monkeypatch):
+    """Patch both KMS routes onto a Markov measure that is not uniform: a
+    first letter has mass 1/(2k), and each further letter repeats the one
+    before it with probability 1/2 and is each of the other 2k - 2
+    reduced continuations with probability 1/(4(k - 1))."""
+    def mass(pres, word):
+        m = Fraction(1, 2 * pres.rank) if word else Fraction(1)
+        for x, y in zip(word, word[1:]):
+            m *= Fraction(1, 2) if x == y else Fraction(1, 4 * pres.rank - 4)
+        return m
+
+    def integral(phi):
+        words = boundary.reduced_words(phi.pres, phi.depth)
+        return sum((v * mass(phi.pres, words[j])
+                    for j, v in phi.support.items()), Fraction(0))
+
+    monkeypatch.setattr(boundary.BoundaryMeasure, "word_mass",
+                        lambda self, word: mass(self.pres, word))
+    monkeypatch.setattr(crossed.StepFunction, "integral", integral)
 
 
 def test_failures_at_confirms_each_witness(free2, monkeypatch):
-    scan = crossed.kms_monomial_scan(free2, 2, 3, Fraction(1, 3))
+    # under a measure that no single temperature balances, the scan
+    # solves lam = 1/2 from its first |b| = 1 equation, that of the pair
+    # a, aaa, aaa, and reports one failing pair per failing equation,
+    # each with the engine's own values
+    _skew_the_measure(monkeypatch)
+    scan = crossed.kms_monomial_scan(free2, 2, 3)
+    assert scan.lam == Fraction(1, 2)
+    assert not scan.equal
+    assert len(scan.failures) == 22
+    assert scan.failures[0] == ("a", "aba", "baa", Fraction(1, 64),
+                                Fraction(1, 128))
+    for g, w, v, lhs, rhs in scan.failures:
+        assert lhs != rhs
+        assert crossed.monomial_pair_kms(
+            free2.element(g), free2.parse_word(w), free2.parse_word(v),
+            scan.lam) == (g, w, v, lhs, rhs)
+    # an engine that disagrees with a failing pair's closed form is an
+    # internal fault, not a witness
     real = crossed.kms_check
 
     def skewed(a, b, lam):
         rep = real(a, b, lam)
-        if lam == Fraction(1, 9):
+        if rep.lhs != rep.rhs:
             return crossed.KmsReport(lam, rep.lhs + 1, rep.rhs, False)
         return rep
 
     monkeypatch.setattr(crossed, "kms_check", skewed)
-    assert scan.failures_at(Fraction(1, 3)) == ()
+    monkeypatch.setattr(crossed, "KMS_CROSSCHECKS", 0)
     with pytest.raises(InvariantViolation,
                        match="disagree with the generic engine"):
-        scan.failures_at(Fraction(1, 9))
+        crossed.kms_monomial_scan(free2, 2, 3)
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -467,13 +512,14 @@ def test_failures_at_confirms_each_witness(free2, monkeypatch):
 def test_closed_form_matches_the_engine_on_every_pair(monkeypatch, rank,
                                                       hot):
     # every pair whose cylinders meet goes through the generic engine,
-    # which raises on any closed-form value it does not reproduce
+    # which raises on any closed-form value it does not reproduce; "hot"
+    # runs both routes on a measure that no temperature balances, where
+    # some equations fail at the solved lam
     pres = groups.free_group(rank)
-    lam = Fraction(1, 2 * rank - 1)
     if hot:
-        lam **= 2
+        _skew_the_measure(monkeypatch)
     monkeypatch.setattr(crossed, "KMS_CROSSCHECKS", 10 ** 9)
-    scan = crossed.kms_monomial_scan(pres, 1, 2, lam)
+    scan = crossed.kms_monomial_scan(pres, 1, 2)
     words = boundary.reduced_words(pres, 2)
     meeting = 0
     for g in groups.enumerate_ball(pres, 1).elements:
@@ -482,6 +528,7 @@ def test_closed_form_matches_the_engine_on_every_pair(monkeypatch, rank,
             meeting += sum(1 for w in words
                            if w[:len(gv)] == gv or gv[:len(w)] == w)
     assert scan.crosschecked == meeting
+    assert scan.lam == Fraction(1, 2 if hot else 2 * rank - 1)
     assert scan.equal is not hot
 
 
@@ -549,7 +596,7 @@ def test_cylinder_caches_are_bounded(tmp_path):
 
 def test_kms_scan_depth_guard(free2):
     with pytest.raises(InputError):
-        crossed.kms_monomial_scan(free2, 3, 3, Fraction(1, 3))
+        crossed.kms_monomial_scan(free2, 3, 3)
 
 
 def test_nonvanishing_certificate(free2):

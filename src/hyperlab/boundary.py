@@ -17,9 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, UnsupportedElementError
-from .groups import (GroupElement, _common_prefix_lengths, _letters, _spell,
-                     bulk_product_lengths, common_prefix_len,
-                     cyclically_reduce, distance_dtype)
+from .groups import (GroupElement, _common_prefix_lengths, _inverse_letters,
+                     _letters, _spell, bulk_product_lengths,
+                     common_prefix_len, cyclically_reduce, distance_dtype)
 
 
 def _require_free(pres):
@@ -117,9 +117,9 @@ def boundary_point(pres, preperiod, period):
 def _element_letters(pres, words):
     """Letter arrays of the words and of their inverses, and the lengths."""
     width = max(map(len, words), default=0)
-    return (_letters(pres, words, width),
-            _letters(pres, [pres.invert(w) for w in words], width),
-            np.array([len(w) for w in words], dtype=distance_dtype(width)))
+    letters = _letters(pres, words, width)
+    n = np.array([len(w) for w in words], dtype=distance_dtype(width))
+    return letters, _inverse_letters(pres, letters, n), n
 
 
 def _windows(pres, points, width):

@@ -531,7 +531,8 @@ def cocycle_identity_scan(band, outer_radius, seed=0):
     and g^-1 x.  A seeded sample of triples is also evaluated literally
     through haagerup_value, with element products, as an independent
     route: `IDENTITY_SAMPLES` of them, drawn from a generator seeded by
-    `seed`.
+    `seed`.  When o = r the two blocks of lengths are B(2o) x B(o) and
+    its transpose, as |l^-1 r| = |r^-1 l|: one call gives both.
     """
     metric = band.metric
     pres = metric.pres
@@ -549,8 +550,9 @@ def cocycle_identity_scan(band, outer_radius, seed=0):
 
     lens_prod = bulk_product_lengths(
         pres, ball.elements[: ends[2 * outer_radius]], ball_els)
-    lens_trans = bulk_product_lengths(
-        pres, outer, ball.elements[: ends[outer_radius + band.ball.radius]])
+    wide = ball.elements[: ends[outer_radius + band.ball.radius]]
+    lens_trans = (lens_prod.T if outer_radius == band.ball.radius
+                  else bulk_product_lengths(pres, outer, wide))
 
     mismatches = 0
     checks = 0

@@ -33,17 +33,17 @@ DISTANCE_BYTES_CAP = 2 << 30
 # for int8 distances (a wider `distance_dtype` scales them by at most its
 # itemsize), with 8 pairs a letter added for each word, at max |l| +
 # max |r| + 1 letters.  Peaks a pair under tracemalloc: 2.1-2.2 on the
-# free prefix route (free:2 radius 6, free:3 radius 4); 12.9 on a first
-# free-product call (modular radius 12, 17.4 at 12 x 11; 1.3 after);
+# free prefix route (free:2 radius 6, free:3 radius 4); 4.0-4.4 on the
+# free-product syllable route (modular radius 12 and 14, Z/3*Z/4 6 and 8);
 # 2.9-4.9 on the small-cancellation window search over surface:2 4 x 3
 # and 4 x 4 (the most on a first call, with the canonical forms it
-# caches), 8.8 over 3 x 3; 9.4 and 38 on skinny free:2 6 x 2 and
-# surface:2 3 x 1 calls.  With `CALL_BYTES`, every call within free:2
-# radius 6, free:3 4, free:4 3, modular 8, surface:2 3 and surface:3 2
-# (both sides, warm) peaks at most 0.85 of its estimate
-PAIR_BYTES = {"free": 3, "free-product": 16, "small-cancellation": 16}
+# caches), 8.8 over 3 x 3; 9.4, 15 and 38 on skinny free:2 6 x 2,
+# modular 12 x 2 and surface:2 3 x 1 calls.  With `CALL_BYTES`, every
+# call within free:2 radius 6, free:3 4, free:4 3, modular 8, surface:2 3
+# and surface:3 2 (both sides, warm) peaks at most 0.85 of its estimate
+PAIR_BYTES = {"free": 3, "free-product": 5, "small-cancellation": 16}
 # bytes any bulk_product_lengths call may add to its pair term: numpy
-# buffers 8192 entries of each intp operand of a broadcast comparison,
+# buffers 8192 entries of each operand of a broadcast comparison,
 # and np.unique a few KB.  Traced calls peak up to 92 KB past the pair
 # term (free:2 4 x 3)
 CALL_BYTES = 1 << 17
@@ -306,6 +306,23 @@ class GroupPresentation:
         table[hit] = hit[:, None]
         return table, accept
 
+    @functools.cached_property
+    def _syllable_merge(self):
+        """merge[u, v] for free-product syllables u = s^i and v = t^j,
+        numbered s + (i - 1) k over k symbols: what u^-1 v takes off i + j,
+        i + j - min(x, n - x) for x = j e(t) - i e(s) mod n in one factor
+        of order n, 0 across factors and at the padding (last row, column).
+        """
+        f = np.array(self._factor)
+        run = np.arange(1, max(self._factor_orders) // 2 + 1)
+        n = np.tile(np.array(self._factor_orders)[f], len(run))[:, None]
+        x = np.outer(run, self._sym_exponent).ravel()
+        f, run = np.tile(f, len(run)), np.repeat(run, len(f))
+        d = (x - x[:, None]) % n
+        return np.pad(np.where(f == f[:, None],
+                               run + run[:, None] - np.minimum(d, n - d), 0),
+                      (0, 1))
+
     # -- normal forms ---------------------------------------------------
 
     def normalize(self, word):
@@ -395,8 +412,8 @@ class GroupPresentation:
         """Canonical word of u^-1 w for canonical words u and w.
 
         The one scalar route for x^-1 y.  In a free group only the common
-        prefix of u and w cancels, leaving |u| + |w| - 2 lcp letters, as
-        `bulk_product_lengths` computes in bulk.
+        prefix of u and w cancels.  `bulk_product_lengths` calls it only
+        on small-cancellation kinds whose pieces are longer than a letter.
         """
         return self.multiply(self.invert(u), w) if u else w
 
@@ -860,12 +877,13 @@ def bulk_product_lengths(pres, lefts, rights):
     and the matrix is stored in `distance_dtype` of that bound.
 
     Free kinds reduce l^-1 r by cancelling the common prefix of l and r,
-    so only prefix comparisons are needed; small-cancellation kinds whose
-    pieces are single letters also finish the few products that hold a
-    window (`_vectorized_lengths`).  Free products and the rest take one
-    `left_quotient` call per pair, or per unordered pair when `lefts` and
-    `rights` are one list.  A call whose estimated allocation passes
-    `DISTANCE_BYTES_CAP` raises ResourceLimitError before allocating.
+    so only prefix comparisons are needed; free products compare whole
+    syllables (`_syllable_lengths`); small-cancellation kinds whose pieces
+    are single letters also finish the few products that hold a window
+    (`_vectorized_lengths`), and the others take one `left_quotient` call
+    per pair, or per unordered pair when `lefts` and `rights` are one
+    list.  A call whose estimated allocation passes `DISTANCE_BYTES_CAP`
+    raises ResourceLimitError before allocating.
     """
     nl, nr = len(lefts), len(rights)
     lv = [len(l.word) for l in lefts]
@@ -881,12 +899,11 @@ def bulk_product_lengths(pres, lefts, rights):
         raise ResourceLimitError(
             f"word distances over {nl} x {nr} elements would allocate about "
             f"{need / 2**30:.1f} GiB (cap {DISTANCE_BYTES_CAP / 2**30:g} GiB)")
-    if pres.kind != "free-product":
-        lens = _vectorized_lengths(pres, lefts, rights,
-                                   np.array(lv, dtype=dtype),
-                                   np.array(lx, dtype=dtype))
-        if lens is not None:
-            return lens
+    lens = _vectorized_lengths(pres, lefts, rights,
+                               np.array(lv, dtype=dtype),
+                               np.array(lx, dtype=dtype))
+    if lens is not None:
+        return lens
     # |l^-1 r| = |r^-1 l|, so a square call fills row i from column i on
     # and mirrors it into column i
     square = lefts is rights
@@ -905,11 +922,33 @@ def _letters(pres, words, width):
     padded with -1.  Symbols and padding share the narrowest signed type
     that holds every index, so alphabets past 128 symbols widen instead
     of overflow."""
-    out = np.full((len(words), width), -1,
-                  dtype=np.min_scalar_type(-len(pres.alphabet.symbols)))
-    for k, w in enumerate(words):
-        out[k, :len(w)] = w[:width]
-    return out
+    pad = (-1,) * width
+    return np.fromiter(
+        itertools.chain.from_iterable((w + pad)[:width] for w in words),
+        dtype=np.min_scalar_type(-len(pres.alphabet.symbols)),
+        count=len(words) * width).reshape(len(words), width)
+
+
+def _inverse_letters(pres, letters, lengths):
+    """Rows l^-1 for the rows l, of the given lengths, of a letter array:
+    read backwards, mapped through the inverse table, padded with -1."""
+    inverse = np.array(pres.alphabet.inverse + (-1,), dtype=letters.dtype)
+    back = lengths[:, None] - np.arange(1, letters.shape[1] + 1,
+                                        dtype=lengths.dtype)
+    # past a row's length, -1 reads its last column, which is padding
+    return inverse[np.take_along_axis(letters, np.maximum(back, -1), axis=1)]
+
+
+def _syllables(pres, letters):
+    """Each letter of a free-product letter array numbered, as in
+    `_syllable_merge`, by the rest of its syllable (a run of one letter):
+    two rows agree up to a column exactly when whole syllables do."""
+    k = len(pres.alphabet)
+    code = letters.astype(np.min_scalar_type(-k * letters.shape[1] - 1))
+    for j in range(letters.shape[1] - 2, -1, -1):
+        same = (letters[:, j] == letters[:, j + 1]) & (letters[:, j] >= 0)
+        code[same, j] = code[same, j + 1] + k
+    return code
 
 
 def _common_prefix_lengths(left, right):
@@ -924,22 +963,23 @@ def _common_prefix_lengths(left, right):
     lcp = np.zeros((len(left), len(right)), dtype=distance_dtype(width))
     hit = np.empty(lcp.shape, dtype=bool)
     span = np.iinfo(left.dtype).max + 2
+    narrow = np.min_scalar_type(-(len(left) + len(right) + 2))
     ids = np.zeros(len(left) + len(right), dtype=np.intp)
     for k in range(width):
         column = np.concatenate([left[:, k], right[:, k]])
         _, ids = np.unique(ids * span + column, return_inverse=True)
         pad = column < 0
         ids[pad] = -1
-        pr = np.where(pad, -2, ids)[len(left):]
-        np.equal(ids[:len(left), None], pr[None, :], out=hit)
+        pr = np.where(pad, -2, ids)[len(left):].astype(narrow)
+        np.equal(ids[:len(left), None].astype(narrow), pr[None, :], out=hit)
         lcp += hit
     return lcp
 
 
 def _vectorized_lengths(pres, lefts, rights, lv, lx):
-    """Vectorized |l^-1 r| for free and small-cancellation kinds whose
-    pieces are single letters, in the dtype of the word lengths lv and
-    lx; None when the scalar route is needed.
+    """Vectorized |l^-1 r| in the dtype of the word lengths lv and lx;
+    None on small-cancellation kinds whose pieces are longer than one
+    letter, which take the scalar route.
 
     Small-cancellation kinds find the reduced words l^-1 r that hold a
     window (`_window_hits`) and finish only those: when every product is
@@ -947,26 +987,31 @@ def _vectorized_lengths(pres, lefts, rights, lv, lx):
     relator windows go to dehn_reduce; past that, a word holding no move
     window is its own normal form, so move windows go to normalize.
     """
+    if pres.kind == "small-cancellation" and pres._max_piece != 1:
+        return None
     left = _letters(pres, [l.word for l in lefts], int(lv.max()))
     right = _letters(pres, [r.word for r in rights], int(lx.max()))
-    # cancellation at the l^-1 | r junction = common prefix of l and r
+    if pres.kind == "free-product":
+        left, right = _syllables(pres, left), _syllables(pres, right)
+    # cancellation at the l^-1 | r junction = common prefix of l and r,
+    # in whole syllables on free products
     lcp = _common_prefix_lengths(left, right)
     lens = np.add.outer(lv, lx)
     lens -= lcp
     lens -= lcp
+    if pres.kind == "free-product":
+        return _syllable_lengths(pres, left, right, lcp, lens)
     if pres.kind == "free":
         return lens
-    if pres._max_piece != 1:
-        return None
     windows, finish = ((pres._relator_windows, pres.dehn_reduce)
                        if int(lens.max()) < pres._min_relator
                        else (pres._move_windows, pres.normalize))
     # r^-1 l is the inverse of l^-1 r, and the windows are closed under
     # inversion: the per-state table goes on the shorter list
     if len(rights) > len(lefts):
-        js, hits = _window_hits(windows, pres, rights, left, lcp.T, lx)
+        js, hits = _window_hits(windows, pres, right, left, lcp.T, lx)
     else:
-        hits, js = _window_hits(windows, pres, lefts, right, lcp, lv)
+        hits, js = _window_hits(windows, pres, left, right, lcp, lv)
     if lefts is rights:     # |l^-1 r| = |r^-1 l|: one word of each pair
         hits, js = hits[hits <= js], js[hits <= js]
     inv = pres.alphabet.inverse
@@ -978,10 +1023,25 @@ def _vectorized_lengths(pres, lefts, rights, lv, lx):
     return lens
 
 
-def _window_hits(windows, pres, lefts, right, lcp, lv):
+def _syllable_lengths(pres, left, right, lcp, lens):
+    """|l^-1 r| on free products, in place from lens = |l| + |r| - 2 lcp
+    over the `_syllables` rows l and r: the common syllables cancel whole
+    and the two starting at lcp merge if they lie in one factor (the
+    normal form theorem, Lyndon-Schupp ch. IV), one pass a depth."""
+    merge = pres._syllable_merge.astype(lens.dtype)
+    block = np.empty_like(lens)
+    for k in range(min(left.shape[1], right.shape[1])):
+        # the -1 padding wraps to merge's last column
+        np.take(merge[left[:, k]], right[:, k], axis=1, out=block,
+                mode="wrap")
+        np.subtract(lens, block, out=lens, where=lcp == k)
+    return lens
+
+
+def _window_hits(windows, pres, left, right, lcp, lv):
     """Index arrays (i, j) of the reduced words l^-1 r that hold a window
-    of `windows`, a `_window_table` (table, accept), for l the i-th of
-    lefts and r row j of the letter array right.
+    of `windows`, a `_window_table` (table, accept), for l row i of the
+    letter array left, of lengths lv, and r row j of right.
 
     The walk over l^-1 r factors at the junction: the state after the
     kept part of l^-1 depends on l and the common prefix length c, the
@@ -992,11 +1052,9 @@ def _window_hits(windows, pres, lefts, right, lcp, lv):
     when the joined state accepts.
     """
     table, accept = windows
-    inv = pres.alphabet.inverse
-    ia = _letters(pres, [_invert_word(inv, l.word) for l in lefts],
-                  int(lv.max()))
+    ia = _inverse_letters(pres, left, lv)
     # after[i, k]: the state after the first k letters of l_i^-1
-    after = np.stack(list(_walk(table, ia, np.zeros(len(lefts), table.dtype))),
+    after = np.stack(list(_walk(table, ia, np.zeros(len(left), table.dtype))),
                      axis=1)
     # onward[j, c, q]: the state after r_j[c:] read from state q, built
     # from the end; the -1 padding resets only states that do not accept
@@ -1010,7 +1068,7 @@ def _window_hits(windows, pres, lefts, right, lcp, lv):
     onward = onward.reshape(len(right), -1)
     rows = max(1, WINDOW_BLOCK_PAIRS // len(right))
     found = []
-    for lo in range(0, len(lefts), rows):
+    for lo in range(0, len(left), rows):
         c = lcp[lo:lo + rows].astype(np.intp)
         # the kept part of l^-1 is its first |l| - c letters
         joint = np.take_along_axis(after[lo:lo + rows],

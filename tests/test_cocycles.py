@@ -211,6 +211,52 @@ def test_identity_scan_ball_is_capped(monkeypatch, spec, radius, outer, cap):
     assert products == []
 
 
+def _two_block_counts(band, outer):
+    # the identity scan's (length_checks, mismatches) with both length
+    # blocks computed by bulk_product_lengths
+    ball = groups.enumerate_ball(band.metric.pres,
+                                 max(2 * outer, outer + band.ball.radius))
+    ends = np.cumsum(ball.sphere_sizes()).tolist()
+    gs = ball.elements[: ends[outer]]
+    pair_rows = ball.walk(range(len(gs)), [h.word for h in gs])
+    moved = ball.walk((pair_rows == 0).argmax(axis=1),
+                      [x.word for x in band.ball.elements])
+    prod = groups.bulk_product_lengths(
+        band.metric.pres, ball.elements[: ends[2 * outer]],
+        band.ball.elements)
+    trans = groups.bulk_product_lengths(
+        band.metric.pres, gs, ball.elements[: ends[outer + band.ball.radius]])
+    checks = mismatches = 0
+    for i in range(len(gs)):
+        checks += trans[:, moved[i]].size
+        mismatches += int((trans[:, moved[i]] != prod[pair_rows[i]]).sum())
+    return checks, mismatches
+
+
+@pytest.mark.parametrize("spec,K,radius,outer,calls", [
+    # outer = radius: both blocks are B(2o) x B(o), one call
+    ("surface:2", 3, 2, 2, 1),
+    ("free:2", 2, 1, 1, 1),
+    ("free:2", 2, 4, 2, 2),
+])
+def test_identity_scan_shares_one_length_block(monkeypatch, spec, K, radius,
+                                               outer, calls):
+    band = cocycles.build_pair_band(metrics.word_metric(groups.preset(spec)),
+                                    K, radius)
+    made = []
+    bulk = cocycles.bulk_product_lengths
+
+    def counted(pres, lefts, rights):
+        made.append((len(lefts), len(rights)))
+        return bulk(pres, lefts, rights)
+
+    monkeypatch.setattr(cocycles, "bulk_product_lengths", counted)
+    scan = cocycles.cocycle_identity_scan(band, outer)
+    assert len(made) == calls
+    assert (scan.length_checks, scan.mismatches) == _two_block_counts(
+        band, outer)
+
+
 def test_identity_scan_normalizes_no_products(monkeypatch):
     # only the ball's enumeration and the 200-triple sample normalize:
     # 3,728 and 3,164 calls

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -489,7 +490,7 @@ def _free2_long_words():
 
 
 def _modular_long_words():
-    # the scalar route, square and mirrored, past 127 letters
+    # the syllable route past 127 letters
     m = groups.modular_group()
     words = _long_words(m, 15, 400, 4)
     return m, words, words
@@ -509,7 +510,7 @@ def _modular_ball():
 
 
 def _modular_rectangle():
-    # distinct lists, so the scalar loop fills every entry
+    # distinct, overlapping lists
     m = groups.modular_group()
     els = groups.enumerate_ball(m, 4).elements
     return m, els[:10], els[5:]
@@ -610,6 +611,39 @@ def _two_relator_past_relators():
             _long_words(pres, 50, 6, 18) + rights)
 
 
+def _two_letter_pieces():
+    # pieces of two letters take the scalar route, square and mirrored,
+    # here past the relator length 13
+    pres = groups.small_cancellation_group(["a", "b"], ["aaab'a'bab'b'aabb"])
+    assert pres._max_piece == 2
+    els = random.Random(17).sample(groups.enumerate_ball(pres, 7).elements,
+                                   40)
+    return pres, els, els
+
+
+def _modular_r12_square():
+    m = groups.modular_group()
+    els = groups.enumerate_ball(m, 12).elements
+    return m, els, els
+
+
+def _free_product_ball(orders, radius, third):
+    # syllable merges within one factor, and Z/4's tt tie, on a square
+    # call and on a third of the ball against the ball
+    pres = groups.cyclic_free_product(orders)
+    els = groups.enumerate_ball(pres, radius).elements
+    return pres, els[: len(els) // 3] if third else els, els
+
+
+_FREE_PRODUCT_CASES = [
+    pytest.param(functools.partial(_free_product_ball, orders, radius, third),
+                 id=f"{name}-{'third' if third else 'square'}")
+    for name, orders, radius in [("z3-z4", (3, 4), 5), ("z4-z4", (4, 4), 5),
+                                 ("z5-z2", (5, 2), 6),
+                                 ("z2-z3-z3", (2, 3, 3), 4)]
+    for third in (False, True)]
+
+
 @pytest.mark.parametrize("case", [
     pytest.param(_free2_corner, id="free2-corner"),
     pytest.param(_free2_ball, id="free2-ball"),
@@ -631,6 +665,9 @@ def _two_relator_past_relators():
                  id="surface2-dehn-irreducible-detour"),
     pytest.param(_two_relator_past_relators,
                  id="two-relator-file-past-relators"),
+    pytest.param(_two_letter_pieces, id="two-letter-pieces"),
+    pytest.param(_modular_r12_square, id="modular-r12-square"),
+    *_FREE_PRODUCT_CASES,
 ])
 def test_bulk_product_lengths_matches_scalar(monkeypatch, case):
     pres, lefts, rights = case()
@@ -645,6 +682,48 @@ def test_bulk_product_lengths_matches_scalar(monkeypatch, case):
     top = max(map(len, (x.word for x in lefts))) + max(
         map(len, (y.word for y in rights)))
     assert bulk.dtype == groups.distance_dtype(top)
+
+
+def test_free_product_lengths_take_no_scalar_quotient(monkeypatch):
+    calls = []
+    left_quotient = groups.GroupPresentation.left_quotient
+
+    def counted(self, u, w):
+        calls.append((u, w))
+        return left_quotient(self, u, w)
+
+    monkeypatch.setattr(groups.GroupPresentation, "left_quotient", counted)
+    m = groups.modular_group()
+    els = groups.enumerate_ball(m, 6).elements
+    groups.bulk_product_lengths(m, els, els)
+    assert calls == []
+
+
+def _padded(words, width):
+    return [list(w[:width]) + [-1] * (width - len(w[:width])) for w in words]
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ("free:2", 4), ("free:3", 3), ("modular", 8), ("surface:2", 3),
+    ("surface:3", 2),
+])
+def test_letter_arrays_spell_the_words_and_their_inverses(spec, radius):
+    pres = groups.preset(spec)
+    words = [g.word for g in groups.enumerate_ball(pres, radius).elements]
+    # at the longest word's width, and cut shorter as boundary windows are
+    for width in (radius, radius - 1):
+        assert groups._letters(pres, words, width).tolist() == _padded(
+            words, width)
+    letters = groups._letters(pres, words, radius)
+    lengths = np.array([len(w) for w in words],
+                       dtype=groups.distance_dtype(radius))
+    inverse = [groups._invert_word(pres.alphabet.inverse, w) for w in words]
+    assert groups._inverse_letters(pres, letters, lengths).tolist() == \
+        _padded(inverse, radius)
+    empty = groups._letters(pres, [], radius)
+    assert empty.shape == (0, radius)
+    assert groups._inverse_letters(pres, empty, lengths[:0]).shape == (
+        0, radius)
 
 
 def _corpus_presentation(seed):
@@ -743,6 +822,10 @@ def test_free_distance_matrix_peak_memory():
     pytest.param(groups.modular_group(), 12, 12, True,
                  id="modular-r12-square"),
     pytest.param(groups.surface_group(2), 4, 4, True, id="surface2-r4xr4"),
+    # the free-product syllable route, square and skinny
+    pytest.param(groups.cyclic_free_product((3, 4)), 6, 6, True,
+                 id="z3-z4-r6-square"),
+    pytest.param(groups.modular_group(), 12, 2, False, id="modular-r12xr2"),
 ])
 def test_distance_estimate_bounds_the_traced_peak(monkeypatch, pres, left,
                                                   right, shared):

@@ -306,15 +306,13 @@ class GroupPresentation:
         table[hit] = hit[:, None]
         return table, accept
 
-    @functools.cached_property
-    def _syllable_merge(self):
-        """merge[u, v] for free-product syllables u = s^i and v = t^j,
-        numbered s + (i - 1) k over k symbols: what u^-1 v takes off i + j,
-        i + j - min(x, n - x) for x = j e(t) - i e(s) mod n in one factor
-        of order n, 0 across factors and at the padding (last row, column).
-        """
+    def _syllable_merge(self, runs):
+        """merge[u, v] = i + j - |u^-1 v| for free-product syllables u = s^i
+        and v = t^j, i, j <= runs, numbered s + (i - 1) k over k symbols:
+        i + j - min(x, n - x), x = j e(t) - i e(s) mod n, in one factor of
+        order n; 0 across factors and at the padding (last row, column)."""
         f = np.array(self._factor)
-        run = np.arange(1, max(self._factor_orders) // 2 + 1)
+        run = np.arange(1, min(max(self._factor_orders) // 2, runs) + 1)
         n = np.tile(np.array(self._factor_orders)[f], len(run))[:, None]
         x = np.outer(run, self._sym_exponent).ravel()
         f, run = np.tile(f, len(run)), np.repeat(run, len(f))
@@ -939,12 +937,12 @@ def _inverse_letters(pres, letters, lengths):
     return inverse[np.take_along_axis(letters, np.maximum(back, -1), axis=1)]
 
 
-def _syllables(pres, letters):
-    """Each letter of a free-product letter array numbered, as in
-    `_syllable_merge`, by the rest of its syllable (a run of one letter):
-    two rows agree up to a column exactly when whole syllables do."""
+def _syllables(pres, letters, codes):
+    """Letters numbered, in the type that holds -1 to codes, by the rest of
+    their syllable (a run of one letter) as in `_syllable_merge`: two rows
+    agree up to a column exactly when whole syllables do."""
     k = len(pres.alphabet)
-    code = letters.astype(np.min_scalar_type(-k * letters.shape[1] - 1))
+    code = letters.astype(np.min_scalar_type(-codes))
     for j in range(letters.shape[1] - 2, -1, -1):
         same = (letters[:, j] == letters[:, j + 1]) & (letters[:, j] >= 0)
         code[same, j] = code[same, j + 1] + k
@@ -962,7 +960,7 @@ def _common_prefix_lengths(left, right):
     width = min(left.shape[1], right.shape[1])
     lcp = np.zeros((len(left), len(right)), dtype=distance_dtype(width))
     hit = np.empty(lcp.shape, dtype=bool)
-    span = np.iinfo(left.dtype).max + 2
+    span = np.iinfo(np.result_type(left, right)).max + 2
     narrow = np.min_scalar_type(-(len(left) + len(right) + 2))
     ids = np.zeros(len(left) + len(right), dtype=np.intp)
     for k in range(width):
@@ -992,15 +990,12 @@ def _vectorized_lengths(pres, lefts, rights, lv, lx):
     left = _letters(pres, [l.word for l in lefts], int(lv.max()))
     right = _letters(pres, [r.word for r in rights], int(lx.max()))
     if pres.kind == "free-product":
-        left, right = _syllables(pres, left), _syllables(pres, right)
-    # cancellation at the l^-1 | r junction = common prefix of l and r,
-    # in whole syllables on free products
+        return _syllable_lengths(pres, left, right, np.add.outer(lv, lx))
+    # cancellation at the l^-1 | r junction = common prefix of l and r
     lcp = _common_prefix_lengths(left, right)
     lens = np.add.outer(lv, lx)
     lens -= lcp
     lens -= lcp
-    if pres.kind == "free-product":
-        return _syllable_lengths(pres, left, right, lcp, lens)
     if pres.kind == "free":
         return lens
     windows, finish = ((pres._relator_windows, pres.dehn_reduce)
@@ -1023,17 +1018,22 @@ def _vectorized_lengths(pres, lefts, rights, lv, lx):
     return lens
 
 
-def _syllable_lengths(pres, left, right, lcp, lens):
-    """|l^-1 r| on free products, in place from lens = |l| + |r| - 2 lcp
-    over the `_syllables` rows l and r: the common syllables cancel whole
-    and the two starting at lcp merge if they lie in one factor (the
-    normal form theorem, Lyndon-Schupp ch. IV), one pass a depth."""
-    merge = pres._syllable_merge.astype(lens.dtype)
+def _syllable_lengths(pres, left, right, lens):
+    """|l^-1 r| on free products, in place from lens = |l| + |r| over the
+    letter arrays l and r: their common prefix in `_syllables` numbers
+    cancels whole syllables, and the two after it merge if they lie in one
+    factor (the normal form theorem, Lyndon-Schupp ch. IV), one pass a
+    depth; no syllable is longer than the wider array."""
+    merge = pres._syllable_merge(max(left.shape[1], right.shape[1]))
+    left, right = (_syllables(pres, a, len(merge)) for a in (left, right))
+    lcp = _common_prefix_lengths(left, right)
+    lens -= lcp
+    lens -= lcp
+    merge = merge.astype(lens.dtype)
     block = np.empty_like(lens)
     for k in range(min(left.shape[1], right.shape[1])):
         # the -1 padding wraps to merge's last column
-        np.take(merge[left[:, k]], right[:, k], axis=1, out=block,
-                mode="wrap")
+        np.take(merge[left[:, k]], right[:, k], axis=1, out=block, mode="wrap")
         np.subtract(lens, block, out=lens, where=lcp == k)
     return lens
 

@@ -635,6 +635,17 @@ def _free_product_ball(orders, radius, third):
     return pres, els[: len(els) // 3] if third else els, els
 
 
+def _large_order_rectangle():
+    # a factor of order 100: the right rows are far wider than the left,
+    # and their syllable codes pass what the left width alone would hold
+    pres = groups.cyclic_free_product((100, 2))
+    lefts = groups.enumerate_ball(pres, 4).elements
+    rights = [pres.element(w) for w in
+              ("t" + "s" * 44, "s" * 50, "s'" * 49 + "ts" * 3,
+               "s" * 44 + "t" + "s'" * 30, "tst" + "s" * 45)]
+    return pres, lefts, rights
+
+
 _FREE_PRODUCT_CASES = [
     pytest.param(functools.partial(_free_product_ball, orders, radius, third),
                  id=f"{name}-{'third' if third else 'square'}")
@@ -668,6 +679,7 @@ _FREE_PRODUCT_CASES = [
     pytest.param(_two_letter_pieces, id="two-letter-pieces"),
     pytest.param(_modular_r12_square, id="modular-r12-square"),
     *_FREE_PRODUCT_CASES,
+    pytest.param(_large_order_rectangle, id="z100-z2-rectangle"),
 ])
 def test_bulk_product_lengths_matches_scalar(monkeypatch, case):
     pres, lefts, rights = case()
@@ -826,6 +838,10 @@ def test_free_distance_matrix_peak_memory():
     pytest.param(groups.cyclic_free_product((3, 4)), 6, 6, True,
                  id="z3-z4-r6-square"),
     pytest.param(groups.modular_group(), 12, 2, False, id="modular-r12xr2"),
+    # a factor of order 1000: the merge table grows with the words of the
+    # call, not with the order
+    pytest.param(groups.cyclic_free_product((1000, 2)), 3, 3, True,
+                 id="z1000-z2-r3-square"),
 ])
 def test_distance_estimate_bounds_the_traced_peak(monkeypatch, pres, left,
                                                   right, shared):

@@ -238,12 +238,6 @@ def fixed_points(g):
 # (presentation, length) partitions kept by reduced_words; the free:2
 # depth-8 partition holds 8,748 words
 PARTITION_CACHE_SIZE = 64
-# preimage lists kept by crossed.StepFunction.translate, by (presentation,
-# word of g^-1, depth): one per cylinder of the partition, a range of
-# deeper positions once depth > |g|.  `kms free:3 --seed 3` keeps 63 in
-# about 0.6 MB (1.0 MB as the forward position maps they replaced).
-# Refinement needs none: position i maps to a run of deeper positions
-TRANSLATE_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=PARTITION_CACHE_SIZE)

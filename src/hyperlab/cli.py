@@ -45,19 +45,25 @@ def _parse_int(text):
         raise InputError(f"bad integer value {text!r}") from None
 
 
-_CASTS = {
-    "suite": str,
-    "group": str,
-    "metric": str,
-    "radius": _parse_int,
-    "K": _parse_fraction,
-    "C": _parse_fraction,
-    "p": _parse_p_grid,
-    "depth": _parse_int,
-    "seed": _parse_int,
-    "format": str,
-    "out": str,
-    "g": str,
+# the options of `check` in `--help` order: each one's cast and help.
+# Every option but --config may also be set in the config file
+_OPTIONS = {
+    "suite": (str, "strong-hyp | green | cocycle | properness | boundary | "
+                   "kms | all"),
+    "group": (str, "group spec: free:k, surface:g, modular, or a "
+                   "presentation file path"),
+    "metric": (str, "word | green (default word)"),
+    "radius": (_parse_int, "ball radius (per-suite default)"),
+    "K": (_parse_fraction, "band distance K (rational, default 1)"),
+    "C": (_parse_fraction, "band width C (rational, default: the metric's "
+                           "rough constant)"),
+    "p": (_parse_p_grid, "exponent or comma-separated grid"),
+    "depth": (_parse_int, "cylinder depth for boundary/kms"),
+    "seed": (_parse_int, "seed for sampled checks (default 0)"),
+    "format": (str, "json | csv (default json)"),
+    "out": (str, "write the report to this file"),
+    "config": (None, "flat key=value config file"),
+    "g": (str, "single group element for cocycle or properness reports"),
 }
 
 
@@ -76,7 +82,7 @@ def _parse_config_file(path):
             raise InputError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CASTS:
+        if key not in _OPTIONS or key == "config":
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
@@ -90,36 +96,20 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     check = sub.add_parser(
         "check", help="run a verification suite and emit a report")
-    check.add_argument("--suite",
-                       help="strong-hyp | green | cocycle | properness | "
-                            "boundary | kms | all")
-    check.add_argument("--group", help="group spec: free:k, surface:g, "
-                                       "modular, or a presentation file path")
-    check.add_argument("--metric", help="word | green (default word)")
-    check.add_argument("--radius", help="ball radius (per-suite default)")
-    check.add_argument("--K", help="band distance K (rational, default 1)")
-    check.add_argument("--C", help="band width C (rational, default: the "
-                                   "metric's rough constant)")
-    check.add_argument("--p", help="exponent or comma-separated grid")
-    check.add_argument("--depth", help="cylinder depth for boundary/kms")
-    check.add_argument("--seed", help="seed for sampled checks (default 0)")
-    check.add_argument("--format", help="json | csv (default json)")
-    check.add_argument("--out", help="write the report to this file")
-    check.add_argument("--config", help="flat key=value config file")
-    check.add_argument("--g", help="single group element for cocycle or "
-                                   "properness reports")
+    for key, (_, text) in _OPTIONS.items():
+        check.add_argument(f"--{key}", help=text)
     return parser
 
 
 def _resolve_config(args):
     file_values = _parse_config_file(args.config) if args.config else {}
     resolved = {}
-    for key, cast in _CASTS.items():
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            resolved[key] = cast(cli_value)
-        elif key in file_values:
-            resolved[key] = cast(file_values[key])
+    for key, (cast, _) in _OPTIONS.items():
+        value = getattr(args, key)
+        if value is None:
+            value = file_values.get(key)
+        if cast and value is not None:
+            resolved[key] = cast(value)
     if "suite" not in resolved:
         raise InputError("no suite selected; pass --suite or put suite= in "
                          "the config file")

@@ -20,7 +20,6 @@ from .errors import InputError, InvariantViolation
 from .groups import GroupElement, _spell, enumerate_ball
 from .boundary import (
     PARTITION_CACHE_SIZE,
-    TRANSLATE_CACHE_SIZE,
     BoundaryMeasure,
     _check_reduced,
     _cylinder_mass,
@@ -29,6 +28,14 @@ from .boundary import (
     fixed_points,
     reduced_words,
 )
+
+
+# preimage lists kept by StepFunction.translate, by (presentation,
+# word of g^-1, depth): one per cylinder of the partition, a range of
+# deeper positions once depth > |g|.  `kms free:3 --seed 3` keeps 63 in
+# about 0.6 MB (1.0 MB as the forward position maps they replaced).
+# Refinement needs none: position i maps to a run of deeper positions
+TRANSLATE_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=PARTITION_CACHE_SIZE)

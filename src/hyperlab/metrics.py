@@ -1,11 +1,11 @@
 """Left-invariant metrics on group models and the four-point check.
 
-Two metric kinds:
+Two metrics:
 
-* "word": canonical word length, an exact integer read from
+* the word metric: canonical word length, an exact integer read from
   `GroupPresentation.left_quotient` (the common prefix on free groups).
-* "green": minus the log of first-passage probabilities of the simple
-  random walk, solved with an absorbing truncation.
+* the Green metric: minus the log of first-passage probabilities of the
+  simple random walk, solved with an absorbing truncation.
 
 The four-point quantity for points x, y, z, based at the identity e, is
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError, NumericError, ResourceLimitError
-from .groups import (DISTANCE_BYTES_CAP, bulk_product_lengths, distance_dtype,
+from .groups import (CALL_BYTES, DISTANCE_BYTES_CAP, bulk_product_lengths,
                      enumerate_ball)
 
 FOURPOINT_TOLERANCE = 1e-9
@@ -33,12 +33,12 @@ FOURPOINT_TOLERANCE = 1e-9
 SCAN_ENTRY_CAP = 1_200_000_000
 # bytes a pair a four-point scan is charged.  The float scan holds the
 # int8 word distances and doubled products, e^(-(x|y)) and its transpose
-# in float64, and one x row's n x n float64 differences once n^2 passes
-# `kernels.SCAN_BUFFER_ENTRIES`: 26 a pair.  Traced peaks a pair at
-# n >= 457: 26.0-27.0 on word metrics, 25.1-25.5 on radial and 25.8 on
-# table Green metrics (37.3 on a process's first free-product call, as
-# CPython's tuple free lists fill with freed words); 3.1-8.7 in the
-# min-rule oracle
+# in float64, and one x row's n x n float64 differences: 26 a pair.
+# Traced peaks a pair at n >= 457: 26.0-27.0 on word metrics, 25.1-25.5
+# on radial and 25.8 on table Green metrics (37.3 on a process's first
+# free-product call, as CPython's tuple free lists fill with freed
+# words); 3.1-8.7 in the min-rule oracle.  On small balls the
+# word-distance call's fixed `CALL_BYTES` dominates
 SCAN_PAIR_BYTES = 32
 # the table iteration stops once no first-passage value moves this much
 GREEN_ITERATION_STOP = 1e-12
@@ -129,12 +129,6 @@ class GreenData:
     def value(self, word):
         return -math.log(self.passage(word))
 
-    def log_table(self):
-        """Vector of -log passage for distances 0..usable (radial only)."""
-        if self.mode != "radial":
-            raise InputError("log table needs the radial solver")
-        return -np.log(self._radial[: self.usable + 1])
-
     @cached_property
     def gap(self):
         """Largest |log f_2t - log f_t| over the usable range: the walk is
@@ -174,23 +168,19 @@ def solve_green(pres, radius_hint=4, truncation=None):
 
 
 class MetricStructure:
-    """A left-invariant metric: d(x, y) is a function of x^-1 y."""
+    """A left-invariant metric: d(x, y) is a function of x^-1 y.  The
+    word metric without `green`, the Green metric of its solved walk data
+    with it."""
 
-    def __init__(self, pres, kind="word", green=None):
-        if kind not in ("word", "green"):
-            raise InputError(f"unknown metric kind {kind!r}")
-        if kind == "green":
-            if green is None:
-                raise InputError("green metrics need solved walk data")
-            if green.pres is not pres:
-                raise InputError("walk data belongs to a different presentation")
+    def __init__(self, pres, green=None):
+        if green is not None and green.pres is not pres:
+            raise InputError("walk data belongs to a different presentation")
         self.pres = pres
-        self.kind = kind
         self.green = green
 
     @property
     def exact(self):
-        return self.kind != "green"
+        return self.green is None
 
     def _check(self, *elements):
         for g in elements:
@@ -200,7 +190,7 @@ class MetricStructure:
     def distance(self, x, y):
         self._check(x, y)
         w = self.pres.left_quotient(x.word, y.word)
-        if self.kind == "word":
+        if self.exact:
             return len(w)
         return self.green.value(w)
 
@@ -223,12 +213,12 @@ class MetricStructure:
 
 
 def word_metric(pres):
-    return MetricStructure(pres, "word")
+    return MetricStructure(pres)
 
 
 def green_metric(pres, radius_hint=4, truncation=None):
     data = solve_green(pres, radius_hint=radius_hint, truncation=truncation)
-    return MetricStructure(pres, "green", green=data)
+    return MetricStructure(pres, data)
 
 
 def word_distance_matrix(ball):
@@ -249,7 +239,7 @@ def word_distance_matrix(ball):
 
 
 def metric_distance_matrix(metric, ball):
-    """Pairwise distances: on exact kinds the ball's own narrow integer
+    """Pairwise distances: on the word metric the ball's own narrow integer
     word distances (not a copy), on Green metrics a float64 table."""
     if ball.pres is not metric.pres:
         raise InputError("ball and metric use different presentations")
@@ -263,7 +253,7 @@ def metric_distance_matrix(metric, ball):
             raise InputError(
                 f"ball needs green distances up to {top}, usable range is "
                 f"{green.usable}; solve with a larger radius hint")
-        return green.log_table()[dint]
+        return -np.log(green._radial[:green.usable + 1])[dint]
     els = ball.elements
     n = len(els)
     d = np.zeros((n, n))
@@ -272,12 +262,6 @@ def metric_distance_matrix(metric, ball):
             d[i, j] = d[j, i] = green.value(
                 metric.pres.left_quotient(g.word, els[j].word))
     return d
-
-
-def _narrow(dist):
-    """A nonnegative integer matrix in `distance_dtype` of its largest
-    entry; the matrix itself when it already has that dtype."""
-    return dist.astype(distance_dtype(int(dist.max())), copy=False)
 
 
 def _least_in_orbit(n, gens):
@@ -310,10 +294,8 @@ def _orbit_labels(ball, d):
     for the float scan and the min-rule oracle.
     """
     own = d is not None and d is ball.distances
-    if own:
-        if ball.representatives is not None:
-            return ball.representatives
-        d = _narrow(d)      # the same equalities in fewer bytes
+    if own and ball.representatives is not None:
+        return ball.representatives
     n = len(ball)
     dtype = np.min_scalar_type(n)
     imgs = (np.array(img, dtype=dtype) for img in ball.symmetries())
@@ -327,8 +309,8 @@ def _orbit_labels(ball, d):
 
 def _scan_bytes(n):
     """Bytes a four-point scan over n points is charged: `SCAN_PAIR_BYTES`
-    a pair, and the float scan's block of x rows while n^2 is small."""
-    return n * n * SCAN_PAIR_BYTES + 8 * kernels.SCAN_BUFFER_ENTRIES
+    a pair, and the fixed cost of the word-distance call on a cold ball."""
+    return n * n * SCAN_PAIR_BYTES + CALL_BYTES
 
 
 def _doubled_products(metric, ball):
@@ -338,8 +320,9 @@ def _doubled_products(metric, ball):
     The one cost model of both scans raises ResourceLimitError: from n
     alone, before any n x n array, past `DISTANCE_BYTES_CAP` bytes
     (`_scan_bytes`); once the rows are known, past `SCAN_ENTRY_CAP`
-    entries, rows x n^2.  Exact products are integers in the narrowest
-    signed dtype that holds them (int8 on every preset ball).
+    entries, rows x n^2.  Exact products are integers in the dtype of the
+    ball's word distances, which holds twice the longest word (int8 on
+    every preset ball).
     """
     n = len(ball)
     need = _scan_bytes(n)
@@ -354,8 +337,6 @@ def _doubled_products(metric, ball):
         raise ResourceLimitError(
             f"four-point scan needs {len(rows)} rows x {n}^2 = {entries:.2e} "
             f"entries, over the cap {SCAN_ENTRY_CAP:.1e}")
-    if metric.exact:
-        d = _narrow(d)      # the same integers in fewer bytes
     g = np.add(d[0][:, None], d[0])
     g -= d
     return g, rows

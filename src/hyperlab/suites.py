@@ -176,7 +176,7 @@ def _suite_green(pres, cfg, radius):
             details={"passage": step, "expected": expected,
                      "gap": data.gap},
         ))
-    green = metrics.MetricStructure(pres, "green", green=data)
+    green = metrics.MetricStructure(pres, data)
     ball4p = groups.enumerate_ball(pres, min(radius, 3))
     rep = metrics.check_strong_hyperbolicity(green, ball4p)
     checks.append(CheckResult(

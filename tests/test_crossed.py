@@ -565,7 +565,7 @@ def test_kms_suite_tests_few_fractions_for_zero(tmp_path, monkeypatch):
 def test_cylinder_caches_are_bounded(tmp_path):
     caches = [
         (crossed._cylinder_index, boundary.PARTITION_CACHE_SIZE),
-        (crossed._preimages, boundary.TRANSLATE_CACHE_SIZE),
+        (crossed._preimages, crossed.TRANSLATE_CACHE_SIZE),
         (boundary._cylinder_mass, boundary.MASS_CACHE_SIZE),
     ]
     code = cli.main(["check", "--suite", "kms", "--group", "free:3",
@@ -584,7 +584,7 @@ def test_cylinder_caches_are_bounded(tmp_path):
         phi = crossed.StepFunction.indicator(pres, word)
         for g in elements:
             phi.translate(g)
-    assert 2 * len(elements) > boundary.TRANSLATE_CACHE_SIZE
+    assert 2 * len(elements) > crossed.TRANSLATE_CACHE_SIZE
     for _ in range(boundary.PARTITION_CACHE_SIZE + 1):
         crossed.StepFunction.indicator(groups.free_group(2), "a")
     measure = boundary.BoundaryMeasure(pres)

@@ -92,28 +92,19 @@ def test_min_rule_margin_matches_the_cube_oracle(make, radius, margin):
     assert _cube_oracle(ball) == (margin, margin)
 
 
-def test_min_rule_margin_past_int8(monkeypatch):
+def test_min_rule_margin_past_int8():
     rng = np.random.default_rng(7)
     g = rng.integers(0, 9, size=(23, 23))
     for dtype in (np.int8, np.int16, np.int64):
         assert metrics._min_rule_margin(g.astype(dtype)) == _cube_margin(g)
-    # distances scaled by 100 give doubled products up to 1600, held in
-    # int16, and a margin scaled by 100
-    seen = []
-    scan = metrics._min_rule_margin
-
-    def recorded(g, rows):
-        seen.append(g.dtype)
-        return scan(g, rows)
-
-    monkeypatch.setattr(metrics, "_min_rule_margin", recorded)
+    # distances scaled by 100 give doubled products up to 1600, past
+    # int8, and a margin scaled by 100
     for pres, margin in [(groups.free_group(2), 0),
                          (groups.cyclic_free_product([3, 4]), -2)]:
         ball = groups.enumerate_ball(pres, 4)
         ball.distances = 100 * metrics.word_distance_matrix(ball).astype(
             np.int64)
         assert metrics.four_point_min_rule_margin(ball) == 100 * margin
-    assert set(seen) == {np.dtype(np.int16)}
 
 
 def test_min_rule_margin_works_in_a_few_n_squared_bytes():
@@ -582,13 +573,6 @@ def test_green_usable_range_guard():
         gm.distance(f2.element("aaa"), f2.element("b'b'b'"))
 
 
-def test_metric_kinds_are_word_and_green():
-    f2 = groups.free_group(2)
-    for kind in ("tree", "lp"):
-        with pytest.raises(InputError, match=f"unknown metric kind '{kind}'"):
-            metrics.MetricStructure(f2, kind)
-
-
 def test_rough_geodesic_endpoints_and_steps():
     f2 = groups.free_group(2)
     wm = metrics.word_metric(f2)
@@ -614,7 +598,7 @@ def test_metric_rejects_foreign_elements():
 def _product_distance(metric, x, y):
     # the route distance took before the common prefix: renormalize x^-1 y
     w = metric.pres.normalize(x.inverse().word + y.word)
-    if metric.kind == "word":
+    if metric.exact:
         return len(w)
     return metric.green.value(w)
 

@@ -74,23 +74,25 @@ def test_every_private_definition_has_a_caller():
 
 
 def _unread_constants(package):
-    """Module-level UPPER_CASE names of the package that no module of the
-    package reads."""
+    """`module:NAME` for each module-level UPPER_CASE name of the package
+    that the module defining it never reads: a constant lives where it is
+    read."""
     defined = []
-    read = set()
+    unread = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
-        defined += [target.id for node in tree.body
-                    if isinstance(node, ast.Assign)
-                    for target in node.targets
-                    if isinstance(target, ast.Name) and target.id.isupper()]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        names = [target.id for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 for target in node.targets
+                 if isinstance(target, ast.Name) and target.id.isupper()]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        defined += names
+        unread += [f"{path.stem}:{name}" for name in names
+                   if name not in read]
     assert defined
-    return [name for name in defined if name not in read]
+    return unread
 
 
 def test_every_constant_is_read():

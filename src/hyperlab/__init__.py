@@ -2,7 +2,7 @@
 
 The package is organised around group presentations (`groups`), metric
 structures and four-point scans (`metrics`), difference cocycles and
-proper affine actions (`cocycles`), the boundary model with its measure
+their lp norms (`cocycles`), the boundary model with its measure
 (`boundary`), the step-function crossed product with its flow and
 equilibrium checks (`crossed`), and the command line harness
 (`suites`, `cli`, `serialize`).
@@ -41,15 +41,14 @@ from .metrics import (
     word_metric,
 )
 from .cocycles import (
-    AffineActionReport,
     CertificateBlock,
     LpNormReport,
     PairBand,
-    affine_action_check,
     build_pair_band,
     cocycle_identity_scan,
     cocycle_norms,
     critical_exponent_scan,
+    free_norm_count,
     haagerup_value,
     lp_norms,
     properness_certificates,
@@ -90,10 +89,9 @@ __all__ = [
     "FOURPOINT_TOLERANCE", "FourPointReport", "GreenData", "MetricStructure",
     "check_strong_hyperbolicity", "four_point_min_rule_margin",
     "green_metric", "solve_green", "word_metric",
-    "AffineActionReport", "CertificateBlock", "LpNormReport", "PairBand",
-    "affine_action_check", "build_pair_band", "cocycle_identity_scan",
-    "cocycle_norms", "critical_exponent_scan", "haagerup_value", "lp_norms",
-    "properness_certificates",
+    "CertificateBlock", "LpNormReport", "PairBand", "build_pair_band",
+    "cocycle_identity_scan", "cocycle_norms", "critical_exponent_scan",
+    "free_norm_count", "haagerup_value", "lp_norms", "properness_certificates",
     "BoundaryMeasure", "BoundaryPoint", "action_law_scan",
     "boundary_point", "busemann_on_word", "conformal_identity_scan",
     "conformality_scan", "fixed_points", "reduced_words", "seeded_family",

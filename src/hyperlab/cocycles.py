@@ -7,7 +7,8 @@ integers (or half-integers) for word metrics, and read from two rows of
 the band's distance matrix.  lp norms are truncated to a ball and carry
 analytic tail bounds; properness certificates follow the
 partition-of-a-geodesic argument and read the same two rows, d(e, .)
-and d(g, .), comparing integers on exact metrics.
+and d(g, .), comparing integers on exact metrics.  On free groups with
+word metrics, `free_norm_count` gives the untruncated norms exactly.
 """
 import math
 import random
@@ -17,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .groups import (GroupElement, bulk_product_lengths, enumerate_ball,
                      free_sphere_size)
 from .metrics import metric_distance_matrix
@@ -67,11 +68,6 @@ class PairBand:
         els = self.ball.elements
         return [(els[i], els[j]) for i, j in self.index]
 
-    def contains_pair(self, x, y):
-        i = self.ball.index.get(x.word)
-        j = self.ball.index.get(y.word)
-        return i is not None and j is not None and bool(self.holds(i, j))
-
     @cached_property
     def integer_window(self):
         """(u, K*u, C*u) as ints, u the least common denominator of K and
@@ -119,13 +115,6 @@ def _distance_rows(band, gs):
         return bulk_product_lengths(ball.pres, gs, ball.elements)
     return np.array([[band.metric.distance(g, x) for x in ball.elements]
                      for g in gs]).reshape(len(gs), len(ball))
-
-
-def _band_cocycle_doubled(band, row):
-    """2*c_g over the band's pairs from row = d(g, .): b(x) - b(y) with
-    b = d(e, .) - d(g, .), exact integers on exact metrics."""
-    b_vec = band.distances[0] - row
-    return b_vec[band.index[:, 0]] - b_vec[band.index[:, 1]]
 
 
 # band pairs per step of an exact norm sum, two (pairs x elements) gathers
@@ -188,14 +177,13 @@ def _tail_bound(band, g, p):
 
     Uses |c_g(x,y)| <= e^{|g|} e^{-(x|y)} and (x|y) >= |x| - (K+C) on the
     band, summed against sphere-count upper bounds.  Exact zero on free
-    groups once the ball swallows the geodesic's K+C neighborhood.
+    groups once the ball holds every pair of `free_norm_count`.
     """
     pres = band.metric.pres
     kc = float(band.K) + float(band.C)
-    if pres.kind == "free" and band.metric.exact:
-        reach = math.ceil(Fraction(band.K) + Fraction(band.C))
-        if band.ball.radius >= g.length() + reach:
-            return 0.0
+    if (pres.kind == "free" and band.metric.exact
+            and band.ball.radius >= g.length() + band.window[1] - 1):
+        return 0.0
     growth = free_sphere_size(pres, 2) / max(1, free_sphere_size(pres, 1))
     q = growth * math.exp(-float(p))
     if q >= 1.0:
@@ -223,6 +211,28 @@ def _norm_unit_bound(band, p):
 def cocycle_norms(band, gs, p):
     """Truncated sums of |c_g|^p over the band, one per g in gs."""
     return _cocycle_norm(band, _distance_rows(band, gs), p)
+
+
+def free_norm_count(pres, length, p, window):
+    """|c_g|_p^p over the whole free group, for every g with |g| = length,
+    on the ordered pairs at word distance lo..hi, window = (lo, hi), at
+    integral p: Haagerup's tree cocycle.  c_g(x, y) = i - j, where x and
+    y leave the geodesic [e, g] at positions i and j; the points at
+    distance a from position i that leave there number 1 at a = 0, else
+    q^a at the ends and (q-1) q^(a-1) inside, q = 2k-1.  A ball's
+    truncated norm equals it once radius >= length + hi - 1."""
+    q = 2 * pres.rank - 1
+    lo, hi = window
+
+    def leaving(i, a):
+        if a == 0:
+            return 1
+        return q ** a if i in (0, length) else (q - 1) * q ** (a - 1)
+
+    return sum(abs(i - j) ** p * leaving(i, a) * leaving(j, D - abs(i - j) - a)
+               for D in range(lo, hi + 1) for i in range(length + 1)
+               for j in range(max(0, i - D), min(length, i + D) + 1)
+               if j != i for a in range(D - abs(i - j) + 1))
 
 
 def lp_norms(band, g, grid):
@@ -345,115 +355,6 @@ def properness_certificates(band, gs, p):
             errors[k] = f"truncated norm {a} below certificate bound {b}"
     return CertificateBlock(n=n, points=points, rises=rises, actual=actual,
                             lower=lower, errors=errors)
-
-
-@dataclass
-class AffineActionReport:
-    elements: int
-    pairs_checked: int
-    identity_exact: bool
-    isometry_exact: bool
-    displacements: list     # (spelled g, |c_g|_p^p over the band)
-
-
-def _translate_vector(g, vec):
-    return {(g * x, g * y): v for (x, y), v in vec.items()}
-
-
-def _cocycle_vector(band, g):
-    """c_g as a sparse map from band pairs (x, y) to its nonzero values."""
-    doubled = _band_cocycle_doubled(band, _distance_rows(band, [g])[0])
-    nonzero = np.flatnonzero(doubled)
-    els = band.ball.elements.__getitem__
-    xi, yi = band.index[nonzero].T.tolist()
-    # an object array keeps exact halves as Fractions
-    half = Fraction(1, 2) if band.metric.exact else 0.5
-    values = (doubled[nonzero].astype(object) * half).tolist()
-    return dict(zip(zip(map(els, xi), map(els, yi)), values))
-
-
-def _add_vectors(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def _power_sum(vec, p):
-    if p == int(p):
-        return sum(abs(v) ** int(p) for v in vec.values())
-    return sum(float(abs(v)) ** float(p) for v in vec.values())
-
-
-def affine_action_check(band, gs, p):
-    """Exact check of A_g(v) = g.v + c_g being an action by isometries.
-
-    Vectors are sparse maps on ordered pairs; the cocycle part lives on
-    the band, so A_g(A_h(v)) and A_{gh}(v) are compared on the common
-    window: band pairs whose g-preimage pair is also in the band.  The
-    finitely supported v itself must stay inside the band under every
-    composed translate, otherwise the window cannot certify anything.
-    v is the indicator of the band's first pair.
-    """
-    if band.empty:
-        raise InputError("cannot pick a support from an empty band")
-    x, y = band.element_pairs()[0]
-    support = {(x, y): Fraction(1)}
-
-    cvecs = {}
-
-    def cvec(g):
-        if g.word not in cvecs:
-            cvecs[g.word] = _cocycle_vector(band, g)
-        return cvecs[g.word]
-
-    def act(g, vec):
-        return _add_vectors(_translate_vector(g, vec), cvec(g))
-
-    for g in gs:
-        for h in gs:
-            for (x, y) in support:
-                gh = g * h
-                if not band.contains_pair(gh * x, gh * y):
-                    need = max((gh * x).length(), (gh * y).length())
-                    raise ResourceLimitError(
-                        "support escapes the pair window; need radius >= "
-                        f"{need}")
-
-    identity_exact = True
-    isometry_exact = True
-    base_power = _power_sum(support, p)
-    for g in gs:
-        if _power_sum(_translate_vector(g, support), p) != base_power:
-            isometry_exact = False
-    pairs_checked = 0
-    for g in gs:
-        for h in gs:
-            lhs = act(g, act(h, support))
-            rhs = act(g * h, support)
-            # discrepancies are meaningful only where the g-translate of
-            # the band still lies in the band
-            for key in set(lhs) | set(rhs):
-                if lhs.get(key, 0) == rhs.get(key, 0):
-                    continue
-                kx, ky = key
-                gi = g.inverse()
-                if (band.contains_pair(kx, ky)
-                        and band.contains_pair(gi * kx, gi * ky)):
-                    identity_exact = False
-            pairs_checked += 1
-    displacements = [(g.spelled(), _power_sum(cvec(g), p)) for g in gs]
-    return AffineActionReport(
-        elements=len(gs),
-        pairs_checked=pairs_checked,
-        identity_exact=identity_exact,
-        isometry_exact=isometry_exact,
-        displacements=displacements,
-    )
 
 
 @dataclass

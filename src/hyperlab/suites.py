@@ -103,13 +103,6 @@ def _exact_p(p):
     return int(p) if float(p).is_integer() else p
 
 
-def _edge_band(pres, band):
-    """Whether the band is the edge set of a free group's Cayley tree,
-    where the lp norms and the exponent scan have closed forms."""
-    return (pres.kind == "free" and band.K == 1 and band.C == 0
-            and band.metric.exact)
-
-
 def _build_metric(pres, cfg, radius):
     if cfg.metric == "green":
         return metrics.green_metric(pres, radius_hint=radius)
@@ -219,7 +212,9 @@ def _norm_table(band, g, grid):
 def _suite_cocycle(pres, cfg, radius):
     grid = cfg.p if cfg.p is not None else DEFAULT_P["cocycle"]
     band = _band_for(pres, cfg, radius)
-    oracle = _edge_band(pres, band)
+    # free groups with word metrics have exact norms, `free_norm_count`
+    counted = pres.kind == "free" and band.metric.exact
+    hi = band.window[1]
     settings = _settings(cfg, radius, K=band.K, C=band.C, p=list(grid),
                          g=cfg.g)
     checks = []
@@ -227,10 +222,16 @@ def _suite_cocycle(pres, cfg, radius):
         g = pres.element(cfg.g)
         table, reports = _norm_table(band, g, grid)
         for rep in reports:
-            expected = 2 * g.length() if oracle else None
+            # at a float p the count is exact only when every jump is 1
+            p = rep.p if isinstance(rep.p, int) else 1 if hi == 1 else None
+            expected = (cocycles.free_norm_count(pres, g.length(), p,
+                                                 band.window)
+                        if counted and p is not None else None)
             checks.append(CheckResult(
                 name=f"lp-norm-p={rep.p}",
-                passed=(rep.norm_p == expected) if expected is not None else True,
+                passed=expected is None or (
+                    rep.norm_p <= expected
+                    and expected - rep.norm_p <= rep.tail_bound),
                 details={"p": rep.p, "norm_p": rep.norm_p,
                          "tail_bound": rep.tail_bound, "n": rep.n,
                          "lower_bound": rep.lower_bound,
@@ -249,14 +250,18 @@ def _suite_cocycle(pres, cfg, radius):
                  "sampled_triples": scan.sampled_triples,
                  "max_sample_defect": scan.max_sample_defect},
     ))
-    if oracle:
-        norm_els = [g for g in band.ball.elements if g.length() <= 4]
+    # the ball holds every pair of the count up to this length
+    top = min(4, radius - hi + 1)
+    if counted and top >= 0:
+        norm_els = [g for g in band.ball.elements if g.length() <= top]
+        counts = {(n, p): cocycles.free_norm_count(pres, n, p, band.window)
+                  for n in range(top + 1) for p in (1, 2, 3)}
         norms = {p: cocycles.cocycle_norms(band, norm_els, p)
                  for p in (1, 2, 3)}
         bad = next(({"g": g.spelled(), "p": p, "norm_p": norms[p][k],
-                     "expected": 2 * g.length()}
+                     "expected": counts[g.length(), p]}
                     for k, g in enumerate(norm_els) for p in (1, 2, 3)
-                    if norms[p][k] != 2 * g.length()), None)
+                    if norms[p][k] != counts[g.length(), p]), None)
         checks.append(CheckResult(
             name="edge-norm-law",
             passed=bad is None,
@@ -270,7 +275,7 @@ def _suite_cocycle(pres, cfg, radius):
                    "partial_sum": row.partial_sums[-1]
                    if row.partial_sums else None}
         passed = True
-        if oracle and row.ratios:
+        if counted and band.K == 1 and band.C == 0 and row.ratios:
             growth = (groups.free_sphere_size(pres, 2)
                       // groups.free_sphere_size(pres, 1))
             predicted = growth * math.exp(-row.p)

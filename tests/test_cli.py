@@ -320,6 +320,67 @@ def test_p_grid_flag(tmp_path):
     assert code == 0
     checks = json.loads(payload)["reports"][0]["checks"]
     assert [c["name"] for c in checks] == ["lp-norm-p=1", "lp-norm-p=2"]
+    # at a float p the count is exact only where every jump is 1: K = 1
+    for K, expected in (("1", [4, 4]), ("2", [None, 28])):
+        code, payload = run_main(tmp_path, "check", "--suite", "cocycle",
+                                 "--group", "free:2", "--g", "ab",
+                                 "--p", "1.5,2", "--K", K)
+        assert code == 0
+        checks = json.loads(payload)["reports"][0]["checks"]
+        assert [c["details"]["expected"] for c in checks] == expected
+
+
+@pytest.mark.parametrize("args,norms,expected", [
+    # inside radius 4 (|g| + hi - 1 <= 4) the truncated norm is the count
+    (("free:2", "--K", "2", "--g", "ab"), None, [24, 28, 36]),
+    (("free:2", "--K", "3", "--g", "a"), None, [54, 54, 54]),
+    (("free:3", "--K", "2", "--g", "ab"), None, [40, 44, 52]),
+    # past it the count lies within the tail bound above the norm
+    (("free:2", "--K", "3", "--g", "abab"), ["150/1", "218/1", "378/1"],
+     [216, 296, 480]),
+])
+def test_norm_rows_expect_the_count(tmp_path, monkeypatch, args, norms,
+                                    expected):
+    code, payload = run_main(tmp_path, "check", "--suite", "cocycle",
+                             "--group", *args)
+    assert code == 0
+    details = [c["details"] for c in json.loads(payload)["reports"][0][
+        "checks"]]
+    assert [d["expected"] for d in details] == expected
+    if norms is not None:
+        assert [d["norm_p"] for d in details] == norms
+        return
+    assert all(d["tail_bound"] == 0 for d in details)
+    assert [d["norm_p"] for d in details] == [f"{e}/1" for e in expected]
+    # a count one off either way fails its row
+    count = cocycles.free_norm_count
+    for off in (1, -1):
+        monkeypatch.setattr(cocycles, "free_norm_count",
+                            lambda *a: count(*a) + off)
+        code, _ = run_main(tmp_path, "check", "--suite", "cocycle",
+                           "--group", *args)
+        assert code == 1
+
+
+def test_edge_norm_law_reads_the_count(tmp_path, monkeypatch):
+    # K = 5/2, C = 1/2: hi = 3, so radius 5 holds the count's pairs for
+    # the 53 elements of length 3 or less
+    args = ("check", "--suite", "cocycle", "--group", "free:2", "--radius",
+            "5", "--K", "5/2", "--C", "1/2")
+    code, payload = run_main(tmp_path, *args)
+    assert code == 0
+    checks = json.loads(payload)["reports"][0]["checks"]
+    edge = next(c for c in checks if c["name"] == "edge-norm-law")
+    assert edge["passed"] and edge["details"]["elements"] == 53
+    count = cocycles.free_norm_count
+    monkeypatch.setattr(cocycles, "free_norm_count",
+                        lambda *a: count(*a) + 1)
+    code, payload = run_main(tmp_path, *args)
+    assert code == 1
+    checks = json.loads(payload)["reports"][0]["checks"]
+    edge = next(c for c in checks if c["name"] == "edge-norm-law")
+    assert edge["witness"] == {"g": "1", "p": 1, "norm_p": "0/1",
+                               "expected": 1}
 
 
 def test_presentation_file_group(tmp_path):
@@ -362,7 +423,7 @@ PINNED_REPORTS = [
      "96e53fd7cbb733acf3b8d13e14dc2dc8c48951e1ffa6ffa3c8a4de7404d895db"),
     (("--suite", "cocycle", "--group", "free:2", "--g", "abab",
       "--format", "csv"),
-     "f999ce400a89308b51c7da52b79271bae70347f6c57410a4a6b3ad076365315a"),
+     "3347c1f5cd42301615b7b74986a44f2e9e6a7afe2d2bc2198973acc062aeb02f"),
     # min_count_margin reads d(e, g) in Green units
     (("--suite", "properness", "--group", "modular", "--metric", "green",
       "--radius", "3", "--K", "12"),
@@ -590,8 +651,9 @@ def test_norm_table_reads_one_distance_row(tmp_path, monkeypatch):
                         lambda *args: calls.append(args) or lengths(*args))
     code, _ = run_main(tmp_path, "check", "--suite", "cocycle", "--group",
                        "free:2", "--g", "abababa")
-    # the radius-4 band truncates the norm of a 7-letter g: checks fail
-    assert code == 1
+    # the radius-4 band truncates the norm of a 7-letter g, 8 of 14, and
+    # the tail bound covers the rest
+    assert code == 0
     assert len(calls) == 1
 
 

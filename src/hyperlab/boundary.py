@@ -197,7 +197,7 @@ def action_law_scan(ball, points):
     left = _act_windows(gs, moved.reshape(-1, width + m), width)
     same = (left.reshape(-1, len(points), width)
             == _act_windows(gh, xs, width)).all(axis=2).reshape(shape)
-    inverse = [ball.index[pres.invert(g.word)] for g in els]
+    inverse = ball.walk([0], [pres.invert(g.word) for g in els])[0]
     lhs = _busemann(gh, xs).reshape(shape)
     rhs = _busemann(gs, xs)[:, None, :] + _busemann(
         gs, moved[inverse].reshape(-1, width + m)).reshape(shape).swapaxes(0, 1)

@@ -64,10 +64,6 @@ class PairBand:
     def empty(self):
         return not len(self.index)
 
-    def element_pairs(self):
-        els = self.ball.elements
-        return [(els[i], els[j]) for i, j in self.index]
-
     @cached_property
     def integer_window(self):
         """(u, K*u, C*u) as ints, u the least common denominator of K and
@@ -105,8 +101,8 @@ def _distance_rows(band, gs):
     if any(g.pres is not band.metric.pres for g in gs):
         raise InputError("element lives in a different presentation")
     ball = band.ball
-    pos = [ball.index.get(g.word) for g in gs]
-    if pos and None not in pos:
+    if gs and max(len(g.word) for g in gs) <= ball.radius:
+        pos = ball.walk([0], [g.word for g in gs])[0].tolist()
         if pos == list(range(pos[0], pos[0] + len(pos))):
             pos = slice(pos[0], pos[0] + len(pos))
         return (band.distances[:, pos].T if band.metric.exact
@@ -287,20 +283,14 @@ def properness_certificates(band, gs, p):
     band's matrix, in integers (units of 1/u) on exact metrics."""
     exact, pres = band.metric.exact, band.metric.pres
     rows = _distance_rows(band, gs)
-    if all(g.word in band.ball.index for g in gs):
-        pos = np.stack(list(band.ball._steps([0], [g.word for g in gs])),
-                       axis=-1)[0]     # each prefix's position, one walk
-        T = band.distances[0][pos].astype(np.int64 if exact else np.float64)
-    else:   # prefix elements, their positions (-1 off the ball) and t
-        width = max(len(g.word) for g in gs) + 1
-        xs = [[GroupElement(pres, pres.normalize(g.word[:j]))
-               for j in range(width)] for g in gs]
-        pos = np.array([[band.ball.index.get(x.word, -1) for x in row]
-                        for row in xs])
-        T = np.array([[band.distances.item(0, i) if i >= 0 else
-                       band.metric.distance(pres.identity, x)
-                       for x, i in zip(row, at)]
-                      for row, at in zip(xs, pos.tolist())])
+    words = [g.word for g in gs]
+    # each prefix's position, one walk; -1 off the ball
+    pos = np.stack(list(band.ball._steps([0], words)), axis=-1)[0].astype(int)
+    pos[pos == len(band.ball)] = -1
+    T = band.distances[0][pos].astype(np.int64 if exact else np.float64)
+    for k, j in np.argwhere(pos < 0).tolist():
+        T[k, j] = band.metric.distance(pres.identity, GroupElement(
+            pres, pres.normalize(words[k][:j])))
     T[:, 0] = 0     # d(e, e); the Green table's -log 1 would read -0.0
     if exact:
         unit, step, c = band.integer_window

@@ -7,7 +7,9 @@ class InputError(HyperlabError):
 
 
 class ResourceLimitError(HyperlabError):
-    """A computation would exceed the configured element or quadruple cap."""
+    """A computation would exceed the element cap (`ELEMENT_CAP`), the byte
+    cap (`DISTANCE_BYTES_CAP`) or the four-point entry cap
+    (`SCAN_ENTRY_CAP`)."""
 
 
 class NumericError(HyperlabError):

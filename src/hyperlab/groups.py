@@ -681,28 +681,35 @@ class Ball:
     """Elements within a given word-metric radius, grouped by sphere.
 
     The one holder of what derives from the ball: its `elements` in sphere
-    order, their `index` (word -> position) and word `lengths`; its
-    Cayley `edges`, filled in by `enumerate_ball`: `edges[s, i]` is the
-    position of element i times letter s, for every element i inside the
-    outer sphere; the word `distances`, filled in by
-    `metrics.word_distance_matrix`; and the `representatives`, filled in
-    by `metrics._orbit_labels`: one array of labels of the x rows at the
-    identity, the least x of each orbit of the symmetries that keep those
-    distances.
+    order and their word `lengths`; its step table `edges`, built by
+    `enumerate_ball`, an (n+1) x (k+1) array in `np.min_scalar_type(n)`:
+    `edges[i, s]` is the position of element i times letter s for every
+    element i inside the outer sphere, the outer sphere's rows and the
+    extra row n read n (outside, which absorbs), and the last column maps
+    every position to itself, for the -1 padding; the word `distances`,
+    filled in by `metrics.word_distance_matrix`; and the
+    `representatives`, filled in by `metrics._orbit_labels`: one array of
+    labels of the x rows at the identity, the least x of each orbit of the
+    symmetries that keep those distances.
+
+    A geodesic word read from the identity ends on its element, or on n
+    once it leaves the ball: every prefix of a geodesic word is geodesic,
+    so the walk steps from an outer-sphere row only after radius letters.
+    Canonical words are geodesic, and so are their images under the
+    length-preserving symmetries.
     """
 
-    __slots__ = ("pres", "radius", "spheres", "elements", "index", "lengths",
+    __slots__ = ("pres", "radius", "spheres", "elements", "lengths",
                  "edges", "distances", "representatives")
 
-    def __init__(self, pres, radius, spheres):
+    def __init__(self, pres, radius, spheres, edges):
         self.pres = pres
         self.radius = radius
         self.spheres = spheres
         self.elements = [g for sol in spheres for g in sol]
-        self.index = {g.word: i for i, g in enumerate(self.elements)}
         self.lengths = np.array([len(g.word) for g in self.elements],
                                 dtype=np.int64)
-        self.edges = None
+        self.edges = edges
         self.distances = None
         self.representatives = None
 
@@ -711,21 +718,21 @@ class Ball:
 
     def _steps(self, starts, words):
         """`_walk` along `edges` from g at each start (axis 0) over each
-        word w (axis 1): the positions of g w[:j], j = 0, 1, ..., staying
-        put past w's end (the only step from the outer sphere)."""
-        edges = np.full((len(self), self.edges.shape[0] + 1), len(self))
-        edges[:self.edges.shape[1], :-1] = self.edges.T
-        edges[:, -1] = np.arange(len(self))
-        letters = _letters(self.pres, words, max(map(len, words), default=0))
-        return _walk(edges, letters, np.broadcast_to(
-            np.asarray(starts)[:, None], (len(starts), len(words))))
+        word w (axis 1), a tuple or a row of a letter array padded with
+        -1: the positions of g w[:j], j = 0, 1, ..., staying put past w's
+        end."""
+        letters = (words if isinstance(words, np.ndarray) else _letters(
+            self.pres, words, max(map(len, words), default=0)))
+        return _walk(self.edges, letters, np.broadcast_to(
+            np.asarray(starts)[:, None], (len(starts), len(letters))))
 
     def walk(self, starts, words):
-        """Ball positions of g w: the last step of `_steps`."""
+        """Ball positions of g w (n off the ball): the last step of
+        `_steps`."""
         return collections.deque(self._steps(starts, words), maxlen=1)[0]
 
     def symmetries(self):
-        """Index permutations of the ball that keep word length, as lists:
+        """Index permutations of the ball that keep word length, as arrays:
         element i goes to element img[i].
 
         Each of the presentation's `symmetry_generators` that maps the
@@ -735,44 +742,34 @@ class Ball:
         and t and their inverses, and every other element is fixed.  A
         branch swap exchanges two isomorphic subtrees of the Cayley tree,
         and together they move every element onto a^n, so each sphere is
-        one orbit.
+        one orbit.  Each image is one walk of the ball's permuted letter
+        rows.
         """
-        pres, index = self.pres, self.index
-        words = [g.word for g in self.elements]
-
-        def lookup(w):
-            # a spelled image already in the ball is its canonical word
-            i = index.get(w)
-            return i if i is not None else index.get(pres.normalize(w))
-
+        pres, n = self.pres, len(self)
+        words = _letters(pres, [g.word for g in self.elements], self.radius)
         for perm in pres.symmetry_generators():
-            img = [lookup(tuple(perm[s] for s in w)) for w in words]
-            if None not in img:
+            img = self.walk([0], np.array(perm + (-1,), words.dtype)[words])[0]
+            if n not in img:
                 yield img
         if pres.kind != "free":
             return
         inv = pres.alphabet.inverse
         a = 0
         for k in range(self.radius):
-            v = (a,) * k
+            below = (words[:, :k] == a).all(axis=1)
             for t in range(len(inv)):
                 if t == a or (k and t == inv[a]):
                     continue
-                p = list(range(len(inv)))
+                p = list(range(len(inv))) + [-1]
                 p[a], p[t] = t, a
                 p[inv[a]], p[inv[t]] = inv[t], inv[a]
-                img = list(range(len(words)))
-                for i, w in enumerate(words):
-                    if len(w) > k and w[k] in (a, t) and w[:k] == v:
-                        img[i] = index[v + (p[w[k]],)
-                                       + tuple(p[s] for s in w[k + 1:])]
-                yield img
+                rows = below & ((words[:, k] == a) | (words[:, k] == t))
+                swapped = words.copy()
+                swapped[rows, k:] = np.array(p, words.dtype)[words[rows, k:]]
+                yield self.walk([0], swapped)[0]
 
     def __len__(self):
         return len(self.elements)
-
-    def __contains__(self, g):
-        return g.word in self.index
 
 
 def free_sphere_size(pres, n):
@@ -789,11 +786,12 @@ def enumerate_ball(pres, radius):
     """Breadth-first ball enumeration with canonical-form deduplication.
 
     Each product g s it forms, for g inside the outer sphere and s a
-    letter, is kept as the ball position of g s in `Ball.edges`.  On
-    small-cancellation kinds each element keeps its `_move_windows`
-    state: a canonical g holding no move window has a prefix g[:-1] and
-    windowless one-letter extensions g s that are canonical as they
-    stand, so only the products whose step accepts go through `multiply`.
+    letter, is kept as the ball position of g s in the step table
+    `Ball.edges`, built once at the end.  On small-cancellation kinds each
+    element keeps its `_move_windows` state: a canonical g holding no move
+    window has a prefix g[:-1] and windowless one-letter extensions g s
+    that are canonical as they stand, so only the products whose step
+    accepts go through `multiply`.
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
@@ -849,10 +847,12 @@ def enumerate_ball(pres, radius):
         edges.append(np.array(targets, dtype=np.int64).reshape(-1, len(letters)))
         spheres.append([layer[k] for k in order])
         states = [layer_states[k] for k in order]
-    ball = Ball(pres, radius, spheres)
-    inner = np.concatenate(final)[np.concatenate(edges)]
-    ball.edges = np.ascontiguousarray(inner.T)
-    return ball
+    n, k = len(found), len(letters)
+    table = np.full((n + 1, k + 1), n, dtype=np.min_scalar_type(n))
+    inner = np.concatenate(edges)
+    table[:len(inner), :k] = np.concatenate(final)[inner]
+    table[:, k] = np.arange(n + 1)
+    return Ball(pres, radius, spheres, table)
 
 
 def distance_dtype(top):

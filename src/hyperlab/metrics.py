@@ -3,7 +3,8 @@
 Two metrics:
 
 * the word metric: canonical word length, an exact integer read from
-  `GroupPresentation.left_quotient` (the common prefix on free groups).
+  `groups.bulk_product_lengths` over a ball, or from
+  `GroupPresentation.left_quotient` for one pair.
 * the Green metric: minus the log of first-passage probabilities of the
   simple random walk, solved with an absorbing truncation.
 
@@ -25,8 +26,8 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError, NumericError, ResourceLimitError
-from .groups import (CALL_BYTES, DISTANCE_BYTES_CAP, bulk_product_lengths,
-                     enumerate_ball)
+from .groups import (CALL_BYTES, DISTANCE_BYTES_CAP, _window_state,
+                     bulk_product_lengths, enumerate_ball)
 
 FOURPOINT_TOLERANCE = 1e-9
 # most (x, y, z) entries a four-point scan computes: its x rows times n^2
@@ -69,15 +70,17 @@ def _radial_passage(rank, truncation):
 def _table_passage(pres, truncation):
     ball = enumerate_ball(pres, truncation)
     n = len(ball)
-    letters = range(len(pres.alphabet.symbols))
+    k, inner = len(pres.alphabet.symbols), n - len(ball.spheres[-1])
     # one row per letter, in symbol order: numpy sums the columns fast and
     # adds each element's products in letter order.  Inside the outer
-    # sphere the rows are the ball's Cayley edges; only the outer sphere
-    # forms products, which may leave the ball (position n)
-    outer = [[ball.index.get(pres.multiply(g.word, (s,)), n)
-              for g in ball.elements[ball.edges.shape[1]:]] for s in letters]
-    nbr = np.hstack([ball.edges, np.array(outer, dtype=np.int64)])
-    prob = 1.0 / len(letters)
+    # sphere the rows are the ball's step table; only the outer sphere
+    # forms products, walked from the identity to their positions or to
+    # n once they leave the ball
+    nbr = np.ascontiguousarray(ball.edges[:n, :k].T)
+    outer = [pres.multiply(g.word, (s,))
+             for s in range(k) for g in ball.elements[inner:]]
+    nbr[:, inner:] = ball.walk([0], outer).reshape(k, -1)
+    prob = 1.0 / k
     u = np.zeros(n + 1)
     u[0] = 1.0
     vals = np.empty(nbr.shape)
@@ -118,8 +121,8 @@ class GreenData:
                     f"distance {n} exceeds the usable range {self.usable}")
             f = self._radial[n]
         else:
-            i = self._ball.index.get(word)
-            if i is None:
+            i = _window_state(self._ball.edges, word)
+            if i == len(self._ball):
                 raise InputError("element is outside the solved truncation")
             f = self._u[i]
         if f <= 0:

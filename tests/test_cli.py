@@ -428,6 +428,11 @@ PINNED_REPORTS = [
     (("--suite", "properness", "--group", "modular", "--metric", "green",
       "--radius", "3", "--K", "12"),
      "fbed6284aa34bd66cff48e53a95bbb97c42ef8d28e5ca1fa90d0d81c3e666c06"),
+    # ststs leaves the radius-3 band: its prefixes past the ball read
+    # the Green table
+    (("--suite", "properness", "--group", "modular", "--metric", "green",
+      "--radius", "3", "--K", "12", "--g", "ststs"),
+     "ed24f64a5c986f913cac83473ec169b9e18c4a13a3e6d3669b24bb5ee855990e"),
     (("--suite", "green", "--group", "modular"),
      "ae26f97759336cc6ab19fd8988822e02b7c570d2b1fd4248927b27480397d5a0"),
     (("--suite", "strong-hyp", "--group", "modular", "--metric", "green"),
@@ -498,7 +503,7 @@ def _count_calls(monkeypatch, owner, name):
 @pytest.mark.parametrize("args,limit", [
     # below one call per ball element (1,457 at the default radius 6)
     (("--suite", "properness", "--group", "free:2"), 1457),
-    # 0 measured: `Ball.symmetries` finds every image in the ball index
+    # 0 measured: `Ball.symmetries` walks every image to its position
     (("--suite", "all", "--group", "free:2", "--seed", "7"), 500),
 ], ids=["properness", "all"])
 def test_free_runs_rarely_normalize(tmp_path, monkeypatch, args, limit):
@@ -585,6 +590,16 @@ def test_single_element_certificate_bytes_and_failure(tmp_path, capsys):
         "check failed: partition pair (aba, ab) left the coarse edge set; "
         "the rough constant C=0 is too small or the band radius is too "
         "small\n")
+
+
+def test_green_certificate_past_the_truncation_exit_two(capsys):
+    # ststststst leaves the radius-3 band and its distances leave the
+    # solved Green table
+    assert cli.main(["check", "--suite", "properness", "--group", "modular",
+                     "--metric", "green", "--radius", "3", "--K", "12",
+                     "--g", "ststststst"]) == 2
+    assert capsys.readouterr().err == (
+        "error: element is outside the solved truncation\n")
 
 
 @pytest.mark.parametrize("args, bound", [

@@ -218,8 +218,8 @@ def test_ball_is_a_prefix_of_larger_balls():
         inner = groups.enumerate_ball(pres, small)
         outer = groups.enumerate_ball(pres, big)
         assert outer.elements[: len(inner)] == inner.elements
-        assert [outer.index[g.word] for g in inner.elements] == list(
-            range(len(inner)))
+        assert outer.walk([0], [g.word for g in inner.elements]).tolist() == [
+            list(range(len(inner)))]
         assert outer.lengths.tolist() == [g.length() for g in outer.elements]
 
 
@@ -246,10 +246,10 @@ def test_ball_edges_are_the_products_by_one_letter(make, radius):
     pres = make()
     ball = groups.enumerate_ball(pres, radius)
     inner = len(ball) - len(ball.spheres[-1])
-    assert ball.edges.shape == (len(pres.alphabet), inner)
+    assert ball.edges.shape == (len(ball) + 1, len(pres.alphabet) + 1)
     words, expected = multiply_ball(pres, radius)
     assert [g.word for g in ball.elements] == words
-    assert ball.edges.tolist() == expected
+    assert ball.edges[:inner, :-1].T.tolist() == expected
     # a walk from the identity along each canonical word ends on it
     assert ball.walk([0], [g.word for g in ball.elements]).tolist() == [
         list(range(len(ball)))]
@@ -266,11 +266,37 @@ def test_walk_steps_visit_every_prefix(make, radius):
     # end the walk stays put
     pres = make()
     ball = groups.enumerate_ball(pres, radius)
-    words = [g.word for g in ball.elements]
+    words, _ = multiply_ball(pres, radius)
+    index = {w: i for i, w in enumerate(words)}
     trails = np.stack(list(ball._steps([0], words)), axis=-1)[0]
     assert trails.tolist() == [
-        [ball.index[pres.normalize(w[:j])] for j in range(radius + 1)]
+        [index[pres.normalize(w[:j])] for j in range(radius + 1)]
         for w in words]
+
+
+def test_walk_reads_one_stored_step_table():
+    # the step table is (n+1) x (k+1) in the narrowest unsigned type that
+    # holds n: the outer sphere's rows and row n read n, which absorbs,
+    # and the last column keeps each position for the -1 padding; a walk
+    # allocates no table of its own (1.78 MB a call when each walk built
+    # an n x (k+1) int64 one)
+    pres = groups.surface_group(2)
+    ball = groups.enumerate_ball(pres, 5)
+    n, k = len(ball), len(pres.alphabet)
+    assert n == 22289
+    assert ball.edges.shape == (n + 1, k + 1)
+    assert ball.edges.dtype == np.min_scalar_type(n)
+    assert (ball.edges[n - len(ball.spheres[-1]):, :-1] == n).all()
+    assert ball.edges[:, -1].tolist() == list(range(n + 1))
+    word = [ball.elements[-1].word]
+    ball.walk([0], word)
+    tracemalloc.start()
+    try:
+        assert ball.walk([0], word).tolist() == [[n - 1]]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("make,radius", [

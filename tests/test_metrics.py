@@ -573,6 +573,20 @@ def test_green_usable_range_guard():
         gm.distance(f2.element("aaa"), f2.element("b'b'b'"))
 
 
+def test_table_passage_walks_the_spelled_word():
+    # tt spells t', which lies in the table: the passage walks the word
+    # along the ball's step table instead of looking its spelling up
+    data = metrics.solve_green(groups.modular_group(), truncation=4)
+    assert data.passage((1, 1)) == data.passage((2,))
+    # a geodesic word one letter past the radius walks to n, off the ball
+    for pres, radius in ((groups.free_group(2), 3),
+                         (groups.modular_group(), 4),
+                         (groups.surface_group(2), 2)):
+        ball = groups.enumerate_ball(pres, radius)
+        past = groups.enumerate_ball(pres, radius + 1).spheres[-1]
+        assert (ball.walk([0], [g.word for g in past]) == len(ball)).all()
+
+
 def test_rough_geodesic_endpoints_and_steps():
     f2 = groups.free_group(2)
     wm = metrics.word_metric(f2)

@@ -18,16 +18,20 @@ def test_exports_resolve_once():
 
 
 def _uncalled_definitions(package, root):
-    """Public top-level defs and classes of the package that no module but
-    `__init__.py` names, and that no benchmark file or README python
-    block names either."""
+    """Public top-level defs and classes of the package, and public methods
+    of its classes (as `Class.method`), that no module but `__init__.py`
+    names, and that no benchmark file or README python block names
+    either."""
     defined = []
     used = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
-        defined += [node.name for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")]
+        defined += [(node.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defined += [(f"{cls.name}.{node.name}", node.name)
+                    for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef)]
         if path.name == "__init__.py":
             continue
         for node in ast.walk(tree):
@@ -40,7 +44,8 @@ def _uncalled_definitions(package, root):
                         (root / "README.md").read_text(), flags=re.M | re.S)
     for text in texts:
         used.update(re.findall(r"\w+", text))
-    return [name for name in defined if name not in used]
+    return [label for label, name in defined
+            if not name.startswith("_") and name not in used]
 
 
 def test_every_public_definition_has_a_caller():
